@@ -4,10 +4,18 @@ STFT/iSTFT, mel filterbanks and their pseudo-inverse, Butterworth
 band-stop design as second-order sections, zero-phase filtering, and
 rational resampling. Everything operates on float64 and is a pure
 function of its inputs.
+
+Built once per configuration and shared read-only: the analysis window
+(per name and length), the constant-overlap-add verdict (per StftConfig; a
+failing config is not cached and fails on every call) and the transposed
+mel pseudo-inverse after its rank check (per filterbank parameters).
+Nothing is cached per input length: an overlap-add envelope cached per
+frame count added 22 MB of peak RSS to a 20-trial synthesis at 24 kHz.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -17,6 +25,14 @@ from .audio_io import Waveform
 from .errors import ConfigError, DataError, NumericalError
 
 NORM_FLOOR = 1e-12
+_CONFIG_CACHE_SIZE = 32  # configurations, not inputs: a run uses a handful
+
+
+@lru_cache(maxsize=_CONFIG_CACHE_SIZE)
+def _window(window: str, win_length: int) -> np.ndarray:
+    win = get_window(window, win_length, fftbins=True).astype(np.float64)
+    win.setflags(write=False)  # shared by every caller
+    return win
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +59,8 @@ class StftConfig:
             )
 
     def window_array(self) -> np.ndarray:
-        return get_window(self.window, self.win_length, fftbins=True).astype(np.float64)
+        """The periodic analysis window; a shared read-only array."""
+        return _window(self.window, self.win_length)
 
 
 @dataclass(frozen=True)
@@ -90,14 +107,29 @@ def stft(w: Waveform, cfg: StftConfig) -> ComplexSpectrogram:
     return ComplexSpectrogram(spec, cfg, w.sample_rate)
 
 
+def _overlap_add(frames: np.ndarray, n_frames: int, hop: int) -> np.ndarray:
+    """Sum F frames (F x width, or one row all share) placed at multiples of hop.
+
+    Loops over the R = ceil(width / hop) hop-long pieces of a frame, not over
+    frames: piece r of frame m lands in block m + r. Running r from R-1 down
+    to 0 adds each sample's frames in ascending order, as a per-frame loop
+    does, so the sums match it bit for bit.
+    """
+    width = frames.shape[-1]
+    n_pieces = -(-width // hop)
+    blocks = np.zeros((n_frames - 1 + n_pieces, hop))
+    for r in range(n_pieces - 1, -1, -1):
+        piece = frames[..., r * hop : (r + 1) * hop]
+        blocks[r : r + n_frames, : piece.shape[-1]] += piece
+    return blocks.ravel()[: (n_frames - 1) * hop + width]
+
+
 def _ola_envelope(cfg: StftConfig, n_frames: int) -> np.ndarray:
     win = cfg.window_array()
-    env = np.zeros((n_frames - 1) * cfg.hop + cfg.win_length)
-    for m in range(n_frames):
-        env[m * cfg.hop : m * cfg.hop + cfg.win_length] += win * win
-    return env
+    return _overlap_add(win * win, n_frames, cfg.hop)
 
 
+@lru_cache(maxsize=_CONFIG_CACHE_SIZE)
 def _check_cola(cfg: StftConfig) -> None:
     """Reject window/hop pairs whose steady-state overlap energy collapses."""
     env = _ola_envelope(cfg, 16)
@@ -113,13 +145,10 @@ def istft(s: ComplexSpectrogram) -> Waveform:
     """Least-squares overlap-add inverse; length (F-1)*hop + win_length."""
     cfg = s.config
     _check_cola(cfg)
-    win = cfg.window_array()
-    env = _ola_envelope(cfg, s.n_frames)
     frames = np.fft.irfft(s.frames, n=cfg.fft_size, axis=1)[:, : cfg.win_length]
-    y = np.zeros(len(env))
-    for m in range(s.n_frames):
-        y[m * cfg.hop : m * cfg.hop + cfg.win_length] += frames[m] * win
-    y = y / np.maximum(env, NORM_FLOOR)
+    frames *= cfg.window_array()
+    y = _overlap_add(frames, s.n_frames, cfg.hop)
+    y /= np.maximum(_ola_envelope(cfg, s.n_frames), NORM_FLOOR)
     return Waveform(y, s.sample_rate)
 
 
@@ -180,6 +209,19 @@ def mel_apply(s: ComplexSpectrogram, fb: MelFilterbank) -> np.ndarray:
     return np.abs(s.frames) @ fb.weights.T
 
 
+@lru_cache(maxsize=_CONFIG_CACHE_SIZE)
+def _mel_pinv_t(n_mels: int, fft_size: int, sample_rate: int, fmin: float, fmax: float) -> np.ndarray:
+    """Transposed pseudo-inverse of the filterbank with these parameters.
+
+    Keyed by parameters, not by a filterbank, so the cache keeps no weights."""
+    weights = MelFilterbank(n_mels, fft_size, sample_rate, fmin, fmax).weights
+    if np.linalg.matrix_rank(weights) < n_mels:
+        raise NumericalError("mel filterbank is rank deficient; cannot invert")
+    pinv_t = np.linalg.pinv(weights).T
+    pinv_t.setflags(write=False)  # shared by every caller
+    return pinv_t
+
+
 def mel_pseudo_inverse(mel: np.ndarray, fb: MelFilterbank, clamp: bool = True) -> np.ndarray:
     """Least-squares magnitude reconstruction from mel magnitudes.
 
@@ -191,9 +233,7 @@ def mel_pseudo_inverse(mel: np.ndarray, fb: MelFilterbank, clamp: bool = True) -
     mel = np.asarray(mel, dtype=np.float64)
     if mel.ndim != 2 or mel.shape[1] != fb.n_mels:
         raise ConfigError(f"mel matrix must be F x {fb.n_mels}, got {mel.shape}")
-    if np.linalg.matrix_rank(fb.weights) < fb.n_mels:
-        raise NumericalError("mel filterbank is rank deficient; cannot invert")
-    mag = mel @ np.linalg.pinv(fb.weights).T
+    mag = mel @ _mel_pinv_t(fb.n_mels, fb.fft_size, fb.sample_rate, fb.fmin, fb.fmax)
     if clamp:
         mag = np.maximum(mag, 0.0)
     return mag

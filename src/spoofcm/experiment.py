@@ -62,7 +62,7 @@ from .training import (
     train,
 )
 from .util import derive_seed, file_sha256, text_sha256
-from .vocoders import VocoderChannel, make_channel
+from .vocoders import SYNTHESIS_VERSION, VocoderChannel, make_channel
 
 DEFAULT_SEEDS = (101, 202, 303)
 
@@ -155,6 +155,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if not systems:
         systems = list(ExperimentConfig().systems)
 
+    augment_kind = aug.get("kind", "rawboost")
+    wanting = [s.name for s in systems if s.loss_mode == "ce+cf"]  # contrastive batches take views
+    if augment_kind == "none" and train_cfg.k_views > 0 and wanting:
+        raise ConfigError(f"{path}: systems {wanting} train on augmented views "
+                          f"(k_views = {train_cfg.k_views}) but [augment] kind = none")
+
     inter = chan.get("intermediate_sr", "").strip()
     return ExperimentConfig(
         name=exp.get("name", "desk"),
@@ -166,7 +172,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
             n.strip() for n in chan.get("names", "glmel, coarsegl, phasernd, lpcvoc").split(",")
         ),
         intermediate_sr=int(inter) if inter else None,
-        augment_kind=aug.get("kind", "rawboost"),
+        augment_kind=augment_kind,
         k_views=int(aug.get("k_views", 1)),
         train=train_cfg,
         systems=tuple(systems),
@@ -195,9 +201,10 @@ def ensure_vocoded_set(
 ) -> TrialManifest:
     """Build the vocoded set, or reuse it when inputs are unchanged.
 
-    A meta file records the source manifest hash and channel layout; a
-    matching meta makes this a no-op (synthesis is deterministic, so the
-    reused set equals what a rebuild would produce).
+    A meta file records the source manifest hash, every channel parameter
+    and the synthesis version; a matching meta makes this a no-op
+    (synthesis is deterministic, so the reused set equals what a rebuild
+    would produce).
     """
     from .vocoders import build_vocoded_set
 
@@ -206,6 +213,7 @@ def ensure_vocoded_set(
     desc = {
         "source_manifest": file_sha256(manifest_file),
         "channels": [repr(c) for c in channels],
+        "synthesis_version": SYNTHESIS_VERSION,
     }
     if meta_path.exists() and combined_path.exists():
         if json.loads(meta_path.read_text()) == desc:
@@ -337,42 +345,3 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, base_dir: str | P
         (out_dir / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n", encoding="utf-8")
         (out_dir / "config_resolved.ini").write_text(cfg.raw_text or "", encoding="utf-8")
     return ExperimentReport(results, seed_means, significance, out_dir)
-
-
-def rate_caveat_experiment(
-    bona_manifest_file: str | Path,
-    out_dir: str | Path,
-    seeds: tuple[int, ...] = DEFAULT_SEEDS,
-    train_cfg: TrainConfig | None = None,
-    channel_names: tuple[str, ...] = ("glmel", "coarsegl"),
-    intermediate_sr: int = 24000,
-    master_seed: int = 1234,
-) -> dict[str, float]:
-    """Train one CM on resampling-roundtripped vocoded data and one on
-    matched-rate vocoded data; evaluate both on matched-rate vocoded eval
-    trials. Returns mean EERs keyed by 'roundtrip' and 'matched'."""
-    out_dir = Path(out_dir)
-    bona = load_manifest(bona_manifest_file)
-    train_cfg = train_cfg or TrainConfig(loss_mode="ce", augment=False, max_epochs=20)
-
-    native = ensure_vocoded_set(
-        bona, Path(bona_manifest_file), [make_channel(n) for n in channel_names], out_dir / "native"
-    )
-    roundtrip = ensure_vocoded_set(
-        bona,
-        Path(bona_manifest_file),
-        [make_channel(n, intermediate_sr) for n in channel_names],
-        out_dir / "roundtrip",
-    )
-    eval_native = TrialManifest([r for r in native if r.subset == "eval"], native.root)
-
-    means = {}
-    for label, train_manifest in (("roundtrip", roundtrip), ("matched", native)):
-        bundle = DataBundle(train_manifest, None, master_seed)
-        eers = []
-        for seed in seeds:
-            params, _ = train(bundle, train_cfg, seed)
-            scores, _ = score_manifest(eval_native, params, "eval")
-            eers.append(compute_eer(scores))
-        means[label] = mean_eer_over_seeds(eers)
-    return means

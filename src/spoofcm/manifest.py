@@ -6,7 +6,7 @@ relative to the manifest file.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, DataError
@@ -128,19 +128,3 @@ class PairedTrialSet:
 
     def save(self, path: str | Path) -> None:
         self.manifest.save(path)
-
-
-def load_paired_set(path: str | Path) -> PairedTrialSet:
-    m = load_manifest(path)
-    return PairedTrialSet(m.records, root=m.root)
-
-
-def rebase_records(records: list[TrialRecord], old_root: Path, new_root: Path) -> list[TrialRecord]:
-    """Re-express record paths relative to a different root."""
-    import os
-
-    out = []
-    for r in records:
-        absolute = (Path(old_root) / r.path).resolve()
-        out.append(replace(r, path=os.path.relpath(absolute, Path(new_root).resolve())))
-    return out

@@ -168,10 +168,12 @@ def load_scores(path: str | Path, manifest, set_name: str = "") -> ScoreSet:
         fields = line.split("\t")
         if len(fields) != 2:
             raise DataError(f"{path}:{ln}: expected 'trial_id<TAB>score'")
+        try:
+            score = float(fields[1])
+        except ValueError:
+            raise DataError(f"{path}:{ln}: score {fields[1]!r} is not a number") from None
         rec = manifest.by_id(fields[0])
-        entries.append(
-            ScoreEntry(fields[0], float(fields[1]), rec.label, rec.attack_tag, set_name)
-        )
+        entries.append(ScoreEntry(fields[0], score, rec.label, rec.attack_tag, set_name))
     return ScoreSet(entries, name=set_name)
 
 

@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import logging
 import warnings
+from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 from scipy.signal import sosfilt
@@ -43,6 +45,9 @@ from .util import derive_seed
 
 log = logging.getLogger(__name__)
 
+# Part of the vocoded-set cache key: bump it with any change that alters
+# the bytes a channel writes for the same parameters.
+SYNTHESIS_VERSION = 1
 MIN_INPUT_SECONDS = 0.5
 _SUPPORTED_RATES = (8000, 48000)
 _SILENT_PEAK = 1e-6
@@ -68,78 +73,87 @@ def griffin_lim(
     if mag.ndim != 2 or mag.shape[1] != cfg.fft_size // 2 + 1:
         raise ConfigError(f"magnitude must be F x {cfg.fft_size // 2 + 1}, got {mag.shape}")
     mag_norm = np.linalg.norm(mag)
-    phase = np.zeros_like(mag) if init_phase is None else np.asarray(init_phase, dtype=np.float64)
-    spec = mag * np.exp(1j * phase)
+    if init_phase is None:
+        spec = mag.astype(np.complex128)
+    else:
+        spec = mag * np.exp(1j * np.asarray(init_phase, dtype=np.float64))
     wave = istft(ComplexSpectrogram(spec, cfg, sample_rate))
+    del spec
     for _ in range(iters):
         reanalyzed = stft(wave, cfg).frames
+        modulus = np.abs(reanalyzed)
         if error_trace is not None:
-            err = np.linalg.norm(np.abs(reanalyzed) - mag) / max(mag_norm, 1e-12)
+            err = np.linalg.norm(modulus - mag) / max(mag_norm, 1e-12)
             error_trace.append(float(err))
-        spec = mag * reanalyzed / np.maximum(np.abs(reanalyzed), 1e-12)
-        wave = istft(ComplexSpectrogram(spec, cfg, sample_rate))
+        # New phase in place on float64 views: (X * mag) * (1 / max(|X|, eps)),
+        # the products complex mag * X / max(|X|, eps) makes, in its order.
+        np.maximum(modulus, 1e-12, out=modulus)
+        np.divide(1.0, modulus, out=modulus)
+        for part in (reanalyzed.real, reanalyzed.imag):
+            part *= mag
+            part *= modulus
+        wave = istft(ComplexSpectrogram(reanalyzed, cfg, sample_rate))
     return wave
 
 
+@dataclass(frozen=True)
 class VocoderChannel:
-    """Base class: resynthesize a waveform at its native rate."""
+    """Base class: resynthesize a waveform at its native rate. The repr names
+    every parameter; the vocoded-set cache key is built from it."""
 
-    name = "base"
+    name: ClassVar[str] = "base"
+    intermediate_sr: int | None = field(default=None, kw_only=True)
 
-    def __init__(self, intermediate_sr: int | None = None):
-        if intermediate_sr is not None and intermediate_sr <= 0:
+    def __post_init__(self):
+        if self.intermediate_sr is not None and self.intermediate_sr <= 0:
             raise ConfigError("intermediate_sr must be positive")
-        self.intermediate_sr = intermediate_sr
 
     def _synthesize(self, w: Waveform) -> Waveform:
         raise NotImplementedError
 
-    def __repr__(self):
-        inter = f", intermediate_sr={self.intermediate_sr}" if self.intermediate_sr else ""
-        return f"{type(self).__name__}({inter.lstrip(', ')})"
 
-
+@dataclass(frozen=True)
 class _GriffinLimChannelBase(VocoderChannel):
-    def __init__(self, n_mels, iters, fft_size, hop, intermediate_sr=None):
-        super().__init__(intermediate_sr)
-        if n_mels <= 0 or iters <= 0:
+    n_mels: int = 80  # the defaults are glmel's
+    iters: int = 32
+    fft_size: int = 1024
+    hop: int = 512
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.n_mels <= 0 or self.iters <= 0:
             raise ConfigError("n_mels and iters must be positive")
-        self.n_mels = n_mels
-        self.iters = iters
-        self.fft_size = fft_size
-        self.hop = hop
 
     def _synthesize(self, w: Waveform) -> Waveform:
         cfg = StftConfig(fft_size=self.fft_size, hop=self.hop, win_length=self.fft_size)
         pad = cfg.win_length  # synthesize past the end, then trim: no dead tail
         x = np.pad(w.samples, (0, pad), mode="reflect")
-        spec = stft(Waveform(x, w.sample_rate), cfg)
         fb = MelFilterbank(self.n_mels, cfg.fft_size, w.sample_rate)
-        mel = mel_apply(spec, fb)
+        mel = mel_apply(stft(Waveform(x, w.sample_rate), cfg), fb)  # the spectrogram dies here
         mag = mel_pseudo_inverse(mel, fb)
         out = griffin_lim(mag, cfg, w.sample_rate, iters=self.iters)
         return Waveform(out.samples[: len(w)], w.sample_rate)
 
 
+@dataclass(frozen=True)
 class GriffinLimMelChannel(_GriffinLimChannelBase):
     """Full-resolution mel analysis; artifacts come from the mel bottleneck
     and reconstructed phase."""
 
-    name = "glmel"
-
-    def __init__(self, n_mels=80, iters=32, fft_size=1024, hop=512, intermediate_sr=None):
-        super().__init__(n_mels, iters, fft_size, hop, intermediate_sr)
+    name: ClassVar[str] = "glmel"
 
 
+@dataclass(frozen=True)
 class CoarseMelGlChannel(_GriffinLimChannelBase):
     """Low-fidelity variant: 20 mel bands destroy spectral detail."""
 
-    name = "coarsegl"
+    name: ClassVar[str] = "coarsegl"
+    n_mels: int = 20
+    fft_size: int = 512
+    hop: int = 128
 
-    def __init__(self, n_mels=20, iters=32, fft_size=512, hop=128, intermediate_sr=None):
-        super().__init__(n_mels, iters, fft_size, hop, intermediate_sr)
 
-
+@dataclass(frozen=True)
 class PhaseRandomChannel(VocoderChannel):
     """Phase scrambling through a seeded cascade of random all-pass biquads,
     plus a fixed smooth coloration (stronger above ``color_from`` Hz).
@@ -149,23 +163,12 @@ class PhaseRandomChannel(VocoderChannel):
     decorrelates from the input.
     """
 
-    name = "phasernd"
-
-    def __init__(
-        self,
-        seed: int = 2001,
-        n_sections: int = 12,
-        radius_range: tuple[float, float] = (0.4, 0.75),
-        color_db: tuple[float, float] = (0.2, 1.0),
-        color_from: float = 3500.0,
-        intermediate_sr: int | None = None,
-    ):
-        super().__init__(intermediate_sr)
-        self.seed = seed
-        self.n_sections = n_sections
-        self.radius_range = radius_range
-        self.color_db = color_db
-        self.color_from = color_from
+    name: ClassVar[str] = "phasernd"
+    seed: int = 2001
+    n_sections: int = 12
+    radius_range: tuple[float, float] = (0.4, 0.75)
+    color_db: tuple[float, float] = (0.2, 1.0)
+    color_from: float = 3500.0
 
     def _allpass_sections(self, sr: int) -> np.ndarray:
         rng = np.random.default_rng(derive_seed(self.seed, "phasernd-allpass"))
@@ -197,19 +200,20 @@ class PhaseRandomChannel(VocoderChannel):
         return Waveform(out, w.sample_rate)
 
 
+@dataclass(frozen=True)
 class LpcSourceFilterChannel(VocoderChannel):
     """All-pole source-filter resynthesis (pulse train / noise excitation)."""
 
-    name = "lpcvoc"
+    name: ClassVar[str] = "lpcvoc"
+    order: int = 16
+    frame_ms: float = 25.0
+    hop_ms: float = 10.0
+    seed: int = 2002
 
-    def __init__(self, order=16, frame_ms=25.0, hop_ms=10.0, seed=2002, intermediate_sr=None):
-        super().__init__(intermediate_sr)
-        if order <= 0 or frame_ms <= 0 or hop_ms <= 0:
+    def __post_init__(self):
+        super().__post_init__()
+        if self.order <= 0 or self.frame_ms <= 0 or self.hop_ms <= 0:
             raise ConfigError("order, frame_ms and hop_ms must be positive")
-        self.order = order
-        self.frame_ms = frame_ms
-        self.hop_ms = hop_ms
-        self.seed = seed
 
     def _synthesize(self, w: Waveform) -> Waveform:
         return lpc_resynthesize(w, self.order, self.frame_ms, self.hop_ms, seed=self.seed)

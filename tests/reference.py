@@ -5,6 +5,7 @@ shared code with the package) so test expectations are computed by a
 second, independent route.
 """
 import numpy as np
+from scipy.signal import get_window
 from scipy.stats import norm
 
 
@@ -23,6 +24,26 @@ def frame_energy_fullfft(frame_windowed, fft_size):
     for v in spec:
         total += abs(v) ** 2
     return total / fft_size
+
+
+def overlap_add_loops(frames, hop):
+    """Overlap-add one frame at a time: frame m adds into out[m*hop : m*hop + width]."""
+    n_frames, width = frames.shape
+    out = np.zeros((n_frames - 1) * hop + width)
+    for m in range(n_frames):
+        out[m * hop : m * hop + width] += frames[m]
+    return out
+
+
+def istft_loops(spec_frames, fft_size, hop, win_length, window):
+    """Least-squares overlap-add inverse STFT with per-frame loops: the
+    windowed frames overlap-added, divided by the overlap-added squared
+    window (floored at 1e-12)."""
+    win = get_window(window, win_length, fftbins=True).astype(np.float64)
+    frames = np.fft.irfft(spec_frames, n=fft_size, axis=1)[:, :win_length]
+    windowed = np.array([frame * win for frame in frames])
+    squares = np.array([win * win for _ in frames])
+    return overlap_add_loops(windowed, hop) / np.maximum(overlap_add_loops(squares, hop), 1e-12)
 
 
 def mel_apply_loops(mag, weights):

@@ -1,11 +1,18 @@
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spoofcm.vocoders
+from spoofcm.audio_io import write_wav
 from spoofcm.cli import main
-from spoofcm.experiment import load_config, run_experiment
+from spoofcm.experiment import ensure_vocoded_set, load_config, run_experiment
 from spoofcm.errors import ConfigError
+from spoofcm.manifest import TrialManifest, TrialRecord, load_manifest
+from spoofcm.vocoders import SYNTHESIS_VERSION, CoarseMelGlChannel, PhaseRandomChannel
+
+from conftest import harmonic_speechlike
 
 TINY_CONFIG = """\
 [experiment]
@@ -99,6 +106,58 @@ class TestRunExperiment:
         assert (base / "out" / "vocoded" / "build_meta.json").read_text() == meta
 
 
+class TestVocodedCache:
+    BASE = (CoarseMelGlChannel(iters=2), PhaseRandomChannel())
+
+    @pytest.fixture
+    def builds(self, tmp_path, monkeypatch):
+        """Source manifest file, and the list of channel sets actually synthesized."""
+        records = []
+        for i in range(2):
+            tid = f"trial{i}"
+            write_wav(tmp_path / f"{tid}.wav", harmonic_speechlike(duration=0.6, seed=i))
+            records.append(TrialRecord(tid, f"{tid}.wav", "bonafide", "-", tid, "train"))
+        manifest_file = tmp_path / "manifest.tsv"
+        TrialManifest(records, root=tmp_path).save(manifest_file)
+        calls = []
+        real = spoofcm.vocoders.build_vocoded_set
+
+        def counting(manifest, channels, out_dir):
+            calls.append(list(channels))
+            return real(manifest, channels, out_dir)
+
+        monkeypatch.setattr(spoofcm.vocoders, "build_vocoded_set", counting)
+        return manifest_file, calls
+
+    def _ensure(self, manifest_file, channels):
+        out = manifest_file.parent / "vocoded"
+        return ensure_vocoded_set(load_manifest(manifest_file), manifest_file, list(channels), out)
+
+    def test_identical_config_hits_cache(self, builds):
+        manifest_file, calls = builds
+        first = self._ensure(manifest_file, self.BASE)
+        second = self._ensure(manifest_file, self.BASE)
+        assert len(calls) == 1
+        assert [r.trial_id for r in first] == [r.trial_id for r in second]
+        meta = json.loads((manifest_file.parent / "vocoded" / "build_meta.json").read_text())
+        assert meta["synthesis_version"] == SYNTHESIS_VERSION
+
+    @pytest.mark.parametrize(
+        "changed",
+        [
+            (CoarseMelGlChannel(n_mels=16, iters=2), PhaseRandomChannel()),
+            (CoarseMelGlChannel(iters=3), PhaseRandomChannel()),
+            (CoarseMelGlChannel(iters=2), PhaseRandomChannel(seed=7)),
+        ],
+        ids=["n_mels", "iters", "seed"],
+    )
+    def test_changed_channel_parameter_rebuilds(self, builds, changed):
+        manifest_file, calls = builds
+        self._ensure(manifest_file, self.BASE)
+        self._ensure(manifest_file, changed)
+        assert calls == [list(self.BASE), list(changed)]
+
+
 class TestCli:
     def test_gen_corpus_and_synth_and_score_flow(self, tmp_path, capsys):
         assert main(["gen-corpus", "--n", "20", "--seed", "9", "--out", str(tmp_path / "c")]) == 0
@@ -153,6 +212,21 @@ class TestCli:
 
             build_parser().parse_args(["unknown-command"])
         assert main(["unknown-command"]) == 1
+
+    def test_augment_none_with_contrastive_system_fails_before_synthesis(self, tmp_path):
+        (tmp_path / "exp.ini").write_text(TINY_CONFIG.replace("kind = rawboost", "kind = none"))
+        assert main(["run", "--config", str(tmp_path / "exp.ini"), "--out", str(tmp_path / "out")]) == 1
+        assert not (tmp_path / "corpus").exists() and not (tmp_path / "out").exists()
+
+    def test_augment_none_loads_when_no_view_is_asked_for(self, tmp_path):
+        ce_only = TINY_CONFIG.replace("kind = rawboost", "kind = none").replace(
+            "cecf_paired = ce+cf, paired\n", ""
+        )
+        (tmp_path / "ce.ini").write_text(ce_only)
+        assert load_config(tmp_path / "ce.ini").augment_kind == "none"
+        no_views = TINY_CONFIG.replace("kind = rawboost", "kind = none").replace("k_views = 1", "k_views = 0")
+        (tmp_path / "k0.ini").write_text(no_views)
+        assert load_config(tmp_path / "k0.ini").k_views == 0
 
     def test_out_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SPOOFCM_OUT_ROOT", str(tmp_path / "root"))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import get_window
 
 from spoofcm.audio_io import Waveform
 from spoofcm.dsp import (
@@ -19,7 +20,13 @@ from spoofcm.dsp import (
 )
 from spoofcm.errors import ConfigError, DataError, NumericalError
 
-from reference import frame_energy_fullfft, frame_energy_timedomain, mel_apply_loops
+from reference import (
+    frame_energy_fullfft,
+    frame_energy_timedomain,
+    istft_loops,
+    mel_apply_loops,
+    overlap_add_loops,
+)
 
 SR = 16000
 
@@ -98,8 +105,34 @@ class TestIstft:
     def test_non_cola_hop_rejected(self):
         cfg = StftConfig(fft_size=512, hop=512, win_length=512)  # hann at hop == win gaps out
         s = stft(wave(np.random.default_rng(4).standard_normal(4096)), cfg)
-        with pytest.raises(ConfigError):
-            istft(s)
+        for _ in range(3):  # the verdict cache must not remember a failure as a pass
+            with pytest.raises(ConfigError):
+                istft(s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        hop=st.integers(min_value=2, max_value=48),
+        whole_hops=st.integers(min_value=1, max_value=7),
+        data=st.data(),
+        window=st.sampled_from(["hann", "hamming", "blackman", "triang", "cosine", "boxcar"]),
+        n_frames=st.integers(min_value=1, max_value=12),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_bit_identical_to_per_frame_loop(self, hop, whole_hops, data, window, n_frames, seed):
+        # win_length is never a multiple of hop, so the last piece of a frame is partial
+        win_length = whole_hops * hop + data.draw(st.integers(min_value=1, max_value=hop - 1))
+        fft_size = 1 << (win_length - 1).bit_length()
+        cfg = StftConfig(fft_size=fft_size, hop=hop, win_length=win_length, window=window)
+        rng = np.random.default_rng(seed)
+        bins = fft_size // 2 + 1
+        frames = rng.standard_normal((n_frames, bins)) + 1j * rng.standard_normal((n_frames, bins))
+        try:
+            got = istft(ComplexSpectrogram(frames, cfg, SR)).samples
+        except ConfigError:  # rejected as not COLA-safe: the squared windows must leave a gap
+            squares = np.tile(get_window(window, win_length, fftbins=True) ** 2, (16, 1))
+            assert overlap_add_loops(squares, hop)[win_length:-win_length].min() < 1e-3
+            return
+        assert np.array_equal(got, istft_loops(frames, fft_size, hop, win_length, window))
 
     def test_output_length(self):
         cfg = StftConfig()

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spoofcm.errors import ConfigError, DataError
+from spoofcm.errors import ConfigError, DataError, SpoofcmError
+from spoofcm.manifest import TrialManifest, TrialRecord
 from spoofcm.metrics import (
     EerResult,
     ScoreEntry,
@@ -168,8 +171,6 @@ class TestGroupAnalysis:
 
 class TestScoreFiles:
     def test_roundtrip_with_manifest(self, tmp_path):
-        from spoofcm.manifest import TrialManifest, TrialRecord
-
         man = TrialManifest(
             [
                 TrialRecord("t1", "t1.wav", "bonafide", "-", "t1", "eval"),
@@ -184,3 +185,37 @@ class TestScoreFiles:
         back = load_scores(tmp_path / "scores.txt", man, set_name="eval")
         assert back.entries[1].attack_tag == "glmel"
         assert back.entries[0].score == 1.25
+
+    def test_non_numeric_score_names_path_and_line(self, tmp_path):
+        man = TrialManifest([TrialRecord("t1", "t1.wav", "bonafide", "-", "t1", "eval")])
+        path = tmp_path / "scores.txt"
+        path.write_text("t1\t0.5\nt1\tabc\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}:2")):
+            load_scores(path, man)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lines=st.lists(
+            st.one_of(
+                st.text(st.characters(blacklist_categories=("Cs",))),
+                st.tuples(
+                    st.sampled_from(["t1", "t2", "t3", "", "t1 "]),
+                    st.one_of(st.floats().map(repr), st.text(st.characters(blacklist_categories=("Cs",)))),
+                ).map("\t".join),
+            ),
+            max_size=6,
+        )
+    )
+    def test_arbitrary_lines_raise_only_typed_errors(self, tmp_path_factory, lines):
+        man = TrialManifest(
+            [
+                TrialRecord("t1", "t1.wav", "bonafide", "-", "t1", "eval"),
+                TrialRecord("t2", "t2.wav", "spoof", "glmel", "t1", "eval"),
+            ]
+        )
+        path = tmp_path_factory.mktemp("scores") / "scores.txt"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        try:
+            load_scores(path, man)
+        except SpoofcmError:
+            pass

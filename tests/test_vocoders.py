@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from spoofcm.dsp import StftConfig, stft
 from spoofcm.errors import ConfigError, DataError
 from spoofcm.manifest import TrialManifest, TrialRecord
 from spoofcm.vocoders import (
+    DEFAULT_CHANNEL_NAMES,
     CoarseMelGlChannel,
     GriffinLimMelChannel,
     LpcSourceFilterChannel,
@@ -116,6 +119,13 @@ class TestChannels:
         assert len(out) == len(w)
         assert 0 < np.max(np.abs(out.samples)) < 1e-3
 
+    def test_repr_names_every_parameter(self):
+        assert repr(GriffinLimMelChannel(n_mels=40)) != repr(GriffinLimMelChannel())
+        assert repr(CoarseMelGlChannel(iters=8)) != repr(CoarseMelGlChannel())
+        assert repr(PhaseRandomChannel(seed=1)) != repr(PhaseRandomChannel())
+        assert repr(LpcSourceFilterChannel(order=12)) != repr(LpcSourceFilterChannel())
+        assert repr(make_channel("glmel", 24000)) == repr(GriffinLimMelChannel(intermediate_sr=24000))
+
     def test_unknown_channel_rejected(self):
         with pytest.raises(ConfigError):
             make_channel("wavenet")
@@ -167,3 +177,29 @@ class TestBuildVocodedSet:
     def test_empty_manifest_rejected(self, tmp_path):
         with pytest.raises(DataError):
             build_vocoded_set(TrialManifest([], root=tmp_path), [PhaseRandomChannel()], tmp_path / "v")
+
+
+# SHA-256 of copy_synthesize's float64 output bytes on harmonic_speechlike(),
+# recorded before the overlap-add and Griffin-Lim update were vectorized
+# (numpy 2.4.6, scipy 1.17.1, x86-64). A speedup must leave them alone; a
+# change that alters synthesis on purpose re-records them and bumps
+# vocoders.SYNTHESIS_VERSION. Another numpy, scipy or CPU may round
+# differently and change them without any change to this code.
+GOLDEN_SYNTHESIS_SHA256 = {
+    ("glmel", None): "c62eedd23d6d9e52cbc402f4954ba20e6e1eeba1a1c17bd2192f2fa8fb4a1ab7",
+    ("glmel", 24000): "c1bcc0dac32631dec234132a5a707582e4b62d7f03e84bf6cf246fac37f1374e",
+    ("coarsegl", None): "bed696c71b2617fed058536a9bad3a8e6e723e7251fa30e18acf6c742970ceeb",
+    ("coarsegl", 24000): "dc4a511e386d7cdda751c27a7fecd81cdcba1848ad918bfa3946065cf99da317",
+    ("phasernd", None): "94b6ef0a36555c4168ee19b5954d46b1cac462449429ff65ef18bf5cd74fb330",
+    ("phasernd", 24000): "4812d7d9e91c1769cf382a0d532375bd763b1292570f5fec9e1f73919c089f33",
+    ("lpcvoc", None): "33c7938d3960c44aa7381d27b84cdfacf58f10fc1091a044ce7e78bf63209a40",
+    ("lpcvoc", 24000): "5f1602b8204c3133bc24a94fa3189f26237ea8e5248aac7f31f1ffec1f1b27ad",
+}
+
+
+@pytest.mark.parametrize("name", DEFAULT_CHANNEL_NAMES)
+@pytest.mark.parametrize("intermediate_sr", [None, 24000])
+def test_synthesis_bytes_match_golden(name, intermediate_sr):
+    out = copy_synthesize(harmonic_speechlike(), make_channel(name, intermediate_sr))
+    digest = hashlib.sha256(out.samples.tobytes()).hexdigest()
+    assert digest == GOLDEN_SYNTHESIS_SHA256[(name, intermediate_sr)]
