@@ -14,7 +14,7 @@ from dataclasses import replace as dc_replace
 from pathlib import Path
 
 from .errors import ConfigError, DataError, NumericalError
-from .manifest import TrialManifest, load_manifest
+from .manifest import load_manifest
 from .metrics import (
     EerResult,
     compute_eer,
@@ -26,8 +26,9 @@ from .metrics import (
     save_scores,
 )
 from .stats import significance_matrix
-from .training import load_checkpoint, save_checkpoint, score_manifest, train
-from .util import derive_seed
+from .training import DataBundle, load_checkpoint, score_manifest
+from .util import read_utf8
+from .vocoders import DEFAULT_CHANNEL_NAMES, build_vocoded_set, make_channel
 
 OUT_ROOT_ENV = "SPOOFCM_OUT_ROOT"
 
@@ -61,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="build a vocoded spoof set from a bona fide manifest")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--channels", default="glmel,coarsegl,phasernd,lpcvoc")
+    p.add_argument("--channels", default=",".join(DEFAULT_CHANNEL_NAMES))
     p.add_argument("--intermediate-sr", type=int, default=None)
     _add_common(p)
 
@@ -107,21 +108,18 @@ def _cmd_gen_corpus(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    from .vocoders import build_vocoded_set, make_channel
-
     manifest = load_manifest(args.manifest)
     channels = [make_channel(n.strip(), args.intermediate_sr) for n in args.channels.split(",")]
     out = _out_path(args.out or "vocoded")
-    paired = build_vocoded_set(manifest, channels, out)
-    paired.save(Path(out) / "manifest.tsv")
-    n_spoof = sum(1 for r in paired.records if r.label == "spoof")
+    combined = build_vocoded_set(manifest, channels, out)
+    combined.save(Path(out) / "manifest.tsv")
+    n_spoof = sum(1 for r in combined if r.label == "spoof")
     print(f"wrote {n_spoof} spoofed trials under {out}")
     return 0
 
 
 def _cmd_train(args) -> int:
-    from .experiment import load_config
-    from .training import DataBundle
+    from .experiment import load_config, train_system
 
     if not args.config:
         raise ConfigError("train needs --config")
@@ -136,14 +134,8 @@ def _cmd_train(args) -> int:
     seed = args.seed if args.seed is not None else cfg.seeds[0]
     combined = load_manifest(base / cfg.manifest_path)
     bundle = DataBundle(combined, cfg.augment_op(), cfg.master_seed)
-    train_cfg = dc_replace(cfg.train, loss_mode=system.loss_mode, pairing=system.pairing)
-    params, history = train(bundle, train_cfg, seed)
     out = _out_path(args.out or f"run_{system.name}_seed{seed}")
-    Path(out).mkdir(parents=True, exist_ok=True)
-    save_checkpoint(Path(out) / "checkpoint.ckpt", params, cfg.config_hash())
-    from .training import history_csv
-
-    (Path(out) / "history.csv").write_text(history_csv(history), encoding="utf-8")
+    _, history = train_system(cfg, bundle, system, seed, out)
     print(f"trained {system.name} seed {seed}: best dev loss "
           f"{min(h.dev_loss for h in history)!r} ({len(history)} epochs)")
     return 0
@@ -206,17 +198,23 @@ def _cmd_group_report(args) -> int:
 
 def _cmd_sigtest(args) -> int:
     path = Path(args.results)
-    if not path.exists():
-        raise DataError(f"results file not found: {path}")
     results = {}
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_utf8(path, "results file").splitlines()
     if not lines or not lines[0].startswith("system,"):
         raise DataError(f"{path}: expected header 'system,eer,n_tar,n_non'")
-    for line in lines[1:]:
+    for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        name, eer, n_tar, n_non = line.split(",")
-        results[name] = EerResult(float(eer), 0.0, int(n_tar), int(n_non))
+        fields = line.split(",")
+        if len(fields) != 4:
+            raise DataError(f"{path}:{ln}: expected 'system,eer,n_tar,n_non', got {len(fields)} fields")
+        try:
+            eer, n_tar, n_non = float(fields[1]), int(fields[2]), int(fields[3])
+        except ValueError:
+            raise DataError(f"{path}:{ln}: eer must be a number and n_tar, n_non integers") from None
+        if not 0.0 <= eer <= 1.0 or min(n_tar, n_non) < 0:
+            raise DataError(f"{path}:{ln}: need 0 <= eer <= 1 and counts >= 0")
+        results[fields[0]] = EerResult(eer, 0.0, n_tar, n_non)
     matrix = significance_matrix(results, alpha=args.alpha)
     out = _out_path(args.out or "sigtest")
     Path(out).mkdir(parents=True, exist_ok=True)

@@ -6,6 +6,11 @@ cosine similarity averaged over frames and scaled by 1/temperature; the
 loss pulls same-class views together and pushes classes apart, with each
 anchor normalized by a partition over every other batch member.
 
+``cf_value_and_grad`` evaluates one level per call: "sequence" on the
+frame sequences, or "utterance" on their means (single-frame sequences).
+``LEVEL_TERMS`` maps a configured ``levels`` value to the single levels
+it sums, unweighted, and names each term.
+
 All computation is done in the log domain (logsumexp) since similarities
 reach 1/temperature (about 14.3 at the default 0.07).
 """
@@ -19,7 +24,13 @@ from .errors import ConfigError, NumericalError
 
 NORM_FLOOR = 1e-12
 DEFAULT_TEMPERATURE = 0.07
-LEVELS = ("sequence", "utterance", "both")
+# The one expansion of a configured `levels` value: (level, loss-part name)
+# per term, in the order the terms are added to the loss.
+LEVEL_TERMS = {
+    "sequence": (("sequence", "cf_seq"),),
+    "utterance": (("utterance", "cf_utt"),),
+    "both": (("sequence", "cf_seq"), ("utterance", "cf_utt")),
+}
 
 
 @dataclass(frozen=True)
@@ -30,8 +41,8 @@ class CfConfig:
     def __post_init__(self):
         if self.temperature <= 0:
             raise ConfigError(f"temperature must be positive, got {self.temperature}")
-        if self.levels not in LEVELS:
-            raise ConfigError(f"levels must be one of {LEVELS}, got {self.levels!r}")
+        if self.levels not in LEVEL_TERMS:
+            raise ConfigError(f"levels must be one of {tuple(LEVEL_TERMS)}, got {self.levels!r}")
 
 
 @dataclass(frozen=True)
@@ -43,7 +54,6 @@ class BatchComposition:
 
     bona_views: list = field(default_factory=list)
     spoof_views: list = field(default_factory=list)
-    pairing: str = "paired"
 
     def __post_init__(self):
         bona = [np.asarray(m, dtype=np.float64) for m in self.bona_views]
@@ -56,8 +66,6 @@ class BatchComposition:
         shapes = {m.shape for m in bona + spoof}
         if len(shapes) != 1 or bona[0].ndim != 2:
             raise ConfigError(f"all members must share one (N, D) shape, got {sorted(shapes)}")
-        if self.pairing not in ("paired", "random"):
-            raise ConfigError(f"pairing must be 'paired' or 'random', got {self.pairing!r}")
         object.__setattr__(self, "bona_views", bona)
         object.__setattr__(self, "spoof_views", spoof)
 
@@ -68,25 +76,6 @@ class BatchComposition:
     @property
     def labels(self) -> list:
         return [1] * len(self.bona_views) + [0] * len(self.spoof_views)
-
-
-def _unit_frames(seq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.linalg.norm(seq, axis=1, keepdims=True)
-    return seq / np.maximum(norms, NORM_FLOOR), norms
-
-
-def cosine_seq_similarity(a: np.ndarray, b: np.ndarray, temperature: float = DEFAULT_TEMPERATURE) -> float:
-    """Frame-wise cosine similarity averaged over frames, scaled by 1/temperature."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 2:
-        raise ConfigError(f"sequences must share an (N, D) shape, got {a.shape} and {b.shape}")
-    ua, na = _unit_frames(a)
-    ub, nb = _unit_frames(b)
-    both_zero = (na[:, 0] == 0.0) & (nb[:, 0] == 0.0)
-    if np.any(both_zero):
-        raise NumericalError(f"degenerate zero-norm frame at index {int(np.argmax(both_zero))}")
-    return float(np.sum(ua * ub) / (a.shape[0] * temperature))
 
 
 def _similarity_matrix(members: list, temperature: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -102,19 +91,7 @@ def _similarity_matrix(members: list, temperature: float) -> tuple[np.ndarray, n
     return sims, unit, norms
 
 
-def partition(z: np.ndarray, batch: BatchComposition, temperature: float = DEFAULT_TEMPERATURE) -> float:
-    """H(z): summed exp-similarities of z to every batch member except itself."""
-    z = np.asarray(z, dtype=np.float64)
-    members = batch.members
-    if not any(m is z or np.array_equal(m, z) for m in members):
-        raise ConfigError("anchor must be a member of the batch")
-    total = 0.0
-    for m in members:
-        total += np.exp(cosine_seq_similarity(z, m, temperature))
-    return float(total - np.exp(cosine_seq_similarity(z, z, temperature)))
-
-
-def _cf_core(members: list, labels: list, temperature: float, want_grad: bool):
+def _cf_core(members: list, labels: list, temperature: float):
     sims, unit, norms = _similarity_matrix(members, temperature)
     b = len(members)
     n_frames = members[0].shape[0]
@@ -131,13 +108,10 @@ def _cf_core(members: list, labels: list, temperature: float, want_grad: bool):
         m = row.max()
         lse = m + np.log(np.sum(np.exp(row - m)))
         loss += float(n_pos * lse - sims[k, positives].sum()) / n_pos
-        if want_grad:
-            soft = np.zeros(b)
-            soft[others] = np.exp(sims[k, others] - lse)
-            soft[positives] -= 1.0 / n_pos
-            anchor_grad[k] = soft
-    if not want_grad:
-        return loss, None
+        soft = np.zeros(b)
+        soft[others] = np.exp(sims[k, others] - lse)
+        soft[positives] -= 1.0 / n_pos
+        anchor_grad[k] = soft
     pair_weight = anchor_grad + anchor_grad.T  # similarity is symmetric in its arguments
     cosines = np.einsum("and,mnd->amn", unit, unit)
     term_other = np.einsum("am,mnd->and", pair_weight, unit)
@@ -146,47 +120,18 @@ def _cf_core(members: list, labels: list, temperature: float, want_grad: bool):
     return loss, [grads[i] for i in range(b)]
 
 
-def _pooled(members: list) -> list:
-    return [m.mean(axis=0, keepdims=True) for m in members]
+def cf_value_and_grad(batch: BatchComposition, level: str, temperature: float = DEFAULT_TEMPERATURE):
+    """The loss at one level ("sequence" or "utterance") and its exact
+    gradient with respect to every member frame.
 
-
-def contrastive_feature_loss(batch: BatchComposition, cfg: CfConfig = CfConfig()) -> float:
-    """The contrastive feature loss of the batch at the configured levels.
-
-    With levels="both" the sequence-level and utterance-level (pooled,
-    single-frame) evaluations are summed, unweighted.
+    The utterance-level gradient is propagated through the mean pooling,
+    so the returned arrays always match the member shapes.
     """
+    if level not in ("sequence", "utterance"):
+        raise ConfigError(f"level must be 'sequence' or 'utterance', got {level!r}")
     members, labels = batch.members, batch.labels
-    total = 0.0
-    if cfg.levels in ("sequence", "both"):
-        total += _cf_core(members, labels, cfg.temperature, want_grad=False)[0]
-    if cfg.levels in ("utterance", "both"):
-        total += _cf_core(_pooled(members), labels, cfg.temperature, want_grad=False)[0]
-    return total
-
-
-def cf_value_and_grad(batch: BatchComposition, cfg: CfConfig = CfConfig()):
-    """Loss plus its exact gradient with respect to every member frame.
-
-    The utterance-level term's gradient is propagated through the mean
-    pooling, so the returned arrays always match the member shapes.
-    """
-    members, labels = batch.members, batch.labels
+    if level == "sequence":
+        return _cf_core(members, labels, temperature)
     n_frames = members[0].shape[0]
-    total = 0.0
-    grads = [np.zeros_like(m) for m in members]
-    if cfg.levels in ("sequence", "both"):
-        value, gs = _cf_core(members, labels, cfg.temperature, want_grad=True)
-        total += value
-        for g_total, g in zip(grads, gs):
-            g_total += g
-    if cfg.levels in ("utterance", "both"):
-        value, gs = _cf_core(_pooled(members), labels, cfg.temperature, want_grad=True)
-        total += value
-        for g_total, g in zip(grads, gs):
-            g_total += g[0] / n_frames
-    return total, grads
-
-
-def cf_gradient(batch: BatchComposition, cfg: CfConfig = CfConfig()) -> list:
-    return cf_value_and_grad(batch, cfg)[1]
+    value, gs = _cf_core([m.mean(axis=0, keepdims=True) for m in members], labels, temperature)
+    return value, [np.repeat(g / n_frames, n_frames, axis=0) for g in gs]

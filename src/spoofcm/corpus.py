@@ -15,6 +15,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .audio_io import Waveform, write_wav
+from .dsp import frame_signal
 from .errors import ConfigError, DataError
 from .manifest import TrialManifest, TrialRecord
 from .util import derive_seed
@@ -110,9 +111,7 @@ def trim_nonspeech(w: Waveform, gate_db: float = TRIM_GATE_DB) -> Waveform:
     hop = int(TRIM_HOP_MS * 1e-3 * w.sample_rate)
     if len(w) < frame:
         return Waveform(w.samples.copy(), w.sample_rate)
-    n_frames = (len(w) - frame) // hop + 1
-    idx = np.arange(frame)[None, :] + hop * np.arange(n_frames)[:, None]
-    energy = np.mean(w.samples[idx] ** 2, axis=1)
+    energy = np.mean(frame_signal(w.samples, frame, hop) ** 2, axis=1)
     peak = energy.max()
     threshold = max(peak * 10.0 ** (-gate_db / 10.0), _TRIM_ABS_FLOOR)
     keep = np.flatnonzero(energy >= threshold)

@@ -29,10 +29,19 @@ _CONFIG_CACHE_SIZE = 32  # configurations, not inputs: a run uses a handful
 
 
 @lru_cache(maxsize=_CONFIG_CACHE_SIZE)
-def _window(window: str, win_length: int) -> np.ndarray:
+def analysis_window(window: str, win_length: int) -> np.ndarray:
+    """The periodic (FFT-bins) window of this name and length; a shared read-only array."""
     win = get_window(window, win_length, fftbins=True).astype(np.float64)
     win.setflags(write=False)  # shared by every caller
     return win
+
+
+def frame_signal(x: np.ndarray, win_length: int, hop: int) -> np.ndarray:
+    """Read-only view of the (len(x) - win_length) // hop + 1 frames of x
+    that start at multiples of hop; no padding."""
+    n_frames = (len(x) - win_length) // hop + 1
+    view = np.lib.stride_tricks.sliding_window_view(x, win_length)[::hop]
+    return view[:n_frames]
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +69,7 @@ class StftConfig:
 
     def window_array(self) -> np.ndarray:
         """The periodic analysis window; a shared read-only array."""
-        return _window(self.window, self.win_length)
+        return analysis_window(self.window, self.win_length)
 
 
 @dataclass(frozen=True)
@@ -86,12 +95,6 @@ class ComplexSpectrogram:
         return self.frames.shape[0]
 
 
-def _frame_signal(x: np.ndarray, win_length: int, hop: int) -> np.ndarray:
-    n_frames = (len(x) - win_length) // hop + 1
-    view = np.lib.stride_tricks.sliding_window_view(x, win_length)[::hop]
-    return view[:n_frames]
-
-
 def stft(w: Waveform, cfg: StftConfig) -> ComplexSpectrogram:
     """Short-time Fourier transform. No padding unless cfg.centered is set."""
     x = w.samples
@@ -102,7 +105,7 @@ def stft(w: Waveform, cfg: StftConfig) -> ComplexSpectrogram:
         raise DataError(
             f"waveform too short for STFT: {len(x)} samples < win_length {cfg.win_length}"
         )
-    frames = _frame_signal(x, cfg.win_length, cfg.hop) * cfg.window_array()
+    frames = frame_signal(x, cfg.win_length, cfg.hop) * cfg.window_array()
     spec = np.fft.rfft(frames, n=cfg.fft_size, axis=1)
     return ComplexSpectrogram(spec, cfg, w.sample_rate)
 
@@ -132,7 +135,8 @@ def _ola_envelope(cfg: StftConfig, n_frames: int) -> np.ndarray:
 @lru_cache(maxsize=_CONFIG_CACHE_SIZE)
 def _check_cola(cfg: StftConfig) -> None:
     """Reject window/hop pairs whose steady-state overlap energy collapses."""
-    env = _ola_envelope(cfg, 16)
+    # enough frames to leave a steady region past one window length at each end
+    env = _ola_envelope(cfg, max(16, -(-cfg.win_length // cfg.hop) + 2))
     steady = env[cfg.win_length : -cfg.win_length]
     if steady.min() < 1e-3:
         raise ConfigError(

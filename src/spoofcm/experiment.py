@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import configparser
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
 from pathlib import Path
@@ -51,7 +52,7 @@ from .contrastive import CfConfig
 from .corpus import gen_desk_corpus, trim_nonspeech
 from .errors import ConfigError, DataError, SpoofcmError
 from .manifest import TrialManifest, load_manifest
-from .metrics import EerResult, ScoreSet, compute_eer, mean_eer_over_seeds, pooled_eer, save_scores
+from .metrics import EerResult, compute_eer, mean_eer_over_seeds, pooled_eer, save_scores
 from .stats import SignificanceMatrix, significance_matrix
 from .training import (
     DataBundle,
@@ -61,8 +62,8 @@ from .training import (
     score_manifest,
     train,
 )
-from .util import derive_seed, file_sha256, text_sha256
-from .vocoders import SYNTHESIS_VERSION, VocoderChannel, make_channel
+from .util import derive_seed, file_sha256, read_utf8, text_sha256
+from .vocoders import DEFAULT_CHANNEL_NAMES, SYNTHESIS_VERSION, VocoderChannel, make_channel
 
 DEFAULT_SEEDS = (101, 202, 303)
 
@@ -81,10 +82,9 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = DEFAULT_SEEDS
     manifest_path: str = "corpus/manifest.tsv"
     generate: int = 0  # when > 0 and the manifest is missing, generate this many trials
-    channel_names: tuple[str, ...] = ("glmel", "coarsegl", "phasernd", "lpcvoc")
+    channel_names: tuple[str, ...] = DEFAULT_CHANNEL_NAMES
     intermediate_sr: int | None = None
     augment_kind: str = "rawboost"  # or "freqmask", "codec", "none"
-    k_views: int = 1
     train: TrainConfig = field(default_factory=TrainConfig)
     systems: tuple[SystemSpec, ...] = (
         SystemSpec("ce_aug", "ce", "random"),
@@ -98,10 +98,21 @@ class ExperimentConfig:
     def channels(self) -> list[VocoderChannel]:
         return [make_channel(n, self.intermediate_sr) for n in self.channel_names]
 
+    def train_config(self, system: SystemSpec) -> TrainConfig:
+        """The shared training settings with this system's loss mode and pairing."""
+        return dc_replace(self.train, loss_mode=system.loss_mode, pairing=system.pairing)
+
     def augment_op(self) -> AugmentOp | None:
         if self.augment_kind == "none":
             return None
         return make_augment(self.augment_kind, derive_seed(self.master_seed, "augment"))
+
+
+# The [train] keys; each sets the TrainConfig field of the same name.
+_TRAIN_KEYS = {
+    "lr0": float, "lr_decay": float, "lr_decay_every": int, "batch_size": int, "max_seconds": float,
+    "patience": int, "max_epochs": int, "feature_dim": int, "extractor_hidden": int, "head_hidden": int,
+}
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -110,87 +121,75 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"config file not found: {path}")
-    raw = path.read_text(encoding="utf-8")
+    raw = read_utf8(path, "config file", decode_error=ConfigError)
     parser = configparser.ConfigParser()
     try:
         parser.read_string(raw)
+        sections = {name: dict(parser[name]) for name in parser.sections()}
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
-    exp = parser["experiment"] if parser.has_section("experiment") else {}
-    data = parser["data"] if parser.has_section("data") else {}
-    chan = parser["channels"] if parser.has_section("channels") else {}
-    aug = parser["augment"] if parser.has_section("augment") else {}
-    tr = parser["train"] if parser.has_section("train") else {}
-    cf = parser["cf"] if parser.has_section("cf") else {}
+    def value(section: str, key: str, default, kind=str):
+        text = sections.get(section, {}).get(key)
+        if text is None:
+            return default
+        try:
+            return kind(text)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {section}.{key} = {text!r}: {exc}") from None
 
-    cf_cfg = CfConfig(
-        temperature=float(cf.get("temperature", 0.07)),
-        levels=cf.get("levels", "both"),
-    )
+    def given(section: str, kinds: dict) -> dict:
+        """The keys of ``kinds`` set in the section, parsed; unset keys keep their defaults."""
+        fields = sections.get(section, {})
+        return {key: value(section, key, None, kind) for key, kind in kinds.items() if key in fields}
+
     train_cfg = TrainConfig(
-        lr0=float(tr.get("lr0", 1e-3)),
-        lr_decay=float(tr.get("lr_decay", 0.1)),
-        lr_decay_every=int(tr.get("lr_decay_every", 10)),
-        batch_size=int(tr.get("batch_size", 8)),
-        max_seconds=float(tr.get("max_seconds", 4.0)),
-        patience=int(tr.get("patience", 10)),
-        max_epochs=int(tr.get("max_epochs", 40)),
-        k_views=int(aug.get("k_views", 1)),
-        augment=aug.get("kind", "rawboost") != "none",
-        feature_dim=int(tr.get("feature_dim", 32)),
-        extractor_hidden=int(tr.get("extractor_hidden", 64)),
-        head_hidden=int(tr.get("head_hidden", 64)),
-        cf=cf_cfg,
+        **given("train", _TRAIN_KEYS),
+        **given("augment", {"k_views": int}),
+        cf=CfConfig(**given("cf", {"temperature": float, "levels": str})),
     )
     systems = []
-    if parser.has_section("systems"):
-        for name, value in parser["systems"].items():
-            parts = [p.strip() for p in value.split(",")]
-            if len(parts) != 2:
-                raise ConfigError(f"system {name!r} must be 'loss_mode, pairing', got {value!r}")
-            systems.append(SystemSpec(name, parts[0], parts[1]))
+    for name, text in sections.get("systems", {}).items():
+        parts = [p.strip() for p in text.split(",")]
+        if len(parts) != 2:
+            raise ConfigError(f"system {name!r} must be 'loss_mode, pairing', got {text!r}")
+        systems.append(SystemSpec(name, parts[0], parts[1]))
     if not systems:
         systems = list(ExperimentConfig().systems)
 
-    augment_kind = aug.get("kind", "rawboost")
+    augment_kind = value("augment", "kind", "rawboost")
     wanting = [s.name for s in systems if s.loss_mode == "ce+cf"]  # contrastive batches take views
     if augment_kind == "none" and train_cfg.k_views > 0 and wanting:
         raise ConfigError(f"{path}: systems {wanting} train on augmented views "
                           f"(k_views = {train_cfg.k_views}) but [augment] kind = none")
+    seeds = value("experiment", "seeds", DEFAULT_SEEDS, _parse_int_list)
+    if not seeds:
+        raise ConfigError(f"{path}: experiment.seeds lists no seed")
 
-    inter = chan.get("intermediate_sr", "").strip()
     return ExperimentConfig(
-        name=exp.get("name", "desk"),
-        master_seed=int(exp.get("seed", 1234)),
-        seeds=_parse_int_list(exp.get("seeds", "101, 202, 303")),
-        manifest_path=data.get("manifest", "corpus/manifest.tsv"),
-        generate=int(data.get("generate", 0)),
-        channel_names=tuple(
-            n.strip() for n in chan.get("names", "glmel, coarsegl, phasernd, lpcvoc").split(",")
+        name=value("experiment", "name", "desk"),
+        master_seed=value("experiment", "seed", 1234, int),
+        seeds=seeds,
+        manifest_path=value("data", "manifest", "corpus/manifest.tsv"),
+        generate=value("data", "generate", 0, int),
+        channel_names=value(
+            "channels", "names", DEFAULT_CHANNEL_NAMES, lambda t: tuple(n.strip() for n in t.split(","))
         ),
-        intermediate_sr=int(inter) if inter else None,
+        intermediate_sr=value("channels", "intermediate_sr", None, lambda t: int(t) if t.strip() else None),
         augment_kind=augment_kind,
-        k_views=int(aug.get("k_views", 1)),
         train=train_cfg,
         systems=tuple(systems),
         raw_text=raw,
     )
 
 
+@contextmanager
 def _stage(name: str):
-    class _StageContext:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, SpoofcmError):
-                exc.args = (f"[stage {name}] {exc.args[0] if exc.args else ''}",)
-            return False
-
-    return _StageContext()
+    try:
+        yield
+    except SpoofcmError as exc:
+        exc.args = (f"[stage {name}] {exc.args[0] if exc.args else ''}",)
+        raise
 
 
 def ensure_vocoded_set(
@@ -218,10 +217,19 @@ def ensure_vocoded_set(
     if meta_path.exists() and combined_path.exists():
         if json.loads(meta_path.read_text()) == desc:
             return load_manifest(combined_path)
-    paired = build_vocoded_set(manifest, channels, out_dir)
-    paired.save(combined_path)
+    combined = build_vocoded_set(manifest, channels, out_dir)
+    combined.save(combined_path)
     meta_path.write_text(json.dumps(desc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
-    return paired.manifest
+    return combined
+
+
+def train_system(cfg: ExperimentConfig, bundle: DataBundle, system: SystemSpec, seed: int, run_dir: Path):
+    """Train one system for one seed; write checkpoint.ckpt and history.csv
+    into ``run_dir``. Returns (params, history)."""
+    params, history = train(bundle, cfg.train_config(system), seed)
+    save_checkpoint(run_dir / "checkpoint.ckpt", params, cfg.config_hash())
+    (run_dir / "history.csv").write_text(history_csv(history), encoding="utf-8")
+    return params, history
 
 
 @dataclass(frozen=True)
@@ -279,22 +287,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, base_dir: str | P
 
     with _stage("train-data"):
         bundle = DataBundle(combined, cfg.augment_op(), cfg.master_seed)
-        eval_manifest = TrialManifest(
-            [r for r in combined if r.subset == "eval"], combined.root
-        )
+        eval_manifest = combined.subset("eval")
 
     results: list[RunResult] = []
-    per_system_scores: dict[str, dict[int, list[ScoreSet]]] = {}
     for system in cfg.systems:
-        per_system_scores[system.name] = {}
         for seed in cfg.seeds:
             run_dir = out_dir / "runs" / f"{system.name}_seed{seed}"
             run_dir.mkdir(parents=True, exist_ok=True)
             with _stage(f"train:{system.name}:{seed}"):
-                train_cfg = dc_replace(cfg.train, loss_mode=system.loss_mode, pairing=system.pairing)
-                params, history = train(bundle, train_cfg, seed)
-                save_checkpoint(run_dir / "checkpoint.ckpt", params, cfg.config_hash())
-                (run_dir / "history.csv").write_text(history_csv(history), encoding="utf-8")
+                params = train_system(cfg, bundle, system, seed, run_dir)[0]
             with _stage(f"score:{system.name}:{seed}"):
                 sets = []
                 scores, missing = score_manifest(eval_manifest, params, "eval")
@@ -305,7 +306,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, base_dir: str | P
                 save_scores(run_dir / "scores_eval_trim.txt", trimmed)
                 if missing:
                     (run_dir / "missing.txt").write_text("\n".join(missing) + "\n", encoding="utf-8")
-                per_system_scores[system.name][seed] = sets
                 for s in sets:
                     results.append(RunResult(system.name, seed, s.name, compute_eer(s)))
                 results.append(RunResult(system.name, seed, "pooled", pooled_eer(sets)))
@@ -324,9 +324,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, base_dir: str | P
             pooled_results = {}
             for system in cfg.systems:
                 runs = [r for r in results if r.system == system.name and r.set_name == "pooled"]
-                mean_eer = mean_eer_over_seeds([r.eer for r in runs])
                 pooled_results[system.name] = EerResult(
-                    mean_eer, 0.0, runs[0].eer.n_tar, runs[0].eer.n_non
+                    seed_means[(system.name, "pooled")], 0.0, runs[0].eer.n_tar, runs[0].eer.n_non
                 )
             significance = significance_matrix(pooled_results)
             (out_dir / "sig_p.csv").write_text(significance.p_csv(), encoding="utf-8")

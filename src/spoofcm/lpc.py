@@ -10,9 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import butter, get_window, lfilter, sosfilt
+from scipy.signal import butter, lfilter, sosfilt
 
 from .audio_io import Waveform
+from .dsp import analysis_window, frame_signal
 from .errors import ConfigError, DataError
 from .util import derive_seed
 
@@ -107,20 +108,20 @@ def lpc_resynthesize(
         raise DataError(f"waveform shorter than one frame ({len(w)} < {frame_len})")
     x = np.pad(w.samples, (0, frame_len), mode="reflect")  # cover the tail
     pre = np.append(x[0], x[1:] - PREEMPHASIS * x[:-1])
-    win = get_window("hann", frame_len, fftbins=True)
-    n_frames = (len(pre) - frame_len) // hop + 1
+    win = analysis_window("hann", frame_len)
+    windowed = frame_signal(pre, frame_len, hop) * win
+    raw = frame_signal(x, frame_len, hop)
+    n_frames = len(windowed)
     rng = np.random.default_rng(derive_seed(seed, "lpc-excitation"))
 
     # analysis pass
     frames = []
     for m in range(n_frames):
-        s = m * hop
-        windowed = pre[s : s + frame_len] * win
-        if np.sqrt(np.mean(windowed**2)) < _SILENCE_RMS:
+        if np.sqrt(np.mean(windowed[m] ** 2)) < _SILENCE_RMS:
             frames.append(None)
             continue
-        coefs, gain = lpc_analyze(windowed, order)
-        frames.append((coefs, gain, estimate_f0(x[s : s + frame_len], sr)))
+        coefs, gain = lpc_analyze(windowed[m], order)
+        frames.append((coefs, gain, estimate_f0(raw[m], sr)))
 
     # one continuous excitation track: per-sample F0 with a running phase
     # accumulator keeps voiced pulses coherent across frame boundaries
@@ -148,8 +149,7 @@ def lpc_resynthesize(
         exc = exc / max(np.sqrt(np.mean(exc**2)), 1e-12) * gain
         synth = lfilter([1.0], np.concatenate([[1.0], -coefs]), exc)
         # pulse excitation can over-ring sharp resonances: match frame level
-        windowed = pre[s : s + frame_len] * win
-        target_rms = np.sqrt(np.mean(windowed**2))
+        target_rms = np.sqrt(np.mean(windowed[m] ** 2))
         synth_rms = np.sqrt(np.mean((synth * win) ** 2))
         synth = synth * (target_rms / max(synth_rms, 1e-12))
         # win^2 weights make out/env a convex combination of frame synths;

@@ -1,8 +1,9 @@
-"""Trial records, manifests, and paired bona-fide/vocoded trial sets.
+"""Trial records and manifests.
 
 Manifests are TSV with a header line:
 trial_id, path, label, attack_tag, source_id, subset. Paths are stored
-relative to the manifest file.
+relative to the manifest file. A spoof record names its bona fide source;
+``training.DataBundle.pairing`` indexes the spoofs of each source.
 """
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, DataError
+from .util import read_utf8
 
 LABELS = ("bonafide", "spoof")
 SUBSETS = ("train", "dev", "eval")
@@ -84,9 +86,7 @@ class TrialManifest:
 
 def load_manifest(path: str | Path) -> TrialManifest:
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"manifest not found: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_utf8(path, "manifest").splitlines()
     expected_header = "\t".join(COLUMNS)
     if not lines or lines[0] != expected_header:
         raise DataError(f"{path}: expected header {expected_header!r}")
@@ -99,32 +99,3 @@ def load_manifest(path: str | Path) -> TrialManifest:
             raise DataError(f"{path}:{ln}: expected {len(COLUMNS)} fields, got {len(fields)}")
         records.append(TrialRecord(*fields))
     return TrialManifest(records, root=path.parent)
-
-
-class PairedTrialSet:
-    """Bona fide records plus their vocoded spoofs, with the pairing index."""
-
-    def __init__(self, records: list[TrialRecord], root: str | Path = "."):
-        self.manifest = TrialManifest(sorted(records, key=lambda r: r.trial_id), root)
-        bona_ids = {r.trial_id for r in self.manifest if r.label == "bonafide"}
-        pairing: dict[str, list[str]] = {b: [] for b in sorted(bona_ids)}
-        for r in self.manifest:
-            if r.label == "spoof":
-                if r.source_id not in bona_ids:
-                    raise DataError(
-                        f"spoof {r.trial_id} references unknown bona fide source {r.source_id}"
-                    )
-                pairing[r.source_id].append(r.trial_id)
-        self.pairing = {k: sorted(v) for k, v in pairing.items()}
-
-    @property
-    def records(self) -> list[TrialRecord]:
-        return self.manifest.records
-
-    def spoofs_of(self, bona_id: str) -> list[str]:
-        if bona_id not in self.pairing:
-            raise DataError(f"not a bona fide trial id: {bona_id}")
-        return self.pairing[bona_id]
-
-    def save(self, path: str | Path) -> None:
-        self.manifest.save(path)

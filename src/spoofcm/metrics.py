@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .util import read_utf8
 
 HISTOGRAM_BINS = 64
 
@@ -159,10 +160,8 @@ def save_scores(path: str | Path, s: ScoreSet) -> None:
 def load_scores(path: str | Path, manifest, set_name: str = "") -> ScoreSet:
     """Read a score file and join labels/tags from a manifest."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"score file not found: {path}")
     entries = []
-    for ln, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for ln, line in enumerate(read_utf8(path, "score file").splitlines(), start=1):
         if not line.strip():
             continue
         fields = line.split("\t")

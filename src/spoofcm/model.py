@@ -4,7 +4,7 @@ classifier head. Forward and backward passes are written out by hand in
 float64 so gradients can be checked against finite differences.
 
 Score convention: bona fide logit minus spoof logit; higher means more
-likely bona fide.
+likely bona fide. ``forward_member`` computes it, as ``"score"``.
 """
 from __future__ import annotations
 
@@ -14,7 +14,8 @@ from functools import lru_cache
 import numpy as np
 
 from .audio_io import Waveform
-from .contrastive import BatchComposition, CfConfig, cf_value_and_grad
+from .contrastive import LEVEL_TERMS, BatchComposition, CfConfig, cf_value_and_grad
+from .dsp import MelFilterbank, analysis_window, frame_signal
 from .errors import ConfigError, DataError, NumericalError
 
 FRAME_WIN = 400  # 25 ms at 16 kHz
@@ -28,16 +29,7 @@ LOG_FLOOR = 1e-10
 
 @lru_cache(maxsize=8)
 def _front_filterbank(sample_rate: int) -> np.ndarray:
-    from .dsp import MelFilterbank
-
     return MelFilterbank(N_FILTERS, FRAME_FFT, sample_rate).weights
-
-
-@lru_cache(maxsize=1)
-def _front_window() -> np.ndarray:
-    from scipy.signal import get_window
-
-    return get_window("hann", FRAME_WIN, fftbins=True)
 
 
 def extract_base_features(w: Waveform) -> np.ndarray:
@@ -47,9 +39,7 @@ def extract_base_features(w: Waveform) -> np.ndarray:
     """
     if len(w) < FRAME_WIN:
         raise DataError(f"waveform shorter than one frame ({len(w)} < {FRAME_WIN})")
-    n_frames = (len(w) - FRAME_WIN) // FRAME_HOP + 1
-    idx = np.arange(FRAME_WIN)[None, :] + FRAME_HOP * np.arange(n_frames)[:, None]
-    frames = w.samples[idx] * _front_window()
+    frames = frame_signal(w.samples, FRAME_WIN, FRAME_HOP) * analysis_window("hann", FRAME_WIN)
     power = np.abs(np.fft.rfft(frames, n=FRAME_FFT, axis=1)) ** 2
     bands = np.log(power @ _front_filterbank(w.sample_rate).T + LOG_FLOOR)
     log_energy = np.log(np.sum(frames**2, axis=1) + LOG_FLOOR)
@@ -76,17 +66,23 @@ class ModelParams:
     feat_scale: np.ndarray = field(default_factory=lambda: np.ones(BASE_DIM))
 
     TRAINABLE = ("W1", "b1", "W2", "b2", "H1", "c1", "H2", "c2", "H3", "c3", "Ho", "co")
+    FIELDS = TRAINABLE + ("feat_mean", "feat_scale")
 
     def __post_init__(self):
-        for name in self.TRAINABLE + ("feat_mean", "feat_scale"):
+        for name in self.FIELDS:
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             if not np.all(np.isfinite(arr)):
                 raise NumericalError(f"parameter {name} contains non-finite values")
             setattr(self, name, arr)
-        if self.W1.shape[1] != BASE_DIM:
-            raise ConfigError(f"W1 must accept {BASE_DIM}-dim input, got {self.W1.shape}")
-        if self.W2.shape[1] != self.W1.shape[0] or self.H1.shape[1] != self.W2.shape[0]:
-            raise ConfigError("extractor/head layer dimensions are inconsistent")
+        h, d, k = (getattr(self, n).shape[0] if getattr(self, n).ndim == 2 else -1 for n in ("W1", "W2", "H1"))
+        expected = {
+            "W1": (h, BASE_DIM), "b1": (h,), "W2": (d, h), "b2": (d,), "H1": (k, d), "c1": (k,),
+            "H2": (k, k), "c2": (k,), "H3": (k, k), "c3": (k,), "Ho": (2, k), "co": (2,),
+            "feat_mean": (BASE_DIM,), "feat_scale": (BASE_DIM,),
+        }
+        bad = {n: getattr(self, n).shape for n, shape in expected.items() if getattr(self, n).shape != shape}
+        if bad:
+            raise ConfigError(f"layer dimensions are inconsistent (input dim {BASE_DIM}, 2 logits): {bad}")
 
     @property
     def feature_dim(self) -> int:
@@ -96,10 +92,7 @@ class ModelParams:
         return {name: np.zeros_like(getattr(self, name)) for name in self.TRAINABLE}
 
     def copy(self) -> "ModelParams":
-        kwargs = {name: getattr(self, name).copy() for name in self.TRAINABLE}
-        kwargs["feat_mean"] = self.feat_mean.copy()
-        kwargs["feat_scale"] = self.feat_scale.copy()
-        return ModelParams(**kwargs)
+        return ModelParams(**{name: getattr(self, name).copy() for name in self.FIELDS})
 
     def flatten(self) -> np.ndarray:
         return np.concatenate([getattr(self, n).ravel() for n in self.TRAINABLE])
@@ -137,7 +130,7 @@ def _dlrelu(z):
 
 def forward_member(base: np.ndarray, p: ModelParams) -> dict:
     """Full forward pass for one trial; returns every intermediate needed
-    by the backward pass."""
+    by the backward pass, and the trial's score."""
     B = (np.asarray(base, dtype=np.float64) - p.feat_mean) / p.feat_scale
     Z1 = B @ p.W1.T + p.b1
     A1 = _lrelu(Z1)
@@ -150,36 +143,14 @@ def forward_member(base: np.ndarray, p: ModelParams) -> dict:
     z3 = p.H3 @ u2 + p.c3
     u3 = _lrelu(z3)
     logits = p.Ho @ u3 + p.co
-    return dict(B=B, Z1=Z1, A1=A1, X=X, v=v, z1=z1, u1=u1, z2=z2, u2=u2, z3=z3, u3=u3, logits=logits)
+    score = float(logits[1] - logits[0])
+    return dict(
+        B=B, Z1=Z1, A1=A1, X=X, v=v, z1=z1, u1=u1, z2=z2, u2=u2, z3=z3, u3=u3, logits=logits, score=score
+    )
 
 
-def extract_features(w: Waveform, p: ModelParams) -> np.ndarray:
-    """Frame-level CM features (N x D) for a waveform."""
-    return forward_member(extract_base_features(w), p)["X"]
-
-
-def global_avg_pool(features: np.ndarray) -> np.ndarray:
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] < 1:
-        raise ConfigError(f"expected a non-empty (N, D) sequence, got {features.shape}")
-    return features.mean(axis=0)
-
-
-def classify(v: np.ndarray, p: ModelParams) -> tuple[np.ndarray, float]:
-    """Head forward from a pooled vector: (logits [spoof, bonafide], score)."""
-    u1 = _lrelu(p.H1 @ v + p.c1)
-    u2 = _lrelu(p.H2 @ u1 + p.c2)
-    u3 = _lrelu(p.H3 @ u2 + p.c3)
-    logits = p.Ho @ u3 + p.co
-    return logits, float(logits[1] - logits[0])
-
-
-def score_waveform(w: Waveform, p: ModelParams) -> float:
-    logits = forward_member(extract_base_features(w), p)["logits"]
-    return float(logits[1] - logits[0])
-
-
-def _ce_and_grad(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
+def ce_and_grad(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
+    """Cross-entropy of one trial's logits against its label, and d loss / d logits."""
     m = logits.max()
     log_z = m + np.log(np.exp(logits - m).sum())
     loss = log_z - logits[label]
@@ -234,7 +205,7 @@ def forward_backward(
     when enabled) and exact gradients for every trainable tensor.
 
     With the contrastive term, members must share one frame count; the
-    term is evaluated on both the frame sequences and the pooled vectors.
+    term is evaluated at each level ``LEVEL_TERMS`` lists for ``cf.levels``.
     Returns (loss, grads, parts) where parts splits the loss per term.
     """
     if len(members) != len(labels) or not members:
@@ -245,37 +216,28 @@ def forward_backward(
     ce_total = 0.0
     dlogits_list = []
     for cache, label in zip(caches, labels):
-        ce, dl = _ce_and_grad(cache["logits"], label)
+        ce, dl = ce_and_grad(cache["logits"], label)
         ce_total += ce
         dlogits_list.append(dl / n)
     loss = ce_total / n
     parts = {"ce": ce_total / n, "cf_seq": 0.0, "cf_utt": 0.0}
 
-    cf_grads = None
+    cf_grads = [None] * n
     if loss_cfg.mode == "ce+cf":
         bona = [caches[i]["X"] for i in range(n) if labels[i] == 1]
         spoof = [caches[i]["X"] for i in range(n) if labels[i] == 0]
         batch = BatchComposition(bona, spoof)  # validates composition sizes
         order = [i for i in range(n) if labels[i] == 1] + [i for i in range(n) if labels[i] == 0]
-        cfg_seq = CfConfig(loss_cfg.cf.temperature, "sequence")
-        cfg_utt = CfConfig(loss_cfg.cf.temperature, "utterance")
-        cf_grads = [None] * n
-        if loss_cfg.cf.levels in ("sequence", "both"):
-            value, gs = cf_value_and_grad(batch, cfg_seq)
-            parts["cf_seq"] = value
+        cf_grads = [np.zeros_like(cache["X"]) for cache in caches]
+        for level, part in LEVEL_TERMS[loss_cfg.cf.levels]:
+            value, gs = cf_value_and_grad(batch, level, loss_cfg.cf.temperature)
+            parts[part] = value
             loss += value
             for slot, g in zip(order, gs):
-                cf_grads[slot] = g.copy()
-        if loss_cfg.cf.levels in ("utterance", "both"):
-            value, gs = cf_value_and_grad(batch, cfg_utt)
-            parts["cf_utt"] = value
-            loss += value
-            for slot, g in zip(order, gs):
-                cf_grads[slot] = g if cf_grads[slot] is None else cf_grads[slot] + g
+                cf_grads[slot] += g
 
     if not np.isfinite(loss):
         raise NumericalError(f"non-finite loss in batch {batch_id}")
-    for i, (cache, dl) in enumerate(zip(caches, dlogits_list)):
-        extra = cf_grads[i] if cf_grads is not None else None
+    for cache, dl, extra in zip(caches, dlogits_list, cf_grads):
         _backward_member(cache, dl, extra, p, grads)
     return loss, grads, parts

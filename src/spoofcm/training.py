@@ -7,6 +7,7 @@ All randomness is derived from the run seed; reruns are bit-identical.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import numpy as np
 from .audio_io import read_wav
 from .augment import AugmentOp, apply_augment, reseeded
 from .contrastive import BatchComposition, CfConfig
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, SpoofcmError
 from .manifest import TrialManifest
 from .metrics import EerResult, ScoreEntry, ScoreSet, compute_eer
 from .model import (
@@ -23,6 +24,7 @@ from .model import (
     FRAME_WIN,
     LossConfig,
     ModelParams,
+    ce_and_grad,
     extract_base_features,
     forward_backward,
     forward_member,
@@ -47,16 +49,19 @@ class TrainConfig:
     max_epochs: int = 40
     loss_mode: str = "ce"  # "ce" or "ce+cf"
     pairing: str = "paired"  # spoof views paired with the batch's bona fide trial, or random
-    k_views: int = 1  # augmented views per trial in contrastive batches
-    augment: bool = True
+    k_views: int = 1  # augmented views per trial (all batches, when the bundle augments)
     feature_dim: int = 32
     extractor_hidden: int = 64
     head_hidden: int = 64
     cf: CfConfig = field(default_factory=CfConfig)
 
     def __post_init__(self):
-        if self.patience < 1 or self.max_epochs < 1:
-            raise ConfigError("patience and max_epochs must be >= 1")
+        counts = ("patience", "max_epochs", "batch_size", "lr_decay_every",
+                  "feature_dim", "extractor_hidden", "head_hidden")
+        if min(getattr(self, name) for name in counts) < 1:
+            raise ConfigError(f"{', '.join(counts)} must be >= 1")
+        if self.k_views < 0:
+            raise ConfigError(f"k_views must be >= 0, got {self.k_views}")
         if self.loss_mode not in ("ce", "ce+cf"):
             raise ConfigError(f"loss_mode must be 'ce' or 'ce+cf', got {self.loss_mode!r}")
         if self.pairing not in ("paired", "random"):
@@ -81,8 +86,7 @@ class AdamState:
 
 
 def adam_init(params: ModelParams) -> AdamState:
-    zeros = lambda: {k: np.zeros_like(getattr(params, k)) for k in params.TRAINABLE}
-    return AdamState(m=zeros(), v=zeros())
+    return AdamState(m=params.zero_grads(), v=params.zero_grads())
 
 
 def adam_step(
@@ -219,7 +223,7 @@ def compose_batch(
             m[(s := int(rng.integers(0, m.shape[0] - common + 1))) : s + common] for m in members
         ]
     n_bona = len(bona_views)
-    return BatchComposition(members[:n_bona], members[n_bona:], pairing=mode)
+    return BatchComposition(members[:n_bona], members[n_bona:])
 
 
 # ---------------------------------------------------------------------------
@@ -247,15 +251,9 @@ def _dev_metrics(bundle: DataBundle, dev_ids: list[str], params: ModelParams) ->
     entries = []
     for tid in dev_ids:
         cache = forward_member(bundle.base(tid), params)
-        logits = cache["logits"]
-        label = bundle.label(tid)
-        m = logits.max()
-        log_z = m + np.log(np.exp(logits - m).sum())
-        losses.append(float(log_z - logits[label]))
+        losses.append(ce_and_grad(cache["logits"], bundle.label(tid))[0])
         rec = bundle.trials[tid]["record"]
-        entries.append(
-            ScoreEntry(tid, float(logits[1] - logits[0]), rec.label, rec.attack_tag, "dev")
-        )
+        entries.append(ScoreEntry(tid, cache["score"], rec.label, rec.attack_tag, "dev"))
     dev_loss = float(np.mean(losses))
     dev_eer = compute_eer(ScoreSet(entries, "dev")).eer
     return dev_loss, dev_eer
@@ -307,7 +305,7 @@ def train(
         epoch_losses = []
         if cfg.loss_mode == "ce":
             items = [(t, 0) for t in train_ids]
-            if cfg.augment and bundle.augment_op is not None:
+            if bundle.augment_op is not None:
                 items += [(t, k) for t in train_ids for k in range(1, cfg.k_views + 1)]
             order = rng.permutation(len(items))
             for s in range(0, len(order), cfg.batch_size):
@@ -357,14 +355,11 @@ def score_manifest(
             w = read_wav(manifest.resolve(rec))
             if transform is not None:
                 w = transform(w)
-            cache = forward_member(extract_base_features(w), params)
+            score = forward_member(extract_base_features(w), params)["score"]
         except DataError:
             missing.append(rec.trial_id)
             continue
-        logits = cache["logits"]
-        entries.append(
-            ScoreEntry(rec.trial_id, float(logits[1] - logits[0]), rec.label, rec.attack_tag, set_name)
-        )
+        entries.append(ScoreEntry(rec.trial_id, score, rec.label, rec.attack_tag, set_name))
     return ScoreSet(entries, name=set_name), missing
 
 
@@ -373,7 +368,6 @@ def score_manifest(
 # ---------------------------------------------------------------------------
 
 _CKPT_MAGIC = "spoofcm-checkpoint"
-_CKPT_FIELDS = ModelParams.TRAINABLE + ("feat_mean", "feat_scale")
 
 
 def save_checkpoint(path: str | Path, params: ModelParams, config_hash: str = "") -> None:
@@ -382,10 +376,10 @@ def save_checkpoint(path: str | Path, params: ModelParams, config_hash: str = ""
         "version": 1,
         "config_hash": config_hash,
         "tensors": [
-            {"name": n, "shape": list(getattr(params, n).shape)} for n in _CKPT_FIELDS
+            {"name": n, "shape": list(getattr(params, n).shape)} for n in ModelParams.FIELDS
         ],
     }
-    blob = b"".join(np.ascontiguousarray(getattr(params, n), dtype="<f8").tobytes() for n in _CKPT_FIELDS)
+    blob = b"".join(np.ascontiguousarray(getattr(params, n), dtype="<f8").tobytes() for n in ModelParams.FIELDS)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as f:
@@ -394,22 +388,42 @@ def save_checkpoint(path: str | Path, params: ModelParams, config_hash: str = ""
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, str]:
+    """Read a checkpoint written by ``save_checkpoint``; any malformed or
+    truncated file raises DataError."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"checkpoint not found: {path}")
-    with open(path, "rb") as f:
-        header = json.loads(f.readline().decode("utf-8"))
-        blob = f.read()
-    if header.get("format") != _CKPT_MAGIC:
+    try:
+        with open(path, "rb") as f:
+            first_line = f.readline()
+            blob = f.read()
+    except OSError as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc.strerror or exc}") from None
+    try:
+        header = json.loads(first_line.decode("utf-8"))
+    except ValueError as exc:  # undecodable bytes or malformed JSON
+        raise DataError(f"{path}: unreadable checkpoint header: {exc}") from exc
+    if not isinstance(header, dict) or header.get("format") != _CKPT_MAGIC:
         raise DataError(f"{path}: not a model checkpoint")
+    specs = header.get("tensors")
+    if not isinstance(specs, list) or len(specs) != len(ModelParams.FIELDS):
+        raise DataError(f"{path}: checkpoint must hold the tensors {list(ModelParams.FIELDS)}")
     kwargs = {}
     pos = 0
-    for spec in header["tensors"]:
-        size = int(np.prod(spec["shape"])) if spec["shape"] else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=size, offset=pos).reshape(spec["shape"])
-        kwargs[spec["name"]] = arr.copy()
-        pos += size * 8
-    return ModelParams(**kwargs), header.get("config_hash", "")
+    for name, spec in zip(ModelParams.FIELDS, specs):
+        shape = spec.get("shape") if isinstance(spec, dict) and spec.get("name") == name else None
+        if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+            raise DataError(f"{path}: expected tensor {name} with a valid shape, got {spec!r}")
+        end = pos + 8 * math.prod(shape)
+        if end > len(blob):
+            raise DataError(f"{path}: truncated: tensor data ends at byte {len(blob)}, inside {name}")
+        kwargs[name] = np.frombuffer(blob[pos:end], dtype="<f8").reshape(shape).copy()
+        pos = end
+    if pos != len(blob):
+        raise DataError(f"{path}: {len(blob) - pos} bytes follow the last tensor")
+    try:
+        params = ModelParams(**kwargs)
+    except SpoofcmError as exc:  # inconsistent layer shapes or non-finite values
+        raise DataError(f"{path}: {exc}") from exc
+    return params, header.get("config_hash", "")
 
 
 def history_csv(history: list[EpochStats]) -> str:

@@ -40,7 +40,7 @@ from .dsp import (
 )
 from .errors import ConfigError, DataError
 from .lpc import lpc_resynthesize
-from .manifest import PairedTrialSet, TrialManifest, TrialRecord
+from .manifest import TrialManifest, TrialRecord
 from .util import derive_seed
 
 log = logging.getLogger(__name__)
@@ -264,10 +264,6 @@ def make_channel(name: str, intermediate_sr: int | None = None) -> VocoderChanne
     return table[name](intermediate_sr=intermediate_sr)
 
 
-def default_channels(intermediate_sr: int | None = None) -> list[VocoderChannel]:
-    return [make_channel(n, intermediate_sr) for n in DEFAULT_CHANNEL_NAMES]
-
-
 def log_spectral_distance(a: Waveform, b: Waveform, cfg: StftConfig | None = None) -> float:
     """Mean per-frame RMS distance between log magnitude spectra, in dB."""
     cfg = cfg or StftConfig()
@@ -283,12 +279,13 @@ def build_vocoded_set(
     manifest: TrialManifest,
     channels: list[VocoderChannel],
     out_dir: str | Path,
-) -> PairedTrialSet:
+) -> TrialManifest:
     """Synthesize one spoof per (bona fide trial, channel) and write WAVs.
 
-    Returns the combined paired set (original bona fide records plus the
-    new spoof records, paths relative to ``out_dir``). Trials whose audio
-    cannot be read are skipped with a logged error.
+    Returns the combined manifest, sorted by trial id: the original bona
+    fide records plus the new spoof records, paths relative to
+    ``out_dir``. Trials whose audio cannot be read are skipped with a
+    logged error.
     """
     if not channels:
         raise ConfigError("need at least one vocoder channel")
@@ -300,7 +297,6 @@ def build_vocoded_set(
     import os
 
     records: list[TrialRecord] = []
-    n_ok = 0
     for rec in sorted(bona, key=lambda r: r.trial_id):
         try:
             w = read_wav(manifest.resolve(rec))
@@ -325,7 +321,6 @@ def build_vocoded_set(
                     subset=rec.subset,
                 )
             )
-        n_ok += 1
-    if n_ok == 0:
+    if not records:
         raise DataError("no bona fide trial could be synthesized")
-    return PairedTrialSet(records, root=out_dir)
+    return TrialManifest(sorted(records, key=lambda r: r.trial_id), root=out_dir)

@@ -3,12 +3,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spoofcm.vocoders
 from spoofcm.audio_io import write_wav
 from spoofcm.cli import main
 from spoofcm.experiment import ensure_vocoded_set, load_config, run_experiment
-from spoofcm.errors import ConfigError
+from spoofcm.errors import ConfigError, SpoofcmError
 from spoofcm.manifest import TrialManifest, TrialRecord, load_manifest
 from spoofcm.vocoders import SYNTHESIS_VERSION, CoarseMelGlChannel, PhaseRandomChannel
 
@@ -202,6 +204,58 @@ class TestCli:
         reject = (tmp_path / "sig" / "sig_reject.csv").read_text()
         assert reject.splitlines()[1] == "A,0,1"
 
+    @pytest.mark.parametrize(
+        "bad, code", [("scores", 2), ("manifest", 2), ("config", 1)], ids=["scores", "manifest", "config"]
+    )
+    def test_non_utf8_input_is_a_typed_error(self, tmp_path, capsys, bad, code):
+        files = {"scores": tmp_path / "s.txt", "manifest": tmp_path / "m.tsv", "config": tmp_path / "exp.ini"}
+        TrialManifest([TrialRecord("a", "a.wav", "bonafide", "-", "a", "eval")], tmp_path).save(files["manifest"])
+        files["scores"].write_text("a\t0.5\n")
+        files["config"].write_text(TINY_CONFIG)
+        files[bad].write_bytes(files[bad].read_bytes() + b"\xff\xfe\n")
+        capsys.readouterr()
+        if bad == "config":
+            for command in ("run", "train"):
+                assert main([command, "--config", str(files["config"]), "--out", str(tmp_path / "o")]) == code
+                assert str(files["config"]) in capsys.readouterr().err
+        else:
+            assert main(["eer", "--scores", str(files["scores"]), "--manifest", str(files["manifest"])]) == code
+            assert str(files[bad]) in capsys.readouterr().err
+
+    def test_unparsable_value_names_section_and_key(self, tmp_path, capsys):
+        (tmp_path / "exp.ini").write_text(TINY_CONFIG.replace("max_epochs = 2", "max_epochs = ten"))
+        assert main(["train", "--config", str(tmp_path / "exp.ini")]) == 1
+        assert "train.max_epochs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "row", ["A,0.01,5000", "A,0.01,5000,5000,1", "A,x,5000,5000", "A,0.01,5000,five", "A,nan,5,5", "A,1.5,5,5"]
+    )
+    def test_sigtest_malformed_row_names_path_and_line(self, tmp_path, capsys, row):
+        results = tmp_path / "r.csv"
+        results.write_text(f"system,eer,n_tar,n_non\n{row}\nB,0.49,5000,5000\n")
+        assert main(["sigtest", "--results", str(results), "--out", str(tmp_path / "sig")]) == 2
+        assert f"{results}:2" in capsys.readouterr().err
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(
+            st.lists(
+                st.one_of(
+                    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+                    st.floats().map(repr),
+                    st.integers(min_value=-3, max_value=10**7).map(str),
+                ),
+                max_size=5,
+            ).map(",".join),
+            max_size=5,
+        )
+    )
+    def test_sigtest_arbitrary_rows_raise_only_typed_errors(self, tmp_path_factory, rows):
+        base = tmp_path_factory.getbasetemp()
+        results = base / "sigtest_rows.csv"
+        results.write_text("system,eer,n_tar,n_non\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        assert main(["sigtest", "--results", str(results), "--out", str(base / "sigtest_out")]) in (0, 1, 2, 3)
+
     def test_exit_codes(self, tmp_path):
         assert main(["eer", "--scores", "missing.txt", "--manifest", "missing.tsv"]) == 2
         assert main(["synth", "--manifest", str(tmp_path / "nope.tsv")]) == 2
@@ -212,6 +266,8 @@ class TestCli:
 
             build_parser().parse_args(["unknown-command"])
         assert main(["unknown-command"]) == 1
+        (tmp_path / "garbage.ckpt").write_bytes(b"\x00not a checkpoint")
+        assert main(["score", "--checkpoint", str(tmp_path / "garbage.ckpt"), "--manifest", "missing.tsv"]) == 2
 
     def test_augment_none_with_contrastive_system_fails_before_synthesis(self, tmp_path):
         (tmp_path / "exp.ini").write_text(TINY_CONFIG.replace("kind = rawboost", "kind = none"))
@@ -226,9 +282,43 @@ class TestCli:
         assert load_config(tmp_path / "ce.ini").augment_kind == "none"
         no_views = TINY_CONFIG.replace("kind = rawboost", "kind = none").replace("k_views = 1", "k_views = 0")
         (tmp_path / "k0.ini").write_text(no_views)
-        assert load_config(tmp_path / "k0.ini").k_views == 0
+        assert load_config(tmp_path / "k0.ini").train.k_views == 0
 
     def test_out_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SPOOFCM_OUT_ROOT", str(tmp_path / "root"))
         assert main(["gen-corpus", "--n", "20", "--seed", "4", "--out", "corp"]) == 0
         assert (tmp_path / "root" / "corp" / "manifest.tsv").exists()
+
+
+_INI_KEYS = {
+    "experiment": ("name", "seed", "seeds"),
+    "data": ("manifest", "generate"),
+    "channels": ("names", "intermediate_sr"),
+    "augment": ("kind", "k_views"),
+    "train": ("lr0", "lr_decay", "lr_decay_every", "batch_size", "max_seconds", "patience",
+              "max_epochs", "feature_dim", "extractor_hidden", "head_hidden"),
+    "cf": ("temperature", "levels"),
+    "systems": ("ce_aug", "cecf_paired"),
+}
+_INI_VALUE = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs", "Cc")), max_size=12),
+    st.integers(-2, 50).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["ce, random", "ce+cf, paired", "both", "none", "1, 2", ""]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_load_config_raises_only_typed_errors(tmp_path_factory, data):
+    text = ""
+    for name in sorted(data.draw(st.sets(st.sampled_from(sorted(_INI_KEYS))))):
+        fields = data.draw(st.dictionaries(st.sampled_from(_INI_KEYS[name]), _INI_VALUE, max_size=4))
+        text += f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in fields.items())
+    text += data.draw(st.text(st.characters(blacklist_categories=("Cs",)), max_size=12))
+    path = tmp_path_factory.getbasetemp() / "arbitrary.ini"
+    path.write_text(text, encoding="utf-8")
+    try:
+        load_config(path)
+    except SpoofcmError:
+        pass

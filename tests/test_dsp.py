@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import get_window
 
@@ -133,6 +133,28 @@ class TestIstft:
             assert overlap_add_loops(squares, hop)[win_length:-win_length].min() < 1e-3
             return
         assert np.array_equal(got, istft_loops(frames, fft_size, hop, win_length, window))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        win_length=st.integers(min_value=1, max_value=1024),
+        hop_share=st.floats(min_value=0.0, max_value=1.0),
+        window=st.sampled_from(["hann", "hamming", "blackman", "triang", "cosine", "boxcar"]),
+    )
+    @example(win_length=512, hop_share=1 / 16, window="hann")  # 16 frames overlap each sample
+    def test_any_config_succeeds_or_raises_config_error(self, win_length, hop_share, window):
+        hop = max(1, round(hop_share * win_length))
+        fft_size = 1 << (win_length - 1).bit_length()
+        cfg = StftConfig(fft_size=fft_size, hop=hop, win_length=win_length, window=window)
+        frames = np.ones((3, fft_size // 2 + 1), dtype=complex)
+        try:
+            istft(ComplexSpectrogram(frames, cfg, SR))
+            rejected = False
+        except ConfigError:
+            rejected = True
+        # the verdict of a probe with a steady region; 16 frames while ceil(win/hop) <= 14
+        n_probe = max(16, -(-win_length // hop) + 2)
+        squares = np.tile(get_window(window, win_length, fftbins=True) ** 2, (n_probe, 1))
+        assert rejected == (overlap_add_loops(squares, hop)[win_length:-win_length].min() < 1e-3)
 
     def test_output_length(self):
         cfg = StftConfig()

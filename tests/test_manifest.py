@@ -1,12 +1,15 @@
 import pytest
 
+from spoofcm.audio_io import write_wav
 from spoofcm.errors import DataError
 from spoofcm.manifest import (
-    PairedTrialSet,
     TrialManifest,
     TrialRecord,
     load_manifest,
 )
+from spoofcm.training import DataBundle
+
+from conftest import harmonic_speechlike
 
 
 def bona(tid, subset="train"):
@@ -50,18 +53,13 @@ def test_load_rejects_bad_header(tmp_path):
         load_manifest(p)
 
 
-def test_pairing_index_bijection():
-    ps = PairedTrialSet(
-        [bona("a"), bona("b"), spoof("a_x", "a", "x"), spoof("a_y", "a", "y"), spoof("b_x", "b", "x")]
-    )
-    assert ps.spoofs_of("a") == ["a_x", "a_y"]
-    assert ps.spoofs_of("b") == ["b_x"]
-    all_spoofs = sorted(sid for ids in ps.pairing.values() for sid in ids)
+def test_pairing_index_bijection(tmp_path):
+    records = [bona("a"), bona("b"), spoof("a_x", "a", "x"), spoof("a_y", "a", "y"), spoof("b_x", "b", "x")]
+    for r in records:
+        write_wav(tmp_path / r.path, harmonic_speechlike(duration=0.05))
+    pairing = DataBundle(TrialManifest(records, root=tmp_path), None, master_seed=0).pairing
+    assert pairing["a"] == ["a_x", "a_y"]
+    assert pairing["b"] == ["b_x"]
+    all_spoofs = sorted(sid for ids in pairing.values() for sid in ids)
     assert all_spoofs == ["a_x", "a_y", "b_x"]  # union equals spoof set, no duplicates
-    with pytest.raises(DataError):
-        ps.spoofs_of("a_x")
-
-
-def test_paired_set_rejects_unknown_source():
-    with pytest.raises(DataError):
-        PairedTrialSet([bona("a"), spoof("z_x", "z", "x")])
+    assert "a_x" not in pairing

@@ -8,13 +8,10 @@ from spoofcm.model import (
     BASE_DIM,
     LossConfig,
     ModelParams,
-    classify,
     extract_base_features,
-    extract_features,
     forward_backward,
-    global_avg_pool,
+    forward_member,
     init_model,
-    score_waveform,
 )
 
 from conftest import harmonic_speechlike
@@ -49,34 +46,39 @@ class TestBaseFeatures:
 
 class TestPoolAndClassify:
     def test_pool_constant_sequence(self):
-        c = np.tile([1.0, 2.0, 3.0], (5, 1))
-        assert np.array_equal(global_avg_pool(c), [1.0, 2.0, 3.0])
+        p = tiny_model()
+        p.W2[...] = 0.0  # every frame's feature is b2
+        p.b2[...] = np.arange(1.0, p.feature_dim + 1)
+        cache = forward_member(np.random.default_rng(1).standard_normal((5, BASE_DIM)), p)
+        assert np.array_equal(cache["v"], p.b2)
 
     def test_pool_permutation_invariant(self):
         rng = np.random.default_rng(2)
-        f = rng.standard_normal((7, 4))
-        assert np.allclose(global_avg_pool(f), global_avg_pool(f[::-1]))
+        base = rng.standard_normal((7, BASE_DIM))
+        p = tiny_model()
+        assert np.allclose(forward_member(base, p)["v"], forward_member(base[::-1], p)["v"])
 
     def test_pool_two_frames(self):
-        assert np.allclose(global_avg_pool(np.array([[1.0, 0.0], [0.0, 1.0]])), [0.5, 0.5])
+        cache = forward_member(np.random.default_rng(3).standard_normal((2, BASE_DIM)), tiny_model())
+        assert np.allclose(cache["v"], 0.5 * (cache["X"][0] + cache["X"][1]))
 
     def test_score_is_logit_difference(self):
         p = tiny_model()
+        base = np.zeros((3, BASE_DIM))
         p.Ho[...] = 0.0
         p.co[...] = [1.0, 1.0]
-        _, score = classify(np.zeros(p.feature_dim), p)
-        assert score == 0.0
+        assert forward_member(base, p)["score"] == 0.0
         p.co[...] = [-1.0, 2.0]
-        logits, score = classify(np.zeros(p.feature_dim), p)
-        assert score == 3.0 and np.allclose(logits, [-1.0, 2.0])
+        cache = forward_member(base, p)
+        assert cache["score"] == 3.0 and np.allclose(cache["logits"], [-1.0, 2.0])
         p.co[...] = [-1.0 + 5.0, 2.0 + 5.0]  # shared offset cancels
-        assert classify(np.zeros(p.feature_dim), p)[1] == 3.0
+        assert forward_member(base, p)["score"] == 3.0
 
     def test_extract_features_shape_and_determinism(self):
         w = harmonic_speechlike(duration=0.5, seed=3)
         p = tiny_model()
-        f1 = extract_features(w, p)
-        f2 = extract_features(w, p)
+        f1 = forward_member(extract_base_features(w), p)["X"]
+        f2 = forward_member(extract_base_features(w), p)["X"]
         assert f1.shape[1] == p.feature_dim and np.array_equal(f1, f2)
 
 
@@ -132,4 +134,4 @@ class TestForwardBackward:
 
     def test_score_waveform_runs(self):
         w = harmonic_speechlike(duration=0.6, seed=8)
-        assert np.isfinite(score_waveform(w, tiny_model()))
+        assert np.isfinite(forward_member(extract_base_features(w), tiny_model())["score"])

@@ -1,10 +1,14 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spoofcm.training as training_mod
 from spoofcm.audio_io import write_wav
 from spoofcm.augment import RawBoostLike
-from spoofcm.errors import ConfigError
+from spoofcm.errors import ConfigError, DataError, SpoofcmError
 from spoofcm.manifest import TrialManifest, TrialRecord
 from spoofcm.model import init_model
 from spoofcm.training import (
@@ -38,9 +42,15 @@ def tiny_bundle(tmp_path_factory):
         write_wav(root / f"{tid}.wav", w)
         records.append(TrialRecord(tid, f"{tid}.wav", "bonafide", "-", tid, subset))
     manifest = TrialManifest(records, root=root)
-    paired = build_vocoded_set(manifest, [CoarseMelGlChannel(), PhaseRandomChannel()], root / "voc")
-    paired.save(root / "voc" / "manifest.tsv")
-    return DataBundle(paired.manifest, RawBoostLike(seed=0), master_seed=99)
+    combined = build_vocoded_set(manifest, [CoarseMelGlChannel(), PhaseRandomChannel()], root / "voc")
+    combined.save(root / "voc" / "manifest.tsv")
+    return DataBundle(combined, RawBoostLike(seed=0), master_seed=99)
+
+
+@pytest.fixture(scope="module")
+def plain_bundle(tiny_bundle):
+    """The same trials with no augmentation: training sees original views only."""
+    return DataBundle(tiny_bundle.manifest, None, master_seed=99)
 
 
 class TestAdam:
@@ -115,14 +125,27 @@ class TestComposeBatch:
 
 
 class TestTrainLoop:
-    def test_determinism(self, tiny_bundle):
-        cfg = TrainConfig(max_epochs=3, patience=10, loss_mode="ce", augment=False)
-        p1, h1 = train(tiny_bundle, cfg, seed=42)
-        p2, h2 = train(tiny_bundle, cfg, seed=42)
+    @pytest.mark.parametrize(
+        "field",
+        ["batch_size", "lr_decay_every", "patience", "max_epochs", "feature_dim", "extractor_hidden", "head_hidden"],
+    )
+    def test_counts_below_one_rejected(self, field):
+        with pytest.raises(ConfigError):
+            TrainConfig(**{field: 0})
+
+    def test_negative_k_views_rejected(self):
+        with pytest.raises(ConfigError):
+            TrainConfig(k_views=-1)
+        assert TrainConfig(k_views=0).k_views == 0
+
+    def test_determinism(self, plain_bundle):
+        cfg = TrainConfig(max_epochs=3, patience=10, loss_mode="ce")
+        p1, h1 = train(plain_bundle, cfg, seed=42)
+        p2, h2 = train(plain_bundle, cfg, seed=42)
         assert h1 == h2
         assert np.array_equal(p1.flatten(), p2.flatten())
 
-    def test_patience_semantics_with_scripted_dev_loss(self, tiny_bundle, monkeypatch):
+    def test_patience_semantics_with_scripted_dev_loss(self, plain_bundle, monkeypatch):
         snapshots = []
         counter = iter(range(1000))
 
@@ -131,15 +154,15 @@ class TestTrainLoop:
             return 1.0 + next(counter), 0.5  # strictly worsening from the start
 
         monkeypatch.setattr(training_mod, "_dev_metrics", scripted)
-        cfg = TrainConfig(max_epochs=50, patience=10, loss_mode="ce", augment=False)
-        best, history = train(tiny_bundle, cfg, seed=7)
+        cfg = TrainConfig(max_epochs=50, patience=10, loss_mode="ce")
+        best, history = train(plain_bundle, cfg, seed=7)
         assert len(history) == 11  # epoch 1 best + 10 non-improving
         assert np.array_equal(best.flatten(), snapshots[0].flatten())
 
-    def test_best_checkpoint_not_worse_than_any_epoch(self, tiny_bundle):
-        cfg = TrainConfig(max_epochs=4, patience=10, loss_mode="ce", augment=False)
-        best, history = train(tiny_bundle, cfg, seed=11)
-        dev_best = training_mod._dev_metrics(tiny_bundle, tiny_bundle.ids(subset="dev"), best)[0]
+    def test_best_checkpoint_not_worse_than_any_epoch(self, plain_bundle):
+        cfg = TrainConfig(max_epochs=4, patience=10, loss_mode="ce")
+        best, history = train(plain_bundle, cfg, seed=11)
+        dev_best = training_mod._dev_metrics(plain_bundle, plain_bundle.ids(subset="dev"), best)[0]
         assert dev_best <= min(h.dev_loss for h in history) + 1e-12
 
     def test_cf_paired_mode_runs(self, tiny_bundle):
@@ -154,15 +177,15 @@ class TestTrainLoop:
         )
         bundle = DataBundle(bona_only, None, master_seed=0)
         with pytest.raises(ConfigError):
-            train(bundle, TrainConfig(max_epochs=1, augment=False), seed=0)
+            train(bundle, TrainConfig(max_epochs=1), seed=0)
 
 
 class TestScoring:
-    def test_full_length_scoring_and_missing(self, tiny_bundle, tmp_path):
-        cfg = TrainConfig(max_epochs=1, patience=10, loss_mode="ce", augment=False)
-        params, _ = train(tiny_bundle, cfg, seed=3)
+    def test_full_length_scoring_and_missing(self, plain_bundle, tmp_path):
+        cfg = TrainConfig(max_epochs=1, patience=10, loss_mode="ce")
+        params, _ = train(plain_bundle, cfg, seed=3)
         eval_manifest = TrialManifest(
-            [r for r in tiny_bundle.manifest if r.subset == "eval"], tiny_bundle.manifest.root
+            [r for r in plain_bundle.manifest if r.subset == "eval"], plain_bundle.manifest.root
         )
         scores, missing = score_manifest(eval_manifest, params, "eval")
         assert not missing and len(scores) == len(eval_manifest)
@@ -188,6 +211,41 @@ class TestCheckpointFiles:
         assert h == "abc"
         assert np.array_equal(loaded.flatten(), p.flatten())
         assert np.array_equal(loaded.feat_mean, p.feat_mean)
+
+    @pytest.fixture(scope="class")
+    def ckpt_bytes(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("ckpt") / "valid.ckpt"
+        save_checkpoint(path, init_model(9, feature_dim=8, extractor_hidden=6, head_hidden=7), "abc")
+        return path.read_bytes()
+
+    def test_malformed_checkpoints_raise_data_error(self, ckpt_bytes, tmp_path):
+        header, blob = ckpt_bytes.split(b"\n", 1)
+        spec = json.loads(header)
+        spec["tensors"][0]["shape"] = spec["tensors"][0]["shape"][::-1]  # same bytes, wrong layout
+        cases = {
+            "garbage": b"\x00\xffnot a checkpoint",
+            "truncated": ckpt_bytes[:-8],
+            "padded": ckpt_bytes + bytes(8),
+            "format": header.replace(b"spoofcm-checkpoint", b"other") + b"\n" + blob,
+            "shape": json.dumps(spec).encode() + b"\n" + blob,
+        }
+        for name, data in cases.items():
+            (tmp_path / name).write_bytes(data)
+            with pytest.raises(DataError):
+                load_checkpoint(tmp_path / name)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_corrupted_checkpoint_raises_only_spoofcm_errors(self, ckpt_bytes, data, tmp_path_factory):
+        cut = data.draw(st.integers(min_value=0, max_value=len(ckpt_bytes)))
+        at = data.draw(st.integers(min_value=0, max_value=cut))
+        noise = data.draw(st.binary(max_size=16))
+        path = tmp_path_factory.getbasetemp() / "corrupt.ckpt"
+        path.write_bytes(ckpt_bytes[:at] + noise + ckpt_bytes[at + len(noise) : cut])
+        try:
+            load_checkpoint(path)
+        except SpoofcmError:
+            pass
 
     def test_history_csv_shape(self):
         from spoofcm.training import EpochStats

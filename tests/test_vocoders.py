@@ -7,6 +7,7 @@ from spoofcm.audio_io import Waveform, write_wav
 from spoofcm.dsp import StftConfig, stft
 from spoofcm.errors import ConfigError, DataError
 from spoofcm.manifest import TrialManifest, TrialRecord
+from spoofcm.training import DataBundle
 from spoofcm.vocoders import (
     DEFAULT_CHANNEL_NAMES,
     CoarseMelGlChannel,
@@ -15,7 +16,6 @@ from spoofcm.vocoders import (
     PhaseRandomChannel,
     build_vocoded_set,
     copy_synthesize,
-    default_channels,
     griffin_lim,
     log_spectral_distance,
     make_channel,
@@ -144,35 +144,35 @@ class TestBuildVocodedSet:
     def test_counts_and_pairing(self, tmp_path):
         manifest = self._corpus(tmp_path, n=3)
         channels = [CoarseMelGlChannel(), PhaseRandomChannel()]
-        ps = build_vocoded_set(manifest, channels, tmp_path / "voc")
-        spoofs = [r for r in ps.records if r.label == "spoof"]
+        combined = build_vocoded_set(manifest, channels, tmp_path / "voc")
+        spoofs = [r for r in combined if r.label == "spoof"]
         assert len(spoofs) == len(channels) * 3  # |spoof| = S x |bona|
-        assert ps.spoofs_of("trial001") == ["trial001_coarsegl", "trial001_phasernd"]
+        assert [r.trial_id for r in combined] == sorted(r.trial_id for r in combined)
+        pairing = DataBundle(combined, None, master_seed=0).pairing
+        assert pairing["trial001"] == ["trial001_coarsegl", "trial001_phasernd"]
         # production-scale arithmetic of the same law
         assert 2580 * 4 == 10320
 
     def test_single_pairing(self, tmp_path):
         manifest = self._corpus(tmp_path, n=1)
-        ps = build_vocoded_set(manifest, [PhaseRandomChannel()], tmp_path / "voc")
-        assert ps.spoofs_of("trial000") == ["trial000_phasernd"]
+        combined = build_vocoded_set(manifest, [PhaseRandomChannel()], tmp_path / "voc")
+        assert DataBundle(combined, None, master_seed=0).pairing == {"trial000": ["trial000_phasernd"]}
 
     def test_spoof_lengths_match_sources(self, tmp_path):
         from spoofcm.audio_io import read_wav
 
         manifest = self._corpus(tmp_path, n=2)
-        ps = build_vocoded_set(manifest, default_channels(), tmp_path / "voc")
-        for rec in ps.records:
+        combined = build_vocoded_set(manifest, [make_channel(n) for n in DEFAULT_CHANNEL_NAMES], tmp_path / "voc")
+        for rec in combined:
             if rec.label == "spoof":
-                src = ps.manifest.by_id(rec.source_id)
-                assert len(read_wav(ps.manifest.resolve(rec))) == len(
-                    read_wav(ps.manifest.resolve(src))
-                )
+                src = combined.by_id(rec.source_id)
+                assert len(read_wav(combined.resolve(rec))) == len(read_wav(combined.resolve(src)))
 
     def test_unreadable_trial_skipped(self, tmp_path):
         manifest = self._corpus(tmp_path, n=2)
         (tmp_path / "trial000.wav").write_bytes(b"not audio")
-        ps = build_vocoded_set(manifest, [PhaseRandomChannel()], tmp_path / "voc")
-        assert [r.trial_id for r in ps.records if r.label == "spoof"] == ["trial001_phasernd"]
+        combined = build_vocoded_set(manifest, [PhaseRandomChannel()], tmp_path / "voc")
+        assert [r.trial_id for r in combined if r.label == "spoof"] == ["trial001_phasernd"]
 
     def test_empty_manifest_rejected(self, tmp_path):
         with pytest.raises(DataError):
