@@ -26,7 +26,7 @@ from .metrics import (
     save_scores,
 )
 from .stats import significance_matrix
-from .training import DataBundle, load_checkpoint, score_manifest
+from .training import DataBundle, load_checkpoint, manifest_features, score_manifest
 from .util import read_utf8
 from .vocoders import DEFAULT_CHANNEL_NAMES, build_vocoded_set, make_channel
 
@@ -146,8 +146,8 @@ def _cmd_score(args) -> int:
 
     params, _ = load_checkpoint(args.checkpoint)
     manifest = load_manifest(args.manifest)
-    transform = trim_nonspeech if args.trim else None
-    scores, missing = score_manifest(manifest, params, set_name="scored", transform=transform)
+    features, missing = manifest_features(manifest, trim_nonspeech if args.trim else None)
+    scores, _ = score_manifest(manifest, params, features, set_name="scored")
     out = _out_path(args.out or "scores.txt")
     save_scores(out, scores)
     if missing:
@@ -214,6 +214,8 @@ def _cmd_sigtest(args) -> int:
             raise DataError(f"{path}:{ln}: eer must be a number and n_tar, n_non integers") from None
         if not 0.0 <= eer <= 1.0 or min(n_tar, n_non) < 0:
             raise DataError(f"{path}:{ln}: need 0 <= eer <= 1 and counts >= 0")
+        if fields[0] in results:
+            raise DataError(f"{path}:{ln}: system {fields[0]!r} is listed more than once")
         results[fields[0]] = EerResult(eer, 0.0, n_tar, n_non)
     matrix = significance_matrix(results, alpha=args.alpha)
     out = _out_path(args.out or "sigtest")

@@ -58,6 +58,7 @@ from .training import (
     DataBundle,
     TrainConfig,
     history_csv,
+    manifest_features,
     save_checkpoint,
     score_manifest,
     train,
@@ -287,28 +288,35 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, base_dir: str | P
 
     with _stage("train-data"):
         bundle = DataBundle(combined, cfg.augment_op(), cfg.master_seed)
-        eval_manifest = combined.subset("eval")
 
-    results: list[RunResult] = []
+    trained = {}
     for system in cfg.systems:
         for seed in cfg.seeds:
             run_dir = out_dir / "runs" / f"{system.name}_seed{seed}"
             run_dir.mkdir(parents=True, exist_ok=True)
             with _stage(f"train:{system.name}:{seed}"):
-                params = train_system(cfg, bundle, system, seed, run_dir)[0]
-            with _stage(f"score:{system.name}:{seed}"):
-                sets = []
-                scores, missing = score_manifest(eval_manifest, params, "eval")
+                trained[system.name, seed] = run_dir, train_system(cfg, bundle, system, seed, run_dir)[0]
+
+    with _stage("eval-data"):
+        # Features do not depend on the model, so they are built once, not per
+        # (system, seed), and after training, so they add nothing to its peak memory.
+        # The bundle already holds every trial's untrimmed features.
+        eval_manifest = combined.subset("eval")
+        eval_features = {
+            "eval": {rec.trial_id: bundle.base(rec.trial_id) for rec in eval_manifest},
+            "eval_trim": manifest_features(eval_manifest, trim_nonspeech)[0],
+        }
+
+    results: list[RunResult] = []
+    for (name, seed), (run_dir, params) in trained.items():
+        with _stage(f"score:{name}:{seed}"):
+            sets = []
+            for set_name, features in eval_features.items():
+                scores = score_manifest(eval_manifest, params, features, set_name)[0]
+                save_scores(run_dir / f"scores_{set_name}.txt", scores)
                 sets.append(scores)
-                save_scores(run_dir / "scores_eval.txt", scores)
-                trimmed, _ = score_manifest(eval_manifest, params, "eval_trim", transform=trim_nonspeech)
-                sets.append(trimmed)
-                save_scores(run_dir / "scores_eval_trim.txt", trimmed)
-                if missing:
-                    (run_dir / "missing.txt").write_text("\n".join(missing) + "\n", encoding="utf-8")
-                for s in sets:
-                    results.append(RunResult(system.name, seed, s.name, compute_eer(s)))
-                results.append(RunResult(system.name, seed, "pooled", pooled_eer(sets)))
+                results.append(RunResult(name, seed, set_name, compute_eer(scores)))
+            results.append(RunResult(name, seed, "pooled", pooled_eer(sets)))
 
     with _stage("aggregate"):
         seed_means: dict[tuple[str, str], float] = {}

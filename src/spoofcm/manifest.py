@@ -7,6 +7,7 @@ relative to the manifest file. A spoof record names its bona fide source;
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,11 +46,11 @@ class TrialManifest:
     """Ordered collection of trial records with unique ids."""
 
     def __init__(self, records: list[TrialRecord], root: str | Path = "."):
-        ids = [r.trial_id for r in records]
-        if len(set(ids)) != len(ids):
-            dup = sorted({i for i in ids if ids.count(i) > 1})
-            raise DataError(f"duplicate trial ids in manifest: {dup[:5]}")
         self.records = list(records)
+        self._by_id = {r.trial_id: r for r in self.records}
+        if len(self._by_id) != len(self.records):
+            dup = sorted(i for i, n in Counter(r.trial_id for r in self.records).items() if n > 1)
+            raise DataError(f"duplicate trial ids in manifest: {dup[:5]}")
         self.root = Path(root)
 
     def __len__(self) -> int:
@@ -59,10 +60,10 @@ class TrialManifest:
         return iter(self.records)
 
     def by_id(self, trial_id: str) -> TrialRecord:
-        for r in self.records:
-            if r.trial_id == trial_id:
-                return r
-        raise DataError(f"trial id not in manifest: {trial_id}")
+        try:
+            return self._by_id[trial_id]
+        except KeyError:
+            raise DataError(f"trial id not in manifest: {trial_id}") from None
 
     def subset(self, name: str) -> "TrialManifest":
         if name not in SUBSETS:

@@ -120,12 +120,18 @@ def init_model(seed: int, feature_dim: int = 32, extractor_hidden: int = 64, hea
     return ModelParams(W1, b1, W2, b2, H1, c1, H2, c2, H3, c3, Ho, co)
 
 
+# Both helpers avoid np.where (~8x a multiply's time on numpy 2.4) and keep its bytes, also at +-0, +-inf, NaN.
+_SLOPES = np.array([LEAKY_SLOPE, 1.0])
+
+
 def _lrelu(z):
-    return np.where(z > 0, z, LEAKY_SLOPE * z)
+    """LeakyReLU. np.maximum returns its first NaN operand: the product, as np.where did."""
+    return np.maximum(LEAKY_SLOPE * z, z)
 
 
 def _dlrelu(z):
-    return np.where(z > 0, 1.0, LEAKY_SLOPE)
+    """d lrelu / dz: 1 where z > 0, else LEAKY_SLOPE (also for NaN)."""
+    return _SLOPES.take((z > 0).view(np.uint8))
 
 
 def forward_member(base: np.ndarray, p: ModelParams) -> dict:
@@ -161,22 +167,20 @@ def ce_and_grad(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
 
 def _backward_member(cache: dict, dlogits: np.ndarray, dX_extra, p: ModelParams, grads: dict) -> None:
     g = grads
-    g["Ho"] += np.outer(dlogits, cache["u3"])
+    g["Ho"] += dlogits[:, None] * cache["u3"]
     g["co"] += dlogits
     dz3 = (p.Ho.T @ dlogits) * _dlrelu(cache["z3"])
-    g["H3"] += np.outer(dz3, cache["u2"])
+    g["H3"] += dz3[:, None] * cache["u2"]
     g["c3"] += dz3
     dz2 = (p.H3.T @ dz3) * _dlrelu(cache["z2"])
-    g["H2"] += np.outer(dz2, cache["u1"])
+    g["H2"] += dz2[:, None] * cache["u1"]
     g["c2"] += dz2
     dz1 = (p.H2.T @ dz2) * _dlrelu(cache["z1"])
-    g["H1"] += np.outer(dz1, cache["v"])
+    g["H1"] += dz1[:, None] * cache["v"]
     g["c1"] += dz1
     dv = p.H1.T @ dz1
     n = cache["X"].shape[0]
-    dX = np.tile(dv / n, (n, 1))
-    if dX_extra is not None:
-        dX = dX + dX_extra
+    dX = np.tile(dv / n, (n, 1)) if dX_extra is None else dX_extra + dv / n
     g["W2"] += dX.T @ cache["A1"]
     g["b2"] += dX.sum(axis=0)
     dZ1 = (dX @ p.W2) * _dlrelu(cache["Z1"])

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -102,11 +103,13 @@ def adam_step(
     state.step += 1
     t = state.step
     for name in params.TRAINABLE:
-        g = grads[name]
-        state.m[name] = beta1 * state.m[name] + (1 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1 - beta2) * g * g
-        m_hat = state.m[name] / (1 - beta1**t)
-        v_hat = state.v[name] / (1 - beta2**t)
+        g, m, v = grads[name], state.m[name], state.v[name]
+        m *= beta1
+        m += (1 - beta1) * g
+        v *= beta2
+        v += (1 - beta2) * g * g
+        m_hat = m / (1 - beta1**t)
+        v_hat = v / (1 - beta2**t)
         getattr(params, name)[...] -= lr * m_hat / (np.sqrt(v_hat) + eps)
     return params, state
 
@@ -340,25 +343,39 @@ def train(
     return best_params, history
 
 
-def score_manifest(
-    manifest: TrialManifest, params: ModelParams, set_name: str = "", transform=None
-) -> tuple[ScoreSet, list[str]]:
-    """Score every trial at full length (no crop); unreadable trials are
-    reported back as missing rather than failing the whole set.
+def manifest_features(manifest: TrialManifest, transform=None) -> tuple[dict[str, np.ndarray], list[str]]:
+    """Base features of every trial at full length (no crop), keyed by trial
+    id; unreadable trials are reported back as missing rather than failing
+    the whole set.
 
-    ``transform`` optionally maps each waveform before scoring (for
-    example non-speech trimming)."""
-    entries = []
+    ``transform`` optionally maps each waveform first (for example
+    non-speech trimming)."""
+    features = {}
     missing = []
     for rec in manifest:
         try:
             w = read_wav(manifest.resolve(rec))
             if transform is not None:
                 w = transform(w)
-            score = forward_member(extract_base_features(w), params)["score"]
+            features[rec.trial_id] = extract_base_features(w)
         except DataError:
             missing.append(rec.trial_id)
+    return features, missing
+
+
+def score_manifest(
+    manifest: TrialManifest, params: ModelParams, features: Mapping[str, np.ndarray], set_name: str = ""
+) -> tuple[ScoreSet, list[str]]:
+    """Score every trial of the manifest from its base features; trials
+    without features are reported back as missing."""
+    entries = []
+    missing = []
+    for rec in manifest:
+        base = features.get(rec.trial_id)
+        if base is None:
+            missing.append(rec.trial_id)
             continue
+        score = forward_member(base, params)["score"]
         entries.append(ScoreEntry(rec.trial_id, score, rec.label, rec.attack_tag, set_name))
     return ScoreSet(entries, name=set_name), missing
 

@@ -6,17 +6,19 @@ import importlib
 import importlib.util
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+import spoofcm.cli as cli
 from spoofcm.audio_io import write_wav
-from spoofcm.cli import main
 from spoofcm.manifest import TrialManifest, TrialRecord
 from spoofcm.training import DataBundle
 
 from conftest import harmonic_speechlike
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER_PATH = PERFBENCH / "tracer.py"
 
 CONFIG = """\
 [experiment]
@@ -55,6 +57,17 @@ def tracer_module():
     return module
 
 
+@pytest.fixture(scope="module")
+def run_layers(tracer_module):
+    """``RUN_LAYERS`` of perfbench/run.py: the wrappers its traced ``spoofcm run`` must see fire."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    # run.py imports its sibling as "tracer"; dataclasses look their module up in sys.modules
+    with mock.patch.dict(sys.modules, {"tracer": tracer_module, spec.name: module}):
+        spec.loader.exec_module(module)
+    return module.RUN_LAYERS
+
+
 def test_every_target_resolves_to_a_callable(tracer_module):
     for module, attr, name, _, _ in tracer_module.TARGETS:
         owner = importlib.import_module(module)
@@ -83,7 +96,7 @@ def traced(tracer_module):
             setattr(DataBundle, key, value)
 
 
-def test_labels_and_work_counts_accept_current_call_shapes(traced, tracer_module, tmp_path):
+def test_labels_and_work_counts_accept_current_call_shapes(traced, tracer_module, run_layers, tmp_path):
     records = []
     for i, subset in enumerate(["train"] * 3 + ["dev"] * 2 + ["eval"] * 2):
         tid = f"c{i}"
@@ -93,9 +106,16 @@ def test_labels_and_work_counts_accept_current_call_shapes(traced, tracer_module
     (tmp_path / "run.ini").write_text(CONFIG.format(manifest="manifest.tsv"))
     (tmp_path / "train.ini").write_text(CONFIG.format(manifest="out/vocoded/manifest.tsv"))
 
-    # run: experiment.run_experiment -> train; train: cli._cmd_train -> train
-    assert main(["run", "--config", str(tmp_path / "run.ini"), "--out", str(tmp_path / "out")]) == 0
-    assert main([
+    # run: experiment.run_experiment -> train; train: cli._cmd_train -> train.
+    # cli.main is looked up at call time, as perfbench/child.py does, so its wrapper fires
+    assert cli.main(["run", "--config", str(tmp_path / "run.ini"), "--out", str(tmp_path / "out")]) == 0
+    run_rows = tracer_module.aggregate(traced.spans)
+    assert [name for name in run_layers if name not in run_rows] == []
+    # eval features are built once per run; scoring runs per (system, seed, set)
+    n_eval = 2 * 2  # two bona fide eval trials and their phasernd spoofs
+    assert run_rows["corpus.trim_nonspeech"]["calls"] == n_eval
+    assert run_rows["training.score_manifest"]["calls"] == 2 * 1 * 2
+    assert cli.main([
         "train", "--config", str(tmp_path / "train.ini"), "--system", "cecf_paired",
         "--out", str(tmp_path / "trained"),
     ]) == 0

@@ -236,6 +236,14 @@ class TestCli:
         assert main(["sigtest", "--results", str(results), "--out", str(tmp_path / "sig")]) == 2
         assert f"{results}:2" in capsys.readouterr().err
 
+    def test_sigtest_repeated_system_names_path_and_line(self, tmp_path, capsys):
+        results = tmp_path / "r.csv"
+        results.write_text("system,eer,n_tar,n_non\nA,0.01,5000,5000\nB,0.2,5000,5000\nA,0.49,5000,5000\n")
+        assert main(["sigtest", "--results", str(results), "--out", str(tmp_path / "sig")]) == 2
+        err = capsys.readouterr().err
+        assert f"{results}:4" in err and "'A'" in err
+        assert not (tmp_path / "sig").exists()
+
     @settings(max_examples=100, deadline=None)
     @given(
         rows=st.lists(

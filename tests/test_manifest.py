@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spoofcm.audio_io import write_wav
-from spoofcm.errors import DataError
+from spoofcm.errors import DataError, SpoofcmError
 from spoofcm.manifest import (
+    COLUMNS,
     TrialManifest,
     TrialRecord,
     load_manifest,
@@ -32,8 +35,44 @@ def test_record_validation():
 
 
 def test_unique_ids_enforced():
+    with pytest.raises(DataError, match=r"\['a', 'c'\]"):
+        TrialManifest([bona("c"), bona("a"), bona("b"), bona("a"), bona("c")])
+
+
+def test_by_id_finds_each_record_and_rejects_unknown_ids():
+    records = [bona("a"), bona("b", "eval"), spoof("a_gl", "a")]
+    m = TrialManifest(records)
+    assert [m.by_id(r.trial_id) for r in records] == records
+    with pytest.raises(DataError, match="not in manifest: zz"):
+        m.by_id("zz")
     with pytest.raises(DataError):
-        TrialManifest([bona("a"), bona("a")])
+        m.subset("eval").by_id("a")
+
+
+_FIELD = st.one_of(
+    st.sampled_from(["a", "b", "a_gl", "bonafide", "spoof", "-", "train", "eval", "x.wav", ""]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    header=st.booleans(),
+    lines=st.lists(
+        st.one_of(
+            st.text(st.characters(blacklist_categories=("Cs",))),
+            st.lists(_FIELD, min_size=len(COLUMNS) - 1, max_size=len(COLUMNS) + 1).map("\t".join),
+        ),
+        max_size=6,
+    ),
+)
+def test_arbitrary_lines_raise_only_typed_errors(tmp_path_factory, header, lines):
+    path = tmp_path_factory.mktemp("manifest") / "manifest.tsv"
+    path.write_text("\n".join((["\t".join(COLUMNS)] if header else []) + lines), encoding="utf-8")
+    try:
+        load_manifest(path)
+    except SpoofcmError:
+        pass
 
 
 def test_manifest_roundtrip(tmp_path):

@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from spoofcm.audio_io import Waveform
 from spoofcm.contrastive import CfConfig
 from spoofcm.errors import ConfigError, DataError
 from spoofcm.model import (
     BASE_DIM,
+    LEAKY_SLOPE,
     LossConfig,
     ModelParams,
+    _dlrelu,
+    _lrelu,
     extract_base_features,
     forward_backward,
     forward_member,
@@ -135,3 +141,34 @@ class TestForwardBackward:
     def test_score_waveform_runs(self):
         w = harmonic_speechlike(duration=0.6, seed=8)
         assert np.isfinite(forward_member(extract_base_features(w), tiny_model())["score"])
+
+
+class TestActivations:
+    """The LeakyReLU helpers keep the bytes of the np.where forms they replaced."""
+
+    @staticmethod
+    def assert_where_bytes(z):
+        with np.errstate(invalid="ignore"):
+            want_act = np.where(z > 0, z, LEAKY_SLOPE * z)
+            got_act = _lrelu(z)
+        want_slope = np.where(z > 0, 1.0, LEAKY_SLOPE)
+        got_slope = _dlrelu(z)
+        for want, got in ((want_act, got_act), (want_slope, got_slope)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_special_values(self):
+        nans = np.array(
+            [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFF4000000000abc],
+            dtype=np.uint64,
+        ).view(np.float64)  # quiet and signalling NaNs of both signs
+        specials = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -1e-310, 1.0, -1.0, 1e308, -1e308]
+        z = np.concatenate([nans, specials])
+        self.assert_where_bytes(z)
+        self.assert_where_bytes(z.reshape(4, 4))
+        self.assert_where_bytes(z.reshape(4, 4)[:, ::2])  # non-contiguous
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, array_shapes(min_dims=1, max_dims=2, max_side=9), elements=st.floats()))
+    def test_arbitrary_arrays(self, z):
+        self.assert_where_bytes(z)

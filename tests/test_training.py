@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -20,6 +21,7 @@ from spoofcm.training import (
     compose_batch,
     history_csv,
     load_checkpoint,
+    manifest_features,
     save_checkpoint,
     score_manifest,
     train,
@@ -180,17 +182,46 @@ class TestTrainLoop:
             train(bundle, TrainConfig(max_epochs=1), seed=0)
 
 
+# SHA-256 of checkpoint bytes followed by history_csv, recorded before the
+# training step was made lean (np.maximum LeakyReLU, slope lookup, in-place
+# Adam). The speedups must keep every byte.
+GOLDEN_TRAIN_SHA256 = {
+    ("ce", "random"): "095724173b4ace1675b9614510e0af8f844c4c8f47dbc743285cfb1bdc9ba67e",
+    ("ce+cf", "paired"): "e9392b4432d8bbaadeb905d926512799e633fe30a9f1ff7029af8592d487a261",
+}
+
+
+@pytest.mark.parametrize("loss_mode,pairing", sorted(GOLDEN_TRAIN_SHA256))
+def test_training_bytes_match_golden(tiny_bundle, tmp_path, loss_mode, pairing):
+    cfg = TrainConfig(max_epochs=2, patience=10, loss_mode=loss_mode, pairing=pairing,
+                      feature_dim=8, extractor_hidden=12, head_hidden=10)
+    params, history = train(tiny_bundle, cfg, seed=21)
+    save_checkpoint(tmp_path / "golden.ckpt", params, config_hash="golden")
+    data = (tmp_path / "golden.ckpt").read_bytes() + history_csv(history).encode("utf-8")
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_TRAIN_SHA256[(loss_mode, pairing)]
+
+
 class TestScoring:
     def test_full_length_scoring_and_missing(self, plain_bundle, tmp_path):
         cfg = TrainConfig(max_epochs=1, patience=10, loss_mode="ce")
         params, _ = train(plain_bundle, cfg, seed=3)
-        eval_manifest = TrialManifest(
-            [r for r in plain_bundle.manifest if r.subset == "eval"], plain_bundle.manifest.root
-        )
-        scores, missing = score_manifest(eval_manifest, params, "eval")
+        eval_records = [r for r in plain_bundle.manifest if r.subset == "eval"]
+        eval_manifest = TrialManifest(eval_records, plain_bundle.manifest.root)
+        features, missing = manifest_features(eval_manifest)
+        assert not missing and set(features) == {r.trial_id for r in eval_records}
+        scores, missing = score_manifest(eval_manifest, params, features, "eval")
         assert not missing and len(scores) == len(eval_manifest)
-        rescored, _ = score_manifest(eval_manifest, params, "eval")
+        # run_experiment scores from the bundle's features: the same bytes
+        from_bundle = {tid: plain_bundle.base(tid) for tid in features}
+        rescored, _ = score_manifest(eval_manifest, params, from_bundle, "eval")
         assert [e.score for e in scores.entries] == [e.score for e in rescored.entries]
+
+        gone = TrialRecord("gone", "gone.wav", "bonafide", "-", "gone", "eval")
+        with_gone = TrialManifest(eval_records + [gone], plain_bundle.manifest.root)
+        features, missing = manifest_features(with_gone)
+        assert missing == ["gone"] and "gone" not in features
+        scores, missing = score_manifest(with_gone, params, features, "eval")
+        assert missing == ["gone"] and len(scores) == len(eval_records)
 
     def test_short_trial_crop_is_noop(self, tiny_bundle):
         from spoofcm.training import _crop
