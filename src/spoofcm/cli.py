@@ -1,8 +1,10 @@
 """Command-line surface.
 
 Subcommands: gen-corpus, synth, train, score, eer, group-report,
-sigtest, run. Exit codes: 0 success, 1 usage/config error, 2 data
-error, 3 numerical error. Relative --out paths are resolved under
+sigtest, run. Each takes only the flags it reads: every subcommand takes
+--out; --seed is taken by gen-corpus, train and run; --config by train
+and run. Exit codes: 0 success, 1 usage/config error, 2 data error, 3
+numerical error. Relative --out paths are resolved under
 $SPOOFCM_OUT_ROOT when that variable is set.
 """
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .metrics import (
     pooled_eer,
     save_scores,
 )
-from .stats import significance_matrix
+from .stats import DEFAULT_ALPHA, significance_matrix
 from .training import DataBundle, load_checkpoint, manifest_features, score_manifest
 from .util import read_utf8
 from .vocoders import DEFAULT_CHANNEL_NAMES, build_vocoded_set, make_channel
@@ -46,54 +48,47 @@ def _out_path(raw: str) -> Path:
     return path
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=None, help="override the master seed")
-    p.add_argument("--config", default=None, help="experiment config file (INI)")
-    p.add_argument("--out", default=None, help="output directory or file")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="spoofcm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("gen-corpus", help="generate a synthetic bona fide corpus")
     p.add_argument("--n", type=int, default=200)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=1234, help="corpus seed")
 
     p = sub.add_parser("synth", help="build a vocoded spoof set from a bona fide manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--channels", default=",".join(DEFAULT_CHANNEL_NAMES))
     p.add_argument("--intermediate-sr", type=int, default=None)
-    _add_common(p)
 
     p = sub.add_parser("train", help="train one system for one seed")
     p.add_argument("--system", default=None, help="system name from the config's [systems]")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=None, help="run seed (default: the config's first seed)")
+    p.add_argument("--config", required=True, help="experiment config file (INI)")
 
     p = sub.add_parser("score", help="score a manifest with a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--trim", action="store_true", help="trim non-speech before scoring")
-    _add_common(p)
 
     p = sub.add_parser("eer", help="EER of one or more score files")
     p.add_argument("--scores", nargs="+", required=True)
     p.add_argument("--manifest", required=True)
-    _add_common(p)
 
     p = sub.add_parser("group-report", help="per-attack-category EERs and histograms")
     p.add_argument("--scores", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--grouping", default="", help="tag=category pairs, comma separated")
-    _add_common(p)
 
     p = sub.add_parser("sigtest", help="pairwise significance matrix from a results CSV")
     p.add_argument("--results", required=True, help="CSV: system,eer,n_tar,n_non")
-    p.add_argument("--alpha", type=float, default=0.05)
-    _add_common(p)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
 
     p = sub.add_parser("run", help="full experiment from a config file")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=None, help="override the config's master seed")
+    p.add_argument("--config", required=True, help="experiment config file (INI)")
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None, help="output directory or file")
     return parser
 
 
@@ -101,8 +96,7 @@ def _cmd_gen_corpus(args) -> int:
     from .corpus import gen_desk_corpus
 
     out = _out_path(args.out or "corpus")
-    seed = args.seed if args.seed is not None else 1234
-    manifest = gen_desk_corpus(args.n, seed, out)
+    manifest = gen_desk_corpus(args.n, args.seed, out)
     print(f"wrote {len(manifest)} trials under {out}")
     return 0
 
@@ -121,8 +115,6 @@ def _cmd_synth(args) -> int:
 def _cmd_train(args) -> int:
     from .experiment import load_config, train_system
 
-    if not args.config:
-        raise ConfigError("train needs --config")
     cfg = load_config(args.config)
     base = Path(args.config).parent
     system = cfg.systems[0] if args.system is None else next(
@@ -229,8 +221,6 @@ def _cmd_sigtest(args) -> int:
 def _cmd_run(args) -> int:
     from .experiment import load_config, run_experiment
 
-    if not args.config:
-        raise ConfigError("run needs --config")
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = dc_replace(cfg, master_seed=args.seed)

@@ -23,7 +23,6 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 
 NORM_FLOOR = 1e-12
-DEFAULT_TEMPERATURE = 0.07
 # The one expansion of a configured `levels` value: (level, loss-part name)
 # per term, in the order the terms are added to the loss.
 LEVEL_TERMS = {
@@ -35,7 +34,7 @@ LEVEL_TERMS = {
 
 @dataclass(frozen=True)
 class CfConfig:
-    temperature: float = DEFAULT_TEMPERATURE
+    temperature: float = 0.07
     levels: str = "both"
 
     def __post_init__(self):
@@ -120,7 +119,7 @@ def _cf_core(members: list, labels: list, temperature: float):
     return loss, [grads[i] for i in range(b)]
 
 
-def cf_value_and_grad(batch: BatchComposition, level: str, temperature: float = DEFAULT_TEMPERATURE):
+def cf_value_and_grad(batch: BatchComposition, level: str, temperature: float):
     """The loss at one level ("sequence" or "utterance") and its exact
     gradient with respect to every member frame.
 

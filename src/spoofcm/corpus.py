@@ -99,11 +99,14 @@ def gen_desk_corpus(n_trials: int, seed: int, out_dir: str | Path) -> TrialManif
     return manifest
 
 
-def trim_nonspeech(w: Waveform, gate_db: float = TRIM_GATE_DB) -> Waveform:
-    """Drop leading/trailing frames quieter than (max frame energy - gate_db).
+def trim_nonspeech(w: Waveform) -> Waveform:
+    """Drop leading/trailing frames quieter than (max frame energy - TRIM_GATE_DB).
 
-    Interior content is untouched. If every frame sits below the absolute
-    silence floor, a centered 100 ms stub is returned with a warning.
+    Interior content is untouched. A kept span shorter than 100 ms is
+    widened to a 100 ms stub centered on it, shifted to lie inside the input
+    (or the whole input, if shorter), so a click in silence still leaves a
+    trial long enough to score. If every frame sits below the absolute
+    silence floor, the stub is centered on the input, with a warning.
     """
     if len(w) == 0:
         raise DataError("cannot trim an empty waveform")
@@ -113,14 +116,16 @@ def trim_nonspeech(w: Waveform, gate_db: float = TRIM_GATE_DB) -> Waveform:
         return Waveform(w.samples.copy(), w.sample_rate)
     energy = np.mean(frame_signal(w.samples, frame, hop) ** 2, axis=1)
     peak = energy.max()
-    threshold = max(peak * 10.0 ** (-gate_db / 10.0), _TRIM_ABS_FLOOR)
+    threshold = max(peak * 10.0 ** (-TRIM_GATE_DB / 10.0), _TRIM_ABS_FLOOR)
     keep = np.flatnonzero(energy >= threshold)
     if keep.size == 0:
         warnings.warn("all frames below the trim threshold; returning a centered stub", stacklevel=2)
-        stub = int(0.1 * w.sample_rate)
-        mid = len(w) // 2
-        lo = max(0, mid - stub // 2)
-        return Waveform(w.samples[lo : lo + stub].copy(), w.sample_rate)
-    start = keep[0] * hop
-    end = min(keep[-1] * hop + frame, len(w))
+        start = end = len(w) // 2
+    else:
+        start = keep[0] * hop
+        end = min(keep[-1] * hop + frame, len(w))
+    stub = int(0.1 * w.sample_rate)
+    if end - start < stub:
+        start = max(0, min((start + end) // 2 - stub // 2, len(w) - stub))
+        end = start + stub
     return Waveform(w.samples[start:end].copy(), w.sample_rate)

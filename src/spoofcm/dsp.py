@@ -56,7 +56,6 @@ class StftConfig:
     hop: int = 128
     win_length: int = 512
     window: str = "hann"
-    centered: bool = False
 
     def __post_init__(self):
         if self.fft_size <= 0 or (self.fft_size & (self.fft_size - 1)) != 0:
@@ -96,11 +95,8 @@ class ComplexSpectrogram:
 
 
 def stft(w: Waveform, cfg: StftConfig) -> ComplexSpectrogram:
-    """Short-time Fourier transform. No padding unless cfg.centered is set."""
+    """Short-time Fourier transform; frames start at multiples of hop, no padding."""
     x = w.samples
-    if cfg.centered:
-        pad = cfg.win_length // 2
-        x = np.pad(x, pad, mode="reflect")
     if len(x) < cfg.win_length:
         raise DataError(
             f"waveform too short for STFT: {len(x)} samples < win_length {cfg.win_length}"
@@ -226,21 +222,16 @@ def _mel_pinv_t(n_mels: int, fft_size: int, sample_rate: int, fmin: float, fmax:
     return pinv_t
 
 
-def mel_pseudo_inverse(mel: np.ndarray, fb: MelFilterbank, clamp: bool = True) -> np.ndarray:
-    """Least-squares magnitude reconstruction from mel magnitudes.
-
-    Negative values are clamped to zero by default (magnitudes feed phase
-    reconstruction downstream); pass clamp=False for the raw projection.
+def mel_pseudo_inverse(mel: np.ndarray, fb: MelFilterbank) -> np.ndarray:
+    """Least-squares magnitude reconstruction from mel magnitudes, with
+    negative values clamped to zero (magnitudes feed phase reconstruction).
     """
     if fb.n_mels < 8:
         raise ConfigError(f"pseudo-inverse needs n_mels >= 8, got {fb.n_mels}")
     mel = np.asarray(mel, dtype=np.float64)
     if mel.ndim != 2 or mel.shape[1] != fb.n_mels:
         raise ConfigError(f"mel matrix must be F x {fb.n_mels}, got {mel.shape}")
-    mag = mel @ _mel_pinv_t(fb.n_mels, fb.fft_size, fb.sample_rate, fb.fmin, fb.fmax)
-    if clamp:
-        mag = np.maximum(mag, 0.0)
-    return mag
+    return np.maximum(mel @ _mel_pinv_t(fb.n_mels, fb.fft_size, fb.sample_rate, fb.fmin, fb.fmax), 0.0)
 
 
 # ---------------------------------------------------------------------------

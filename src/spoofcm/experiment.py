@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
 from pathlib import Path
 
-from .augment import AugmentOp, make_augment
+from .augment import AUGMENT_KINDS, AugmentOp, make_augment
 from .contrastive import CfConfig
 from .corpus import gen_desk_corpus, trim_nonspeech
 from .errors import ConfigError, DataError, SpoofcmError
@@ -66,8 +66,6 @@ from .training import (
 from .util import derive_seed, file_sha256, read_utf8, text_sha256
 from .vocoders import DEFAULT_CHANNEL_NAMES, SYNTHESIS_VERSION, VocoderChannel, make_channel
 
-DEFAULT_SEEDS = (101, 202, 303)
-
 
 @dataclass(frozen=True)
 class SystemSpec:
@@ -80,7 +78,7 @@ class SystemSpec:
 class ExperimentConfig:
     name: str = "desk"
     master_seed: int = 1234
-    seeds: tuple[int, ...] = DEFAULT_SEEDS
+    seeds: tuple[int, ...] = (101, 202, 303)
     manifest_path: str = "corpus/manifest.tsv"
     generate: int = 0  # when > 0 and the manifest is missing, generate this many trials
     channel_names: tuple[str, ...] = DEFAULT_CHANNEL_NAMES
@@ -109,6 +107,21 @@ class ExperimentConfig:
         return make_augment(self.augment_kind, derive_seed(self.master_seed, "augment"))
 
 
+def _parse_int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(v.strip()) for v in text.split(",") if v.strip())
+
+
+# The INI keys outside [train], [cf] and [systems]: (section, key) -> (ExperimentConfig field, parser).
+_EXPERIMENT_KEYS = {
+    ("experiment", "name"): ("name", str),
+    ("experiment", "seed"): ("master_seed", int),
+    ("experiment", "seeds"): ("seeds", _parse_int_list),
+    ("data", "manifest"): ("manifest_path", str),
+    ("data", "generate"): ("generate", int),
+    ("channels", "names"): ("channel_names", lambda t: tuple(n.strip() for n in t.split(","))),
+    ("channels", "intermediate_sr"): ("intermediate_sr", lambda t: int(t) if t.strip() else None),
+    ("augment", "kind"): ("augment_kind", str),
+}
 # The [train] keys; each sets the TrainConfig field of the same name.
 _TRAIN_KEYS = {
     "lr0": float, "lr_decay": float, "lr_decay_every": int, "batch_size": int, "max_seconds": float,
@@ -116,11 +129,10 @@ _TRAIN_KEYS = {
 }
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(v.strip()) for v in text.split(",") if v.strip())
-
-
 def load_config(path: str | Path) -> ExperimentConfig:
+    """Read an INI config. Only the keys it sets are passed on, so every
+    default lives in ExperimentConfig, TrainConfig or CfConfig. The checks
+    that need no data run here, before a run writes any file."""
     path = Path(path)
     raw = read_utf8(path, "config file", decode_error=ConfigError)
     parser = configparser.ConfigParser()
@@ -130,21 +142,24 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
-    def value(section: str, key: str, default, kind=str):
-        text = sections.get(section, {}).get(key)
-        if text is None:
-            return default
+    def value(section: str, key: str, kind):
+        text = sections[section][key]
         try:
             return kind(text)
         except ValueError as exc:
             raise ConfigError(f"{path}: {section}.{key} = {text!r}: {exc}") from None
 
     def given(section: str, kinds: dict) -> dict:
-        """The keys of ``kinds`` set in the section, parsed; unset keys keep their defaults."""
+        """The keys of ``kinds`` set in the section, parsed."""
         fields = sections.get(section, {})
-        return {key: value(section, key, None, kind) for key, kind in kinds.items() if key in fields}
+        return {key: value(section, key, kind) for key, kind in kinds.items() if key in fields}
 
-    train_cfg = TrainConfig(
+    settings = {
+        name: value(section, key, kind)
+        for (section, key), (name, kind) in _EXPERIMENT_KEYS.items()
+        if key in sections.get(section, {})
+    }
+    settings["train"] = TrainConfig(
         **given("train", _TRAIN_KEYS),
         **given("augment", {"k_views": int}),
         cf=CfConfig(**given("cf", {"temperature": float, "levels": str})),
@@ -155,33 +170,25 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if len(parts) != 2:
             raise ConfigError(f"system {name!r} must be 'loss_mode, pairing', got {text!r}")
         systems.append(SystemSpec(name, parts[0], parts[1]))
-    if not systems:
-        systems = list(ExperimentConfig().systems)
+    if systems:
+        settings["systems"] = tuple(systems)
+    cfg = ExperimentConfig(**settings, raw_text=raw)
 
-    augment_kind = value("augment", "kind", "rawboost")
-    wanting = [s.name for s in systems if s.loss_mode == "ce+cf"]  # contrastive batches take views
-    if augment_kind == "none" and train_cfg.k_views > 0 and wanting:
-        raise ConfigError(f"{path}: systems {wanting} train on augmented views "
-                          f"(k_views = {train_cfg.k_views}) but [augment] kind = none")
-    seeds = value("experiment", "seeds", DEFAULT_SEEDS, _parse_int_list)
-    if not seeds:
+    if not cfg.seeds:
         raise ConfigError(f"{path}: experiment.seeds lists no seed")
-
-    return ExperimentConfig(
-        name=value("experiment", "name", "desk"),
-        master_seed=value("experiment", "seed", 1234, int),
-        seeds=seeds,
-        manifest_path=value("data", "manifest", "corpus/manifest.tsv"),
-        generate=value("data", "generate", 0, int),
-        channel_names=value(
-            "channels", "names", DEFAULT_CHANNEL_NAMES, lambda t: tuple(n.strip() for n in t.split(","))
-        ),
-        intermediate_sr=value("channels", "intermediate_sr", None, lambda t: int(t) if t.strip() else None),
-        augment_kind=augment_kind,
-        train=train_cfg,
-        systems=tuple(systems),
-        raw_text=raw,
-    )
+    if cfg.augment_kind != "none" and cfg.augment_kind not in AUGMENT_KINDS:
+        raise ConfigError(f"{path}: augment.kind = {cfg.augment_kind!r}; "
+                          f"expected none or one of {sorted(AUGMENT_KINDS)}")
+    for system in cfg.systems:
+        try:
+            cfg.train_config(system)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: system {system.name!r}: {exc}") from None
+    wanting = [s.name for s in cfg.systems if s.loss_mode == "ce+cf"]  # contrastive batches take views
+    if cfg.augment_kind == "none" and cfg.train.k_views > 0 and wanting:
+        raise ConfigError(f"{path}: systems {wanting} train on augmented views "
+                          f"(k_views = {cfg.train.k_views}) but [augment] kind = none")
+    return cfg
 
 
 @contextmanager

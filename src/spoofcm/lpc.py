@@ -19,6 +19,8 @@ from .util import derive_seed
 
 PREEMPHASIS = 0.97
 BANDWIDTH_EXPANSION = 0.996
+F0_MIN = 60.0  # Hz, the F0 search range
+F0_MAX = 400.0
 _SILENCE_RMS = 1e-6
 
 
@@ -56,8 +58,8 @@ class F0Estimate:
     f0: float
 
 
-def estimate_f0(frame: np.ndarray, sample_rate: int, fmin: float = 60.0, fmax: float = 400.0) -> F0Estimate:
-    """Fundamental frequency by normalized autocorrelation peak in [fmin, fmax]."""
+def estimate_f0(frame: np.ndarray, sample_rate: int) -> F0Estimate:
+    """Fundamental frequency by normalized autocorrelation peak in [F0_MIN, F0_MAX]."""
     frame = np.asarray(frame, dtype=np.float64)
     if len(frame) < int(0.025 * sample_rate):
         raise ConfigError(f"frame must span >= 25 ms, got {len(frame)} samples")
@@ -65,8 +67,8 @@ def estimate_f0(frame: np.ndarray, sample_rate: int, fmin: float = 60.0, fmax: f
     energy = x @ x
     if energy < _SILENCE_RMS**2 * len(x):
         return F0Estimate(False, 0.0)
-    lag_lo = max(2, int(sample_rate / fmax))
-    lag_hi = min(int(sample_rate / fmin), len(x) - 2)
+    lag_lo = max(2, int(sample_rate / F0_MAX))
+    lag_hi = min(int(sample_rate / F0_MIN), len(x) - 2)
     full = np.correlate(x, x, mode="full")[len(x) - 1 :]
     cum = np.concatenate([[0.0], np.cumsum(x * x)])
     lags = np.arange(lag_lo, lag_hi + 1)
@@ -87,13 +89,7 @@ def estimate_f0(frame: np.ndarray, sample_rate: int, fmin: float = 60.0, fmax: f
     return F0Estimate(True, float(sample_rate / lag))
 
 
-def lpc_resynthesize(
-    w: Waveform,
-    order: int = 16,
-    frame_ms: float = 25.0,
-    hop_ms: float = 10.0,
-    seed: int = 0,
-) -> Waveform:
+def lpc_resynthesize(w: Waveform, order: int, frame_ms: float, hop_ms: float, seed: int) -> Waveform:
     """Analyze/resynthesize a waveform frame by frame.
 
     Voiced frames get a pulse train at the estimated F0 (fixed phase per

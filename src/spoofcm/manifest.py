@@ -70,9 +70,6 @@ class TrialManifest:
             raise ConfigError(f"unknown subset {name!r}")
         return TrialManifest([r for r in self.records if r.subset == name], self.root)
 
-    def with_label(self, label: str) -> "TrialManifest":
-        return TrialManifest([r for r in self.records if r.label == label], self.root)
-
     def resolve(self, record: TrialRecord) -> Path:
         return self.root / record.path
 

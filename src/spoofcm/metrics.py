@@ -9,7 +9,6 @@ an exact tie takes the lowest such threshold.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -115,8 +114,7 @@ class GroupReport:
 def group_analysis(s: ScoreSet, grouping: dict[str, str]) -> dict[str, GroupReport]:
     """Per-category EER (all bona fide vs the category's spoofs) plus
     fixed-bin score histograms. Tags missing from the grouping map fall
-    into category "other"; categories without spoofed trials are omitted
-    with a warning."""
+    into category "other"; a category exists only if it has spoofed trials."""
     bona = [e for e in s.entries if e.label == "bonafide"]
     spoof = [e for e in s.entries if e.label == "spoof"]
     if not bona or not spoof:
@@ -131,9 +129,6 @@ def group_analysis(s: ScoreSet, grouping: dict[str, str]) -> dict[str, GroupRepo
     out = {}
     for cat in sorted(categories):
         members = categories[cat]
-        if not members:
-            warnings.warn(f"category {cat!r} has no spoofed trials; omitted", stacklevel=2)
-            continue
         subset = ScoreSet(bona + members, name=cat)
         out[cat] = GroupReport(
             category=cat,
@@ -190,7 +185,7 @@ def histogram_csv(reports: dict[str, GroupReport]) -> str:
         rep = reports[cat]
         for i in range(len(rep.bona_counts)):
             lines.append(
-                f"{cat},{rep.bin_edges[i]!r},{rep.bin_edges[i + 1]!r},"
+                f"{cat},{float(rep.bin_edges[i])!r},{float(rep.bin_edges[i + 1])!r},"
                 f"{rep.bona_counts[i]},{rep.spoof_counts[i]}"
             )
     return "\n".join(lines) + "\n"

@@ -105,7 +105,7 @@ class ModelParams:
             pos += arr.size
 
 
-def init_model(seed: int, feature_dim: int = 32, extractor_hidden: int = 64, head_hidden: int = 64) -> ModelParams:
+def init_model(seed: int, feature_dim: int, extractor_hidden: int, head_hidden: int) -> ModelParams:
     rng = np.random.default_rng(seed)
 
     def layer(n_out, n_in):

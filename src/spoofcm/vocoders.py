@@ -57,12 +57,11 @@ def griffin_lim(
     mag: np.ndarray,
     cfg: StftConfig,
     sample_rate: int,
-    iters: int = 32,
-    init_phase: np.ndarray | None = None,
+    iters: int,
     error_trace: list | None = None,
 ) -> Waveform:
     """Phase reconstruction by alternating projections onto the magnitude
-    constraint and the set of consistent spectrograms.
+    constraint and the set of consistent spectrograms, from zero phase.
 
     When given, ``error_trace`` collects the spectral convergence error
     (Frobenius, relative) once per iteration.
@@ -73,12 +72,7 @@ def griffin_lim(
     if mag.ndim != 2 or mag.shape[1] != cfg.fft_size // 2 + 1:
         raise ConfigError(f"magnitude must be F x {cfg.fft_size // 2 + 1}, got {mag.shape}")
     mag_norm = np.linalg.norm(mag)
-    if init_phase is None:
-        spec = mag.astype(np.complex128)
-    else:
-        spec = mag * np.exp(1j * np.asarray(init_phase, dtype=np.float64))
-    wave = istft(ComplexSpectrogram(spec, cfg, sample_rate))
-    del spec
+    wave = istft(ComplexSpectrogram(mag.astype(np.complex128), cfg, sample_rate))
     for _ in range(iters):
         reanalyzed = stft(wave, cfg).frames
         modulus = np.abs(reanalyzed)
@@ -248,20 +242,17 @@ def copy_synthesize(w: Waveform, channel: VocoderChannel) -> Waveform:
     return Waveform(y, w.sample_rate)
 
 
-DEFAULT_CHANNEL_NAMES = ("glmel", "coarsegl", "phasernd", "lpcvoc")
+_CHANNELS = {
+    c.name: c for c in (GriffinLimMelChannel, CoarseMelGlChannel, PhaseRandomChannel, LpcSourceFilterChannel)
+}
+DEFAULT_CHANNEL_NAMES = tuple(_CHANNELS)  # every channel
 
 
 def make_channel(name: str, intermediate_sr: int | None = None) -> VocoderChannel:
     """Instantiate a channel by name (the name doubles as the attack tag)."""
-    table = {
-        "glmel": GriffinLimMelChannel,
-        "coarsegl": CoarseMelGlChannel,
-        "phasernd": PhaseRandomChannel,
-        "lpcvoc": LpcSourceFilterChannel,
-    }
-    if name not in table:
-        raise ConfigError(f"unknown channel {name!r}; available: {sorted(table)}")
-    return table[name](intermediate_sr=intermediate_sr)
+    if name not in _CHANNELS:
+        raise ConfigError(f"unknown channel {name!r}; available: {sorted(_CHANNELS)}")
+    return _CHANNELS[name](intermediate_sr=intermediate_sr)
 
 
 def log_spectral_distance(a: Waveform, b: Waveform, cfg: StftConfig | None = None) -> float:

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spoofcm.vocoders
-from spoofcm.audio_io import write_wav
+from spoofcm.audio_io import Waveform, write_wav
 from spoofcm.cli import main
-from spoofcm.experiment import ensure_vocoded_set, load_config, run_experiment
+from spoofcm.corpus import gen_desk_corpus
+from spoofcm.experiment import ExperimentConfig, ensure_vocoded_set, load_config, run_experiment
 from spoofcm.errors import ConfigError, SpoofcmError
 from spoofcm.manifest import TrialManifest, TrialRecord, load_manifest
+from spoofcm.training import TrainConfig
 from spoofcm.vocoders import SYNTHESIS_VERSION, CoarseMelGlChannel, PhaseRandomChannel
 
 from conftest import harmonic_speechlike
@@ -99,6 +101,25 @@ class TestRunExperiment:
             "runs/cecf_paired_seed5/scores_eval.txt",
         ):
             assert (report.out_dir / rel).read_bytes() == (rerun_dir / rel).read_bytes(), rel
+
+    def test_click_in_silence_is_scored_in_eval_trim(self, tmp_path):
+        corpus = gen_desk_corpus(20, 3, tmp_path / "corpus")
+        click = corpus.subset("eval").records[0]
+        x = np.zeros(16000)
+        x[10:60] = 0.5  # the trim gate keeps one 20 ms frame, shorter than a feature frame
+        write_wav(corpus.resolve(click), Waveform(x, 16000))
+        (tmp_path / "exp.ini").write_text(
+            TINY_CONFIG.replace("generate = 20", "generate = 0")
+            .replace("names = coarsegl, phasernd", "names = phasernd")
+            .replace("max_epochs = 2", "max_epochs = 1")
+            .replace("cecf_paired = ce+cf, paired\n", "")
+        )
+        report = run_experiment(load_config(tmp_path / "exp.ini"), tmp_path / "out", base_dir=tmp_path)
+        scored = (report.out_dir / "runs" / "ce_aug_seed5" / "scores_eval_trim.txt").read_text()
+        ids = [line.split("\t")[0] for line in scored.splitlines()]
+        assert click.trial_id in ids
+        combined = load_manifest(tmp_path / "out" / "vocoded" / "manifest.tsv")
+        assert sorted(ids) == sorted(r.trial_id for r in combined.subset("eval"))
 
     def test_vocoded_set_reused_on_rerun(self, tiny_run, tmp_path):
         base, _ = tiny_run
@@ -282,6 +303,44 @@ class TestCli:
         assert main(["run", "--config", str(tmp_path / "exp.ini"), "--out", str(tmp_path / "out")]) == 1
         assert not (tmp_path / "corpus").exists() and not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "right, wrong, word",
+        [
+            ("kind = rawboost", "kind = rawbost", "rawbost"),
+            ("= ce+cf, paired", "= ce+cf, paird", "paird"),
+            ("= ce, random", "= cee, random", "cee"),
+        ],
+        ids=["augment-kind", "pairing", "loss-mode"],
+    )
+    def test_config_typo_fails_before_synthesis(self, tmp_path, capsys, right, wrong, word):
+        (tmp_path / "exp.ini").write_text(TINY_CONFIG.replace(right, wrong))
+        assert main(["run", "--config", str(tmp_path / "exp.ini"), "--out", str(tmp_path / "out")]) == 1
+        assert repr(word) in capsys.readouterr().err
+        assert not (tmp_path / "corpus").exists() and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["synth", "--manifest", "m.tsv", "--seed", "5"],
+            ["score", "--checkpoint", "c.ckpt", "--manifest", "m.tsv", "--seed", "5"],
+            ["eer", "--scores", "s.txt", "--manifest", "m.tsv", "--seed", "5"],
+            ["group-report", "--scores", "s.txt", "--manifest", "m.tsv", "--seed", "5"],
+            ["sigtest", "--results", "r.csv", "--seed", "5"],
+            ["gen-corpus", "--config", "exp.ini"],
+            ["synth", "--manifest", "m.tsv", "--config", "exp.ini"],
+            ["score", "--checkpoint", "c.ckpt", "--manifest", "m.tsv", "--config", "exp.ini"],
+            ["eer", "--scores", "s.txt", "--manifest", "m.tsv", "--config", "exp.ini"],
+            ["group-report", "--scores", "s.txt", "--manifest", "m.tsv", "--config", "exp.ini"],
+            ["sigtest", "--results", "r.csv", "--config", "exp.ini"],
+        ],
+        ids=lambda c: f"{c[0]}{c[-2]}",
+    )
+    def test_flag_the_command_does_not_read_is_refused(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        assert main(command + ["--out", "o"]) == 1
+        assert f"unrecognized arguments: {command[-2]}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_augment_none_loads_when_no_view_is_asked_for(self, tmp_path):
         ce_only = TINY_CONFIG.replace("kind = rawboost", "kind = none").replace(
             "cecf_paired = ce+cf, paired\n", ""
@@ -314,6 +373,14 @@ _INI_VALUE = st.one_of(
     st.floats().map(repr),
     st.sampled_from(["ce, random", "ce+cf, paired", "both", "none", "1, 2", ""]),
 )
+
+
+def test_sections_without_keys_load_the_dataclass_defaults(tmp_path):
+    text = "".join(f"[{name}]\n" for name in _INI_KEYS)
+    (tmp_path / "empty.ini").write_text(text)
+    cfg = load_config(tmp_path / "empty.ini")
+    assert cfg == ExperimentConfig(raw_text=text)
+    assert cfg.train == TrainConfig()
 
 
 @settings(max_examples=150, deadline=None)

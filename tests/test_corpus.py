@@ -5,6 +5,7 @@ from spoofcm.audio_io import Waveform, read_wav
 from spoofcm.corpus import gen_desk_corpus, synth_pseudo_speech, trim_nonspeech
 from spoofcm.errors import ConfigError
 from spoofcm.lpc import estimate_f0
+from spoofcm.model import extract_base_features
 
 SR = 16000
 
@@ -71,6 +72,18 @@ class TestTrimNonspeech:
         once = trim_nonspeech(Waveform(x, SR))
         twice = trim_nonspeech(once)
         assert np.array_equal(once.samples, twice.samples)
+
+    def test_short_span_widens_to_a_scorable_stub(self):
+        x = np.zeros(SR)
+        x[10:60] = 0.5  # a click at the very start of 1 s of silence
+        out = trim_nonspeech(Waveform(x, SR))
+        assert np.array_equal(out.samples, x[: SR // 10])  # the 100 ms stub, shifted inside the input
+        assert extract_base_features(out).shape[0] > 0
+        assert np.array_equal(trim_nonspeech(out).samples, out.samples)
+        x = np.zeros(SR)
+        x[8000:8050] = 0.5  # mid-input: the stub is centred on the kept frames
+        out = trim_nonspeech(Waveform(x, SR))
+        assert len(out) == SR // 10 and np.array_equal(out.samples[out.samples != 0], x[8000:8050])
 
     def test_all_silent_returns_stub_with_warning(self):
         with pytest.warns(UserWarning):

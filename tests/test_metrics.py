@@ -13,6 +13,7 @@ from spoofcm.metrics import (
     ScoreSet,
     compute_eer,
     group_analysis,
+    histogram_csv,
     load_scores,
     mean_eer_over_seeds,
     pooled_eer,
@@ -167,6 +168,17 @@ class TestGroupAnalysis:
         rep = next(iter(group_analysis(s, {"atk": "A"}).values()))
         assert rep.bona_counts.sum() == 25 and rep.spoof_counts.sum() == 35
         assert len(rep.bona_counts) == 64
+
+    def test_histogram_csv_fields_are_plain_numbers(self):
+        s = make_set([0.1, 0.7, 0.3], [-0.2, 0.05])
+        reports = group_analysis(s, {"atk": "A"})
+        header, *lines = histogram_csv(reports).splitlines()
+        assert header == "category,bin_lo,bin_hi,bona_count,spoof_count"
+        rows = [line.split(",") for line in lines]
+        assert {cat for cat, *_ in rows} == {"A"}
+        edges = [(float(lo), float(hi)) for _, lo, hi, _, _ in rows]
+        assert edges == list(zip(reports["A"].bin_edges[:-1], reports["A"].bin_edges[1:]))
+        assert sum(int(r[3]) for r in rows) == 3 and sum(int(r[4]) for r in rows) == 2
 
 
 class TestScoreFiles:
