@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -128,6 +129,64 @@ class TestRunExperiment:
         run_experiment(cfg, base / "out", base_dir=base)  # second pass reuses
         assert (base / "out" / "vocoded" / "build_meta.json").read_text() == meta
 
+
+# SHA-256 of every text artifact that a tiny run and the analysis commands
+# write, recorded before file writing moved into util. Every byte must stay.
+GOLDEN_ARTIFACT_SHA256 = {
+    "config_resolved.ini": "11e5944d1d27020b406ee9ac56e9e419ec7a84e970af00441468ba981d60b14e",
+    "eer.csv": "185a864ed44658b28b00142d194ed6e9981111967a71697f7f1c6ea07d7a2356",
+    "group/category_eer.csv": "addf843161b9562af1ce59e44f0c1eea86953d7f0e83cf64ceb93b67deb82512",
+    "group/histograms.csv": "5dcb7569a0772529993ef9316b50cc91ab38c605adfae5f199104c4fe61809f3",
+    "meta.json": "e96324b17d519b41ce9da862f383755010b5c05b2a642ee8dd6668075babb18c",
+    "rescored.txt": "210a7e892ad6b145496dcc7b5b304e105b5273d3bacf4bdce4670858f9d40956",
+    "results.csv": "42aac868e51a6c32a32d4d6e80f34312d90428701fe4ed0624fe7843819d6d69",
+    "runs/ce_aug_seed5/history.csv": "646d4c9c7236bcb13520a1a90887c4adf7420438fe28f4df3423a2965f046d3c",
+    "runs/ce_aug_seed5/scores_eval.txt": "715c9628abdc610b67c4cef03791cc7cb8796c43b1aad24228d842297c93d6c8",
+    "runs/ce_aug_seed5/scores_eval_trim.txt": "b28ca465fa9c575632ea632a304d4c938807d9ff09179dcbbd7f4d09a1305e3e",
+    "runs/cecf_paired_seed5/history.csv": "80270d51122a5935e9499c40f183d2e75e25a7b025f61415c5680131d3c7a5b5",
+    "runs/cecf_paired_seed5/scores_eval.txt": "71408e250ca6be63f97a496394279216a12812a3b36761129bc68c172970d041",
+    "runs/cecf_paired_seed5/scores_eval_trim.txt": "56261479da7215e225b6eb97f16c45dcd0edade0460404093e40fea6a7429314",
+    "sig/sig_p.csv": "3263a98928ccff5db0bb9b6f789f38e16db6c0a5826e9637f975aedb3bc0a4f9",
+    "sig/sig_reject.csv": "ac235cc91d2dd5b24f81f7763ed780087bea0c97f5b57c6b83cf3b8d9328e930",
+    "sig_p.csv": "f12f8f5f21e683a9c2e32474c1a3a0d40c0b7ed314f6b94365b01b10195b2a57",
+    "sig_reject.csv": "bd1d7b6738157f20093f694a85b0e070b4481125b2c7162cf78729c77cdb05e4",
+    "summary.csv": "a9afa662eb64ddb78d16da6344467e2ae97ec3c1aab7c417519e47f57fea9f7e",
+    "vocoded/build_meta.json": "57ee0580de982cdf710c2280fc7f40784d5c6daf9c24602db136e2a720969698",
+    "vocoded/manifest.tsv": "ed4a3110efbfc7965297f2f323f6afee8943a15638459584bdc74fcec1a2137c",
+}
+
+
+def test_text_artifacts_match_golden(tiny_run, tmp_path, capsys):
+    base, report = tiny_run
+    out = report.out_dir
+    runs = out / "runs"
+    manifest = str(out / "vocoded" / "manifest.tsv")
+    scores = [str(runs / "cecf_paired_seed5" / f"scores_{s}.txt") for s in ("eval", "eval_trim")]
+    results = tmp_path / "results.csv"
+    results.write_text("system,eer,n_tar,n_non\nA,0.01,5000,5000\nB,0.2,5000,5000\nC,0.21,400,900\n")
+    commands = [
+        ["eer", "--scores", *scores, "--manifest", manifest, "--out", str(tmp_path / "eer.csv")],
+        ["score", "--trim", "--checkpoint", str(runs / "ce_aug_seed5" / "checkpoint.ckpt"),
+         "--manifest", manifest, "--out", str(tmp_path / "rescored.txt")],
+        ["group-report", "--scores", scores[0], "--manifest", manifest,
+         "--grouping", "phasernd=phase", "--out", str(tmp_path / "group")],
+        ["sigtest", "--results", str(results), "--out", str(tmp_path / "sig")],
+    ]
+    for command in commands:
+        assert main(command) == 0, command
+    capsys.readouterr()
+    files = {rel: out / rel for rel in (
+        "results.csv", "summary.csv", "sig_p.csv", "sig_reject.csv", "meta.json", "config_resolved.ini",
+        "vocoded/manifest.tsv", "vocoded/build_meta.json",
+    )}
+    for run in ("ce_aug_seed5", "cecf_paired_seed5"):
+        for name in ("history.csv", "scores_eval.txt", "scores_eval_trim.txt"):
+            files[f"runs/{run}/{name}"] = runs / run / name
+    for rel in ("eer.csv", "rescored.txt", "group/category_eer.csv", "group/histograms.csv",
+                "sig/sig_p.csv", "sig/sig_reject.csv"):
+        files[rel] = tmp_path / rel
+    digests = {rel: hashlib.sha256(path.read_bytes()).hexdigest() for rel, path in files.items()}
+    assert digests == GOLDEN_ARTIFACT_SHA256
 
 class TestVocodedCache:
     BASE = (CoarseMelGlChannel(iters=2), PhaseRandomChannel())
