@@ -5,6 +5,7 @@ writer clips to [-1, 1] and scales by 32767. Mono only.
 """
 from __future__ import annotations
 
+import io
 import wave
 from dataclasses import dataclass
 from pathlib import Path
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .util import write_file
 
 
 @dataclass(frozen=True)
@@ -62,9 +64,10 @@ def write_wav(path: str | Path, w: Waveform) -> None:
     """Write a mono 16-bit PCM WAV file (clips to [-1, 1])."""
     pcm = np.clip(w.samples, -1.0, 1.0)
     pcm = np.round(pcm * 32767.0).astype("<i2")
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with wave.open(str(path), "wb") as f:
+    buf = io.BytesIO()
+    with wave.open(buf, "wb") as f:
         f.setnchannels(1)
         f.setsampwidth(2)
         f.setframerate(w.sample_rate)
         f.writeframes(pcm.tobytes())
+    write_file(path, buf.getvalue())

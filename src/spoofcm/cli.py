@@ -10,14 +10,18 @@ $SPOOFCM_OUT_ROOT when that variable is set.
 from __future__ import annotations
 
 import argparse
+import configparser
+import io
 import os
 import sys
+from dataclasses import astuple
 from dataclasses import replace as dc_replace
 from pathlib import Path
 
 from .errors import ConfigError, DataError, NumericalError
 from .manifest import load_manifest
 from .metrics import (
+    EER_COLUMNS,
     EerResult,
     compute_eer,
     group_analysis,
@@ -29,7 +33,7 @@ from .metrics import (
 )
 from .stats import DEFAULT_ALPHA, significance_matrix
 from .training import DataBundle, load_checkpoint, manifest_features, score_manifest
-from .util import read_utf8
+from .util import read_table, table_text, write_file
 from .vocoders import DEFAULT_CHANNEL_NAMES, build_vocoded_set, make_channel
 
 OUT_ROOT_ENV = "SPOOFCM_OUT_ROOT"
@@ -106,7 +110,6 @@ def _cmd_synth(args) -> int:
     channels = [make_channel(n.strip(), args.intermediate_sr) for n in args.channels.split(",")]
     out = _out_path(args.out or "vocoded")
     combined = build_vocoded_set(manifest, channels, out)
-    combined.save(Path(out) / "manifest.tsv")
     n_spoof = sum(1 for r in combined if r.label == "spoof")
     print(f"wrote {n_spoof} spoofed trials under {out}")
     return 0
@@ -150,21 +153,13 @@ def _cmd_score(args) -> int:
 
 def _cmd_eer(args) -> int:
     manifest = load_manifest(args.manifest)
-    sets = []
-    for path in args.scores:
-        sets.append(load_scores(path, manifest, set_name=Path(path).stem))
-    lines = ["set,eer,threshold,n_tar,n_non"]
-    for s in sets:
-        r = compute_eer(s)
-        lines.append(f"{s.name},{r.eer!r},{r.threshold!r},{r.n_tar},{r.n_non}")
+    sets = [load_scores(path, manifest, set_name=Path(path).stem) for path in args.scores]
+    rows = [("set", *EER_COLUMNS)] + [(s.name, *astuple(compute_eer(s))) for s in sets]
     if len(sets) > 1:
-        r = pooled_eer(sets)
-        lines.append(f"pooled,{r.eer!r},{r.threshold!r},{r.n_tar},{r.n_non}")
-    text = "\n".join(lines) + "\n"
+        rows.append(("pooled", *astuple(pooled_eer(sets))))
+    text = table_text(rows)
     if args.out:
-        out = _out_path(args.out)
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_text(text, encoding="utf-8")
+        write_file(_out_path(args.out), text)
     print(text, end="")
     return 0
 
@@ -181,9 +176,8 @@ def _cmd_group_report(args) -> int:
             grouping[tag.strip()] = cat.strip()
     reports = group_analysis(scores, grouping)
     out = _out_path(args.out or "group_report")
-    Path(out).mkdir(parents=True, exist_ok=True)
-    (Path(out) / "category_eer.csv").write_text(group_report_csv(reports), encoding="utf-8")
-    (Path(out) / "histograms.csv").write_text(histogram_csv(reports), encoding="utf-8")
+    write_file(out / "category_eer.csv", group_report_csv(reports))
+    write_file(out / "histograms.csv", histogram_csv(reports))
     print(f"wrote category report for {len(reports)} categories under {out}")
     return 0
 
@@ -191,15 +185,7 @@ def _cmd_group_report(args) -> int:
 def _cmd_sigtest(args) -> int:
     path = Path(args.results)
     results = {}
-    lines = read_utf8(path, "results file").splitlines()
-    if not lines or not lines[0].startswith("system,"):
-        raise DataError(f"{path}: expected header 'system,eer,n_tar,n_non'")
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != 4:
-            raise DataError(f"{path}:{ln}: expected 'system,eer,n_tar,n_non', got {len(fields)} fields")
+    for ln, fields in read_table(path, "results file", "system,eer,n_tar,n_non", 4, ","):
         try:
             eer, n_tar, n_non = float(fields[1]), int(fields[2]), int(fields[3])
         except ValueError:
@@ -210,10 +196,7 @@ def _cmd_sigtest(args) -> int:
             raise DataError(f"{path}:{ln}: system {fields[0]!r} is listed more than once")
         results[fields[0]] = EerResult(eer, 0.0, n_tar, n_non)
     matrix = significance_matrix(results, alpha=args.alpha)
-    out = _out_path(args.out or "sigtest")
-    Path(out).mkdir(parents=True, exist_ok=True)
-    (Path(out) / "sig_p.csv").write_text(matrix.p_csv(), encoding="utf-8")
-    (Path(out) / "sig_reject.csv").write_text(matrix.reject_csv(), encoding="utf-8")
+    matrix.save(_out_path(args.out or "sigtest"))
     print(matrix.reject_csv(), end="")
     return 0
 
@@ -222,8 +205,13 @@ def _cmd_run(args) -> int:
     from .experiment import load_config, run_experiment
 
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = dc_replace(cfg, master_seed=args.seed)
+    if args.seed is not None:  # hash and write the config the run uses, not the file's
+        ini = configparser.ConfigParser()
+        ini.read_string(cfg.raw_text)
+        ini.read_dict({"experiment": {"seed": str(args.seed)}})
+        text = io.StringIO()
+        ini.write(text)
+        cfg = dc_replace(cfg, master_seed=args.seed, raw_text=text.getvalue())
     out = _out_path(args.out or f"runs/{cfg.name}")
     report = run_experiment(cfg, out, base_dir=Path(args.config).parent)
     for key in sorted(report.seed_means):

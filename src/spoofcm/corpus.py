@@ -79,10 +79,6 @@ def gen_desk_corpus(n_trials: int, seed: int, out_dir: str | Path) -> TrialManif
     if n_trials < 20:
         raise ConfigError(f"need at least 20 trials for a meaningful split, got {n_trials}")
     out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise DataError(f"cannot create corpus directory {out_dir}: {exc}") from exc
     n_train = int(round(SPLIT[0] * n_trials))
     n_dev = int(round(SPLIT[1] * n_trials))
     records = []

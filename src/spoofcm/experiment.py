@@ -42,8 +42,8 @@ from __future__ import annotations
 
 import configparser
 import json
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from contextlib import contextmanager, suppress
+from dataclasses import astuple, dataclass, field
 from dataclasses import replace as dc_replace
 from pathlib import Path
 
@@ -52,7 +52,7 @@ from .contrastive import CfConfig
 from .corpus import gen_desk_corpus, trim_nonspeech
 from .errors import ConfigError, DataError, SpoofcmError
 from .manifest import TrialManifest, load_manifest
-from .metrics import EerResult, compute_eer, mean_eer_over_seeds, pooled_eer, save_scores
+from .metrics import EER_COLUMNS, EerResult, compute_eer, mean_eer_over_seeds, pooled_eer, save_scores
 from .stats import SignificanceMatrix, significance_matrix
 from .training import (
     DataBundle,
@@ -63,7 +63,7 @@ from .training import (
     score_manifest,
     train,
 )
-from .util import derive_seed, file_sha256, read_utf8, text_sha256
+from .util import derive_seed, file_sha256, read_utf8, table_text, text_sha256, write_file
 from .vocoders import DEFAULT_CHANNEL_NAMES, SYNTHESIS_VERSION, VocoderChannel, make_channel
 
 
@@ -222,12 +222,17 @@ def ensure_vocoded_set(
         "channels": [repr(c) for c in channels],
         "synthesis_version": SYNTHESIS_VERSION,
     }
-    if meta_path.exists() and combined_path.exists():
-        if json.loads(meta_path.read_text()) == desc:
+    try:
+        if json.loads(meta_path.read_text(encoding="utf-8")) == desc and combined_path.exists():
             return load_manifest(combined_path)
+    except (OSError, ValueError):  # a missing or unreadable meta is a miss
+        pass
+    # Removed first and written last, so a killed rebuild leaves no meta that matches
+    # the WAVs it overwrote. If it cannot be removed, the writes that follow fail too.
+    with suppress(OSError):
+        meta_path.unlink()
     combined = build_vocoded_set(manifest, channels, out_dir)
-    combined.save(combined_path)
-    meta_path.write_text(json.dumps(desc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    write_file(meta_path, json.dumps(desc, sort_keys=True, indent=1) + "\n")
     return combined
 
 
@@ -236,7 +241,7 @@ def train_system(cfg: ExperimentConfig, bundle: DataBundle, system: SystemSpec, 
     into ``run_dir``. Returns (params, history)."""
     params, history = train(bundle, cfg.train_config(system), seed)
     save_checkpoint(run_dir / "checkpoint.ckpt", params, cfg.config_hash())
-    (run_dir / "history.csv").write_text(history_csv(history), encoding="utf-8")
+    write_file(run_dir / "history.csv", history_csv(history))
     return params, history
 
 
@@ -256,27 +261,11 @@ class ExperimentReport:
     out_dir: Path
 
 
-def _results_csv(results: list[RunResult]) -> str:
-    lines = ["system,seed,set,eer,threshold,n_tar,n_non"]
-    for r in results:
-        e = r.eer
-        lines.append(f"{r.system},{r.seed},{r.set_name},{e.eer!r},{e.threshold!r},{e.n_tar},{e.n_non}")
-    return "\n".join(lines) + "\n"
-
-
-def _summary_csv(seed_means: dict[tuple[str, str], float]) -> str:
-    lines = ["system,set,mean_eer"]
-    for key in sorted(seed_means):
-        lines.append(f"{key[0]},{key[1]},{seed_means[key]!r}")
-    return "\n".join(lines) + "\n"
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, base_dir: str | Path = ".") -> ExperimentReport:
     """The full protocol: vocode, train each system for each seed, score
     the evaluation subsets (original and non-speech-trimmed), average
     over seeds, and test pairwise significance between systems."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     base_dir = Path(base_dir)
 
     with _stage("corpus"):
@@ -300,7 +289,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, base_dir: str | P
     for system in cfg.systems:
         for seed in cfg.seeds:
             run_dir = out_dir / "runs" / f"{system.name}_seed{seed}"
-            run_dir.mkdir(parents=True, exist_ok=True)
             with _stage(f"train:{system.name}:{seed}"):
                 trained[system.name, seed] = run_dir, train_system(cfg, bundle, system, seed, run_dir)[0]
 
@@ -343,12 +331,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, base_dir: str | P
                     seed_means[(system.name, "pooled")], 0.0, runs[0].eer.n_tar, runs[0].eer.n_non
                 )
             significance = significance_matrix(pooled_results)
-            (out_dir / "sig_p.csv").write_text(significance.p_csv(), encoding="utf-8")
-            (out_dir / "sig_reject.csv").write_text(significance.reject_csv(), encoding="utf-8")
+            significance.save(out_dir)
 
     with _stage("report"):
-        (out_dir / "results.csv").write_text(_results_csv(results), encoding="utf-8")
-        (out_dir / "summary.csv").write_text(_summary_csv(seed_means), encoding="utf-8")
+        rows = [(r.system, r.seed, r.set_name, *astuple(r.eer)) for r in results]
+        write_file(out_dir / "results.csv", table_text([("system", "seed", "set", *EER_COLUMNS), *rows]))
+        rows = [(*key, seed_means[key]) for key in sorted(seed_means)]
+        write_file(out_dir / "summary.csv", table_text([("system", "set", "mean_eer"), *rows]))
         meta = {
             "experiment": cfg.name,
             "config_hash": cfg.config_hash(),
@@ -356,6 +345,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, base_dir: str | P
             "seeds": list(cfg.seeds),
             "systems": [s.name for s in cfg.systems],
         }
-        (out_dir / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n", encoding="utf-8")
-        (out_dir / "config_resolved.ini").write_text(cfg.raw_text or "", encoding="utf-8")
+        write_file(out_dir / "meta.json", json.dumps(meta, sort_keys=True, indent=1) + "\n")
+        write_file(out_dir / "config_resolved.ini", cfg.raw_text)
     return ExperimentReport(results, seed_means, significance, out_dir)

@@ -8,15 +8,14 @@ relative to the manifest file. A spoof record names its bona fide source;
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError, DataError
-from .util import read_utf8
+from .util import read_table, table_text, write_file
 
 LABELS = ("bonafide", "spoof")
 SUBSETS = ("train", "dev", "eval")
-COLUMNS = ("trial_id", "path", "label", "attack_tag", "source_id", "subset")
 
 
 @dataclass(frozen=True)
@@ -40,6 +39,9 @@ class TrialRecord:
                 )
         elif self.source_id != self.trial_id:
             raise DataError(f"{self.trial_id}: bona fide records must be their own source")
+
+
+COLUMNS = tuple(f.name for f in fields(TrialRecord))
 
 
 class TrialManifest:
@@ -74,26 +76,10 @@ class TrialManifest:
         return self.root / record.path
 
     def save(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        lines = ["\t".join(COLUMNS)]
-        for r in self.records:
-            lines.append("\t".join([r.trial_id, r.path, r.label, r.attack_tag, r.source_id, r.subset]))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_file(path, table_text([COLUMNS, *map(astuple, self.records)], sep="\t"))
 
 
 def load_manifest(path: str | Path) -> TrialManifest:
     path = Path(path)
-    lines = read_utf8(path, "manifest").splitlines()
-    expected_header = "\t".join(COLUMNS)
-    if not lines or lines[0] != expected_header:
-        raise DataError(f"{path}: expected header {expected_header!r}")
-    records = []
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != len(COLUMNS):
-            raise DataError(f"{path}:{ln}: expected {len(COLUMNS)} fields, got {len(fields)}")
-        records.append(TrialRecord(*fields))
-    return TrialManifest(records, root=path.parent)
+    rows = read_table(path, "manifest", "\t".join(COLUMNS), len(COLUMNS), "\t")
+    return TrialManifest([TrialRecord(*fields) for _, fields in rows], root=path.parent)

@@ -9,13 +9,13 @@ an exact tie takes the lowest such threshold.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .util import read_utf8
+from .util import read_table, table_text, write_file
 
 HISTOGRAM_BINS = 64
 
@@ -56,6 +56,10 @@ class EerResult:
     threshold: float
     n_tar: int
     n_non: int
+
+
+# The columns an EER table gives each row after its key columns.
+EER_COLUMNS = tuple(f.name for f in fields(EerResult))
 
 
 def compute_eer(s: ScoreSet) -> EerResult:
@@ -146,46 +150,31 @@ def group_analysis(s: ScoreSet, grouping: dict[str, str]) -> dict[str, GroupRepo
 
 def save_scores(path: str | Path, s: ScoreSet) -> None:
     """One line per trial: trial_id<TAB>score."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"{e.trial_id}\t{e.score!r}" for e in s.entries]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_file(path, table_text([(e.trial_id, e.score) for e in s.entries], sep="\t"))
 
 
 def load_scores(path: str | Path, manifest, set_name: str = "") -> ScoreSet:
     """Read a score file and join labels/tags from a manifest."""
     path = Path(path)
     entries = []
-    for ln, line in enumerate(read_utf8(path, "score file").splitlines(), start=1):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise DataError(f"{path}:{ln}: expected 'trial_id<TAB>score'")
+    for ln, (trial_id, text) in read_table(path, "score file", None, 2, "\t"):
         try:
-            score = float(fields[1])
+            score = float(text)
         except ValueError:
-            raise DataError(f"{path}:{ln}: score {fields[1]!r} is not a number") from None
-        rec = manifest.by_id(fields[0])
-        entries.append(ScoreEntry(fields[0], score, rec.label, rec.attack_tag, set_name))
+            raise DataError(f"{path}:{ln}: score {text!r} is not a number") from None
+        rec = manifest.by_id(trial_id)
+        entries.append(ScoreEntry(trial_id, score, rec.label, rec.attack_tag, set_name))
     return ScoreSet(entries, name=set_name)
 
 
 def group_report_csv(reports: dict[str, GroupReport]) -> str:
-    lines = ["category,eer,threshold,n_tar,n_non"]
-    for cat in sorted(reports):
-        r = reports[cat].eer
-        lines.append(f"{cat},{r.eer!r},{r.threshold!r},{r.n_tar},{r.n_non}")
-    return "\n".join(lines) + "\n"
+    return table_text([("category", *EER_COLUMNS)] + [(cat, *astuple(reports[cat].eer)) for cat in sorted(reports)])
 
 
 def histogram_csv(reports: dict[str, GroupReport]) -> str:
-    lines = ["category,bin_lo,bin_hi,bona_count,spoof_count"]
+    rows = [("category", "bin_lo", "bin_hi", "bona_count", "spoof_count")]
     for cat in sorted(reports):
         rep = reports[cat]
-        for i in range(len(rep.bona_counts)):
-            lines.append(
-                f"{cat},{float(rep.bin_edges[i])!r},{float(rep.bin_edges[i + 1])!r},"
-                f"{rep.bona_counts[i]},{rep.spoof_counts[i]}"
-            )
-    return "\n".join(lines) + "\n"
+        edges = rep.bin_edges.tolist()
+        rows += [(cat, *bins) for bins in zip(edges, edges[1:], rep.bona_counts.tolist(), rep.spoof_counts.tolist())]
+    return table_text(rows)

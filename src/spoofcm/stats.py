@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
 from .metrics import EerResult
+from .util import table_text, write_file
 
 DEFAULT_ALPHA = 0.05
 
@@ -82,17 +84,20 @@ class SignificanceMatrix:
         object.__setattr__(self, "p_values", p)
         object.__setattr__(self, "reject", r)
 
+    def _csv(self, values: np.ndarray) -> str:
+        rows = [(name, *row) for name, row in zip(self.systems, values.tolist())]
+        return table_text([("system", *self.systems), *rows])
+
     def p_csv(self) -> str:
-        lines = ["system," + ",".join(self.systems)]
-        for i, name in enumerate(self.systems):
-            lines.append(name + "," + ",".join(repr(float(v)) for v in self.p_values[i]))
-        return "\n".join(lines) + "\n"
+        return self._csv(self.p_values)
 
     def reject_csv(self) -> str:
-        lines = ["system," + ",".join(self.systems)]
-        for i, name in enumerate(self.systems):
-            lines.append(name + "," + ",".join(str(int(v)) for v in self.reject[i]))
-        return "\n".join(lines) + "\n"
+        return self._csv(self.reject.astype(int))
+
+    def save(self, out_dir: Path) -> None:
+        """Write the p-values to sig_p.csv and the rejections to sig_reject.csv."""
+        write_file(out_dir / "sig_p.csv", self.p_csv())
+        write_file(out_dir / "sig_reject.csv", self.reject_csv())
 
 
 def significance_matrix(results: dict[str, EerResult], alpha: float = DEFAULT_ALPHA) -> SignificanceMatrix:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,7 @@ from .model import (
     forward_member,
     init_model,
 )
-from .util import derive_seed
+from .util import derive_seed, table_text, write_file
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -390,11 +390,7 @@ def save_checkpoint(path: str | Path, params: ModelParams, config_hash: str = ""
         ],
     }
     blob = b"".join(np.ascontiguousarray(getattr(params, n), dtype="<f8").tobytes() for n in ModelParams.FIELDS)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as f:
-        f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        f.write(blob)
+    write_file(path, json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + blob)
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, str]:
@@ -437,7 +433,4 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, str]:
 
 
 def history_csv(history: list[EpochStats]) -> str:
-    lines = ["epoch,train_loss,dev_loss,dev_eer,lr"]
-    for h in history:
-        lines.append(f"{h.epoch},{h.train_loss!r},{h.dev_loss!r},{h.dev_eer!r},{h.lr!r}")
-    return "\n".join(lines) + "\n"
+    return table_text([[f.name for f in fields(EpochStats)], *map(astuple, history)])

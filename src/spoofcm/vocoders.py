@@ -18,6 +18,7 @@ of mismatched-rate copy-synthesis.
 from __future__ import annotations
 
 import logging
+import os
 import warnings
 from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
@@ -273,10 +274,10 @@ def build_vocoded_set(
 ) -> TrialManifest:
     """Synthesize one spoof per (bona fide trial, channel) and write WAVs.
 
-    Returns the combined manifest, sorted by trial id: the original bona
-    fide records plus the new spoof records, paths relative to
-    ``out_dir``. Trials whose audio cannot be read are skipped with a
-    logged error.
+    Returns the combined manifest, also written to ``out_dir/manifest.tsv``,
+    sorted by trial id: the original bona fide records plus the new spoof
+    records, paths relative to ``out_dir``. Trials whose audio cannot be
+    read are skipped with a logged error.
     """
     if not channels:
         raise ConfigError("need at least one vocoder channel")
@@ -284,9 +285,6 @@ def build_vocoded_set(
     if not bona:
         raise DataError("manifest contains no bona fide trials")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    import os
-
     records: list[TrialRecord] = []
     for rec in sorted(bona, key=lambda r: r.trial_id):
         try:
@@ -314,4 +312,6 @@ def build_vocoded_set(
             )
     if not records:
         raise DataError("no bona fide trial could be synthesized")
-    return TrialManifest(sorted(records, key=lambda r: r.trial_id), root=out_dir)
+    combined = TrialManifest(sorted(records, key=lambda r: r.trial_id), root=out_dir)
+    combined.save(out_dir / "manifest.tsv")
+    return combined

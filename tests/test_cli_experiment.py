@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace as dc_replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from spoofcm.corpus import gen_desk_corpus
 from spoofcm.experiment import ExperimentConfig, ensure_vocoded_set, load_config, run_experiment
 from spoofcm.errors import ConfigError, SpoofcmError
 from spoofcm.manifest import TrialManifest, TrialRecord, load_manifest
-from spoofcm.training import TrainConfig
+from spoofcm.training import TrainConfig, load_checkpoint
 from spoofcm.vocoders import SYNTHESIS_VERSION, CoarseMelGlChannel, PhaseRandomChannel
 
 from conftest import harmonic_speechlike
@@ -239,6 +240,39 @@ class TestVocodedCache:
         self._ensure(manifest_file, changed)
         assert calls == [list(self.BASE), list(changed)]
 
+    @pytest.mark.parametrize("meta", [b'{"source_manifest": "ab', b"\xff\xfe"], ids=["truncated", "not-utf8"])
+    def test_unreadable_meta_rebuilds(self, builds, meta):
+        manifest_file, calls = builds
+        self._ensure(manifest_file, self.BASE)
+        meta_path = manifest_file.parent / "vocoded" / "build_meta.json"
+        meta_path.write_bytes(meta)
+        self._ensure(manifest_file, self.BASE)
+        assert len(calls) == 2
+        assert json.loads(meta_path.read_text())["synthesis_version"] == SYNTHESIS_VERSION
+
+    def test_rebuild_killed_midway_is_not_a_cache_hit(self, builds, monkeypatch):
+        manifest_file, calls = builds
+        vocoded = manifest_file.parent / "vocoded"
+        self._ensure(manifest_file, [PhaseRandomChannel()])
+        first = {p.name: p.read_bytes() for p in vocoded.glob("*.wav")}
+        real = spoofcm.vocoders.write_wav
+        written = []
+
+        def killed_after_one_wav(path, w):
+            if written:
+                raise KeyboardInterrupt
+            written.append(path)
+            real(path, w)
+
+        monkeypatch.setattr(spoofcm.vocoders, "write_wav", killed_after_one_wav)
+        with pytest.raises(KeyboardInterrupt):
+            self._ensure(manifest_file, [PhaseRandomChannel(intermediate_sr=24000)])
+        monkeypatch.setattr(spoofcm.vocoders, "write_wav", real)
+        assert first[written[0].name] != written[0].read_bytes()
+        self._ensure(manifest_file, [PhaseRandomChannel()])
+        assert len(calls) == 3
+        assert {p.name: p.read_bytes() for p in vocoded.glob("*.wav")} == first
+
 
 class TestCli:
     def test_gen_corpus_and_synth_and_score_flow(self, tmp_path, capsys):
@@ -301,6 +335,12 @@ class TestCli:
         else:
             assert main(["eer", "--scores", str(files["scores"]), "--manifest", str(files["manifest"])]) == code
             assert str(files[bad]) in capsys.readouterr().err
+
+    def test_sigtest_needs_the_exact_header(self, tmp_path, capsys):
+        results = tmp_path / "r.csv"
+        results.write_text("system,err,n_tar,n_non\nA,0.01,5000,5000\nB,0.49,5000,5000\n")
+        assert main(["sigtest", "--results", str(results), "--out", str(tmp_path / "sig")]) == 2
+        assert "expected header 'system,eer,n_tar,n_non'" in capsys.readouterr().err
 
     def test_unparsable_value_names_section_and_key(self, tmp_path, capsys):
         (tmp_path / "exp.ini").write_text(TINY_CONFIG.replace("max_epochs = 2", "max_epochs = ten"))
@@ -414,6 +454,52 @@ class TestCli:
         monkeypatch.setenv("SPOOFCM_OUT_ROOT", str(tmp_path / "root"))
         assert main(["gen-corpus", "--n", "20", "--seed", "4", "--out", "corp"]) == 0
         assert (tmp_path / "root" / "corp" / "manifest.tsv").exists()
+
+
+@pytest.mark.parametrize(
+    "command", ["gen-corpus", "synth", "train", "score", "eer", "group-report", "sigtest", "run"]
+)
+def test_unwritable_out_is_a_data_error(tiny_run, tmp_path, capsys, command):
+    base, report = tiny_run
+    ce_run = report.out_dir / "runs" / "ce_aug_seed5"
+    manifest = str(report.out_dir / "vocoded" / "manifest.tsv")
+    scores = str(ce_run / "scores_eval.txt")
+    (tmp_path / "train.ini").write_text(
+        TINY_CONFIG.replace("corpus/manifest.tsv", manifest).replace("max_epochs = 2", "max_epochs = 1")
+    )
+    (tmp_path / "r.csv").write_text("system,eer,n_tar,n_non\nA,0.01,5000,5000\nB,0.49,5000,5000\n")
+    args = {
+        "gen-corpus": ["--n", "20"],
+        "synth": ["--manifest", str(base / "corpus" / "manifest.tsv"), "--channels", "phasernd"],
+        "train": ["--config", str(tmp_path / "train.ini")],
+        "score": ["--checkpoint", str(ce_run / "checkpoint.ckpt"), "--manifest", manifest],
+        "eer": ["--scores", scores, "--manifest", manifest],
+        "group-report": ["--scores", scores, "--manifest", manifest],
+        "sigtest": ["--results", str(tmp_path / "r.csv")],
+        "run": ["--config", str(base / "exp.ini")],
+    }[command]
+    (tmp_path / "afile").touch()
+    capsys.readouterr()
+    assert main([command, *args, "--out", str(tmp_path / "afile" / "out")]) == 2
+    assert f"cannot write {tmp_path / 'afile'}" in capsys.readouterr().err
+
+
+def test_run_seed_override_is_hashed_and_written(tiny_run, tmp_path):
+    base, _ = tiny_run
+    ini = tmp_path / "exp.ini"
+    ini.write_text(
+        TINY_CONFIG.replace("corpus/manifest.tsv", str(base / "corpus" / "manifest.tsv"))
+        .replace("names = coarsegl, phasernd", "names = phasernd")
+        .replace("max_epochs = 2", "max_epochs = 1")
+        .replace("cecf_paired = ce+cf, paired\n", "")
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--seed", "9", "--config", str(ini), "--out", str(out)]) == 0
+    resolved = load_config(out / "config_resolved.ini")
+    assert dc_replace(resolved, raw_text="") == dc_replace(load_config(ini), master_seed=9, raw_text="")
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["config_hash"] == resolved.config_hash() != load_config(ini).config_hash()
+    assert load_checkpoint(out / "runs" / "ce_aug_seed5" / "checkpoint.ckpt")[1] == meta["config_hash"]
 
 
 _INI_KEYS = {
