@@ -1,7 +1,9 @@
 """Waveform container and 16-bit PCM WAV I/O.
 
 Readers normalize int16 samples to [-1, 1) by dividing by 32768; the
-writer clips to [-1, 1] and scales by 32767. Mono only.
+writer clips to [-1, 1] and scales by 32767. Mono only. No other module
+opens a WAV file. ``read_wav`` turns a missing, unreadable, malformed or
+truncated file into a DataError naming the path.
 """
 from __future__ import annotations
 
@@ -43,19 +45,21 @@ class Waveform:
 
 
 def read_wav(path: str | Path) -> Waveform:
-    """Read a mono 16-bit PCM WAV file."""
-    if not Path(path).exists():
-        raise DataError(f"audio file not found: {path}")
+    """Read a mono 16-bit PCM WAV file; fewer frames than its header declares is a DataError."""
     try:
         with wave.open(str(path), "rb") as f:
             if f.getnchannels() != 1:
                 raise DataError(f"{path}: expected mono, got {f.getnchannels()} channels")
             if f.getsampwidth() != 2:
                 raise DataError(f"{path}: expected 16-bit PCM, got {8 * f.getsampwidth()}-bit")
-            sr = f.getframerate()
-            raw = f.readframes(f.getnframes())
-    except wave.Error as exc:
-        raise DataError(f"{path}: not a readable WAV file ({exc})") from exc
+            sr, n_frames = f.getframerate(), f.getnframes()
+            raw = f.readframes(n_frames)
+    except OSError as exc:
+        raise DataError(f"cannot read audio file {path}: {exc.strerror or exc}") from None
+    except (wave.Error, EOFError) as exc:
+        raise DataError(f"{path}: not a readable WAV file ({exc or 'unexpected end of file'})") from None
+    if len(raw) != 2 * n_frames:
+        raise DataError(f"{path}: truncated: {len(raw) // 2} of {n_frames} frames")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return Waveform(samples, sr)
 

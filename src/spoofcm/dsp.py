@@ -257,12 +257,8 @@ class BiquadCascade:
         object.__setattr__(self, "sections", sec)
 
     @property
-    def n_sections(self) -> int:
-        return self.sections.shape[0]
-
-    @property
     def order(self) -> int:
-        return 2 * self.n_sections
+        return 2 * self.sections.shape[0]
 
     def frequency_response(self, freqs_hz: np.ndarray, sample_rate: int) -> np.ndarray:
         """Complex response on the unit circle at the given frequencies."""
@@ -296,15 +292,13 @@ def filtfilt(cascade: BiquadCascade, w: Waveform) -> Waveform:
     """Zero-phase filtering: a forward and a reverse pass over the cascade.
 
     Edge transients are mitigated by reflective padding of length
-    3 * (2 * n_sections) on both ends. The two pass orders
+    3 * order on both ends. The two pass orders
     (forward-then-backward and backward-then-forward) are averaged, which
     makes the result exactly symmetric under time reversal.
     """
     pad = 3 * cascade.order
-    if len(w) <= 3 * cascade.order:
-        raise DataError(
-            f"waveform too short for zero-phase filtering: {len(w)} <= {3 * cascade.order}"
-        )
+    if len(w) <= pad:
+        raise DataError(f"waveform too short for zero-phase filtering: {len(w)} <= {pad}")
     x = np.pad(w.samples, pad, mode="reflect")
     fwd_first = _two_pass(cascade.sections, x)
     bwd_first = _two_pass(cascade.sections, x[::-1])[::-1]

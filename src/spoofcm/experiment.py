@@ -208,10 +208,11 @@ def ensure_vocoded_set(
 ) -> TrialManifest:
     """Build the vocoded set, or reuse it when inputs are unchanged.
 
-    A meta file records the source manifest hash, every channel parameter
-    and the synthesis version; a matching meta makes this a no-op
-    (synthesis is deterministic, so the reused set equals what a rebuild
-    would produce).
+    A meta file records the source manifest hash, every channel parameter,
+    the synthesis version and the hash of the vocoded manifest.tsv; a
+    matching meta makes this a no-op (synthesis is deterministic, so the
+    reused set equals what a rebuild would produce). A missing or altered
+    manifest.tsv is a miss.
     """
     from .vocoders import build_vocoded_set
 
@@ -223,15 +224,17 @@ def ensure_vocoded_set(
         "synthesis_version": SYNTHESIS_VERSION,
     }
     try:
-        if json.loads(meta_path.read_text(encoding="utf-8")) == desc and combined_path.exists():
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        if meta == {**desc, "vocoded_manifest": file_sha256(combined_path)}:
             return load_manifest(combined_path)
-    except (OSError, ValueError):  # a missing or unreadable meta is a miss
+    except (OSError, ValueError):  # a missing or unreadable meta or manifest is a miss
         pass
     # Removed first and written last, so a killed rebuild leaves no meta that matches
     # the WAVs it overwrote. If it cannot be removed, the writes that follow fail too.
     with suppress(OSError):
         meta_path.unlink()
     combined = build_vocoded_set(manifest, channels, out_dir)
+    desc["vocoded_manifest"] = file_sha256(combined_path)
     write_file(meta_path, json.dumps(desc, sort_keys=True, indent=1) + "\n")
     return combined
 
@@ -298,7 +301,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, base_dir: str | P
         # The bundle already holds every trial's untrimmed features.
         eval_manifest = combined.subset("eval")
         eval_features = {
-            "eval": {rec.trial_id: bundle.base(rec.trial_id) for rec in eval_manifest},
+            "eval": bundle.features,
             "eval_trim": manifest_features(eval_manifest, trim_nonspeech)[0],
         }
 

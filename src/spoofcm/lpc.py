@@ -7,8 +7,6 @@ detect.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.signal import butter, lfilter, sosfilt
 
@@ -52,21 +50,16 @@ def lpc_analyze(frame: np.ndarray, order: int) -> tuple[np.ndarray, float]:
     return -a[1:], gain
 
 
-@dataclass(frozen=True)
-class F0Estimate:
-    voiced: bool
-    f0: float
-
-
-def estimate_f0(frame: np.ndarray, sample_rate: int) -> F0Estimate:
-    """Fundamental frequency by normalized autocorrelation peak in [F0_MIN, F0_MAX]."""
+def estimate_f0(frame: np.ndarray, sample_rate: int) -> float:
+    """Fundamental frequency in Hz by normalized autocorrelation peak in
+    [F0_MIN, F0_MAX]; 0.0 for an unvoiced frame (silent, or no peak above 0.5)."""
     frame = np.asarray(frame, dtype=np.float64)
     if len(frame) < int(0.025 * sample_rate):
         raise ConfigError(f"frame must span >= 25 ms, got {len(frame)} samples")
     x = frame - frame.mean()
     energy = x @ x
     if energy < _SILENCE_RMS**2 * len(x):
-        return F0Estimate(False, 0.0)
+        return 0.0
     lag_lo = max(2, int(sample_rate / F0_MAX))
     lag_hi = min(int(sample_rate / F0_MIN), len(x) - 2)
     full = np.correlate(x, x, mode="full")[len(x) - 1 :]
@@ -77,7 +70,7 @@ def estimate_f0(frame: np.ndarray, sample_rate: int) -> F0Estimate:
     ncc = full[lags] / np.maximum(np.sqrt(head * tail), 1e-12)
     peak = float(ncc.max())
     if peak <= 0.5:
-        return F0Estimate(False, 0.0)
+        return 0.0
     # shortest lag close to the global peak: avoids octave-down errors
     best = int(np.argmax(ncc >= 0.95 * peak))
     lag = lags[best]
@@ -86,7 +79,7 @@ def estimate_f0(frame: np.ndarray, sample_rate: int) -> F0Estimate:
         denom = y0 - 2 * y1 + y2
         if abs(denom) > 1e-12:
             lag = lag + 0.5 * (y0 - y2) / denom
-    return F0Estimate(True, float(sample_rate / lag))
+    return float(sample_rate / lag)
 
 
 def lpc_resynthesize(w: Waveform, order: int, frame_ms: float, hop_ms: float, seed: int) -> Waveform:
@@ -124,8 +117,8 @@ def lpc_resynthesize(w: Waveform, order: int, frame_ms: float, hop_ms: float, se
     f0_track = np.zeros(len(pre))
     for m, info in enumerate(frames):
         seg = slice(m * hop, min((m + 1) * hop, len(pre)) if m < n_frames - 1 else len(pre))
-        if info is not None and info[2].voiced:
-            f0_track[seg] = info[2].f0
+        if info is not None:
+            f0_track[seg] = info[2]
     pulses = np.zeros(len(pre))
     cycles = np.cumsum(f0_track / sr)
     wraps = np.flatnonzero(np.diff(np.floor(cycles)) > 0) + 1

@@ -26,7 +26,6 @@ class ScoreEntry:
     score: float
     label: str
     attack_tag: str = "-"
-    set_name: str = ""
 
     def __post_init__(self):
         if self.label not in ("bonafide", "spoof"):
@@ -92,11 +91,8 @@ def pooled_eer(sets: list[ScoreSet]) -> EerResult:
     same trial may appear in several sets."""
     if not sets:
         raise ConfigError("need at least one score set to pool")
-    entries = []
-    for i, s in enumerate(sets):
-        prefix = s.name or f"set{i}"
-        for e in s.entries:
-            entries.append(replace(e, trial_id=f"{prefix}:{e.trial_id}", set_name=prefix))
+    entries = [replace(e, trial_id=f"{s.name or f'set{i}'}:{e.trial_id}")
+               for i, s in enumerate(sets) for e in s.entries]
     return compute_eer(ScoreSet(entries, name="pooled"))
 
 
@@ -108,7 +104,6 @@ def mean_eer_over_seeds(results: list[EerResult]) -> float:
 
 @dataclass(frozen=True)
 class GroupReport:
-    category: str
     eer: EerResult
     bin_edges: np.ndarray = field(repr=False)
     bona_counts: np.ndarray = field(repr=False)
@@ -130,18 +125,12 @@ def group_analysis(s: ScoreSet, grouping: dict[str, str]) -> dict[str, GroupRepo
     categories: dict[str, list[ScoreEntry]] = {}
     for e in spoof:
         categories.setdefault(grouping.get(e.attack_tag, "other"), []).append(e)
-    out = {}
-    for cat in sorted(categories):
-        members = categories[cat]
-        subset = ScoreSet(bona + members, name=cat)
-        out[cat] = GroupReport(
-            category=cat,
-            eer=compute_eer(subset),
-            bin_edges=edges,
-            bona_counts=np.histogram([e.score for e in bona], bins=edges)[0],
-            spoof_counts=np.histogram([e.score for e in members], bins=edges)[0],
-        )
-    return out
+    bona_counts = np.histogram([e.score for e in bona], bins=edges)[0]  # the same for every category
+    return {
+        cat: GroupReport(compute_eer(ScoreSet(bona + members, name=cat)), edges, bona_counts,
+                         np.histogram([e.score for e in members], bins=edges)[0])
+        for cat, members in sorted(categories.items())
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +152,7 @@ def load_scores(path: str | Path, manifest, set_name: str = "") -> ScoreSet:
         except ValueError:
             raise DataError(f"{path}:{ln}: score {text!r} is not a number") from None
         rec = manifest.by_id(trial_id)
-        entries.append(ScoreEntry(trial_id, score, rec.label, rec.attack_tag, set_name))
+        entries.append(ScoreEntry(trial_id, score, rec.label, rec.attack_tag))
     return ScoreSet(entries, name=set_name)
 
 

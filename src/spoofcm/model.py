@@ -84,10 +84,6 @@ class ModelParams:
         if bad:
             raise ConfigError(f"layer dimensions are inconsistent (input dim {BASE_DIM}, 2 logits): {bad}")
 
-    @property
-    def feature_dim(self) -> int:
-        return self.W2.shape[0]
-
     def zero_grads(self) -> dict:
         return {name: np.zeros_like(getattr(self, name)) for name in self.TRAINABLE}
 

@@ -47,7 +47,9 @@ def pairwise_eer_test(e1: EerResult, e2: EerResult) -> float:
 def holm_bonferroni(p_values: list[float], alpha: float = DEFAULT_ALPHA) -> list[bool]:
     """Step-down rejection: sort ascending, compare p_(k) against
     alpha / (m - k + 1), stop at the first failure. Flags are returned in
-    the original order."""
+    the original order. ``alpha`` must lie strictly between 0 and 1."""
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
     m = len(p_values)
     for p in p_values:
         if not (0.0 <= p <= 1.0):
@@ -67,7 +69,6 @@ class SignificanceMatrix:
     systems: list[str]
     p_values: np.ndarray = field(repr=False)
     reject: np.ndarray = field(repr=False)
-    alpha: float = DEFAULT_ALPHA
 
     def __post_init__(self):
         n = len(self.systems)
@@ -114,4 +115,4 @@ def significance_matrix(results: dict[str, EerResult], alpha: float = DEFAULT_AL
     for (i, j), pv, rej in zip(pairs, p_flat, rejected):
         p[i, j] = p[j, i] = pv
         r[i, j] = r[j, i] = rej
-    return SignificanceMatrix(systems, p, r, alpha)
+    return SignificanceMatrix(systems, p, r)

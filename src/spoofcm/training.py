@@ -112,50 +112,37 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float) -> 
 # ---------------------------------------------------------------------------
 
 class DataBundle:
-    """Base features for every trial plus lazily computed augmented views.
+    """The manifest's trials as base features, plus lazily computed augmented views.
 
-    Augmented views are fixed per (trial, view index): their seeds derive
-    from the bundle's master seed, so every epoch sees the same view and
-    reruns are deterministic.
+    Records and paths are read through the manifest; the bundle adds only
+    ``features`` (trial id -> base features), ``pairing`` (bona fide id ->
+    its sorted spoof ids) and the view cache. Augmented views are fixed per
+    (trial, view index): their seeds derive from the bundle's master seed,
+    so every epoch sees the same view and reruns are deterministic.
     """
 
     def __init__(self, manifest: TrialManifest, augment_op: AugmentOp | None, master_seed: int):
         self.manifest = manifest
         self.augment_op = augment_op
         self.master_seed = master_seed
-        self.trials: dict[str, dict] = {}
-        self.pairing: dict[str, list[str]] = {}
-        for rec in manifest:
-            w = read_wav(manifest.resolve(rec))
-            self.trials[rec.trial_id] = {
-                "record": rec,
-                "base": extract_base_features(w),
-                "path": manifest.resolve(rec),
-            }
-            if rec.label == "bonafide":
-                self.pairing.setdefault(rec.trial_id, [])
-        for rec in manifest:
+        self.features = {r.trial_id: extract_base_features(read_wav(manifest.resolve(r))) for r in manifest}
+        self.pairing: dict[str, list[str]] = {r.trial_id: [] for r in manifest if r.label == "bonafide"}
+        for rec in sorted(manifest, key=lambda r: r.trial_id):  # so each list is sorted
             if rec.label == "spoof" and rec.source_id in self.pairing:
                 self.pairing[rec.source_id].append(rec.trial_id)
-        self.pairing = {k: sorted(v) for k, v in self.pairing.items()}
         self._views: dict[tuple[str, int], np.ndarray] = {}
 
     def ids(self, subset: str | None = None, label: str | None = None) -> list[str]:
-        out = []
-        for tid, t in self.trials.items():
-            rec = t["record"]
-            if subset and rec.subset != subset:
-                continue
-            if label and rec.label != label:
-                continue
-            out.append(tid)
-        return sorted(out)
+        return sorted(
+            rec.trial_id for rec in self.manifest
+            if (not subset or rec.subset == subset) and (not label or rec.label == label)
+        )
 
     def label(self, trial_id: str) -> int:
-        return 1 if self.trials[trial_id]["record"].label == "bonafide" else 0
+        return 1 if self.manifest.by_id(trial_id).label == "bonafide" else 0
 
     def base(self, trial_id: str) -> np.ndarray:
-        return self.trials[trial_id]["base"]
+        return self.features[trial_id]
 
     def view(self, trial_id: str, view_index: int) -> np.ndarray:
         """Augmented view's base features (view_index >= 1)."""
@@ -166,7 +153,7 @@ class DataBundle:
         key = (trial_id, view_index)
         if key not in self._views:
             op = reseeded(self.augment_op, derive_seed(self.master_seed, trial_id, view_index))
-            w = read_wav(self.trials[trial_id]["path"])
+            w = read_wav(self.manifest.resolve(self.manifest.by_id(trial_id)))
             self._views[key] = extract_base_features(apply_augment(w, op))
         return self._views[key]
 
@@ -248,8 +235,8 @@ def _dev_metrics(bundle: DataBundle, dev_ids: list[str], params: ModelParams) ->
     for tid in dev_ids:
         cache = forward_member(bundle.base(tid), params)
         losses.append(ce_and_grad(cache["logits"], bundle.label(tid))[0])
-        rec = bundle.trials[tid]["record"]
-        entries.append(ScoreEntry(tid, cache["score"], rec.label, rec.attack_tag, "dev"))
+        rec = bundle.manifest.by_id(tid)
+        entries.append(ScoreEntry(tid, cache["score"], rec.label, rec.attack_tag))
     dev_loss = float(np.mean(losses))
     dev_eer = compute_eer(ScoreSet(entries, "dev")).eer
     return dev_loss, dev_eer
@@ -369,7 +356,7 @@ def score_manifest(
             missing.append(rec.trial_id)
             continue
         score = forward_member(base, params)["score"]
-        entries.append(ScoreEntry(rec.trial_id, score, rec.label, rec.attack_tag, set_name))
+        entries.append(ScoreEntry(rec.trial_id, score, rec.label, rec.attack_tag))
     return ScoreSet(entries, name=set_name), missing
 
 

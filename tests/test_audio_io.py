@@ -42,3 +42,22 @@ def test_write_is_deterministic(tmp_path):
 def test_read_missing_file_raises(tmp_path):
     with pytest.raises(DataError):
         read_wav(tmp_path / "none.wav")
+
+
+def test_truncated_wav_is_a_data_error_at_every_byte(tmp_path):
+    w = Waveform(np.sin(np.arange(200) / 5.0) * 0.4, 16000)
+    write_wav(tmp_path / "whole.wav", w)
+    data = (tmp_path / "whole.wav").read_bytes()
+    for n in range(len(data)):
+        (tmp_path / "cut.wav").write_bytes(data[:n])
+        with pytest.raises(DataError, match="cut.wav"):
+            read_wav(tmp_path / "cut.wav")
+    back = read_wav(tmp_path / "whole.wav")
+    assert back.sample_rate == 16000
+    assert np.array_equal(back.samples, np.round(w.samples * 32767.0) / 32768.0)
+
+
+def test_directory_named_wav_is_a_data_error(tmp_path):
+    (tmp_path / "x.wav").mkdir()
+    with pytest.raises(DataError, match="x.wav"):
+        read_wav(tmp_path / "x.wav")

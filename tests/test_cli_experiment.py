@@ -15,7 +15,7 @@ from spoofcm.corpus import gen_desk_corpus
 from spoofcm.experiment import ExperimentConfig, ensure_vocoded_set, load_config, run_experiment
 from spoofcm.errors import ConfigError, SpoofcmError
 from spoofcm.manifest import TrialManifest, TrialRecord, load_manifest
-from spoofcm.training import TrainConfig, load_checkpoint
+from spoofcm.training import DataBundle, TrainConfig, load_checkpoint
 from spoofcm.vocoders import SYNTHESIS_VERSION, CoarseMelGlChannel, PhaseRandomChannel
 
 from conftest import harmonic_speechlike
@@ -152,7 +152,7 @@ GOLDEN_ARTIFACT_SHA256 = {
     "sig_p.csv": "f12f8f5f21e683a9c2e32474c1a3a0d40c0b7ed314f6b94365b01b10195b2a57",
     "sig_reject.csv": "bd1d7b6738157f20093f694a85b0e070b4481125b2c7162cf78729c77cdb05e4",
     "summary.csv": "a9afa662eb64ddb78d16da6344467e2ae97ec3c1aab7c417519e47f57fea9f7e",
-    "vocoded/build_meta.json": "57ee0580de982cdf710c2280fc7f40784d5c6daf9c24602db136e2a720969698",
+    "vocoded/build_meta.json": "b0a8d40d667834b70301e169280dba1468b0a59c922a6720426636a814712045",
     "vocoded/manifest.tsv": "ed4a3110efbfc7965297f2f323f6afee8943a15638459584bdc74fcec1a2137c",
 }
 
@@ -250,6 +250,19 @@ class TestVocodedCache:
         assert len(calls) == 2
         assert json.loads(meta_path.read_text())["synthesis_version"] == SYNTHESIS_VERSION
 
+    @pytest.mark.parametrize("cut", ["truncated", "missing"])
+    def test_altered_vocoded_manifest_rebuilds(self, builds, cut):
+        manifest_file, calls = builds
+        first = self._ensure(manifest_file, self.BASE)
+        combined_path = manifest_file.parent / "vocoded" / "manifest.tsv"
+        if cut == "missing":
+            combined_path.unlink()
+        else:
+            combined_path.write_text("".join(combined_path.read_text().splitlines(keepends=True)[:3]))
+        second = self._ensure(manifest_file, self.BASE)
+        assert len(calls) == 2
+        assert second.records == first.records == load_manifest(combined_path).records
+
     def test_rebuild_killed_midway_is_not_a_cache_hit(self, builds, monkeypatch):
         manifest_file, calls = builds
         vocoded = manifest_file.parent / "vocoded"
@@ -274,6 +287,48 @@ class TestVocodedCache:
         assert {p.name: p.read_bytes() for p in vocoded.glob("*.wav")} == first
 
 
+@pytest.fixture(scope="module")
+def built_set(tmp_path_factory):
+    """A two-trial source set vocoded through two channels: the source manifest
+    file, every file of the vocoded directory as built, and that build's
+    records and base features."""
+    base = tmp_path_factory.mktemp("cut")
+    records = []
+    for i, subset in enumerate(("train", "eval")):
+        write_wav(base / f"t{i}.wav", harmonic_speechlike(duration=0.6, seed=i))
+        records.append(TrialRecord(f"t{i}", f"t{i}.wav", "bonafide", "-", f"t{i}", subset))
+    TrialManifest(records, root=base).save(base / "manifest.tsv")
+    channels = [CoarseMelGlChannel(iters=2), PhaseRandomChannel()]
+    combined = ensure_vocoded_set(load_manifest(base / "manifest.tsv"), base / "manifest.tsv", channels,
+                                  base / "vocoded")
+    files = {p.name: p.read_bytes() for p in sorted((base / "vocoded").iterdir())}
+    bundle = DataBundle(combined, None, 0)
+    return base / "manifest.tsv", channels, files, combined.records, {t: bundle.base(t) for t in bundle.ids()}
+
+
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_truncated_vocoded_set_is_rebuilt_or_refused(built_set, data):
+    """A cut file of a built set gives the fresh build's trials and features, or a typed error."""
+    manifest_file, channels, files, records, features = built_set
+    name = data.draw(st.sampled_from(["build_meta.json", "manifest.tsv", "t1_phasernd.wav"]))
+    whole = files[name]
+    line_ends = [i + 1 for i, byte in enumerate(whole) if byte == ord("\n")]  # cuts that keep whole lines
+    at = data.draw(st.integers(0, len(whole)) | st.sampled_from(line_ends or [len(whole)]))
+    out = manifest_file.parent / "vocoded"
+    for other, content in files.items():
+        (out / other).write_bytes(content)
+    (out / name).write_bytes(whole[:at])
+    try:
+        combined = ensure_vocoded_set(load_manifest(manifest_file), manifest_file, channels, out)
+        bundle = DataBundle(combined, None, 0)
+    except SpoofcmError:
+        return
+    assert combined.records == records
+    assert bundle.ids() == list(features)
+    assert all(np.array_equal(bundle.base(t), features[t]) for t in features)
+
+
 class TestCli:
     def test_gen_corpus_and_synth_and_score_flow(self, tmp_path, capsys):
         assert main(["gen-corpus", "--n", "20", "--seed", "9", "--out", str(tmp_path / "c")]) == 0
@@ -284,6 +339,18 @@ class TestCli:
             "--out", str(tmp_path / "voc"),
         ]) == 0
         assert (tmp_path / "voc" / "manifest.tsv").exists()
+
+    def test_synth_skips_a_truncated_wav(self, tmp_path):
+        manifest = gen_desk_corpus(20, 9, tmp_path / "c")
+        cut = manifest.records[1]
+        data = manifest.resolve(cut).read_bytes()
+        manifest.resolve(cut).write_bytes(data[: len(data) // 2 + 1])
+        assert main([
+            "synth", "--manifest", str(tmp_path / "c" / "manifest.tsv"), "--channels", "phasernd",
+            "--out", str(tmp_path / "voc"),
+        ]) == 0
+        ids = {r.trial_id for r in load_manifest(tmp_path / "voc" / "manifest.tsv")}
+        assert ids == {f"{r.trial_id}{tag}" for r in manifest if r is not cut for tag in ("", "_phasernd")}
 
     def test_full_cli_run_and_eer(self, tmp_path):
         (tmp_path / "exp.ini").write_text(TINY_CONFIG.replace("cecf_paired = ce+cf, paired\n", ""))
@@ -396,6 +463,11 @@ class TestCli:
         assert main(["unknown-command"]) == 1
         (tmp_path / "garbage.ckpt").write_bytes(b"\x00not a checkpoint")
         assert main(["score", "--checkpoint", str(tmp_path / "garbage.ckpt"), "--manifest", "missing.tsv"]) == 2
+        results = tmp_path / "r.csv"
+        results.write_text("system,eer,n_tar,n_non\nA,0.10,250,250\nB,0.30,250,250\nC,0.31,250,250\n")
+        for alpha in ("5", "1", "0", "-1", "nan"):
+            assert main(["sigtest", "--results", str(results), "--alpha", alpha, "--out", str(tmp_path / "sig")]) == 1
+        assert not (tmp_path / "sig").exists()
 
     def test_augment_none_with_contrastive_system_fails_before_synthesis(self, tmp_path):
         (tmp_path / "exp.ini").write_text(TINY_CONFIG.replace("kind = rawboost", "kind = none"))

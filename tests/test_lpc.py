@@ -55,16 +55,16 @@ class TestLpcAnalyze:
 class TestEstimateF0:
     def test_sine_200hz(self):
         t = np.arange(400) / SR
-        est = estimate_f0(np.sin(2 * np.pi * 200.0 * t), SR)
-        assert est.voiced
-        assert abs(est.f0 - 200.0) <= 2.0
+        f0 = estimate_f0(np.sin(2 * np.pi * 200.0 * t), SR)
+        assert f0 > 0
+        assert abs(f0 - 200.0) <= 2.0
 
     def test_white_noise_unvoiced(self):
         rng = np.random.default_rng(3)
-        assert not estimate_f0(rng.standard_normal(400), SR).voiced
+        assert estimate_f0(rng.standard_normal(400), SR) == 0.0
 
     def test_silence_unvoiced(self):
-        assert not estimate_f0(np.zeros(400), SR).voiced
+        assert estimate_f0(np.zeros(400), SR) == 0.0
 
     def test_short_frame_rejected(self):
         with pytest.raises(ConfigError):

@@ -24,8 +24,8 @@ from reference import eer_bruteforce
 
 
 def make_set(bona, spoof, name="s"):
-    entries = [ScoreEntry(f"b{i}", float(v), "bonafide", "-", name) for i, v in enumerate(bona)]
-    entries += [ScoreEntry(f"s{i}", float(v), "spoof", "atk", name) for i, v in enumerate(spoof)]
+    entries = [ScoreEntry(f"b{i}", float(v), "bonafide", "-") for i, v in enumerate(bona)]
+    entries += [ScoreEntry(f"s{i}", float(v), "spoof", "atk") for i, v in enumerate(spoof)]
     return ScoreSet(entries, name=name)
 
 

@@ -54,7 +54,7 @@ class TestPoolAndClassify:
     def test_pool_constant_sequence(self):
         p = tiny_model()
         p.W2[...] = 0.0  # every frame's feature is b2
-        p.b2[...] = np.arange(1.0, p.feature_dim + 1)
+        p.b2[...] = np.arange(1.0, p.W2.shape[0] + 1)
         cache = forward_member(np.random.default_rng(1).standard_normal((5, BASE_DIM)), p)
         assert np.array_equal(cache["v"], p.b2)
 
@@ -85,7 +85,7 @@ class TestPoolAndClassify:
         p = tiny_model()
         f1 = forward_member(extract_base_features(w), p)["X"]
         f2 = forward_member(extract_base_features(w), p)["X"]
-        assert f1.shape[1] == p.feature_dim and np.array_equal(f1, f2)
+        assert f1.shape[1] == p.W2.shape[0] and np.array_equal(f1, f2)
 
 
 from conftest import gradcheck

@@ -43,6 +43,11 @@ class TestHolmBonferroni:
     def test_all_ones_nothing_rejected(self):
         assert holm_bonferroni([1.0] * 5) == [False] * 5
 
+    @pytest.mark.parametrize("alpha", [5.0, 1.0, 0.0, -1.0, float("nan")])
+    def test_alpha_outside_the_unit_interval_is_refused(self, alpha):
+        with pytest.raises(ConfigError, match="alpha"):
+            holm_bonferroni([0.01, 0.5], alpha)
+
     def test_worked_example(self):
         # thresholds 0.0125, 0.0167, 0.025, 0.05: only the first survives
         assert holm_bonferroni([0.01, 0.02, 0.03, 0.04], alpha=0.05) == [True, False, False, False]

@@ -56,6 +56,32 @@ def test_guard_sees_each_kind_of_write():
     assert [line for line, _ in _write_calls(ast.parse(source))] == [1, 2, 3, 4, 5, 6, 7, 12]
 
 
+def _wave_opens(tree: ast.AST):
+    """Lines that call ``wave.open`` or import a name from ``wave``."""
+    for node in ast.walk(tree):
+        func = getattr(node, "func", None)
+        if (isinstance(node, ast.ImportFrom) and node.module == "wave") or (
+            isinstance(func, ast.Attribute) and func.attr == "open" and getattr(func.value, "id", "") == "wave"
+        ):
+            yield node.lineno
+
+
+def test_only_audio_io_opens_wav_files():
+    """audio_io maps every failure of a WAV read to DataError, so no other module opens one."""
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "audio_io.py"
+        for line in _wave_opens(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+
+
+def test_wave_guard_sees_each_kind_of_open():
+    source = "wave.open(p)\nwave.open(p, 'rb')\nopen(p)\nf.open()\nfrom wave import open as o\nimport wave\n"
+    assert sorted(_wave_opens(ast.parse(source))) == [1, 2, 5]
+
+
 def test_write_file_makes_parents_and_writes_text_as_utf8(tmp_path):
     path = tmp_path / "a" / "b" / "t.txt"
     write_file(path, "é\n")
