@@ -192,3 +192,95 @@ def holm_bonferroni_manual(p_values, alpha):
         else:
             break
     return reject
+
+
+# Copies of the per-frame LPC analysis and of the Griffin-Lim loop as they
+# were before both were batched, so the batched code is held to them byte
+# for byte. The constants repeat spoofcm.lpc's; a ValueError stands for its
+# ConfigError.
+LPC_BANDWIDTH_EXPANSION = 0.996
+LPC_F0_MIN = 60.0
+LPC_F0_MAX = 400.0
+LPC_SILENCE_RMS = 1e-6
+
+
+def lpc_analyze_loops(frame, order):
+    """Levinson-Durbin on one frame: (coefficients, gain)."""
+    frame = np.asarray(frame, dtype=np.float64)
+    if len(frame) <= 2 * order:
+        raise ValueError(f"frame length {len(frame)} must exceed 2 x order ({2 * order})")
+    r = np.correlate(frame, frame, mode="full")[len(frame) - 1 : len(frame) + order]
+    return levinson_loops(r, len(frame))
+
+
+def levinson_loops(r, n_samples):
+    """The recursion of lpc_analyze_loops on the autocorrelation r[0..order]."""
+    order = len(r) - 1
+    if r[0] <= 0.0:
+        return np.zeros(order), 1.0
+    a = np.zeros(order + 1)
+    a[0] = 1.0
+    err = r[0]
+    for i in range(1, order + 1):
+        acc = r[i] + a[1:i] @ r[i - 1 : 0 : -1]
+        k = -acc / err
+        a[1 : i + 1] = a[1 : i + 1] + k * a[i - 1 :: -1][:i]
+        err *= 1.0 - k * k
+        if err <= 0.0:  # numerically singular autocorrelation
+            break
+    a = a * LPC_BANDWIDTH_EXPANSION ** np.arange(order + 1)
+    gain = float(np.sqrt(max(err, 0.0) / n_samples))
+    return -a[1:], gain
+
+
+def estimate_f0_loops(frame, sample_rate):
+    """F0 in Hz of one frame by normalized autocorrelation; 0.0 when unvoiced."""
+    frame = np.asarray(frame, dtype=np.float64)
+    if len(frame) < int(0.025 * sample_rate):
+        raise ValueError(f"frame must span >= 25 ms, got {len(frame)} samples")
+    x = frame - frame.mean()
+    energy = x @ x
+    if energy < LPC_SILENCE_RMS**2 * len(x):
+        return 0.0
+    lag_lo = max(2, int(sample_rate / LPC_F0_MAX))
+    lag_hi = min(int(sample_rate / LPC_F0_MIN), len(x) - 2)
+    full = np.correlate(x, x, mode="full")[len(x) - 1 :]
+    cum = np.concatenate([[0.0], np.cumsum(x * x)])
+    lags = np.arange(lag_lo, lag_hi + 1)
+    head = cum[len(x) - lags] - cum[0]
+    tail = cum[len(x)] - cum[lags]
+    ncc = full[lags] / np.maximum(np.sqrt(head * tail), 1e-12)
+    peak = float(ncc.max())
+    if peak <= 0.5:
+        return 0.0
+    # shortest lag close to the global peak: avoids octave-down errors
+    best = int(np.argmax(ncc >= 0.95 * peak))
+    lag = lags[best]
+    if 0 < best < len(ncc) - 1:  # parabolic refinement
+        y0, y1, y2 = ncc[best - 1], ncc[best], ncc[best + 1]
+        denom = y0 - 2 * y1 + y2
+        if abs(denom) > 1e-12:
+            lag = lag + 0.5 * (y0 - y2) / denom
+    return float(sample_rate / lag)
+
+
+def griffin_lim_loops(mag, cfg, sample_rate, iters, error_trace=None):
+    """Griffin-Lim through the public, checking stft and istft on every iteration."""
+    from spoofcm.dsp import ComplexSpectrogram, istft, stft
+
+    mag = np.asarray(mag, dtype=np.float64)
+    mag_norm = np.linalg.norm(mag)
+    wave = istft(ComplexSpectrogram(mag.astype(np.complex128), cfg, sample_rate))
+    for _ in range(iters):
+        reanalyzed = stft(wave, cfg).frames
+        modulus = np.abs(reanalyzed)
+        if error_trace is not None:
+            err = np.linalg.norm(modulus - mag) / max(mag_norm, 1e-12)
+            error_trace.append(float(err))
+        np.maximum(modulus, 1e-12, out=modulus)
+        np.divide(1.0, modulus, out=modulus)
+        for part in (reanalyzed.real, reanalyzed.imag):
+            part *= mag
+            part *= modulus
+        wave = istft(ComplexSpectrogram(reanalyzed, cfg, sample_rate))
+    return wave

@@ -1,11 +1,18 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spoofcm.audio_io import Waveform, write_wav
 from spoofcm.dsp import StftConfig, stft
-from spoofcm.errors import ConfigError, DataError
+import spoofcm
+from spoofcm.errors import ConfigError, DataError, NumericalError
 from spoofcm.manifest import TrialManifest, TrialRecord
 from spoofcm.training import DataBundle
 from spoofcm.vocoders import (
@@ -22,7 +29,7 @@ from spoofcm.vocoders import (
 )
 
 from conftest import harmonic_speechlike
-from reference import f0_autocorrelation_oracle
+from reference import f0_autocorrelation_oracle, griffin_lim_loops
 
 SR = 16000
 
@@ -61,6 +68,37 @@ class TestGriffinLim:
     def test_bad_iters_rejected(self):
         with pytest.raises(ConfigError):
             griffin_lim(np.zeros((2, 257)), StftConfig(), SR, iters=0)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        cfg=st.sampled_from([StftConfig(64, 16, 64), StftConfig(64, 16, 48), StftConfig(32, 8, 32),
+                             StftConfig(64, 32, 64)]),
+        n_frames=st.integers(1, 12),
+        iters=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        zero_rows=st.integers(0, 3),
+    )
+    def test_matches_the_checked_loop(self, cfg, n_frames, iters, seed, zero_rows):
+        """Byte for byte what the loop over the public stft and istft gave, error trace included."""
+        mag = np.abs(np.random.default_rng(seed).standard_normal((n_frames, cfg.fft_size // 2 + 1)))
+        mag[:zero_rows] = 0.0
+        trace, expected_trace = [], []
+        out = griffin_lim(mag, cfg, SR, iters=iters, error_trace=trace)
+        expected = griffin_lim_loops(mag, cfg, SR, iters, error_trace=expected_trace)
+        assert out.samples.tobytes() == expected.samples.tobytes()
+        assert trace == expected_trace
+
+    @pytest.mark.parametrize("bad", ["huge", "nan", "inf"])
+    def test_non_finite_result_is_a_numerical_error(self, bad):
+        """Finite magnitudes that overflow inside the loop fail as NaN or inf input does."""
+        cfg = StftConfig()
+        mag = np.abs(stft(harmonic_speechlike(duration=0.5, seed=3), cfg).frames)
+        if bad == "huge":
+            mag *= 1e300
+        else:
+            mag[3, 7] = float(bad)
+        with np.errstate(all="ignore"), pytest.raises(NumericalError):
+            griffin_lim(mag, cfg, SR, iters=4)
 
 
 class TestChannels:
@@ -181,10 +219,13 @@ class TestBuildVocodedSet:
 
 # SHA-256 of copy_synthesize's float64 output bytes on harmonic_speechlike(),
 # recorded before the overlap-add and Griffin-Lim update were vectorized
-# (numpy 2.4.6, scipy 1.17.1, x86-64). A speedup must leave them alone; a
-# change that alters synthesis on purpose re-records them and bumps
-# vocoders.SYNTHESIS_VERSION. Another numpy, scipy or CPU may round
-# differently and change them without any change to this code.
+# (numpy 2.4.6, scipy 1.17.1, x86-64, BLAS free to use two threads). A
+# speedup must leave them alone; a change that alters synthesis on purpose
+# re-records them and bumps vocoders.SYNTHESIS_VERSION. The BLAS thread
+# count changes them without any change to this code: glmel's mel_apply
+# (|X| @ W.T) rounds differently on one thread, so the one-thread digests
+# below differ for glmel. Another numpy, scipy or CPU may round differently
+# too.
 GOLDEN_SYNTHESIS_SHA256 = {
     ("glmel", None): "c62eedd23d6d9e52cbc402f4954ba20e6e1eeba1a1c17bd2192f2fa8fb4a1ab7",
     ("glmel", 24000): "c1bcc0dac32631dec234132a5a707582e4b62d7f03e84bf6cf246fac37f1374e",
@@ -203,3 +244,32 @@ def test_synthesis_bytes_match_golden(name, intermediate_sr):
     out = copy_synthesize(harmonic_speechlike(), make_channel(name, intermediate_sr))
     digest = hashlib.sha256(out.samples.tobytes()).hexdigest()
     assert digest == GOLDEN_SYNTHESIS_SHA256[(name, intermediate_sr)]
+
+
+# The same cases in a process with BLAS pinned to one thread, as the
+# benchmark runs synthesis; recorded before LPC analysis was batched over
+# frames and the Griffin-Lim loop moved onto the unchecked transform kernels.
+GOLDEN_SYNTHESIS_SHA256_ONE_THREAD = {
+    **GOLDEN_SYNTHESIS_SHA256,
+    ("glmel", None): "558245cd71118d2730c9a1a5020a38ec7510358c06834936d642f4d07333d6d6",
+    ("glmel", 24000): "9443a1674d4f98341f927d4e89c76c0cf3aa7b41bb08af2fd172057a8cbd35e3",
+}
+_ONE_THREAD_SCRIPT = """
+import hashlib
+from conftest import harmonic_speechlike
+from spoofcm.vocoders import DEFAULT_CHANNEL_NAMES, copy_synthesize, make_channel
+for name in DEFAULT_CHANNEL_NAMES:
+    for sr in (None, 24000):
+        out = copy_synthesize(harmonic_speechlike(), make_channel(name, sr))
+        print(name, sr, hashlib.sha256(out.samples.tobytes()).hexdigest())
+"""
+
+
+def test_synthesis_bytes_match_golden_on_one_blas_thread():
+    paths = [str(Path(spoofcm.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
+    pin = {var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = {**os.environ, **pin, "PYTHONPATH": os.pathsep.join(paths)}
+    lines = subprocess.run([sys.executable, "-c", _ONE_THREAD_SCRIPT], env=env, capture_output=True, text=True,
+                           check=True).stdout.split("\n")
+    digests = {(name, None if sr == "None" else int(sr)): h for name, sr, h in (ln.split() for ln in lines if ln)}
+    assert digests == GOLDEN_SYNTHESIS_SHA256_ONE_THREAD
