@@ -3,7 +3,9 @@
 STFT/iSTFT, mel filterbanks and their pseudo-inverse, Butterworth
 band-stop design as second-order sections, zero-phase filtering, and
 rational resampling. Everything operates on float64 and is a pure
-function of its inputs.
+function of its inputs. The public entry points validate their inputs; the
+private kernels behind stft and istft (``_stft_frames``, ``_istft_samples``)
+trust their caller, so an iterative one checks on entry and its result once.
 
 Built once per configuration and shared read-only: the analysis window
 (per name and length), the constant-overlap-add verdict (per StftConfig; a
@@ -96,14 +98,15 @@ class ComplexSpectrogram:
 
 def stft(w: Waveform, cfg: StftConfig) -> ComplexSpectrogram:
     """Short-time Fourier transform; frames start at multiples of hop, no padding."""
-    x = w.samples
-    if len(x) < cfg.win_length:
-        raise DataError(
-            f"waveform too short for STFT: {len(x)} samples < win_length {cfg.win_length}"
-        )
+    if len(w) < cfg.win_length:
+        raise DataError(f"waveform too short for STFT: {len(w)} samples < win_length {cfg.win_length}")
+    return ComplexSpectrogram(_stft_frames(w.samples, cfg), cfg, w.sample_rate)
+
+
+def _stft_frames(x: np.ndarray, cfg: StftConfig, out: np.ndarray | None = None) -> np.ndarray:
+    """The transform behind stft, unchecked; ``out`` is an optional F x bins buffer."""
     frames = frame_signal(x, cfg.win_length, cfg.hop) * cfg.window_array()
-    spec = np.fft.rfft(frames, n=cfg.fft_size, axis=1)
-    return ComplexSpectrogram(spec, cfg, w.sample_rate)
+    return np.fft.rfft(frames, n=cfg.fft_size, axis=1, out=out)
 
 
 def _overlap_add(frames: np.ndarray, n_frames: int, hop: int) -> np.ndarray:
@@ -143,13 +146,19 @@ def _check_cola(cfg: StftConfig) -> None:
 
 def istft(s: ComplexSpectrogram) -> Waveform:
     """Least-squares overlap-add inverse; length (F-1)*hop + win_length."""
-    cfg = s.config
-    _check_cola(cfg)
-    frames = np.fft.irfft(s.frames, n=cfg.fft_size, axis=1)[:, : cfg.win_length]
+    _check_cola(s.config)
+    envelope = np.maximum(_ola_envelope(s.config, s.n_frames), NORM_FLOOR)
+    return Waveform(_istft_samples(s.frames, s.config, envelope), s.sample_rate)
+
+
+def _istft_samples(spec: np.ndarray, cfg: StftConfig, envelope: np.ndarray) -> np.ndarray:
+    """The inverse behind istft, unchecked; ``envelope`` is the floored
+    overlap-added squared window for len(spec) frames."""
+    frames = np.fft.irfft(spec, n=cfg.fft_size, axis=1)[:, : cfg.win_length]
     frames *= cfg.window_array()
-    y = _overlap_add(frames, s.n_frames, cfg.hop)
-    y /= np.maximum(_ola_envelope(cfg, s.n_frames), NORM_FLOOR)
-    return Waveform(y, s.sample_rate)
+    y = _overlap_add(frames, len(spec), cfg.hop)
+    y /= envelope
+    return y
 
 
 # ---------------------------------------------------------------------------

@@ -209,10 +209,11 @@ def ensure_vocoded_set(
     """Build the vocoded set, or reuse it when inputs are unchanged.
 
     A meta file records the source manifest hash, every channel parameter,
-    the synthesis version and the hash of the vocoded manifest.tsv; a
-    matching meta makes this a no-op (synthesis is deterministic, so the
-    reused set equals what a rebuild would produce). A missing or altered
-    manifest.tsv is a miss.
+    the synthesis version, the hash of the vocoded manifest.tsv and the size
+    of each WAV in out_dir (a stat, not a hash: a hit stays cheap); a matching
+    meta makes this a no-op (synthesis is deterministic, so the reused set
+    equals what a rebuild would produce). A missing, added or resized WAV or
+    any other manifest is a miss.
     """
     from .vocoders import build_vocoded_set
 
@@ -225,18 +226,23 @@ def ensure_vocoded_set(
     }
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        if meta == {**desc, "vocoded_manifest": file_sha256(combined_path)}:
+        if meta == {**desc, "vocoded_manifest": file_sha256(combined_path), "wav_bytes": _wav_bytes(out_dir)}:
             return load_manifest(combined_path)
-    except (OSError, ValueError):  # a missing or unreadable meta or manifest is a miss
+    except (OSError, ValueError):  # a missing or unreadable meta, manifest or WAV is a miss
         pass
     # Removed first and written last, so a killed rebuild leaves no meta that matches
     # the WAVs it overwrote. If it cannot be removed, the writes that follow fail too.
     with suppress(OSError):
         meta_path.unlink()
     combined = build_vocoded_set(manifest, channels, out_dir)
-    desc["vocoded_manifest"] = file_sha256(combined_path)
-    write_file(meta_path, json.dumps(desc, sort_keys=True, indent=1) + "\n")
+    meta = {**desc, "vocoded_manifest": file_sha256(combined_path), "wav_bytes": _wav_bytes(out_dir)}
+    write_file(meta_path, json.dumps(meta, sort_keys=True, indent=1) + "\n")
     return combined
+
+
+def _wav_bytes(out_dir: Path) -> dict[str, int]:
+    """Byte size of each WAV in the vocoded directory, by file name."""
+    return {p.name: p.stat().st_size for p in out_dir.glob("*.wav")}
 
 
 def train_system(cfg: ExperimentConfig, bundle: DataBundle, system: SystemSpec, seed: int, run_dir: Path):

@@ -22,64 +22,82 @@ F0_MAX = 400.0
 _SILENCE_RMS = 1e-6
 
 
-def lpc_analyze(frame: np.ndarray, order: int) -> tuple[np.ndarray, float]:
-    """Levinson-Durbin fit of an all-pole model to one frame.
+def _lags(frames: np.ndarray, lags) -> np.ndarray:
+    """F x len(lags) sums sum_n frames[:, n + k] * frames[:, n], one np.matmul per
+    lag k: per frame the BLAS dot that full-mode np.correlate takes, so the sums
+    match it bit for bit (lag 0 from 12 samples on; synthesis frames span 25 ms)."""
+    n = frames.shape[1]
+    out = np.empty((len(frames), len(lags)))
+    for j, k in enumerate(lags):
+        out[:, j] = np.matmul(frames[:, None, k:], frames[:, : n - k, None])[:, 0, 0]
+    return out
 
-    Returns predictor coefficients c (x[n] ~ sum_k c[k] x[n-k-1]) after
-    bandwidth expansion, and the residual RMS as gain. A zero-energy frame
-    yields zero coefficients with unit gain; callers gate on frame energy.
+
+def _levinson(r: np.ndarray, n_samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """Levinson-Durbin on each row of the F x (order + 1) autocorrelation r,
+    looping over the order. A row whose error reaches <= 0 (numerically
+    singular) keeps that step's coefficients; a row with r[0] <= 0 gets zero
+    coefficients and unit gain."""
+    a = np.zeros_like(r)
+    a[:, 0] = 1.0
+    err = r[:, 0].copy()
+    live = np.flatnonzero(err > 0.0)
+    for i in range(1, r.shape[1]):
+        al, rl = a[live], r[live]
+        acc = np.zeros(len(live))
+        for j in range(1, i):  # left to right, as the 1-D dot over a reversed view sums
+            acc += al[:, j] * rl[:, i - j]
+        k = -(rl[:, i] + acc) / err[live]
+        al[:, 1 : i + 1] = al[:, 1 : i + 1] + k[:, None] * al[:, i - 1 :: -1]
+        a[live] = al
+        err[live] *= 1.0 - k * k
+        live = live[err[live] > 0.0]
+    a = a * BANDWIDTH_EXPANSION ** np.arange(r.shape[1])
+    coefs, gains = -a[:, 1:], np.sqrt(np.maximum(err, 0.0) / n_samples)
+    silent = r[:, 0] <= 0.0
+    coefs[silent], gains[silent] = 0.0, 1.0
+    return coefs, gains
+
+
+def lpc_analyze(frames: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Levinson-Durbin fit of an all-pole model to each row of an F x N frame matrix.
+
+    Returns F x order predictor coefficients c (x[n] ~ sum_k c[k] x[n-k-1]) after
+    bandwidth expansion, and the F residual RMS values as gains. A zero-energy
+    frame yields zero coefficients with unit gain; callers gate on frame energy.
     """
-    frame = np.asarray(frame, dtype=np.float64)
-    if len(frame) <= 2 * order:
-        raise ConfigError(f"frame length {len(frame)} must exceed 2 x order ({2 * order})")
-    r = np.correlate(frame, frame, mode="full")[len(frame) - 1 : len(frame) + order]
-    if r[0] <= 0.0:
-        return np.zeros(order), 1.0
-    a = np.zeros(order + 1)
-    a[0] = 1.0
-    err = r[0]
-    for i in range(1, order + 1):
-        acc = r[i] + a[1:i] @ r[i - 1 : 0 : -1]
-        k = -acc / err
-        a[1 : i + 1] = a[1 : i + 1] + k * a[i - 1 :: -1][:i]
-        err *= 1.0 - k * k
-        if err <= 0.0:  # numerically singular autocorrelation
-            break
-    a = a * BANDWIDTH_EXPANSION ** np.arange(order + 1)
-    gain = float(np.sqrt(max(err, 0.0) / len(frame)))
-    return -a[1:], gain
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim != 2 or frames.shape[1] <= 2 * order:
+        raise ConfigError(f"frames must be F x N with N > 2 x order ({2 * order}), got shape {frames.shape}")
+    return _levinson(_lags(frames, range(order + 1)), frames.shape[1])
 
 
-def estimate_f0(frame: np.ndarray, sample_rate: int) -> float:
-    """Fundamental frequency in Hz by normalized autocorrelation peak in
-    [F0_MIN, F0_MAX]; 0.0 for an unvoiced frame (silent, or no peak above 0.5)."""
-    frame = np.asarray(frame, dtype=np.float64)
-    if len(frame) < int(0.025 * sample_rate):
-        raise ConfigError(f"frame must span >= 25 ms, got {len(frame)} samples")
-    x = frame - frame.mean()
-    energy = x @ x
-    if energy < _SILENCE_RMS**2 * len(x):
-        return 0.0
-    lag_lo = max(2, int(sample_rate / F0_MAX))
-    lag_hi = min(int(sample_rate / F0_MIN), len(x) - 2)
-    full = np.correlate(x, x, mode="full")[len(x) - 1 :]
-    cum = np.concatenate([[0.0], np.cumsum(x * x)])
-    lags = np.arange(lag_lo, lag_hi + 1)
-    head = cum[len(x) - lags] - cum[0]
-    tail = cum[len(x)] - cum[lags]
-    ncc = full[lags] / np.maximum(np.sqrt(head * tail), 1e-12)
-    peak = float(ncc.max())
-    if peak <= 0.5:
-        return 0.0
+def estimate_f0(frames: np.ndarray, sample_rate: int) -> np.ndarray:
+    """Fundamental frequency in Hz of each row of an F x N frame matrix, by
+    normalized autocorrelation peak in [F0_MIN, F0_MAX]; 0.0 for an unvoiced
+    frame (silent, or no peak above 0.5)."""
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim != 2 or frames.shape[1] < int(0.025 * sample_rate):
+        raise ConfigError(f"frames must be F x N with N spanning >= 25 ms, got shape {frames.shape}")
+    n = frames.shape[1]
+    x = frames - frames.mean(axis=1, keepdims=True)
+    lags = np.arange(max(2, int(sample_rate / F0_MAX)), min(int(sample_rate / F0_MIN), n - 2) + 1)
+    energy = _lags(x, [0])[:, 0]
+    cum = np.zeros((len(x), n + 1))  # cum[:, i]: energy of the first i samples
+    np.cumsum(x * x, axis=1, out=cum[:, 1:])
+    head, tail = cum[:, n - lags], cum[:, n:] - cum[:, lags]  # energies of the overlapping parts
+    ncc = _lags(x, lags) / np.maximum(np.sqrt(head * tail), 1e-12)
+    peak = ncc.max(axis=1)
+    voiced = ~(energy < _SILENCE_RMS**2 * n) & (peak > 0.5)
     # shortest lag close to the global peak: avoids octave-down errors
-    best = int(np.argmax(ncc >= 0.95 * peak))
-    lag = lags[best]
-    if 0 < best < len(ncc) - 1:  # parabolic refinement
-        y0, y1, y2 = ncc[best - 1], ncc[best], ncc[best + 1]
-        denom = y0 - 2 * y1 + y2
-        if abs(denom) > 1e-12:
-            lag = lag + 0.5 * (y0 - y2) / denom
-    return float(sample_rate / lag)
+    best = np.argmax(ncc >= 0.95 * peak[:, None], axis=1)
+    lag = lags[best].astype(np.float64)
+    inner = np.clip(best, 1, len(lags) - 2)  # parabolic refinement around a peak off the edges
+    y0, y1, y2 = (ncc[np.arange(len(x)), inner + d] for d in (-1, 0, 1))
+    denom = y0 - 2 * y1 + y2
+    fit = voiced & (best == inner) & (np.abs(denom) > 1e-12)
+    lag[fit] += 0.5 * (y0 - y2)[fit] / denom[fit]
+    return np.where(voiced, sample_rate / lag, 0.0)
 
 
 def lpc_resynthesize(w: Waveform, order: int, frame_ms: float, hop_ms: float, seed: int) -> Waveform:
@@ -103,22 +121,17 @@ def lpc_resynthesize(w: Waveform, order: int, frame_ms: float, hop_ms: float, se
     n_frames = len(windowed)
     rng = np.random.default_rng(derive_seed(seed, "lpc-excitation"))
 
-    # analysis pass
-    frames = []
-    for m in range(n_frames):
-        if np.sqrt(np.mean(windowed[m] ** 2)) < _SILENCE_RMS:
-            frames.append(None)
-            continue
-        coefs, gain = lpc_analyze(windowed[m], order)
-        frames.append((coefs, gain, estimate_f0(raw[m], sr)))
+    # analysis pass, over the frames above the silence gate at once
+    level = np.sqrt(np.mean(windowed**2, axis=1))
+    active = np.flatnonzero(~(level < _SILENCE_RMS))
+    coefs, gains = lpc_analyze(windowed[active], order)
+    f0 = np.zeros(n_frames)
+    f0[active] = estimate_f0(raw[active], sr)
 
     # one continuous excitation track: per-sample F0 with a running phase
-    # accumulator keeps voiced pulses coherent across frame boundaries
-    f0_track = np.zeros(len(pre))
-    for m, info in enumerate(frames):
-        seg = slice(m * hop, min((m + 1) * hop, len(pre)) if m < n_frames - 1 else len(pre))
-        if info is not None:
-            f0_track[seg] = info[2]
+    # accumulator keeps voiced pulses coherent across frame boundaries; a
+    # frame's F0 holds up to the next frame's start, the last one's to the end
+    f0_track = np.repeat(f0, np.diff(np.append(np.arange(n_frames) * hop, len(pre))))
     pulses = np.zeros(len(pre))
     cycles = np.cumsum(f0_track / sr)
     wraps = np.flatnonzero(np.diff(np.floor(cycles)) > 0) + 1
@@ -128,19 +141,15 @@ def lpc_resynthesize(w: Waveform, order: int, frame_ms: float, hop_ms: float, se
 
     out = np.zeros(len(pre))
     env = np.zeros(len(pre))
-    for m, info in enumerate(frames):
-        if info is None:
-            continue
-        coefs, gain, _ = info
+    for j, m in enumerate(active):
         s = m * hop
         exc = excitation[s : s + frame_len].copy()
         exc -= exc.mean()  # pulse trains carry DC; de-emphasis would amplify it
-        exc = exc / max(np.sqrt(np.mean(exc**2)), 1e-12) * gain
-        synth = lfilter([1.0], np.concatenate([[1.0], -coefs]), exc)
+        exc = exc / max(np.sqrt(np.mean(exc**2)), 1e-12) * gains[j]
+        synth = lfilter([1.0], np.concatenate([[1.0], -coefs[j]]), exc)
         # pulse excitation can over-ring sharp resonances: match frame level
-        target_rms = np.sqrt(np.mean(windowed[m] ** 2))
         synth_rms = np.sqrt(np.mean((synth * win) ** 2))
-        synth = synth * (target_rms / max(synth_rms, 1e-12))
+        synth = synth * (level[m] / max(synth_rms, 1e-12))
         # win^2 weights make out/env a convex combination of frame synths;
         # plain win weights would divide unconstrained content by ~0 at edges
         out[s : s + frame_len] += synth * win * win

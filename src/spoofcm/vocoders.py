@@ -30,16 +30,20 @@ from scipy.signal import sosfilt
 
 from .audio_io import Waveform, read_wav, write_wav
 from .dsp import (
+    NORM_FLOOR,
     ComplexSpectrogram,
     MelFilterbank,
     StftConfig,
+    _istft_samples,
+    _ola_envelope,
+    _stft_frames,
     istft,
     mel_apply,
     mel_pseudo_inverse,
     resample,
     stft,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericalError
 from .lpc import lpc_resynthesize
 from .manifest import TrialManifest, TrialRecord
 from .util import derive_seed
@@ -73,10 +77,13 @@ def griffin_lim(
     if mag.ndim != 2 or mag.shape[1] != cfg.fft_size // 2 + 1:
         raise ConfigError(f"magnitude must be F x {cfg.fft_size // 2 + 1}, got {mag.shape}")
     mag_norm = np.linalg.norm(mag)
-    wave = istft(ComplexSpectrogram(mag.astype(np.complex128), cfg, sample_rate))
+    # istft checks mag and cfg once; the loop runs on the unchecked kernels
+    samples = istft(ComplexSpectrogram(mag.astype(np.complex128), cfg, sample_rate)).samples
+    envelope = np.maximum(_ola_envelope(cfg, len(mag)), NORM_FLOOR)
+    spec, modulus = np.empty(mag.shape, dtype=np.complex128), np.empty(mag.shape)
     for _ in range(iters):
-        reanalyzed = stft(wave, cfg).frames
-        modulus = np.abs(reanalyzed)
+        _stft_frames(samples, cfg, spec)
+        np.abs(spec, out=modulus)
         if error_trace is not None:
             err = np.linalg.norm(modulus - mag) / max(mag_norm, 1e-12)
             error_trace.append(float(err))
@@ -84,11 +91,13 @@ def griffin_lim(
         # the products complex mag * X / max(|X|, eps) makes, in its order.
         np.maximum(modulus, 1e-12, out=modulus)
         np.divide(1.0, modulus, out=modulus)
-        for part in (reanalyzed.real, reanalyzed.imag):
+        for part in (spec.real, spec.imag):
             part *= mag
             part *= modulus
-        wave = istft(ComplexSpectrogram(reanalyzed, cfg, sample_rate))
-    return wave
+        samples = _istft_samples(spec, cfg, envelope)
+    if not np.all(np.isfinite(samples)):  # e.g. finite magnitudes that overflow
+        raise NumericalError("Griffin-Lim diverged to non-finite samples")
+    return Waveform(samples, sample_rate)
 
 
 @dataclass(frozen=True)

@@ -152,7 +152,7 @@ GOLDEN_ARTIFACT_SHA256 = {
     "sig_p.csv": "f12f8f5f21e683a9c2e32474c1a3a0d40c0b7ed314f6b94365b01b10195b2a57",
     "sig_reject.csv": "bd1d7b6738157f20093f694a85b0e070b4481125b2c7162cf78729c77cdb05e4",
     "summary.csv": "a9afa662eb64ddb78d16da6344467e2ae97ec3c1aab7c417519e47f57fea9f7e",
-    "vocoded/build_meta.json": "b0a8d40d667834b70301e169280dba1468b0a59c922a6720426636a814712045",
+    "vocoded/build_meta.json": "c9bde7300beebcef0d6b15f7e87b018a9b994466225d37debefdc120c209f448",
     "vocoded/manifest.tsv": "ed4a3110efbfc7965297f2f323f6afee8943a15638459584bdc74fcec1a2137c",
 }
 
@@ -309,7 +309,8 @@ def built_set(tmp_path_factory):
 @settings(max_examples=24, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_truncated_vocoded_set_is_rebuilt_or_refused(built_set, data):
-    """A cut file of a built set gives the fresh build's trials and features, or a typed error."""
+    """A cut file of a built set gives the fresh build's trials and features, or a typed
+    error; a cut WAV is a cache miss, so it always gives the fresh build."""
     manifest_file, channels, files, records, features = built_set
     name = data.draw(st.sampled_from(["build_meta.json", "manifest.tsv", "t1_phasernd.wav"]))
     whole = files[name]
@@ -323,6 +324,8 @@ def test_truncated_vocoded_set_is_rebuilt_or_refused(built_set, data):
         combined = ensure_vocoded_set(load_manifest(manifest_file), manifest_file, channels, out)
         bundle = DataBundle(combined, None, 0)
     except SpoofcmError:
+        if name.endswith(".wav"):
+            raise
         return
     assert combined.records == records
     assert bundle.ids() == list(features)
