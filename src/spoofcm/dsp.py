@@ -127,15 +127,17 @@ def _overlap_add(frames: np.ndarray, n_frames: int, hop: int) -> np.ndarray:
 
 
 def _ola_envelope(cfg: StftConfig, n_frames: int) -> np.ndarray:
+    """What the inverse divides by: the overlap-added squared window, floored."""
     win = cfg.window_array()
-    return _overlap_add(win * win, n_frames, cfg.hop)
+    return np.maximum(_overlap_add(win * win, n_frames, cfg.hop), NORM_FLOOR)
 
 
 @lru_cache(maxsize=_CONFIG_CACHE_SIZE)
 def _check_cola(cfg: StftConfig) -> None:
     """Reject window/hop pairs whose steady-state overlap energy collapses."""
     # enough frames to leave a steady region past one window length at each end
-    env = _ola_envelope(cfg, max(16, -(-cfg.win_length // cfg.hop) + 2))
+    win = cfg.window_array()
+    env = _overlap_add(win * win, max(16, -(-cfg.win_length // cfg.hop) + 2), cfg.hop)
     steady = env[cfg.win_length : -cfg.win_length]
     if steady.min() < 1e-3:
         raise ConfigError(
@@ -147,13 +149,11 @@ def _check_cola(cfg: StftConfig) -> None:
 def istft(s: ComplexSpectrogram) -> Waveform:
     """Least-squares overlap-add inverse; length (F-1)*hop + win_length."""
     _check_cola(s.config)
-    envelope = np.maximum(_ola_envelope(s.config, s.n_frames), NORM_FLOOR)
-    return Waveform(_istft_samples(s.frames, s.config, envelope), s.sample_rate)
+    return Waveform(_istft_samples(s.frames, s.config, _ola_envelope(s.config, s.n_frames)), s.sample_rate)
 
 
 def _istft_samples(spec: np.ndarray, cfg: StftConfig, envelope: np.ndarray) -> np.ndarray:
-    """The inverse behind istft, unchecked; ``envelope`` is the floored
-    overlap-added squared window for len(spec) frames."""
+    """The inverse behind istft, unchecked; ``envelope`` is _ola_envelope(cfg, len(spec))."""
     frames = np.fft.irfft(spec, n=cfg.fft_size, axis=1)[:, : cfg.win_length]
     frames *= cfg.window_array()
     y = _overlap_add(frames, len(spec), cfg.hop)

@@ -30,7 +30,6 @@ from scipy.signal import sosfilt
 
 from .audio_io import Waveform, read_wav, write_wav
 from .dsp import (
-    NORM_FLOOR,
     ComplexSpectrogram,
     MelFilterbank,
     StftConfig,
@@ -79,7 +78,7 @@ def griffin_lim(
     mag_norm = np.linalg.norm(mag)
     # istft checks mag and cfg once; the loop runs on the unchecked kernels
     samples = istft(ComplexSpectrogram(mag.astype(np.complex128), cfg, sample_rate)).samples
-    envelope = np.maximum(_ola_envelope(cfg, len(mag)), NORM_FLOOR)
+    envelope = _ola_envelope(cfg, len(mag))
     spec, modulus = np.empty(mag.shape, dtype=np.complex128), np.empty(mag.shape)
     for _ in range(iters):
         _stft_frames(samples, cfg, spec)
