@@ -34,7 +34,7 @@ from .metrics import (
 from .stats import DEFAULT_ALPHA, significance_matrix
 from .training import DataBundle, load_checkpoint, manifest_features, score_manifest
 from .util import read_table, table_text, write_file
-from .vocoders import DEFAULT_CHANNEL_NAMES, build_vocoded_set, make_channel
+from .vocoders import DEFAULT_CHANNEL_NAMES, VocoderChannel, build_vocoded_set
 
 OUT_ROOT_ENV = "SPOOFCM_OUT_ROOT"
 
@@ -107,7 +107,7 @@ def _cmd_gen_corpus(args) -> int:
 
 def _cmd_synth(args) -> int:
     manifest = load_manifest(args.manifest)
-    channels = [make_channel(n.strip(), args.intermediate_sr) for n in args.channels.split(",")]
+    channels = [VocoderChannel(n.strip(), args.intermediate_sr) for n in args.channels.split(",")]
     out = _out_path(args.out or "vocoded")
     combined = build_vocoded_set(manifest, channels, out)
     n_spoof = sum(1 for r in combined if r.label == "spoof")

@@ -3,12 +3,14 @@
 STFT/iSTFT, mel filterbanks and their pseudo-inverse, Butterworth
 band-stop design as second-order sections, zero-phase filtering, and
 rational resampling. Everything operates on float64 and is a pure
-function of its inputs. The public entry points validate their inputs; the
-private kernels behind stft and istft (``_stft_frames``, ``_istft_samples``)
-trust their caller, so an iterative one checks on entry and its result once.
+function of its inputs. Hann is the only window: ``analysis_window`` gives
+its periodic form and is the one place that names it. The public entry
+points validate their inputs; the private kernels behind stft and istft
+(``_stft_frames``, ``_istft_samples``) trust their caller, so an iterative
+one checks on entry and its result once.
 
 Built once per configuration and shared read-only: the analysis window
-(per name and length), the constant-overlap-add verdict (per StftConfig; a
+(per length), the constant-overlap-add verdict (per StftConfig; a
 failing config is not cached and fails on every call) and the transposed
 mel pseudo-inverse after its rank check (per filterbank parameters).
 Nothing is cached per input length: an overlap-add envelope cached per
@@ -31,9 +33,9 @@ _CONFIG_CACHE_SIZE = 32  # configurations, not inputs: a run uses a handful
 
 
 @lru_cache(maxsize=_CONFIG_CACHE_SIZE)
-def analysis_window(window: str, win_length: int) -> np.ndarray:
-    """The periodic (FFT-bins) window of this name and length; a shared read-only array."""
-    win = get_window(window, win_length, fftbins=True).astype(np.float64)
+def analysis_window(win_length: int) -> np.ndarray:
+    """The periodic (FFT-bins) Hann window of this length; a shared read-only array."""
+    win = get_window("hann", win_length, fftbins=True).astype(np.float64)
     win.setflags(write=False)  # shared by every caller
     return win
 
@@ -57,7 +59,6 @@ class StftConfig:
     fft_size: int = 512
     hop: int = 128
     win_length: int = 512
-    window: str = "hann"
 
     def __post_init__(self):
         if self.fft_size <= 0 or (self.fft_size & (self.fft_size - 1)) != 0:
@@ -67,10 +68,6 @@ class StftConfig:
                 f"need 0 < hop <= win_length <= fft_size, got "
                 f"hop={self.hop} win={self.win_length} fft={self.fft_size}"
             )
-
-    def window_array(self) -> np.ndarray:
-        """The periodic analysis window; a shared read-only array."""
-        return analysis_window(self.window, self.win_length)
 
 
 @dataclass(frozen=True)
@@ -105,7 +102,7 @@ def stft(w: Waveform, cfg: StftConfig) -> ComplexSpectrogram:
 
 def _stft_frames(x: np.ndarray, cfg: StftConfig, out: np.ndarray | None = None) -> np.ndarray:
     """The transform behind stft, unchecked; ``out`` is an optional F x bins buffer."""
-    frames = frame_signal(x, cfg.win_length, cfg.hop) * cfg.window_array()
+    frames = frame_signal(x, cfg.win_length, cfg.hop) * analysis_window(cfg.win_length)
     return np.fft.rfft(frames, n=cfg.fft_size, axis=1, out=out)
 
 
@@ -128,7 +125,7 @@ def _overlap_add(frames: np.ndarray, n_frames: int, hop: int) -> np.ndarray:
 
 def _ola_envelope(cfg: StftConfig, n_frames: int) -> np.ndarray:
     """What the inverse divides by: the overlap-added squared window, floored."""
-    win = cfg.window_array()
+    win = analysis_window(cfg.win_length)
     return np.maximum(_overlap_add(win * win, n_frames, cfg.hop), NORM_FLOOR)
 
 
@@ -136,7 +133,7 @@ def _ola_envelope(cfg: StftConfig, n_frames: int) -> np.ndarray:
 def _check_cola(cfg: StftConfig) -> None:
     """Reject window/hop pairs whose steady-state overlap energy collapses."""
     # enough frames to leave a steady region past one window length at each end
-    win = cfg.window_array()
+    win = analysis_window(cfg.win_length)
     env = _overlap_add(win * win, max(16, -(-cfg.win_length // cfg.hop) + 2), cfg.hop)
     steady = env[cfg.win_length : -cfg.win_length]
     if steady.min() < 1e-3:
@@ -155,7 +152,7 @@ def istft(s: ComplexSpectrogram) -> Waveform:
 def _istft_samples(spec: np.ndarray, cfg: StftConfig, envelope: np.ndarray) -> np.ndarray:
     """The inverse behind istft, unchecked; ``envelope`` is _ola_envelope(cfg, len(spec))."""
     frames = np.fft.irfft(spec, n=cfg.fft_size, axis=1)[:, : cfg.win_length]
-    frames *= cfg.window_array()
+    frames *= analysis_window(cfg.win_length)
     y = _overlap_add(frames, len(spec), cfg.hop)
     y /= envelope
     return y
@@ -175,24 +172,21 @@ def mel_to_hz(m):
 
 @dataclass(frozen=True)
 class MelFilterbank:
-    """Triangular mel filterbank; every row must touch at least one FFT bin."""
+    """Triangular mel filterbank from 0 Hz to Nyquist; every row must touch at least one FFT bin."""
 
     n_mels: int
     fft_size: int
     sample_rate: int
-    fmin: float = 0.0
-    fmax: float | None = None
     weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        fmax = self.fmax if self.fmax is not None else self.sample_rate / 2.0
-        if not (0 <= self.fmin < fmax <= self.sample_rate / 2.0):
-            raise ConfigError(f"need 0 <= fmin < fmax <= sr/2, got {self.fmin}, {fmax}")
+        if self.sample_rate <= 0:
+            raise ConfigError(f"sample_rate must be positive, got {self.sample_rate}")
         if self.n_mels < 1:
             raise ConfigError("n_mels must be >= 1")
         n_bins = self.fft_size // 2 + 1
         freqs = np.arange(n_bins) * self.sample_rate / self.fft_size
-        pts = mel_to_hz(np.linspace(hz_to_mel(self.fmin), hz_to_mel(fmax), self.n_mels + 2))
+        pts = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(self.sample_rate / 2.0), self.n_mels + 2))
         W = np.zeros((self.n_mels, n_bins))
         for i in range(self.n_mels):
             left, center, right = pts[i], pts[i + 1], pts[i + 2]
@@ -204,7 +198,6 @@ class MelFilterbank:
                 f"mel filterbank has empty rows (n_mels={self.n_mels} too dense for "
                 f"fft_size={self.fft_size} at {self.sample_rate} Hz)"
             )
-        object.__setattr__(self, "fmax", fmax)
         object.__setattr__(self, "weights", W)
 
 
@@ -219,11 +212,11 @@ def mel_apply(s: ComplexSpectrogram, fb: MelFilterbank) -> np.ndarray:
 
 
 @lru_cache(maxsize=_CONFIG_CACHE_SIZE)
-def _mel_pinv_t(n_mels: int, fft_size: int, sample_rate: int, fmin: float, fmax: float) -> np.ndarray:
+def _mel_pinv_t(n_mels: int, fft_size: int, sample_rate: int) -> np.ndarray:
     """Transposed pseudo-inverse of the filterbank with these parameters.
 
     Keyed by parameters, not by a filterbank, so the cache keeps no weights."""
-    weights = MelFilterbank(n_mels, fft_size, sample_rate, fmin, fmax).weights
+    weights = MelFilterbank(n_mels, fft_size, sample_rate).weights
     if np.linalg.matrix_rank(weights) < n_mels:
         raise NumericalError("mel filterbank is rank deficient; cannot invert")
     pinv_t = np.linalg.pinv(weights).T
@@ -240,7 +233,7 @@ def mel_pseudo_inverse(mel: np.ndarray, fb: MelFilterbank) -> np.ndarray:
     mel = np.asarray(mel, dtype=np.float64)
     if mel.ndim != 2 or mel.shape[1] != fb.n_mels:
         raise ConfigError(f"mel matrix must be F x {fb.n_mels}, got {mel.shape}")
-    return np.maximum(mel @ _mel_pinv_t(fb.n_mels, fb.fft_size, fb.sample_rate, fb.fmin, fb.fmax), 0.0)
+    return np.maximum(mel @ _mel_pinv_t(fb.n_mels, fb.fft_size, fb.sample_rate), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +261,6 @@ class BiquadCascade:
     @property
     def order(self) -> int:
         return 2 * self.sections.shape[0]
-
-    def frequency_response(self, freqs_hz: np.ndarray, sample_rate: int) -> np.ndarray:
-        """Complex response on the unit circle at the given frequencies."""
-        z = np.exp(-2j * np.pi * np.asarray(freqs_hz, dtype=np.float64) / sample_rate)
-        h = np.ones_like(z)
-        for b0, b1, b2, _, a1, a2 in self.sections:
-            h = h * (b0 + b1 * z + b2 * z * z) / (1.0 + a1 * z + a2 * z * z)
-        return h
 
 
 def design_butterworth_bandstop(order: int, f_lo: float, f_hi: float, sample_rate: int) -> BiquadCascade:

@@ -64,7 +64,7 @@ from .training import (
     train,
 )
 from .util import derive_seed, file_sha256, read_utf8, table_text, text_sha256, write_file
-from .vocoders import DEFAULT_CHANNEL_NAMES, SYNTHESIS_VERSION, VocoderChannel, make_channel
+from .vocoders import DEFAULT_CHANNEL_NAMES, SYNTHESIS_VERSION, VocoderChannel, check_channels
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ class ExperimentConfig:
         return text_sha256(self.raw_text or repr(self))
 
     def channels(self) -> list[VocoderChannel]:
-        return [make_channel(n, self.intermediate_sr) for n in self.channel_names]
+        return [VocoderChannel(n, self.intermediate_sr) for n in self.channel_names]
 
     def train_config(self, system: SystemSpec) -> TrainConfig:
         """The shared training settings with this system's loss mode and pairing."""
@@ -176,6 +176,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
     if not cfg.seeds:
         raise ConfigError(f"{path}: experiment.seeds lists no seed")
+    try:
+        check_channels(cfg.channels())
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: [channels] {exc}") from None
     if cfg.augment_kind != "none" and cfg.augment_kind not in AUGMENT_KINDS:
         raise ConfigError(f"{path}: augment.kind = {cfg.augment_kind!r}; "
                           f"expected none or one of {sorted(AUGMENT_KINDS)}")

@@ -115,7 +115,7 @@ def lpc_resynthesize(w: Waveform, order: int, frame_ms: float, hop_ms: float, se
         raise DataError(f"waveform shorter than one frame ({len(w)} < {frame_len})")
     x = np.pad(w.samples, (0, frame_len), mode="reflect")  # cover the tail
     pre = np.append(x[0], x[1:] - PREEMPHASIS * x[:-1])
-    win = analysis_window("hann", frame_len)
+    win = analysis_window(frame_len)
     windowed = frame_signal(pre, frame_len, hop) * win
     raw = frame_signal(x, frame_len, hop)
     n_frames = len(windowed)

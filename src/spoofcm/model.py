@@ -39,7 +39,7 @@ def extract_base_features(w: Waveform) -> np.ndarray:
     """
     if len(w) < FRAME_WIN:
         raise DataError(f"waveform shorter than one frame ({len(w)} < {FRAME_WIN})")
-    frames = frame_signal(w.samples, FRAME_WIN, FRAME_HOP) * analysis_window("hann", FRAME_WIN)
+    frames = frame_signal(w.samples, FRAME_WIN, FRAME_HOP) * analysis_window(FRAME_WIN)
     power = np.abs(np.fft.rfft(frames, n=FRAME_FFT, axis=1)) ** 2
     bands = np.log(power @ _front_filterbank(w.sample_rate).T + LOG_FLOOR)
     log_energy = np.log(np.sum(frames**2, axis=1) + LOG_FLOOR)

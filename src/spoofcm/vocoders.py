@@ -1,7 +1,7 @@
 """Copy-synthesis channels: DSP resynthesis of bona fide waveforms.
 
-Four channel families produce "vocoded" spoof data, each with a distinct
-artifact signature:
+Four channels, in three families, produce "vocoded" spoof data, each with a
+distinct artifact signature:
 
 * ``glmel``     mel-80 analysis, pseudo-inverse, Griffin-Lim phase
 * ``coarsegl``  mel-20 analysis (low-fidelity envelope), Griffin-Lim
@@ -9,21 +9,24 @@ artifact signature:
                 spectral coloration (magnitudes preserved within a few %)
 * ``lpcvoc``    all-pole source-filter resynthesis
 
-A channel is one fixed system: the same seed-derived internals are
-applied to every trial, so its artifacts are consistent across a corpus.
-Setting ``intermediate_sr`` makes a channel resample its input to that
-rate, synthesize there, and resample back, reproducing the artifact mix
-of mismatched-rate copy-synthesis.
+A channel is a name and a rate. Its internals are its row of
+``CHANNEL_PARAMS``, applied to every trial, so its artifacts are consistent
+across a corpus. A channel's repr names every value of that row, and the
+vocoded-set cache key is built from it, so changing one rebuilds cached
+sets. Setting ``intermediate_sr`` makes a channel resample its input to that
+rate, synthesize there, and resample back, reproducing the artifact mix of
+mismatched-rate copy-synthesis. The table holds only values and the
+synthesis functions look their kernels up as module globals on each call,
+so a wrapper rebound onto a module attribute sees every call.
 """
 from __future__ import annotations
 
 import logging
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from dataclasses import replace as dc_replace
 from pathlib import Path
-from typing import ClassVar
 
 import numpy as np
 from scipy.signal import sosfilt
@@ -99,65 +102,53 @@ def griffin_lim(
     return Waveform(samples, sample_rate)
 
 
+# Each channel's fixed internals, by name. Part of the vocoded-set cache key
+# through VocoderChannel's repr, so changing a value rebuilds cached sets.
+CHANNEL_PARAMS = {
+    "glmel": {"n_mels": 80, "iters": 32, "fft_size": 1024, "hop": 512},
+    "coarsegl": {"n_mels": 20, "iters": 32, "fft_size": 512, "hop": 128},
+    "phasernd": {"seed": 2001, "n_sections": 12, "radius_range": (0.4, 0.75), "color_db": (0.2, 1.0),
+                 "color_from": 3500.0},
+    "lpcvoc": {"order": 16, "frame_ms": 25.0, "hop_ms": 10.0, "seed": 2002},
+}
+DEFAULT_CHANNEL_NAMES = tuple(CHANNEL_PARAMS)  # every channel
+
+
 @dataclass(frozen=True)
 class VocoderChannel:
-    """Base class: resynthesize a waveform at its native rate. The repr names
-    every parameter; the vocoded-set cache key is built from it."""
+    """A channel of CHANNEL_PARAMS by name (the name doubles as the attack tag),
+    synthesizing at ``intermediate_sr`` when it is set."""
 
-    name: ClassVar[str] = "base"
-    intermediate_sr: int | None = field(default=None, kw_only=True)
+    name: str
+    intermediate_sr: int | None = None
 
     def __post_init__(self):
+        if self.name not in CHANNEL_PARAMS:
+            raise ConfigError(f"unknown channel {self.name!r}; available: {sorted(CHANNEL_PARAMS)}")
         if self.intermediate_sr is not None and self.intermediate_sr <= 0:
-            raise ConfigError("intermediate_sr must be positive")
+            raise ConfigError(f"intermediate_sr must be positive, got {self.intermediate_sr!r}")
 
-    def _synthesize(self, w: Waveform) -> Waveform:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class _GriffinLimChannelBase(VocoderChannel):
-    n_mels: int = 80  # the defaults are glmel's
-    iters: int = 32
-    fft_size: int = 1024
-    hop: int = 512
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.n_mels <= 0 or self.iters <= 0:
-            raise ConfigError("n_mels and iters must be positive")
-
-    def _synthesize(self, w: Waveform) -> Waveform:
-        cfg = StftConfig(fft_size=self.fft_size, hop=self.hop, win_length=self.fft_size)
-        pad = cfg.win_length  # synthesize past the end, then trim: no dead tail
-        x = np.pad(w.samples, (0, pad), mode="reflect")
-        fb = MelFilterbank(self.n_mels, cfg.fft_size, w.sample_rate)
-        mel = mel_apply(stft(Waveform(x, w.sample_rate), cfg), fb)  # the spectrogram dies here
-        mag = mel_pseudo_inverse(mel, fb)
-        out = griffin_lim(mag, cfg, w.sample_rate, iters=self.iters)
-        return Waveform(out.samples[: len(w)], w.sample_rate)
+    def __repr__(self) -> str:
+        """Names the rate and every table value; the vocoded-set cache key is built from it."""
+        params = "".join(f", {key}={value!r}" for key, value in CHANNEL_PARAMS[self.name].items())
+        return f"VocoderChannel(name={self.name!r}, intermediate_sr={self.intermediate_sr!r}{params})"
 
 
-@dataclass(frozen=True)
-class GriffinLimMelChannel(_GriffinLimChannelBase):
-    """Full-resolution mel analysis; artifacts come from the mel bottleneck
-    and reconstructed phase."""
-
-    name: ClassVar[str] = "glmel"
-
-
-@dataclass(frozen=True)
-class CoarseMelGlChannel(_GriffinLimChannelBase):
-    """Low-fidelity variant: 20 mel bands destroy spectral detail."""
-
-    name: ClassVar[str] = "coarsegl"
-    n_mels: int = 20
-    fft_size: int = 512
-    hop: int = 128
+def _mel_griffin_lim(w: Waveform, n_mels: int, iters: int, fft_size: int, hop: int) -> Waveform:
+    """Mel analysis, pseudo-inverse, Griffin-Lim phase: artifacts come from the
+    mel bottleneck (20 bands destroy spectral detail) and reconstructed phase."""
+    cfg = StftConfig(fft_size=fft_size, hop=hop, win_length=fft_size)
+    pad = cfg.win_length  # synthesize past the end, then trim: no dead tail
+    x = np.pad(w.samples, (0, pad), mode="reflect")
+    fb = MelFilterbank(n_mels, cfg.fft_size, w.sample_rate)
+    mel = mel_apply(stft(Waveform(x, w.sample_rate), cfg), fb)  # the spectrogram dies here
+    mag = mel_pseudo_inverse(mel, fb)
+    out = griffin_lim(mag, cfg, w.sample_rate, iters=iters)
+    return Waveform(out.samples[: len(w)], w.sample_rate)
 
 
-@dataclass(frozen=True)
-class PhaseRandomChannel(VocoderChannel):
+def _phase_random(w: Waveform, seed: int, n_sections: int, radius_range: tuple[float, float],
+                  color_db: tuple[float, float], color_from: float) -> Waveform:
     """Phase scrambling through a seeded cascade of random all-pass biquads,
     plus a fixed smooth coloration (stronger above ``color_from`` Hz).
 
@@ -165,61 +156,37 @@ class PhaseRandomChannel(VocoderChannel):
     magnitudes survive within a few percent while the waveform itself
     decorrelates from the input.
     """
-
-    name: ClassVar[str] = "phasernd"
-    seed: int = 2001
-    n_sections: int = 12
-    radius_range: tuple[float, float] = (0.4, 0.75)
-    color_db: tuple[float, float] = (0.2, 1.0)
-    color_from: float = 3500.0
-
-    def _allpass_sections(self, sr: int) -> np.ndarray:
-        rng = np.random.default_rng(derive_seed(self.seed, "phasernd-allpass"))
-        rows = []
-        for _ in range(self.n_sections):
-            f0 = rng.uniform(100.0, 0.95 * sr / 2.0)
-            r = rng.uniform(*self.radius_range)
-            c = 2.0 * r * np.cos(2.0 * np.pi * f0 / sr)
-            rows.append([r * r, -c, 1.0, 1.0, -c, r * r])
-        return np.array(rows)
-
-    def _coloration_db(self, freqs_hz: np.ndarray) -> np.ndarray:
-        rng = np.random.default_rng(derive_seed(self.seed, "phasernd-color"))
-        shape = np.zeros_like(freqs_hz)
-        fmax = max(freqs_hz[-1], 1.0)
-        for k in range(1, 4):
-            shape += rng.uniform(-1, 1) * np.sin(2 * np.pi * k * freqs_hz / fmax + rng.uniform(0, 2 * np.pi))
-        shape /= max(np.abs(shape).max(), 1e-12)
-        lo, hi = self.color_db
-        weight = 1.0 / (1.0 + np.exp(-(freqs_hz - self.color_from) / 300.0))
-        return (lo + (hi - lo) * weight) * shape
-
-    def _synthesize(self, w: Waveform) -> Waveform:
-        y = sosfilt(self._allpass_sections(w.sample_rate), w.samples)
-        spec = np.fft.rfft(y)
-        freqs = np.arange(len(spec)) * w.sample_rate / len(y)
-        gain = 10.0 ** (self._coloration_db(freqs) / 20.0)
-        out = np.fft.irfft(spec * gain, n=len(y))
-        return Waveform(out, w.sample_rate)
+    sr = w.sample_rate
+    rng = np.random.default_rng(derive_seed(seed, "phasernd-allpass"))
+    sections = []
+    for _ in range(n_sections):
+        f0 = rng.uniform(100.0, 0.95 * sr / 2.0)
+        r = rng.uniform(*radius_range)
+        c = 2.0 * r * np.cos(2.0 * np.pi * f0 / sr)
+        sections.append([r * r, -c, 1.0, 1.0, -c, r * r])
+    y = sosfilt(np.array(sections), w.samples)
+    spec = np.fft.rfft(y)
+    freqs = np.arange(len(spec)) * sr / len(y)
+    rng = np.random.default_rng(derive_seed(seed, "phasernd-color"))
+    shape = np.zeros_like(freqs)
+    fmax = max(freqs[-1], 1.0)
+    for k in range(1, 4):
+        shape += rng.uniform(-1, 1) * np.sin(2 * np.pi * k * freqs / fmax + rng.uniform(0, 2 * np.pi))
+    shape /= max(np.abs(shape).max(), 1e-12)
+    lo, hi = color_db
+    weight = 1.0 / (1.0 + np.exp(-(freqs - color_from) / 300.0))
+    gain = 10.0 ** ((lo + (hi - lo) * weight) * shape / 20.0)
+    return Waveform(np.fft.irfft(spec * gain, n=len(y)), sr)
 
 
-@dataclass(frozen=True)
-class LpcSourceFilterChannel(VocoderChannel):
-    """All-pole source-filter resynthesis (pulse train / noise excitation)."""
-
-    name: ClassVar[str] = "lpcvoc"
-    order: int = 16
-    frame_ms: float = 25.0
-    hop_ms: float = 10.0
-    seed: int = 2002
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.order <= 0 or self.frame_ms <= 0 or self.hop_ms <= 0:
-            raise ConfigError("order, frame_ms and hop_ms must be positive")
-
-    def _synthesize(self, w: Waveform) -> Waveform:
-        return lpc_resynthesize(w, self.order, self.frame_ms, self.hop_ms, seed=self.seed)
+def _synthesize(w: Waveform, name: str) -> Waveform:
+    """Resynthesize at the waveform's own rate through the named channel's family."""
+    params = CHANNEL_PARAMS[name]
+    if name == "phasernd":
+        return _phase_random(w, **params)
+    if name == "lpcvoc":
+        return lpc_resynthesize(w, **params)
+    return _mel_griffin_lim(w, **params)
 
 
 def copy_synthesize(w: Waveform, channel: VocoderChannel) -> Waveform:
@@ -235,33 +202,21 @@ def copy_synthesize(w: Waveform, channel: VocoderChannel) -> Waveform:
         raise DataError(f"unsupported sample rate {w.sample_rate} for channel {channel.name}")
     if np.max(np.abs(w.samples)) < _SILENT_PEAK:
         warnings.warn(f"channel {channel.name}: silent input, emitting noise floor", stacklevel=2)
-        rng = np.random.default_rng(derive_seed(getattr(channel, "seed", 0), "silent-floor", len(w)))
+        seed = CHANNEL_PARAMS[channel.name].get("seed", 0)
+        rng = np.random.default_rng(derive_seed(seed, "silent-floor", len(w)))
         return Waveform(1e-5 * rng.standard_normal(len(w)), w.sample_rate)
     if channel.intermediate_sr is not None and channel.intermediate_sr != w.sample_rate:
         inner = resample(w, channel.intermediate_sr)
-        out = channel._synthesize(inner)
+        out = _synthesize(inner, channel.name)
         out = resample(out, w.sample_rate)
     else:
-        out = channel._synthesize(w)
+        out = _synthesize(w, channel.name)
     y = out.samples
     if len(y) >= len(w):
         y = y[: len(w)]
     else:
         y = np.concatenate([y, np.zeros(len(w) - len(y))])
     return Waveform(y, w.sample_rate)
-
-
-_CHANNELS = {
-    c.name: c for c in (GriffinLimMelChannel, CoarseMelGlChannel, PhaseRandomChannel, LpcSourceFilterChannel)
-}
-DEFAULT_CHANNEL_NAMES = tuple(_CHANNELS)  # every channel
-
-
-def make_channel(name: str, intermediate_sr: int | None = None) -> VocoderChannel:
-    """Instantiate a channel by name (the name doubles as the attack tag)."""
-    if name not in _CHANNELS:
-        raise ConfigError(f"unknown channel {name!r}; available: {sorted(_CHANNELS)}")
-    return _CHANNELS[name](intermediate_sr=intermediate_sr)
 
 
 def log_spectral_distance(a: Waveform, b: Waveform, cfg: StftConfig | None = None) -> float:
@@ -273,6 +228,13 @@ def log_spectral_distance(a: Waveform, b: Waveform, cfg: StftConfig | None = Non
     la = 20.0 * np.log10(sa[:n] + 1e-8)
     lb = 20.0 * np.log10(sb[:n] + 1e-8)
     return float(np.mean(np.sqrt(np.mean((la - lb) ** 2, axis=1))))
+
+
+def check_channels(channels: list[VocoderChannel]) -> None:
+    """Reject an empty list and a channel listed twice, whose spoofs would share trial ids."""
+    names = [ch.name for ch in channels]
+    if not names or len(set(names)) < len(names):
+        raise ConfigError(f"need one or more distinct vocoder channels, got {names}")
 
 
 def build_vocoded_set(
@@ -287,8 +249,7 @@ def build_vocoded_set(
     records, paths relative to ``out_dir``. Trials whose audio cannot be
     read are skipped with a logged error.
     """
-    if not channels:
-        raise ConfigError("need at least one vocoder channel")
+    check_channels(channels)
     bona = [r for r in manifest if r.label == "bonafide"]
     if not bona:
         raise DataError("manifest contains no bona fide trials")

@@ -35,11 +35,11 @@ def overlap_add_loops(frames, hop):
     return out
 
 
-def istft_loops(spec_frames, fft_size, hop, win_length, window):
+def istft_loops(spec_frames, fft_size, hop, win_length):
     """Least-squares overlap-add inverse STFT with per-frame loops: the
-    windowed frames overlap-added, divided by the overlap-added squared
+    Hann-windowed frames overlap-added, divided by the overlap-added squared
     window (floored at 1e-12)."""
-    win = get_window(window, win_length, fftbins=True).astype(np.float64)
+    win = get_window("hann", win_length, fftbins=True).astype(np.float64)
     frames = np.fft.irfft(spec_frames, n=fft_size, axis=1)[:, :win_length]
     windowed = np.array([frame * win for frame in frames])
     squares = np.array([win * win for _ in frames])

@@ -14,6 +14,7 @@ import spoofcm.cli as cli
 from spoofcm.audio_io import write_wav
 from spoofcm.manifest import TrialManifest, TrialRecord
 from spoofcm.training import DataBundle
+from spoofcm.vocoders import DEFAULT_CHANNEL_NAMES
 
 from conftest import harmonic_speechlike
 
@@ -58,14 +59,20 @@ def tracer_module():
 
 
 @pytest.fixture(scope="module")
-def run_layers(tracer_module):
-    """``RUN_LAYERS`` of perfbench/run.py: the wrappers its traced ``spoofcm run`` must see fire."""
+def bench_run(tracer_module):
+    """perfbench/run.py, loaded as a module."""
     spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
     module = importlib.util.module_from_spec(spec)
     # run.py imports its sibling as "tracer"; dataclasses look their module up in sys.modules
     with mock.patch.dict(sys.modules, {"tracer": tracer_module, spec.name: module}):
         spec.loader.exec_module(module)
-    return module.RUN_LAYERS
+    return module
+
+
+@pytest.fixture(scope="module")
+def run_layers(bench_run):
+    """``RUN_LAYERS`` of perfbench/run.py: the wrappers its traced ``spoofcm run`` must see fire."""
+    return bench_run.RUN_LAYERS
 
 
 def test_every_target_resolves_to_a_callable(tracer_module):
@@ -129,3 +136,22 @@ def test_labels_and_work_counts_accept_current_call_shapes(traced, tracer_module
     # levels = both: one cf_value_and_grad call per level per contrastive batch
     assert rows["contrastive.cf_value_and_grad"]["calls"] == 2 * fb_labels["ce+cf"]["calls"]
     assert rows["vocoders.build_vocoded_set"]["work"] == {"skipped": 0}
+
+
+def test_synth_at_another_rate_fires_every_synthesis_wrapper(traced, tracer_module, bench_run, tmp_path):
+    """Every channel through an intermediate rate, as the synth_24k workload runs them: a kernel
+    the synthesis code captured at import time, not looked up per call, would never fire."""
+    records = []
+    for i in range(2):
+        tid = f"s{i}"
+        write_wav(tmp_path / f"{tid}.wav", harmonic_speechlike(duration=0.6, f0=140.0 + 30 * i, seed=i))
+        records.append(TrialRecord(tid, f"{tid}.wav", "bonafide", "-", tid, "train"))
+    TrialManifest(records, root=tmp_path).save(tmp_path / "manifest.tsv")
+    assert cli.main([
+        "synth", "--manifest", str(tmp_path / "manifest.tsv"), "--channels", ",".join(DEFAULT_CHANNEL_NAMES),
+        "--intermediate-sr", "24000", "--out", str(tmp_path / "vocoded"),
+    ]) == 0
+    rows = tracer_module.aggregate(traced.spans)
+    assert [name for name in bench_run.WORKLOADS["synth_24k"].expected_layers if name not in rows] == []
+    assert all(row["errors"] == 0 for row in rows.values())
+    assert tuple(rows["vocoders.copy_synthesize"]["labels"]) == DEFAULT_CHANNEL_NAMES

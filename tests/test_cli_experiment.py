@@ -16,7 +16,7 @@ from spoofcm.experiment import ExperimentConfig, ensure_vocoded_set, load_config
 from spoofcm.errors import ConfigError, SpoofcmError
 from spoofcm.manifest import TrialManifest, TrialRecord, load_manifest
 from spoofcm.training import DataBundle, TrainConfig, load_checkpoint
-from spoofcm.vocoders import SYNTHESIS_VERSION, CoarseMelGlChannel, PhaseRandomChannel
+from spoofcm.vocoders import CHANNEL_PARAMS, SYNTHESIS_VERSION, VocoderChannel
 
 from conftest import harmonic_speechlike
 
@@ -132,7 +132,9 @@ class TestRunExperiment:
 
 
 # SHA-256 of every text artifact that a tiny run and the analysis commands
-# write, recorded before file writing moved into util. Every byte must stay.
+# write, recorded before file writing moved into util. Every byte must stay,
+# except build_meta.json's, re-recorded when the channel repr became the channel
+# name and rate plus that channel's row of the parameter table.
 GOLDEN_ARTIFACT_SHA256 = {
     "config_resolved.ini": "11e5944d1d27020b406ee9ac56e9e419ec7a84e970af00441468ba981d60b14e",
     "eer.csv": "185a864ed44658b28b00142d194ed6e9981111967a71697f7f1c6ea07d7a2356",
@@ -152,7 +154,7 @@ GOLDEN_ARTIFACT_SHA256 = {
     "sig_p.csv": "f12f8f5f21e683a9c2e32474c1a3a0d40c0b7ed314f6b94365b01b10195b2a57",
     "sig_reject.csv": "bd1d7b6738157f20093f694a85b0e070b4481125b2c7162cf78729c77cdb05e4",
     "summary.csv": "a9afa662eb64ddb78d16da6344467e2ae97ec3c1aab7c417519e47f57fea9f7e",
-    "vocoded/build_meta.json": "c9bde7300beebcef0d6b15f7e87b018a9b994466225d37debefdc120c209f448",
+    "vocoded/build_meta.json": "337451449cad0436f08e47d5567e60f4ed37bcf3b2d2a36887f8e962f4314362",
     "vocoded/manifest.tsv": "ed4a3110efbfc7965297f2f323f6afee8943a15638459584bdc74fcec1a2137c",
 }
 
@@ -190,7 +192,7 @@ def test_text_artifacts_match_golden(tiny_run, tmp_path, capsys):
     assert digests == GOLDEN_ARTIFACT_SHA256
 
 class TestVocodedCache:
-    BASE = (CoarseMelGlChannel(iters=2), PhaseRandomChannel())
+    BASE = (VocoderChannel("coarsegl"), VocoderChannel("phasernd"))
 
     @pytest.fixture
     def builds(self, tmp_path, monkeypatch):
@@ -226,19 +228,16 @@ class TestVocodedCache:
         assert meta["synthesis_version"] == SYNTHESIS_VERSION
 
     @pytest.mark.parametrize(
-        "changed",
-        [
-            (CoarseMelGlChannel(n_mels=16, iters=2), PhaseRandomChannel()),
-            (CoarseMelGlChannel(iters=3), PhaseRandomChannel()),
-            (CoarseMelGlChannel(iters=2), PhaseRandomChannel(seed=7)),
-        ],
+        "name, key, value",
+        [("coarsegl", "n_mels", 16), ("coarsegl", "iters", 3), ("phasernd", "seed", 7)],
         ids=["n_mels", "iters", "seed"],
     )
-    def test_changed_channel_parameter_rebuilds(self, builds, changed):
+    def test_changed_channel_parameter_rebuilds(self, builds, monkeypatch, name, key, value):
         manifest_file, calls = builds
         self._ensure(manifest_file, self.BASE)
-        self._ensure(manifest_file, changed)
-        assert calls == [list(self.BASE), list(changed)]
+        monkeypatch.setitem(CHANNEL_PARAMS[name], key, value)
+        self._ensure(manifest_file, self.BASE)
+        assert calls == [list(self.BASE), list(self.BASE)]
 
     @pytest.mark.parametrize("meta", [b'{"source_manifest": "ab', b"\xff\xfe"], ids=["truncated", "not-utf8"])
     def test_unreadable_meta_rebuilds(self, builds, meta):
@@ -266,7 +265,7 @@ class TestVocodedCache:
     def test_rebuild_killed_midway_is_not_a_cache_hit(self, builds, monkeypatch):
         manifest_file, calls = builds
         vocoded = manifest_file.parent / "vocoded"
-        self._ensure(manifest_file, [PhaseRandomChannel()])
+        self._ensure(manifest_file, [VocoderChannel("phasernd")])
         first = {p.name: p.read_bytes() for p in vocoded.glob("*.wav")}
         real = spoofcm.vocoders.write_wav
         written = []
@@ -279,10 +278,10 @@ class TestVocodedCache:
 
         monkeypatch.setattr(spoofcm.vocoders, "write_wav", killed_after_one_wav)
         with pytest.raises(KeyboardInterrupt):
-            self._ensure(manifest_file, [PhaseRandomChannel(intermediate_sr=24000)])
+            self._ensure(manifest_file, [VocoderChannel("phasernd", 24000)])
         monkeypatch.setattr(spoofcm.vocoders, "write_wav", real)
         assert first[written[0].name] != written[0].read_bytes()
-        self._ensure(manifest_file, [PhaseRandomChannel()])
+        self._ensure(manifest_file, [VocoderChannel("phasernd")])
         assert len(calls) == 3
         assert {p.name: p.read_bytes() for p in vocoded.glob("*.wav")} == first
 
@@ -298,7 +297,7 @@ def built_set(tmp_path_factory):
         write_wav(base / f"t{i}.wav", harmonic_speechlike(duration=0.6, seed=i))
         records.append(TrialRecord(f"t{i}", f"t{i}.wav", "bonafide", "-", f"t{i}", subset))
     TrialManifest(records, root=base).save(base / "manifest.tsv")
-    channels = [CoarseMelGlChannel(iters=2), PhaseRandomChannel()]
+    channels = [VocoderChannel("coarsegl"), VocoderChannel("phasernd")]
     combined = ensure_vocoded_set(load_manifest(base / "manifest.tsv"), base / "manifest.tsv", channels,
                                   base / "vocoded")
     files = {p.name: p.read_bytes() for p in sorted((base / "vocoded").iterdir())}
@@ -342,6 +341,18 @@ class TestCli:
             "--out", str(tmp_path / "voc"),
         ]) == 0
         assert (tmp_path / "voc" / "manifest.tsv").exists()
+
+    def test_synth_refuses_a_channel_listed_twice(self, tmp_path, capsys):
+        write_wav(tmp_path / "t0.wav", harmonic_speechlike(duration=0.6, seed=0))
+        TrialManifest([TrialRecord("t0", "t0.wav", "bonafide", "-", "t0", "train")], root=tmp_path).save(
+            tmp_path / "manifest.tsv"
+        )
+        assert main([
+            "synth", "--manifest", str(tmp_path / "manifest.tsv"), "--channels", "phasernd,phasernd",
+            "--out", str(tmp_path / "voc"),
+        ]) == 1
+        assert "'phasernd'" in capsys.readouterr().err
+        assert not (tmp_path / "voc").exists()
 
     def test_synth_skips_a_truncated_wav(self, tmp_path):
         manifest = gen_desk_corpus(20, 9, tmp_path / "c")
@@ -483,8 +494,11 @@ class TestCli:
             ("kind = rawboost", "kind = rawbost", "rawbost"),
             ("= ce+cf, paired", "= ce+cf, paird", "paird"),
             ("= ce, random", "= cee, random", "cee"),
+            ("names = coarsegl, phasernd", "names = coarsegl, phasrnd", "phasrnd"),
+            ("names = coarsegl, phasernd", "names = coarsegl, phasernd\nintermediate_sr = -5", -5),
+            ("names = coarsegl, phasernd", "names = coarsegl, phasernd, coarsegl", "coarsegl"),
         ],
-        ids=["augment-kind", "pairing", "loss-mode"],
+        ids=["augment-kind", "pairing", "loss-mode", "channel-name", "intermediate-sr", "channel-twice"],
     )
     def test_config_typo_fails_before_synthesis(self, tmp_path, capsys, right, wrong, word):
         (tmp_path / "exp.ini").write_text(TINY_CONFIG.replace(right, wrong))

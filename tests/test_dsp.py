@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.signal import get_window
+from scipy.signal import freqz_sos, get_window
 
 from spoofcm.audio_io import Waveform
 from spoofcm.dsp import (
@@ -11,6 +11,7 @@ from spoofcm.dsp import (
     MelFilterbank,
     StftConfig,
     _mel_pinv_t,
+    analysis_window,
     design_butterworth_bandstop,
     filtfilt,
     istft,
@@ -67,7 +68,7 @@ class TestStft:
         rng = np.random.default_rng(1)
         x = rng.standard_normal(SR)
         s = stft(wave(x), cfg)
-        win = cfg.window_array()
+        win = analysis_window(cfg.win_length)
         for m in (0, 13, s.n_frames - 1):
             frame = x[m * cfg.hop : m * cfg.hop + cfg.win_length] * win
             e_time = frame_energy_timedomain(frame)
@@ -99,7 +100,7 @@ class TestIstft:
         rng = np.random.default_rng(3)
         v = rng.standard_normal(cfg.win_length)
         s = ComplexSpectrogram(np.fft.rfft(v, n=cfg.fft_size)[None, :], cfg, SR)
-        win = cfg.window_array()
+        win = analysis_window(cfg.win_length)
         expected = (win * v) / np.maximum(win * win, 1e-12)
         assert np.allclose(istft(s).samples, expected, atol=1e-9)
 
@@ -115,37 +116,35 @@ class TestIstft:
         hop=st.integers(min_value=2, max_value=48),
         whole_hops=st.integers(min_value=1, max_value=7),
         data=st.data(),
-        window=st.sampled_from(["hann", "hamming", "blackman", "triang", "cosine", "boxcar"]),
         n_frames=st.integers(min_value=1, max_value=12),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
-    def test_bit_identical_to_per_frame_loop(self, hop, whole_hops, data, window, n_frames, seed):
+    def test_bit_identical_to_per_frame_loop(self, hop, whole_hops, data, n_frames, seed):
         # win_length is never a multiple of hop, so the last piece of a frame is partial
         win_length = whole_hops * hop + data.draw(st.integers(min_value=1, max_value=hop - 1))
         fft_size = 1 << (win_length - 1).bit_length()
-        cfg = StftConfig(fft_size=fft_size, hop=hop, win_length=win_length, window=window)
+        cfg = StftConfig(fft_size=fft_size, hop=hop, win_length=win_length)
         rng = np.random.default_rng(seed)
         bins = fft_size // 2 + 1
         frames = rng.standard_normal((n_frames, bins)) + 1j * rng.standard_normal((n_frames, bins))
         try:
             got = istft(ComplexSpectrogram(frames, cfg, SR)).samples
         except ConfigError:  # rejected as not COLA-safe: the squared windows must leave a gap
-            squares = np.tile(get_window(window, win_length, fftbins=True) ** 2, (16, 1))
+            squares = np.tile(get_window("hann", win_length, fftbins=True) ** 2, (16, 1))
             assert overlap_add_loops(squares, hop)[win_length:-win_length].min() < 1e-3
             return
-        assert np.array_equal(got, istft_loops(frames, fft_size, hop, win_length, window))
+        assert np.array_equal(got, istft_loops(frames, fft_size, hop, win_length))
 
     @settings(max_examples=80, deadline=None)
     @given(
         win_length=st.integers(min_value=1, max_value=1024),
         hop_share=st.floats(min_value=0.0, max_value=1.0),
-        window=st.sampled_from(["hann", "hamming", "blackman", "triang", "cosine", "boxcar"]),
     )
-    @example(win_length=512, hop_share=1 / 16, window="hann")  # 16 frames overlap each sample
-    def test_any_config_succeeds_or_raises_config_error(self, win_length, hop_share, window):
+    @example(win_length=512, hop_share=1 / 16)  # 16 frames overlap each sample
+    def test_any_config_succeeds_or_raises_config_error(self, win_length, hop_share):
         hop = max(1, round(hop_share * win_length))
         fft_size = 1 << (win_length - 1).bit_length()
-        cfg = StftConfig(fft_size=fft_size, hop=hop, win_length=win_length, window=window)
+        cfg = StftConfig(fft_size=fft_size, hop=hop, win_length=win_length)
         frames = np.ones((3, fft_size // 2 + 1), dtype=complex)
         try:
             istft(ComplexSpectrogram(frames, cfg, SR))
@@ -154,7 +153,7 @@ class TestIstft:
             rejected = True
         # the verdict of a probe with a steady region; 16 frames while ceil(win/hop) <= 14
         n_probe = max(16, -(-win_length // hop) + 2)
-        squares = np.tile(get_window(window, win_length, fftbins=True) ** 2, (n_probe, 1))
+        squares = np.tile(get_window("hann", win_length, fftbins=True) ** 2, (n_probe, 1))
         assert rejected == (overlap_add_loops(squares, hop)[win_length:-win_length].min() < 1e-3)
 
     def test_output_length(self):
@@ -199,8 +198,6 @@ class TestMel:
         fb = MelFilterbank(80, 1024, SR)
         assert np.all(fb.weights >= 0)
         assert np.all(fb.weights.sum(axis=1) > 0)
-        with pytest.raises(ConfigError):
-            MelFilterbank(24, 512, SR, fmin=9000.0)
 
 
 class TestMelPseudoInverse:
@@ -222,7 +219,7 @@ class TestMelPseudoInverse:
         fb = MelFilterbank(24, 512, SR)
         rng = np.random.default_rng(6)
         mel = np.abs(rng.standard_normal((5, 257))) @ fb.weights.T
-        back = mel @ _mel_pinv_t(24, 512, SR, fb.fmin, fb.fmax) @ fb.weights.T  # the unclamped projection
+        back = mel @ _mel_pinv_t(24, 512, SR) @ fb.weights.T  # the unclamped projection
         assert np.allclose(back, mel, atol=1e-6)
 
     def test_rank_deficient_rejected(self):
@@ -234,12 +231,12 @@ class TestMelPseudoInverse:
 class TestButterworth:
     def test_stopband_attenuation(self):
         c = design_butterworth_bandstop(10, 2000.0, 3000.0, SR)
-        h = c.frequency_response(np.array([2500.0]), SR)
+        _, h = freqz_sos(c.sections, worN=np.array([2500.0]), fs=SR)
         assert 20 * np.log10(np.abs(h[0])) <= -60.0
 
     def test_passband_flat(self):
         c = design_butterworth_bandstop(10, 2000.0, 3000.0, SR)
-        h = c.frequency_response(np.array([5.0, SR / 2 - 5.0]), SR)
+        _, h = freqz_sos(c.sections, worN=np.array([5.0, SR / 2 - 5.0]), fs=SR)
         assert np.all(np.abs(20 * np.log10(np.abs(h))) < 0.5)
 
     def test_all_poles_inside_unit_circle(self):

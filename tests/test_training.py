@@ -26,7 +26,7 @@ from spoofcm.training import (
     score_manifest,
     train,
 )
-from spoofcm.vocoders import CoarseMelGlChannel, PhaseRandomChannel, build_vocoded_set
+from spoofcm.vocoders import VocoderChannel, build_vocoded_set
 
 from conftest import harmonic_speechlike
 
@@ -44,7 +44,7 @@ def tiny_bundle(tmp_path_factory):
         write_wav(root / f"{tid}.wav", w)
         records.append(TrialRecord(tid, f"{tid}.wav", "bonafide", "-", tid, subset))
     manifest = TrialManifest(records, root=root)
-    combined = build_vocoded_set(manifest, [CoarseMelGlChannel(), PhaseRandomChannel()], root / "voc")
+    combined = build_vocoded_set(manifest, [VocoderChannel("coarsegl"), VocoderChannel("phasernd")], root / "voc")
     combined.save(root / "voc" / "manifest.tsv")
     return DataBundle(combined, RawBoostLike(seed=0), master_seed=99)
 

@@ -16,16 +16,13 @@ from spoofcm.errors import ConfigError, DataError, NumericalError
 from spoofcm.manifest import TrialManifest, TrialRecord
 from spoofcm.training import DataBundle
 from spoofcm.vocoders import (
+    CHANNEL_PARAMS,
     DEFAULT_CHANNEL_NAMES,
-    CoarseMelGlChannel,
-    GriffinLimMelChannel,
-    LpcSourceFilterChannel,
-    PhaseRandomChannel,
+    VocoderChannel,
     build_vocoded_set,
     copy_synthesize,
     griffin_lim,
     log_spectral_distance,
-    make_channel,
 )
 
 from conftest import harmonic_speechlike
@@ -105,7 +102,7 @@ class TestChannels:
     @pytest.mark.parametrize("name", ["glmel", "coarsegl", "phasernd", "lpcvoc"])
     def test_length_rate_and_determinism(self, name):
         w = harmonic_speechlike(duration=0.9, f0=170.0, seed=3)
-        ch = make_channel(name)
+        ch = VocoderChannel(name)
         a = copy_synthesize(w, ch)
         b = copy_synthesize(w, ch)
         assert len(a) == len(w) and a.sample_rate == w.sample_rate
@@ -114,18 +111,18 @@ class TestChannels:
     @pytest.mark.parametrize("name", ["glmel", "coarsegl", "phasernd", "lpcvoc"])
     def test_resynthesis_not_a_copy(self, name):
         w = harmonic_speechlike(duration=0.9, f0=170.0, seed=4)
-        out = copy_synthesize(w, make_channel(name))
+        out = copy_synthesize(w, VocoderChannel(name))
         assert log_spectral_distance(w, out) > 0.5
 
     def test_glmel_preserves_f0(self):
         w = harmonic_speechlike(duration=1.0, f0=200.0, seed=5)
-        out = copy_synthesize(w, GriffinLimMelChannel())
+        out = copy_synthesize(w, VocoderChannel("glmel"))
         f_out = f0_autocorrelation_oracle(out.samples[2000:10000], SR)
         assert abs(f_out - 200.0) <= 5.0
 
     def test_phasernd_preserves_magnitudes_but_not_waveform(self):
         w = harmonic_speechlike(duration=1.0, f0=190.0, seed=6)
-        out = copy_synthesize(w, PhaseRandomChannel())
+        out = copy_synthesize(w, VocoderChannel("phasernd"))
         cfg = StftConfig()
         m_in = np.abs(stft(w, cfg).frames)
         m_out = np.abs(stft(out, cfg).frames)
@@ -136,37 +133,48 @@ class TestChannels:
 
     def test_intermediate_sr_roundtrip_wrapper(self):
         w = harmonic_speechlike(duration=0.8, f0=160.0, seed=7)
-        ch = GriffinLimMelChannel(intermediate_sr=24000)
+        ch = VocoderChannel("glmel", 24000)
         out = copy_synthesize(w, ch)
         assert out.sample_rate == SR and len(out) == len(w)
 
     def test_intermediate_sr_equal_to_native_is_identity_wrapper(self):
         w = harmonic_speechlike(duration=0.8, f0=160.0, seed=8)
-        plain = copy_synthesize(w, CoarseMelGlChannel())
-        wrapped = copy_synthesize(w, CoarseMelGlChannel(intermediate_sr=SR))
+        plain = copy_synthesize(w, VocoderChannel("coarsegl"))
+        wrapped = copy_synthesize(w, VocoderChannel("coarsegl", SR))
         assert np.array_equal(plain.samples, wrapped.samples)
 
     def test_short_input_rejected(self):
         with pytest.raises(DataError):
-            copy_synthesize(Waveform(np.ones(1000) * 0.1, SR), LpcSourceFilterChannel())
+            copy_synthesize(Waveform(np.ones(1000) * 0.1, SR), VocoderChannel("lpcvoc"))
 
-    def test_silent_input_warns_and_returns_floor(self):
+    # SHA-256 of the floor's bytes for 1 s of zeros at 16 kHz; the two Griffin-Lim
+    # channels share seed 0
+    SILENT_FLOOR_SHA256 = {
+        "glmel": "fa94bbdf9b56cca7c18c1680cb25a68fcd76e3bb8f05b37ef6b39e8503e6809c",
+        "coarsegl": "fa94bbdf9b56cca7c18c1680cb25a68fcd76e3bb8f05b37ef6b39e8503e6809c",
+        "phasernd": "6c105085d39fd5122bf320ff135f933b7aa70b0001f859da3095c42acec7a7ee",
+        "lpcvoc": "51572f9d6ad2368e9d1857b65b228632f075d32a62d9be6cc23940712ff2057f",
+    }
+
+    @pytest.mark.parametrize("name", DEFAULT_CHANNEL_NAMES)
+    def test_silent_input_warns_and_returns_floor(self, name):
         w = Waveform(np.zeros(SR), SR)
         with pytest.warns(UserWarning):
-            out = copy_synthesize(w, PhaseRandomChannel())
+            out = copy_synthesize(w, VocoderChannel(name))
         assert len(out) == len(w)
         assert 0 < np.max(np.abs(out.samples)) < 1e-3
+        assert hashlib.sha256(out.samples.tobytes()).hexdigest() == self.SILENT_FLOOR_SHA256[name]
 
     def test_repr_names_every_parameter(self):
-        assert repr(GriffinLimMelChannel(n_mels=40)) != repr(GriffinLimMelChannel())
-        assert repr(CoarseMelGlChannel(iters=8)) != repr(CoarseMelGlChannel())
-        assert repr(PhaseRandomChannel(seed=1)) != repr(PhaseRandomChannel())
-        assert repr(LpcSourceFilterChannel(order=12)) != repr(LpcSourceFilterChannel())
-        assert repr(make_channel("glmel", 24000)) == repr(GriffinLimMelChannel(intermediate_sr=24000))
+        """The vocoded-set cache key is built from the repr: the rate and every table value."""
+        for name in DEFAULT_CHANNEL_NAMES:
+            text = repr(VocoderChannel(name, 24000))
+            assert text.startswith(f"VocoderChannel(name={name!r}, intermediate_sr=24000")
+            assert all(f"{key}={value!r}" in text for key, value in CHANNEL_PARAMS[name].items())
 
     def test_unknown_channel_rejected(self):
         with pytest.raises(ConfigError):
-            make_channel("wavenet")
+            VocoderChannel("wavenet")
 
 
 class TestBuildVocodedSet:
@@ -181,7 +189,7 @@ class TestBuildVocodedSet:
 
     def test_counts_and_pairing(self, tmp_path):
         manifest = self._corpus(tmp_path, n=3)
-        channels = [CoarseMelGlChannel(), PhaseRandomChannel()]
+        channels = [VocoderChannel("coarsegl"), VocoderChannel("phasernd")]
         combined = build_vocoded_set(manifest, channels, tmp_path / "voc")
         spoofs = [r for r in combined if r.label == "spoof"]
         assert len(spoofs) == len(channels) * 3  # |spoof| = S x |bona|
@@ -193,14 +201,14 @@ class TestBuildVocodedSet:
 
     def test_single_pairing(self, tmp_path):
         manifest = self._corpus(tmp_path, n=1)
-        combined = build_vocoded_set(manifest, [PhaseRandomChannel()], tmp_path / "voc")
+        combined = build_vocoded_set(manifest, [VocoderChannel("phasernd")], tmp_path / "voc")
         assert DataBundle(combined, None, master_seed=0).pairing == {"trial000": ["trial000_phasernd"]}
 
     def test_spoof_lengths_match_sources(self, tmp_path):
         from spoofcm.audio_io import read_wav
 
         manifest = self._corpus(tmp_path, n=2)
-        combined = build_vocoded_set(manifest, [make_channel(n) for n in DEFAULT_CHANNEL_NAMES], tmp_path / "voc")
+        combined = build_vocoded_set(manifest, [VocoderChannel(n) for n in DEFAULT_CHANNEL_NAMES], tmp_path / "voc")
         for rec in combined:
             if rec.label == "spoof":
                 src = combined.by_id(rec.source_id)
@@ -209,12 +217,12 @@ class TestBuildVocodedSet:
     def test_unreadable_trial_skipped(self, tmp_path):
         manifest = self._corpus(tmp_path, n=2)
         (tmp_path / "trial000.wav").write_bytes(b"not audio")
-        combined = build_vocoded_set(manifest, [PhaseRandomChannel()], tmp_path / "voc")
+        combined = build_vocoded_set(manifest, [VocoderChannel("phasernd")], tmp_path / "voc")
         assert [r.trial_id for r in combined if r.label == "spoof"] == ["trial001_phasernd"]
 
     def test_empty_manifest_rejected(self, tmp_path):
         with pytest.raises(DataError):
-            build_vocoded_set(TrialManifest([], root=tmp_path), [PhaseRandomChannel()], tmp_path / "v")
+            build_vocoded_set(TrialManifest([], root=tmp_path), [VocoderChannel("phasernd")], tmp_path / "v")
 
 
 # SHA-256 of copy_synthesize's float64 output bytes on harmonic_speechlike(),
@@ -241,7 +249,7 @@ GOLDEN_SYNTHESIS_SHA256 = {
 @pytest.mark.parametrize("name", DEFAULT_CHANNEL_NAMES)
 @pytest.mark.parametrize("intermediate_sr", [None, 24000])
 def test_synthesis_bytes_match_golden(name, intermediate_sr):
-    out = copy_synthesize(harmonic_speechlike(), make_channel(name, intermediate_sr))
+    out = copy_synthesize(harmonic_speechlike(), VocoderChannel(name, intermediate_sr))
     digest = hashlib.sha256(out.samples.tobytes()).hexdigest()
     assert digest == GOLDEN_SYNTHESIS_SHA256[(name, intermediate_sr)]
 
@@ -257,10 +265,10 @@ GOLDEN_SYNTHESIS_SHA256_ONE_THREAD = {
 _ONE_THREAD_SCRIPT = """
 import hashlib
 from conftest import harmonic_speechlike
-from spoofcm.vocoders import DEFAULT_CHANNEL_NAMES, copy_synthesize, make_channel
+from spoofcm.vocoders import DEFAULT_CHANNEL_NAMES, VocoderChannel, copy_synthesize
 for name in DEFAULT_CHANNEL_NAMES:
     for sr in (None, 24000):
-        out = copy_synthesize(harmonic_speechlike(), make_channel(name, sr))
+        out = copy_synthesize(harmonic_speechlike(), VocoderChannel(name, sr))
         print(name, sr, hashlib.sha256(out.samples.tobytes()).hexdigest())
 """
 
