@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -122,3 +124,34 @@ def test_make_augment_names():
     assert isinstance(make_augment("codec", 1), CodecSim)
     with pytest.raises(ConfigError):
         make_augment("mp3", 1)
+
+
+def _golden_input(name):
+    if name == "silent":
+        return Waveform(np.zeros(8000), SR)
+    return harmonic_speechlike(duration=0.7, sr=int(name), seed=30)
+
+
+# SHA-256 of apply_augment's output samples for each kind, at three rates and
+# on a silent input, recorded before the ops became a kind and a seed. A
+# refactor of the augmentation must keep every byte.
+GOLDEN_AUGMENT_SHA256 = {
+    ("codec", "16000"): "00aaa9fcf35a89e86547a331e5d416352ce417ea63f7720da394abbc2c53726e",
+    ("codec", "48000"): "49de7a92591fe688cc12a2f8666a3a10a1d962d418e5ea52453cb339b3072e18",
+    ("codec", "8000"): "018f35d28d5d955ab2369d3e832f4f24f6461fdc69a8c3ef9de764ccd85e613c",
+    ("codec", "silent"): "4f7988030a00d082fe445e00a2ac5dab502300ff1b80e8592dd569867b60ef74",
+    ("freqmask", "16000"): "7a57350ba983335403068d41c20856091ef335bc4e22bb770dbf603e939cfb42",
+    ("freqmask", "48000"): "ddf8918fc087a34a41f43f816dc313e5cf62bd7d27437af408587108a1ba9d14",
+    ("freqmask", "8000"): "a05e33c70dbe65022aede4b825e394b986f7cdcac7a878e1c9e7c14a2d4c3857",
+    ("freqmask", "silent"): "4f7988030a00d082fe445e00a2ac5dab502300ff1b80e8592dd569867b60ef74",
+    ("rawboost", "16000"): "d74e1ec8be0c1241b22f24bbcdee8b277f61c04d6848c5faf04a7fc604e86412",
+    ("rawboost", "48000"): "d4afe7cc78adfd14f1bedbee9221097aaa47c321cff0bff4757c9f7780c8058e",
+    ("rawboost", "8000"): "c970a910009a257f0e3d3b7ae99c8a6f1f9f2f5b6fec34a0b5a7531527e861f9",
+    ("rawboost", "silent"): "4f7988030a00d082fe445e00a2ac5dab502300ff1b80e8592dd569867b60ef74",
+}
+
+
+@pytest.mark.parametrize("kind,name", sorted(GOLDEN_AUGMENT_SHA256))
+def test_augment_bytes_match_golden(kind, name):
+    out = apply_augment(_golden_input(name), make_augment(kind, 17))
+    assert hashlib.sha256(out.samples.tobytes()).hexdigest() == GOLDEN_AUGMENT_SHA256[(kind, name)]

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spoofcm.training as training_mod
-from spoofcm.audio_io import write_wav
-from spoofcm.augment import RawBoostLike
+from spoofcm.audio_io import read_wav, write_wav
+from spoofcm.augment import RawBoostLike, apply_augment, make_augment, reseeded
 from spoofcm.errors import ConfigError, DataError, SpoofcmError
 from spoofcm.manifest import TrialManifest, TrialRecord
-from spoofcm.model import init_model
+from spoofcm.model import extract_base_features, init_model
 from spoofcm.training import (
     AdamState,
     DataBundle,
@@ -26,6 +26,7 @@ from spoofcm.training import (
     score_manifest,
     train,
 )
+from spoofcm.util import derive_seed
 from spoofcm.vocoders import VocoderChannel, build_vocoded_set
 
 from conftest import harmonic_speechlike
@@ -53,6 +54,19 @@ def tiny_bundle(tmp_path_factory):
 def plain_bundle(tiny_bundle):
     """The same trials with no augmentation: training sees original views only."""
     return DataBundle(tiny_bundle.manifest, None, master_seed=99)
+
+
+@pytest.mark.parametrize("kind", ["codec", "freqmask", "rawboost"])
+def test_view_is_the_kind_applied_with_a_per_view_seed(tiny_bundle, kind):
+    bundle = DataBundle(tiny_bundle.manifest, make_augment(kind, 0), master_seed=99)
+    tid = "t03_coarsegl"
+    assert bundle.view(tid, 0) is bundle.base(tid)
+    w = read_wav(bundle.manifest.resolve(bundle.manifest.by_id(tid)))
+    op = reseeded(make_augment(kind, 0), derive_seed(99, tid, 1))
+    first = bundle.view(tid, 1)
+    assert np.array_equal(first, extract_base_features(apply_augment(w, op)))
+    assert bundle.view(tid, 1) is first  # built once, then cached
+    assert not np.array_equal(bundle.view(tid, 2), first)
 
 
 class TestAdam:
