@@ -1,14 +1,15 @@
 """Waveform-level augmentation: additive/convolutive noise, Butterworth
 frequency masking, and simulated codec degradation.
 
-Every op is a pure function of (waveform, op config); all randomness
-comes from the config's seed, so a rerun is bit-identical. Length and
-sample rate are always preserved, and augmentation never changes a
-trial's class label.
+An augmentation is a kind and a seed. Each kind has a draw step, which
+takes a seeded RNG, the sample count and the rate and returns the kind's
+random values (ranges are constants of the draw step), and an apply step,
+which takes the waveform and those values. ``apply_augment`` seeds the RNG
+from (seed, kind), draws, then applies, so a rerun is bit-identical; a test
+pins a value by calling an apply step directly. Length and sample rate are
+always preserved, and augmentation never changes a trial's class label.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.signal import butter, iirnotch, lfilter
@@ -19,113 +20,53 @@ from .errors import ConfigError
 from .util import derive_seed
 
 
-@dataclass(frozen=True)
-class RawBoostLike:
-    """Convolutive notches + signal-dependent impulses + stationary colored noise."""
-
-    seed: int
-    snr_range: tuple[float, float] = (10.0, 40.0)
-    n_notches: tuple[int, int] = (1, 5)
-    convolutive: bool = True
-    impulsive: bool = True
-    stationary: bool = True
-    normalize: bool = True
-
-    def __post_init__(self):
-        if self.snr_range[0] > self.snr_range[1] or self.n_notches[0] > self.n_notches[1]:
-            raise ConfigError("augmentation ranges must be well ordered")
+def draw_rawboost(rng: np.random.Generator, n: int, sample_rate: int) -> dict:
+    """1-5 notches, impulses at 20-100 per second, stationary noise at 10-40 dB SNR."""
+    n_notch = int(rng.integers(1, 6))
+    notches = [(rng.uniform(250.0, 0.45 * sample_rate), rng.uniform(4.0, 30.0)) for _ in range(n_notch)]
+    rate = rng.uniform(20.0, 100.0)  # events per second, drawn before the per-sample arrays
+    hits = rng.random(n) < rate / sample_rate
+    impulses = hits * rng.choice([-1.0, 1.0], size=n) * rng.uniform(1.0, 3.0, size=n)
+    return {"notches": notches, "impulses": impulses, "snr_db": rng.uniform(10.0, 40.0),
+            "tilt": rng.uniform(0.0, 0.9), "white": rng.standard_normal(n)}
 
 
-@dataclass(frozen=True)
-class FreqMask:
-    """Random band-stop: 10th-order Butterworth applied zero-phase."""
-
-    seed: int
-    band_lo_range: tuple[float, float] = (300.0, 6000.0)
-    width_range: tuple[float, float] = (200.0, 2000.0)
-    order: int = 10
-
-    def __post_init__(self):
-        if self.band_lo_range[0] > self.band_lo_range[1] or self.width_range[0] > self.width_range[1]:
-            raise ConfigError("augmentation ranges must be well ordered")
-
-
-@dataclass(frozen=True)
-class CodecSim:
-    """Lossy-codec stand-in: bitrate-dependent low-pass plus mu-law requantization."""
-
-    seed: int
-    bitrate_range: tuple[float, float] = (16.0, 320.0)
-
-    def __post_init__(self):
-        if self.bitrate_range[0] > self.bitrate_range[1]:
-            raise ConfigError("augmentation ranges must be well ordered")
-
-
-AugmentOp = RawBoostLike | FreqMask | CodecSim
-
-
-def rawboost_like(w: Waveform, op: RawBoostLike) -> Waveform:
-    """Three noise families in sequence; output peak-normalized to the input peak.
+def apply_rawboost(w: Waveform, notches: list, impulses: np.ndarray, snr_db: float, tilt: float,
+                   white: np.ndarray) -> Waveform:
+    """Convolutive notches, signal-dependent impulses, then stationary colored
+    noise; output peak-normalized to the input peak.
 
     The impulsive and stationary components scale with the input's own
     statistics, so a silent input passes through silent.
     """
-    rng = np.random.default_rng(derive_seed(op.seed, "rawboost"))
     x = w.samples
     sig_rms = float(np.sqrt(np.mean(x**2)))
     in_peak = float(np.max(np.abs(x))) if len(x) else 0.0
     y = x.copy()
-
-    # all draws happen unconditionally so disabling a component for
-    # measurement does not shift the other components' randomness
-    n_notch = int(rng.integers(op.n_notches[0], op.n_notches[1] + 1))
-    notches = [
-        (rng.uniform(250.0, 0.45 * w.sample_rate), rng.uniform(4.0, 30.0)) for _ in range(n_notch)
-    ]
-    if op.convolutive:
-        for f0, q in notches:
-            b, a = iirnotch(f0, q, fs=w.sample_rate)
-            y = lfilter(b, a, y)
-
-    rate = rng.uniform(20.0, 100.0)  # events per second
-    hits = rng.random(len(y)) < rate / w.sample_rate
-    signs = rng.choice([-1.0, 1.0], size=len(y))
-    gains = rng.uniform(1.0, 3.0, size=len(y))
-    if op.impulsive:
-        y = y + hits * signs * gains * np.abs(y)
-
-    snr_db = rng.uniform(*op.snr_range)
-    tilt = rng.uniform(0.0, 0.9)
-    white = rng.standard_normal(len(y))
-    if op.stationary:
-        colored = lfilter([1.0], [1.0, -tilt], white)
-        colored_rms = float(np.sqrt(np.mean(colored**2))) or 1.0
-        noise = colored / colored_rms * sig_rms * 10.0 ** (-snr_db / 20.0)
-        y = y + noise
-
-    if op.normalize and in_peak > 0.0:
+    for f0, q in notches:
+        b, a = iirnotch(f0, q, fs=w.sample_rate)
+        y = lfilter(b, a, y)
+    y = y + impulses * np.abs(y)
+    colored = lfilter([1.0], [1.0, -tilt], white)
+    colored_rms = float(np.sqrt(np.mean(colored**2))) or 1.0
+    y = y + colored / colored_rms * sig_rms * 10.0 ** (-snr_db / 20.0)
+    if in_peak > 0.0:
         out_peak = float(np.max(np.abs(y)))
         if out_peak > 0.0:
             y = y * (in_peak / out_peak)
     return Waveform(y, w.sample_rate)
 
 
-def freq_mask_band(op: FreqMask, sample_rate: int) -> tuple[float, float]:
-    """The band a FreqMask op will stop, drawn deterministically from its seed."""
-    rng = np.random.default_rng(derive_seed(op.seed, "freqmask"))
+def draw_freqmask(rng: np.random.Generator, n: int, sample_rate: int) -> dict:
+    """A stop band starting at 300-6000 Hz, 200-2000 Hz wide, kept below Nyquist."""
     nyquist = sample_rate / 2.0
-    lo = rng.uniform(*op.band_lo_range)
-    lo = min(lo, 0.9 * nyquist)
-    width = rng.uniform(*op.width_range)
-    hi = min(lo + width, 0.99 * nyquist)
-    return lo, hi
+    lo = min(rng.uniform(300.0, 6000.0), 0.9 * nyquist)
+    return {"lo": lo, "hi": min(lo + rng.uniform(200.0, 2000.0), 0.99 * nyquist)}
 
 
-def freq_mask(w: Waveform, op: FreqMask) -> Waveform:
-    lo, hi = freq_mask_band(op, w.sample_rate)
-    cascade = design_butterworth_bandstop(op.order, lo, hi, w.sample_rate)
-    return filtfilt(cascade, w)
+def apply_freqmask(w: Waveform, lo: float, hi: float) -> Waveform:
+    """10th-order Butterworth band-stop over [lo, hi] Hz, applied zero-phase."""
+    return filtfilt(design_butterworth_bandstop(10, lo, hi, w.sample_rate), w)
 
 
 _CODEC_MIN_KBPS, _CODEC_MAX_KBPS = 16.0, 320.0
@@ -134,26 +75,18 @@ _CODEC_MIN_BITS, _CODEC_MAX_BITS = 6, 12
 _MU = 255.0
 
 
-def codec_cutoff_hz(bitrate_kbps: float, sample_rate: int) -> float:
-    """Linear map: 16 kbps -> 3 kHz, 320 kbps -> Nyquist."""
-    nyquist = sample_rate / 2.0
-    frac = (bitrate_kbps - _CODEC_MIN_KBPS) / (_CODEC_MAX_KBPS - _CODEC_MIN_KBPS)
-    return _CODEC_MIN_CUTOFF + frac * (nyquist - _CODEC_MIN_CUTOFF)
+def draw_codec(rng: np.random.Generator, n: int, sample_rate: int) -> dict:
+    """A bitrate of 16-320 kbps."""
+    return {"bitrate": rng.uniform(_CODEC_MIN_KBPS, _CODEC_MAX_KBPS)}
 
 
-def codec_bits(bitrate_kbps: float) -> int:
-    """Linear map, rounded: 16 kbps -> 6 bits, 320 kbps -> 12 bits."""
-    frac = (bitrate_kbps - _CODEC_MIN_KBPS) / (_CODEC_MAX_KBPS - _CODEC_MIN_KBPS)
-    return int(round(_CODEC_MIN_BITS + frac * (_CODEC_MAX_BITS - _CODEC_MIN_BITS)))
-
-
-def codec_sim(w: Waveform, op: CodecSim) -> Waveform:
-    """Band-limit then mu-law requantize at a randomly drawn bitrate."""
-    rng = np.random.default_rng(derive_seed(op.seed, "codec"))
-    bitrate = rng.uniform(*op.bitrate_range)
-    cutoff = codec_cutoff_hz(bitrate, w.sample_rate)
-    bits = codec_bits(bitrate)
+def apply_codec(w: Waveform, bitrate: float) -> Waveform:
+    """Lossy-codec stand-in: low-pass then mu-law requantize. Both map linearly
+    from the bitrate: 16 kbps -> 3 kHz and 6 bits, 320 kbps -> Nyquist and 12 bits."""
     nyquist = w.sample_rate / 2.0
+    frac = (bitrate - _CODEC_MIN_KBPS) / (_CODEC_MAX_KBPS - _CODEC_MIN_KBPS)
+    cutoff = _CODEC_MIN_CUTOFF + frac * (nyquist - _CODEC_MIN_CUTOFF)
+    bits = int(round(_CODEC_MIN_BITS + frac * (_CODEC_MAX_BITS - _CODEC_MIN_BITS)))
 
     y = w.samples
     if cutoff < 0.99 * nyquist:
@@ -171,24 +104,18 @@ def codec_sim(w: Waveform, op: CodecSim) -> Waveform:
     return Waveform(y, w.sample_rate)
 
 
-def apply_augment(w: Waveform, op: AugmentOp) -> Waveform:
-    if isinstance(op, RawBoostLike):
-        return rawboost_like(w, op)
-    if isinstance(op, FreqMask):
-        return freq_mask(w, op)
-    if isinstance(op, CodecSim):
-        return codec_sim(w, op)
-    raise ConfigError(f"unknown augmentation op {op!r}")
+# kind -> (draw step, apply step)
+AUGMENT_KINDS = {
+    "rawboost": (draw_rawboost, apply_rawboost),
+    "freqmask": (draw_freqmask, apply_freqmask),
+    "codec": (draw_codec, apply_codec),
+}
 
 
-AUGMENT_KINDS = {"rawboost": RawBoostLike, "freqmask": FreqMask, "codec": CodecSim}
-
-
-def make_augment(kind: str, seed: int) -> AugmentOp:
+def apply_augment(w: Waveform, kind: str, seed: int) -> Waveform:
+    """Draw the kind's values from an RNG seeded with (seed, kind), then apply them."""
     if kind not in AUGMENT_KINDS:
         raise ConfigError(f"unknown augmentation kind {kind!r}; available: {sorted(AUGMENT_KINDS)}")
-    return AUGMENT_KINDS[kind](seed=seed)
-
-
-def reseeded(op: AugmentOp, seed: int) -> AugmentOp:
-    return replace(op, seed=seed)
+    draw, apply = AUGMENT_KINDS[kind]
+    rng = np.random.default_rng(derive_seed(seed, kind))
+    return apply(w, **draw(rng, len(w), w.sample_rate))

@@ -128,7 +128,7 @@ def _cmd_train(args) -> int:
                           f"{[s.name for s in cfg.systems]}")
     seed = args.seed if args.seed is not None else cfg.seeds[0]
     combined = load_manifest(base / cfg.manifest_path)
-    bundle = DataBundle(combined, cfg.augment_op(), cfg.master_seed)
+    bundle = DataBundle(combined, cfg.augment_kind, cfg.master_seed)
     out = _out_path(args.out or f"run_{system.name}_seed{seed}")
     _, history = train_system(cfg, bundle, system, seed, out)
     print(f"trained {system.name} seed {seed}: best dev loss "

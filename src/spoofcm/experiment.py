@@ -47,7 +47,7 @@ from dataclasses import astuple, dataclass, field
 from dataclasses import replace as dc_replace
 from pathlib import Path
 
-from .augment import AUGMENT_KINDS, AugmentOp, make_augment
+from .augment import AUGMENT_KINDS
 from .contrastive import CfConfig
 from .corpus import gen_desk_corpus, trim_nonspeech
 from .errors import ConfigError, DataError, SpoofcmError
@@ -83,7 +83,7 @@ class ExperimentConfig:
     generate: int = 0  # when > 0 and the manifest is missing, generate this many trials
     channel_names: tuple[str, ...] = DEFAULT_CHANNEL_NAMES
     intermediate_sr: int | None = None
-    augment_kind: str = "rawboost"  # or "freqmask", "codec", "none"
+    augment_kind: str | None = "rawboost"  # or "freqmask", "codec"; None (INI "none") for no views
     train: TrainConfig = field(default_factory=TrainConfig)
     systems: tuple[SystemSpec, ...] = (
         SystemSpec("ce_aug", "ce", "random"),
@@ -101,11 +101,6 @@ class ExperimentConfig:
         """The shared training settings with this system's loss mode and pairing."""
         return dc_replace(self.train, loss_mode=system.loss_mode, pairing=system.pairing)
 
-    def augment_op(self) -> AugmentOp | None:
-        if self.augment_kind == "none":
-            return None
-        return make_augment(self.augment_kind, derive_seed(self.master_seed, "augment"))
-
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(v.strip()) for v in text.split(",") if v.strip())
@@ -120,7 +115,7 @@ _EXPERIMENT_KEYS = {
     ("data", "generate"): ("generate", int),
     ("channels", "names"): ("channel_names", lambda t: tuple(n.strip() for n in t.split(","))),
     ("channels", "intermediate_sr"): ("intermediate_sr", lambda t: int(t) if t.strip() else None),
-    ("augment", "kind"): ("augment_kind", str),
+    ("augment", "kind"): ("augment_kind", lambda t: None if t == "none" else t),
 }
 # The [train] keys; each sets the TrainConfig field of the same name.
 _TRAIN_KEYS = {
@@ -174,13 +169,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
         settings["systems"] = tuple(systems)
     cfg = ExperimentConfig(**settings, raw_text=raw)
 
-    if not cfg.seeds:
-        raise ConfigError(f"{path}: experiment.seeds lists no seed")
+    # a seed listed twice would train each system twice into one run directory
+    if not cfg.seeds or len(set(cfg.seeds)) < len(cfg.seeds):
+        raise ConfigError(f"{path}: experiment.seeds needs one or more distinct seeds, got {list(cfg.seeds)}")
     try:
         check_channels(cfg.channels())
     except ConfigError as exc:
         raise ConfigError(f"{path}: [channels] {exc}") from None
-    if cfg.augment_kind != "none" and cfg.augment_kind not in AUGMENT_KINDS:
+    if cfg.augment_kind is not None and cfg.augment_kind not in AUGMENT_KINDS:
         raise ConfigError(f"{path}: augment.kind = {cfg.augment_kind!r}; "
                           f"expected none or one of {sorted(AUGMENT_KINDS)}")
     for system in cfg.systems:
@@ -189,7 +185,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         except ConfigError as exc:
             raise ConfigError(f"{path}: system {system.name!r}: {exc}") from None
     wanting = [s.name for s in cfg.systems if s.loss_mode == "ce+cf"]  # contrastive batches take views
-    if cfg.augment_kind == "none" and cfg.train.k_views > 0 and wanting:
+    if cfg.augment_kind is None and cfg.train.k_views > 0 and wanting:
         raise ConfigError(f"{path}: systems {wanting} train on augmented views "
                           f"(k_views = {cfg.train.k_views}) but [augment] kind = none")
     return cfg
@@ -296,7 +292,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, base_dir: str | P
         )
 
     with _stage("train-data"):
-        bundle = DataBundle(combined, cfg.augment_op(), cfg.master_seed)
+        bundle = DataBundle(combined, cfg.augment_kind, cfg.master_seed)
 
     trained = {}
     for system in cfg.systems:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio_io import read_wav
-from .augment import AugmentOp, apply_augment, reseeded
+from .augment import apply_augment
 from .contrastive import BatchComposition, CfConfig
 from .corpus import SAMPLE_RATE
 from .errors import ConfigError, DataError, SpoofcmError
@@ -116,14 +116,15 @@ class DataBundle:
 
     Records and paths are read through the manifest; the bundle adds only
     ``features`` (trial id -> base features), ``pairing`` (bona fide id ->
-    its sorted spoof ids) and the view cache. Augmented views are fixed per
-    (trial, view index): their seeds derive from the bundle's master seed,
-    so every epoch sees the same view and reruns are deterministic.
+    its sorted spoof ids) and the view cache. Augmented views apply the
+    bundle's augmentation kind (None for none) and are fixed per (trial,
+    view index): their seeds derive from the bundle's master seed, so every
+    epoch sees the same view and reruns are deterministic.
     """
 
-    def __init__(self, manifest: TrialManifest, augment_op: AugmentOp | None, master_seed: int):
+    def __init__(self, manifest: TrialManifest, augment_kind: str | None, master_seed: int):
         self.manifest = manifest
-        self.augment_op = augment_op
+        self.augment_kind = augment_kind
         self.master_seed = master_seed
         self.features = {r.trial_id: extract_base_features(read_wav(manifest.resolve(r))) for r in manifest}
         self.pairing: dict[str, list[str]] = {r.trial_id: [] for r in manifest if r.label == "bonafide"}
@@ -148,13 +149,13 @@ class DataBundle:
         """Augmented view's base features (view_index >= 1)."""
         if view_index == 0:
             return self.base(trial_id)
-        if self.augment_op is None:
+        if self.augment_kind is None:
             raise ConfigError("augmented views requested but no augmentation is configured")
         key = (trial_id, view_index)
         if key not in self._views:
-            op = reseeded(self.augment_op, derive_seed(self.master_seed, trial_id, view_index))
             w = read_wav(self.manifest.resolve(self.manifest.by_id(trial_id)))
-            self._views[key] = extract_base_features(apply_augment(w, op))
+            seed = derive_seed(self.master_seed, trial_id, view_index)
+            self._views[key] = extract_base_features(apply_augment(w, self.augment_kind, seed))
         return self._views[key]
 
 
@@ -288,7 +289,7 @@ def train(
         epoch_losses = []
         if cfg.loss_mode == "ce":
             items = [(t, 0) for t in train_ids]
-            if bundle.augment_op is not None:
+            if bundle.augment_kind is not None:
                 items += [(t, k) for t in train_ids for k in range(1, cfg.k_views + 1)]
             order = rng.permutation(len(items))
             for s in range(0, len(order), cfg.batch_size):

@@ -37,6 +37,7 @@ from .dsp import (
     MelFilterbank,
     StftConfig,
     _istft_samples,
+    _mel_pinv_t,
     _ola_envelope,
     _stft_frames,
     istft,
@@ -127,6 +128,13 @@ class VocoderChannel:
             raise ConfigError(f"unknown channel {self.name!r}; available: {sorted(CHANNEL_PARAMS)}")
         if self.intermediate_sr is not None and self.intermediate_sr <= 0:
             raise ConfigError(f"intermediate_sr must be positive, got {self.intermediate_sr!r}")
+        params = CHANNEL_PARAMS[self.name]
+        if self.intermediate_sr is not None and "n_mels" in params:
+            try:  # cached, so synthesis reuses the table
+                _mel_pinv_t(params["n_mels"], params["fft_size"], self.intermediate_sr)
+            except NumericalError as exc:
+                raise ConfigError(f"channel {self.name!r} cannot synthesize at intermediate_sr "
+                                  f"{self.intermediate_sr!r}: {exc}") from None
 
     def __repr__(self) -> str:
         """Names the rate and every table value; the vocoded-set cache key is built from it."""

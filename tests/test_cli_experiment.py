@@ -354,6 +354,18 @@ class TestCli:
         assert "'phasernd'" in capsys.readouterr().err
         assert not (tmp_path / "voc").exists()
 
+    def test_synth_refuses_a_rate_glmel_cannot_invert(self, tmp_path, capsys):
+        write_wav(tmp_path / "t0.wav", harmonic_speechlike(duration=0.6, seed=0))
+        TrialManifest([TrialRecord("t0", "t0.wav", "bonafide", "-", "t0", "train")], root=tmp_path).save(
+            tmp_path / "manifest.tsv"
+        )
+        assert main([
+            "synth", "--manifest", str(tmp_path / "manifest.tsv"), "--channels", "coarsegl,glmel",
+            "--intermediate-sr", "48000", "--out", str(tmp_path / "voc"),
+        ]) == 1
+        assert "'glmel'" in capsys.readouterr().err
+        assert not (tmp_path / "voc").exists()
+
     def test_synth_skips_a_truncated_wav(self, tmp_path):
         manifest = gen_desk_corpus(20, 9, tmp_path / "c")
         cut = manifest.records[1]
@@ -497,8 +509,11 @@ class TestCli:
             ("names = coarsegl, phasernd", "names = coarsegl, phasrnd", "phasrnd"),
             ("names = coarsegl, phasernd", "names = coarsegl, phasernd\nintermediate_sr = -5", -5),
             ("names = coarsegl, phasernd", "names = coarsegl, phasernd, coarsegl", "coarsegl"),
+            ("names = coarsegl, phasernd", "names = coarsegl, glmel\nintermediate_sr = 48000", 48000),
+            ("seeds = 5", "seeds = 5, 5", [5, 5]),
         ],
-        ids=["augment-kind", "pairing", "loss-mode", "channel-name", "intermediate-sr", "channel-twice"],
+        ids=["augment-kind", "pairing", "loss-mode", "channel-name", "intermediate-sr", "channel-twice",
+             "glmel-rate", "seed-twice"],
     )
     def test_config_typo_fails_before_synthesis(self, tmp_path, capsys, right, wrong, word):
         (tmp_path / "exp.ini").write_text(TINY_CONFIG.replace(right, wrong))
@@ -534,7 +549,7 @@ class TestCli:
             "cecf_paired = ce+cf, paired\n", ""
         )
         (tmp_path / "ce.ini").write_text(ce_only)
-        assert load_config(tmp_path / "ce.ini").augment_kind == "none"
+        assert load_config(tmp_path / "ce.ini").augment_kind is None
         no_views = TINY_CONFIG.replace("kind = rawboost", "kind = none").replace("k_views = 1", "k_views = 0")
         (tmp_path / "k0.ini").write_text(no_views)
         assert load_config(tmp_path / "k0.ini").train.k_views == 0
