@@ -1,11 +1,11 @@
 """Command-line surface.
 
-Subcommands: gen-corpus, synth, train, score, eer, group-report,
-sigtest, run. Each takes only the flags it reads: every subcommand takes
---out; --seed is taken by gen-corpus, train and run; --config by train
-and run. Exit codes: 0 success, 1 usage/config error, 2 data error, 3
-numerical error. Relative --out paths are resolved under
-$SPOOFCM_OUT_ROOT when that variable is set.
+Subcommands: gen-corpus, synth, train, score, eer, group-report, run.
+Each takes only the flags it reads: every subcommand takes --out; --seed
+is taken by gen-corpus, train and run; --config by train and run. Exit
+codes: 0 success, 1 usage/config error, 2 data error, 3 numerical
+error. Relative --out paths are resolved under $SPOOFCM_OUT_ROOT when
+that variable is set.
 """
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from .errors import ConfigError, DataError, NumericalError
 from .manifest import load_manifest
 from .metrics import (
     EER_COLUMNS,
-    EerResult,
     compute_eer,
     group_analysis,
     group_report_csv,
@@ -31,9 +30,8 @@ from .metrics import (
     pooled_eer,
     save_scores,
 )
-from .stats import DEFAULT_ALPHA, significance_matrix
 from .training import DataBundle, load_checkpoint, manifest_features, score_manifest
-from .util import read_table, table_text, write_file
+from .util import table_text, write_file
 from .vocoders import DEFAULT_CHANNEL_NAMES, VocoderChannel, build_vocoded_set
 
 OUT_ROOT_ENV = "SPOOFCM_OUT_ROOT"
@@ -83,10 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--grouping", default="", help="tag=category pairs, comma separated")
-
-    p = sub.add_parser("sigtest", help="pairwise significance matrix from a results CSV")
-    p.add_argument("--results", required=True, help="CSV: system,eer,n_tar,n_non")
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
 
     p = sub.add_parser("run", help="full experiment from a config file")
     p.add_argument("--seed", type=int, default=None, help="override the config's master seed")
@@ -182,25 +176,6 @@ def _cmd_group_report(args) -> int:
     return 0
 
 
-def _cmd_sigtest(args) -> int:
-    path = Path(args.results)
-    results = {}
-    for ln, fields in read_table(path, "results file", "system,eer,n_tar,n_non", 4, ","):
-        try:
-            eer, n_tar, n_non = float(fields[1]), int(fields[2]), int(fields[3])
-        except ValueError:
-            raise DataError(f"{path}:{ln}: eer must be a number and n_tar, n_non integers") from None
-        if not 0.0 <= eer <= 1.0 or min(n_tar, n_non) < 0:
-            raise DataError(f"{path}:{ln}: need 0 <= eer <= 1 and counts >= 0")
-        if fields[0] in results:
-            raise DataError(f"{path}:{ln}: system {fields[0]!r} is listed more than once")
-        results[fields[0]] = EerResult(eer, 0.0, n_tar, n_non)
-    matrix = significance_matrix(results, alpha=args.alpha)
-    matrix.save(_out_path(args.out or "sigtest"))
-    print(matrix.reject_csv(), end="")
-    return 0
-
-
 def _cmd_run(args) -> int:
     from .experiment import load_config, run_experiment
 
@@ -227,7 +202,6 @@ _COMMANDS = {
     "score": _cmd_score,
     "eer": _cmd_eer,
     "group-report": _cmd_group_report,
-    "sigtest": _cmd_sigtest,
     "run": _cmd_run,
 }
 

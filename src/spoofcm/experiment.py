@@ -224,9 +224,12 @@ def ensure_vocoded_set(
         "channels": [repr(c) for c in channels],
         "synthesis_version": SYNTHESIS_VERSION,
     }
+
+    def record() -> dict:  # the same record is written after a build and compared on a hit
+        return {**desc, "vocoded_manifest": file_sha256(combined_path), "wav_bytes": _wav_bytes(out_dir)}
+
     try:
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        if meta == {**desc, "vocoded_manifest": file_sha256(combined_path), "wav_bytes": _wav_bytes(out_dir)}:
+        if json.loads(meta_path.read_text(encoding="utf-8")) == record():
             return load_manifest(combined_path)
     except (OSError, ValueError):  # a missing or unreadable meta, manifest or WAV is a miss
         pass
@@ -235,8 +238,7 @@ def ensure_vocoded_set(
     with suppress(OSError):
         meta_path.unlink()
     combined = build_vocoded_set(manifest, channels, out_dir)
-    meta = {**desc, "vocoded_manifest": file_sha256(combined_path), "wav_bytes": _wav_bytes(out_dir)}
-    write_file(meta_path, json.dumps(meta, sort_keys=True, indent=1) + "\n")
+    write_file(meta_path, json.dumps(record(), sort_keys=True, indent=1) + "\n")
     return combined
 
 

@@ -90,16 +90,6 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams(**{name: getattr(self, name).copy() for name in self.FIELDS})
 
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([getattr(self, n).ravel() for n in self.TRAINABLE])
-
-    def load_flat(self, vec: np.ndarray) -> None:
-        pos = 0
-        for name in self.TRAINABLE:
-            arr = getattr(self, name)
-            arr[...] = vec[pos : pos + arr.size].reshape(arr.shape)
-            pos += arr.size
-
 
 def init_model(seed: int, feature_dim: int, extractor_hidden: int, head_hidden: int) -> ModelParams:
     rng = np.random.default_rng(seed)

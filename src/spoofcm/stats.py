@@ -18,7 +18,7 @@ from .errors import ConfigError
 from .metrics import EerResult
 from .util import table_text, write_file
 
-DEFAULT_ALPHA = 0.05
+ALPHA = 0.05  # family-wise error rate of the Holm-Bonferroni correction
 
 
 def _normal_sf(z: float) -> float:
@@ -28,13 +28,12 @@ def _normal_sf(z: float) -> float:
 def pairwise_eer_test(e1: EerResult, e2: EerResult) -> float:
     """Two-sided p-value for the difference between two systems' EERs.
 
-    Degenerate pooled proportions (0 or 1) give p = 1 when the EERs are
-    equal and p = 0 otherwise.
+    Both results come from ``compute_eer``, which refuses an empty class,
+    so both trial counts are positive. Degenerate pooled proportions (0 or
+    1) give p = 1 when the EERs are equal and p = 0 otherwise.
     """
     n1 = e1.n_tar + e1.n_non
     n2 = e2.n_tar + e2.n_non
-    if n1 <= 0 or n2 <= 0:
-        raise ConfigError("EER results must carry positive trial counts")
     c1 = round(e1.eer * n1)
     c2 = round(e2.eer * n2)
     pooled = (c1 + c2) / (n1 + n2)
@@ -44,12 +43,10 @@ def pairwise_eer_test(e1: EerResult, e2: EerResult) -> float:
     return 2.0 * _normal_sf(abs(z))
 
 
-def holm_bonferroni(p_values: list[float], alpha: float = DEFAULT_ALPHA) -> list[bool]:
+def holm_bonferroni(p_values: list[float]) -> list[bool]:
     """Step-down rejection: sort ascending, compare p_(k) against
-    alpha / (m - k + 1), stop at the first failure. Flags are returned in
-    the original order. ``alpha`` must lie strictly between 0 and 1."""
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
+    ALPHA / (m - k + 1), stop at the first failure. Flags are returned in
+    the original order."""
     m = len(p_values)
     for p in p_values:
         if not (0.0 <= p <= 1.0):
@@ -57,7 +54,7 @@ def holm_bonferroni(p_values: list[float], alpha: float = DEFAULT_ALPHA) -> list
     order = sorted(range(m), key=lambda i: p_values[i])
     reject = [False] * m
     for rank, idx in enumerate(order):
-        if p_values[idx] <= alpha / (m - rank):
+        if p_values[idx] <= ALPHA / (m - rank):
             reject[idx] = True
         else:
             break
@@ -69,21 +66,6 @@ class SignificanceMatrix:
     systems: list[str]
     p_values: np.ndarray = field(repr=False)
     reject: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        n = len(self.systems)
-        p = np.asarray(self.p_values, dtype=np.float64)
-        r = np.asarray(self.reject, dtype=bool)
-        if p.shape != (n, n) or r.shape != (n, n):
-            raise ConfigError("matrix shapes must match the system count")
-        if not np.allclose(p, p.T) or not np.array_equal(r, r.T):
-            raise ConfigError("significance matrices must be symmetric")
-        if np.any(np.diag(r)):
-            raise ConfigError("diagonal rejections are meaningless")
-        if np.any((p < 0) | (p > 1)):
-            raise ConfigError("p-values must lie in [0, 1]")
-        object.__setattr__(self, "p_values", p)
-        object.__setattr__(self, "reject", r)
 
     def _csv(self, values: np.ndarray) -> str:
         rows = [(name, *row) for name, row in zip(self.systems, values.tolist())]
@@ -101,7 +83,7 @@ class SignificanceMatrix:
         write_file(out_dir / "sig_reject.csv", self.reject_csv())
 
 
-def significance_matrix(results: dict[str, EerResult], alpha: float = DEFAULT_ALPHA) -> SignificanceMatrix:
+def significance_matrix(results: dict[str, EerResult]) -> SignificanceMatrix:
     """All-pairs z-tests with Holm-Bonferroni applied jointly over the pairs."""
     systems = list(results)
     n = len(systems)
@@ -109,7 +91,7 @@ def significance_matrix(results: dict[str, EerResult], alpha: float = DEFAULT_AL
         raise ConfigError("significance analysis needs at least two systems")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     p_flat = [pairwise_eer_test(results[systems[i]], results[systems[j]]) for i, j in pairs]
-    rejected = holm_bonferroni(p_flat, alpha)
+    rejected = holm_bonferroni(p_flat)
     p = np.ones((n, n))
     r = np.zeros((n, n), dtype=bool)
     for (i, j), pv, rej in zip(pairs, p_flat, rejected):

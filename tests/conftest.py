@@ -32,6 +32,20 @@ def speechlike():
     return harmonic_speechlike()
 
 
+def flat(params):
+    """The trainable parameters as one vector, in ``TRAINABLE`` order."""
+    return np.concatenate([getattr(params, n).ravel() for n in params.TRAINABLE])
+
+
+def load_flat(params, vec):
+    """Write a vector laid out as ``flat`` returns it back into ``params``."""
+    pos = 0
+    for name in params.TRAINABLE:
+        arr = getattr(params, name)
+        arr[...] = vec[pos : pos + arr.size].reshape(arr.shape)
+        pos += arr.size
+
+
 def gradcheck(members, labels, loss_cfg, params, step=1e-5, n_probe=None, probe_seed=0):
     """Central-difference check of forward_backward's gradients.
 
@@ -43,7 +57,7 @@ def gradcheck(members, labels, loss_cfg, params, step=1e-5, n_probe=None, probe_
 
     _, grads, _ = forward_backward(members, labels, params, loss_cfg)
     flat_grad = np.concatenate([grads[n].ravel() for n in params.TRAINABLE])
-    theta = params.flatten()
+    theta = flat(params)
     if n_probe is None:
         idxs = range(len(theta))
     else:
@@ -53,10 +67,10 @@ def gradcheck(members, labels, loss_cfg, params, step=1e-5, n_probe=None, probe_
     for i in idxs:
         v = theta.copy()
         v[i] += step
-        params.load_flat(v)
+        load_flat(params, v)
         lp = forward_backward(members, labels, params, loss_cfg)[0]
         v[i] -= 2 * step
-        params.load_flat(v)
+        load_flat(params, v)
         lm = forward_backward(members, labels, params, loss_cfg)[0]
         fd = (lp - lm) / (2 * step)
         err = abs(fd - flat_grad[i])
@@ -64,5 +78,5 @@ def gradcheck(members, labels, loss_cfg, params, step=1e-5, n_probe=None, probe_
             max_rel = max(max_rel, err / abs(fd))
         else:
             max_abs = max(max_abs, err)
-    params.load_flat(theta)
+    load_flat(params, theta)
     return max_rel, max_abs

@@ -1,5 +1,7 @@
+import argparse
 import hashlib
 import json
+import re
 from dataclasses import replace as dc_replace
 from pathlib import Path
 
@@ -149,8 +151,6 @@ GOLDEN_ARTIFACT_SHA256 = {
     "runs/cecf_paired_seed5/history.csv": "80270d51122a5935e9499c40f183d2e75e25a7b025f61415c5680131d3c7a5b5",
     "runs/cecf_paired_seed5/scores_eval.txt": "71408e250ca6be63f97a496394279216a12812a3b36761129bc68c172970d041",
     "runs/cecf_paired_seed5/scores_eval_trim.txt": "56261479da7215e225b6eb97f16c45dcd0edade0460404093e40fea6a7429314",
-    "sig/sig_p.csv": "3263a98928ccff5db0bb9b6f789f38e16db6c0a5826e9637f975aedb3bc0a4f9",
-    "sig/sig_reject.csv": "ac235cc91d2dd5b24f81f7763ed780087bea0c97f5b57c6b83cf3b8d9328e930",
     "sig_p.csv": "f12f8f5f21e683a9c2e32474c1a3a0d40c0b7ed314f6b94365b01b10195b2a57",
     "sig_reject.csv": "bd1d7b6738157f20093f694a85b0e070b4481125b2c7162cf78729c77cdb05e4",
     "summary.csv": "a9afa662eb64ddb78d16da6344467e2ae97ec3c1aab7c417519e47f57fea9f7e",
@@ -165,15 +165,12 @@ def test_text_artifacts_match_golden(tiny_run, tmp_path, capsys):
     runs = out / "runs"
     manifest = str(out / "vocoded" / "manifest.tsv")
     scores = [str(runs / "cecf_paired_seed5" / f"scores_{s}.txt") for s in ("eval", "eval_trim")]
-    results = tmp_path / "results.csv"
-    results.write_text("system,eer,n_tar,n_non\nA,0.01,5000,5000\nB,0.2,5000,5000\nC,0.21,400,900\n")
     commands = [
         ["eer", "--scores", *scores, "--manifest", manifest, "--out", str(tmp_path / "eer.csv")],
         ["score", "--trim", "--checkpoint", str(runs / "ce_aug_seed5" / "checkpoint.ckpt"),
          "--manifest", manifest, "--out", str(tmp_path / "rescored.txt")],
         ["group-report", "--scores", scores[0], "--manifest", manifest,
          "--grouping", "phasernd=phase", "--out", str(tmp_path / "group")],
-        ["sigtest", "--results", str(results), "--out", str(tmp_path / "sig")],
     ]
     for command in commands:
         assert main(command) == 0, command
@@ -185,8 +182,7 @@ def test_text_artifacts_match_golden(tiny_run, tmp_path, capsys):
     for run in ("ce_aug_seed5", "cecf_paired_seed5"):
         for name in ("history.csv", "scores_eval.txt", "scores_eval_trim.txt"):
             files[f"runs/{run}/{name}"] = runs / run / name
-    for rel in ("eer.csv", "rescored.txt", "group/category_eer.csv", "group/histograms.csv",
-                "sig/sig_p.csv", "sig/sig_reject.csv"):
+    for rel in ("eer.csv", "rescored.txt", "group/category_eer.csv", "group/histograms.csv"):
         files[rel] = tmp_path / rel
     digests = {rel: hashlib.sha256(path.read_bytes()).hexdigest() for rel, path in files.items()}
     assert digests == GOLDEN_ARTIFACT_SHA256
@@ -404,13 +400,6 @@ class TestCli:
         ]) == 0
         assert (tmp_path / "groups" / "category_eer.csv").exists()
 
-    def test_sigtest_command(self, tmp_path):
-        results = tmp_path / "r.csv"
-        results.write_text("system,eer,n_tar,n_non\nA,0.01,5000,5000\nB,0.49,5000,5000\n")
-        assert main(["sigtest", "--results", str(results), "--out", str(tmp_path / "sig")]) == 0
-        reject = (tmp_path / "sig" / "sig_reject.csv").read_text()
-        assert reject.splitlines()[1] == "A,0,1"
-
     @pytest.mark.parametrize(
         "bad, code", [("scores", 2), ("manifest", 2), ("config", 1)], ids=["scores", "manifest", "config"]
     )
@@ -429,53 +418,10 @@ class TestCli:
             assert main(["eer", "--scores", str(files["scores"]), "--manifest", str(files["manifest"])]) == code
             assert str(files[bad]) in capsys.readouterr().err
 
-    def test_sigtest_needs_the_exact_header(self, tmp_path, capsys):
-        results = tmp_path / "r.csv"
-        results.write_text("system,err,n_tar,n_non\nA,0.01,5000,5000\nB,0.49,5000,5000\n")
-        assert main(["sigtest", "--results", str(results), "--out", str(tmp_path / "sig")]) == 2
-        assert "expected header 'system,eer,n_tar,n_non'" in capsys.readouterr().err
-
     def test_unparsable_value_names_section_and_key(self, tmp_path, capsys):
         (tmp_path / "exp.ini").write_text(TINY_CONFIG.replace("max_epochs = 2", "max_epochs = ten"))
         assert main(["train", "--config", str(tmp_path / "exp.ini")]) == 1
         assert "train.max_epochs" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "row", ["A,0.01,5000", "A,0.01,5000,5000,1", "A,x,5000,5000", "A,0.01,5000,five", "A,nan,5,5", "A,1.5,5,5"]
-    )
-    def test_sigtest_malformed_row_names_path_and_line(self, tmp_path, capsys, row):
-        results = tmp_path / "r.csv"
-        results.write_text(f"system,eer,n_tar,n_non\n{row}\nB,0.49,5000,5000\n")
-        assert main(["sigtest", "--results", str(results), "--out", str(tmp_path / "sig")]) == 2
-        assert f"{results}:2" in capsys.readouterr().err
-
-    def test_sigtest_repeated_system_names_path_and_line(self, tmp_path, capsys):
-        results = tmp_path / "r.csv"
-        results.write_text("system,eer,n_tar,n_non\nA,0.01,5000,5000\nB,0.2,5000,5000\nA,0.49,5000,5000\n")
-        assert main(["sigtest", "--results", str(results), "--out", str(tmp_path / "sig")]) == 2
-        err = capsys.readouterr().err
-        assert f"{results}:4" in err and "'A'" in err
-        assert not (tmp_path / "sig").exists()
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        rows=st.lists(
-            st.lists(
-                st.one_of(
-                    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
-                    st.floats().map(repr),
-                    st.integers(min_value=-3, max_value=10**7).map(str),
-                ),
-                max_size=5,
-            ).map(",".join),
-            max_size=5,
-        )
-    )
-    def test_sigtest_arbitrary_rows_raise_only_typed_errors(self, tmp_path_factory, rows):
-        base = tmp_path_factory.getbasetemp()
-        results = base / "sigtest_rows.csv"
-        results.write_text("system,eer,n_tar,n_non\n" + "\n".join(rows) + "\n", encoding="utf-8")
-        assert main(["sigtest", "--results", str(results), "--out", str(base / "sigtest_out")]) in (0, 1, 2, 3)
 
     def test_exit_codes(self, tmp_path):
         assert main(["eer", "--scores", "missing.txt", "--manifest", "missing.tsv"]) == 2
@@ -487,13 +433,17 @@ class TestCli:
 
             build_parser().parse_args(["unknown-command"])
         assert main(["unknown-command"]) == 1
+        assert main(["sigtest", "--results", "r.csv"]) == 1  # significance is a stage of run, not a command
         (tmp_path / "garbage.ckpt").write_bytes(b"\x00not a checkpoint")
         assert main(["score", "--checkpoint", str(tmp_path / "garbage.ckpt"), "--manifest", "missing.tsv"]) == 2
-        results = tmp_path / "r.csv"
-        results.write_text("system,eer,n_tar,n_non\nA,0.10,250,250\nB,0.30,250,250\nC,0.31,250,250\n")
-        for alpha in ("5", "1", "0", "-1", "nan"):
-            assert main(["sigtest", "--results", str(results), "--alpha", alpha, "--out", str(tmp_path / "sig")]) == 1
-        assert not (tmp_path / "sig").exists()
+
+    def test_parser_dispatch_and_docstring_name_one_set_of_commands(self):
+        # a subcommand without a _COMMANDS entry would reach main as a KeyError traceback
+        import spoofcm.cli as cli
+
+        sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        documented = re.search(r"Subcommands: ([^.]*)\.", cli.__doc__).group(1)
+        assert set(sub.choices) == set(cli._COMMANDS) == {n.strip() for n in documented.split(",")}
 
     def test_augment_none_with_contrastive_system_fails_before_synthesis(self, tmp_path):
         (tmp_path / "exp.ini").write_text(TINY_CONFIG.replace("kind = rawboost", "kind = none"))
@@ -528,13 +478,11 @@ class TestCli:
             ["score", "--checkpoint", "c.ckpt", "--manifest", "m.tsv", "--seed", "5"],
             ["eer", "--scores", "s.txt", "--manifest", "m.tsv", "--seed", "5"],
             ["group-report", "--scores", "s.txt", "--manifest", "m.tsv", "--seed", "5"],
-            ["sigtest", "--results", "r.csv", "--seed", "5"],
             ["gen-corpus", "--config", "exp.ini"],
             ["synth", "--manifest", "m.tsv", "--config", "exp.ini"],
             ["score", "--checkpoint", "c.ckpt", "--manifest", "m.tsv", "--config", "exp.ini"],
             ["eer", "--scores", "s.txt", "--manifest", "m.tsv", "--config", "exp.ini"],
             ["group-report", "--scores", "s.txt", "--manifest", "m.tsv", "--config", "exp.ini"],
-            ["sigtest", "--results", "r.csv", "--config", "exp.ini"],
         ],
         ids=lambda c: f"{c[0]}{c[-2]}",
     )
@@ -561,7 +509,7 @@ class TestCli:
 
 
 @pytest.mark.parametrize(
-    "command", ["gen-corpus", "synth", "train", "score", "eer", "group-report", "sigtest", "run"]
+    "command", ["gen-corpus", "synth", "train", "score", "eer", "group-report", "run"]
 )
 def test_unwritable_out_is_a_data_error(tiny_run, tmp_path, capsys, command):
     base, report = tiny_run
@@ -571,7 +519,6 @@ def test_unwritable_out_is_a_data_error(tiny_run, tmp_path, capsys, command):
     (tmp_path / "train.ini").write_text(
         TINY_CONFIG.replace("corpus/manifest.tsv", manifest).replace("max_epochs = 2", "max_epochs = 1")
     )
-    (tmp_path / "r.csv").write_text("system,eer,n_tar,n_non\nA,0.01,5000,5000\nB,0.49,5000,5000\n")
     args = {
         "gen-corpus": ["--n", "20"],
         "synth": ["--manifest", str(base / "corpus" / "manifest.tsv"), "--channels", "phasernd"],
@@ -579,7 +526,6 @@ def test_unwritable_out_is_a_data_error(tiny_run, tmp_path, capsys, command):
         "score": ["--checkpoint", str(ce_run / "checkpoint.ckpt"), "--manifest", manifest],
         "eer": ["--scores", scores, "--manifest", manifest],
         "group-report": ["--scores", scores, "--manifest", manifest],
-        "sigtest": ["--results", str(tmp_path / "r.csv")],
         "run": ["--config", str(base / "exp.ini")],
     }[command]
     (tmp_path / "afile").touch()

@@ -38,32 +38,27 @@ class TestPairwiseTest:
 
 class TestHolmBonferroni:
     def test_single_small_p_rejected(self):
-        assert holm_bonferroni([0.01], alpha=0.05) == [True]
+        assert holm_bonferroni([0.01]) == [True]
 
     def test_all_ones_nothing_rejected(self):
         assert holm_bonferroni([1.0] * 5) == [False] * 5
 
-    @pytest.mark.parametrize("alpha", [5.0, 1.0, 0.0, -1.0, float("nan")])
-    def test_alpha_outside_the_unit_interval_is_refused(self, alpha):
-        with pytest.raises(ConfigError, match="alpha"):
-            holm_bonferroni([0.01, 0.5], alpha)
-
     def test_worked_example(self):
         # thresholds 0.0125, 0.0167, 0.025, 0.05: only the first survives
-        assert holm_bonferroni([0.01, 0.02, 0.03, 0.04], alpha=0.05) == [True, False, False, False]
+        assert holm_bonferroni([0.01, 0.02, 0.03, 0.04]) == [True, False, False, False]
 
     def test_matches_manual_oracle_on_random_vectors(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             m = int(rng.integers(1, 22))
             p = list(np.round(rng.random(m) ** 2, 4))
-            assert holm_bonferroni(p, 0.05) == holm_bonferroni_manual(p, 0.05)
+            assert holm_bonferroni(p) == holm_bonferroni_manual(p, 0.05)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=21))
     def test_rejects_superset_of_plain_bonferroni(self, p):
         m = len(p)
-        holm = holm_bonferroni(p, 0.05)
+        holm = holm_bonferroni(p)
         bonf = [pv <= 0.05 / m for pv in p]
         assert all(h or not b for h, b in zip(holm, bonf))
 
@@ -74,10 +69,10 @@ class TestHolmBonferroni:
     )
     def test_monotone_in_individual_p(self, p, idx):
         idx = idx % len(p)
-        before = holm_bonferroni(p, 0.05)
+        before = holm_bonferroni(p)
         lowered = list(p)
         lowered[idx] = lowered[idx] / 2.0
-        after = holm_bonferroni(lowered, 0.05)
+        after = holm_bonferroni(lowered)
         assert all(a or not b for a, b in zip(after, before))
 
     def test_invalid_p_rejected(self):

@@ -29,7 +29,7 @@ from spoofcm.training import (
 from spoofcm.util import derive_seed
 from spoofcm.vocoders import VocoderChannel, build_vocoded_set
 
-from conftest import harmonic_speechlike
+from conftest import flat, harmonic_speechlike
 
 SR = 16000
 
@@ -73,18 +73,18 @@ class TestAdam:
         p = init_model(0, feature_dim=8, extractor_hidden=6, head_hidden=7)
         state = adam_init(p)
         grads = {k: np.full_like(getattr(p, k), 3.0) for k in p.TRAINABLE}
-        before = p.flatten()
+        before = flat(p)
         adam_step(p, grads, state, lr=0.01)
-        delta = np.abs(p.flatten() - before)
+        delta = np.abs(flat(p) - before)
         assert np.all(delta >= 0.99 * 0.01) and np.all(delta <= 0.01 + 1e-12)
 
     def test_zero_gradients_leave_params_unchanged(self):
         p = init_model(1, feature_dim=8, extractor_hidden=6, head_hidden=7)
         state = adam_init(p)
-        before = p.flatten()
+        before = flat(p)
         for _ in range(5):
             adam_step(p, {k: np.zeros_like(getattr(p, k)) for k in p.TRAINABLE}, state, lr=0.1)
-        assert np.array_equal(p.flatten(), before)
+        assert np.array_equal(flat(p), before)
 
     def test_scalar_quadratic_matches_oracle_and_decreases(self):
         from reference import scalar_adam_oracle
@@ -158,7 +158,7 @@ class TestTrainLoop:
         p1, h1 = train(plain_bundle, cfg, seed=42)
         p2, h2 = train(plain_bundle, cfg, seed=42)
         assert h1 == h2
-        assert np.array_equal(p1.flatten(), p2.flatten())
+        assert np.array_equal(flat(p1), flat(p2))
 
     def test_patience_semantics_with_scripted_dev_loss(self, plain_bundle, monkeypatch):
         snapshots = []
@@ -172,7 +172,7 @@ class TestTrainLoop:
         cfg = TrainConfig(max_epochs=50, patience=10, loss_mode="ce")
         best, history = train(plain_bundle, cfg, seed=7)
         assert len(history) == 11  # epoch 1 best + 10 non-improving
-        assert np.array_equal(best.flatten(), snapshots[0].flatten())
+        assert np.array_equal(flat(best), flat(snapshots[0]))
 
     def test_best_checkpoint_not_worse_than_any_epoch(self, plain_bundle):
         cfg = TrainConfig(max_epochs=4, patience=10, loss_mode="ce")
@@ -253,7 +253,7 @@ class TestCheckpointFiles:
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
         loaded, h = load_checkpoint(tmp_path / "a.ckpt")
         assert h == "abc"
-        assert np.array_equal(loaded.flatten(), p.flatten())
+        assert np.array_equal(flat(loaded), flat(p))
         assert np.array_equal(loaded.feat_mean, p.feat_mean)
 
     @pytest.fixture(scope="class")
