@@ -1,10 +1,12 @@
 """Two-class supervised contrastive loss over aligned feature sequences.
 
-A mini-batch holds bona fide views and spoofed (vocoded) views of the
-same utterance. The similarity between two sequences is the frame-wise
-cosine similarity averaged over frames and scaled by 1/temperature; the
-loss pulls same-class views together and pushes classes apart, with each
-anchor normalized by a partition over every other batch member.
+A batch is its members, feature sequences of one shared (N, D) shape, and
+their labels (1 bona fide, 0 spoofed), in any order: bona fide views and
+spoofed (vocoded) views of the same utterance. The similarity between two
+sequences is the frame-wise cosine similarity averaged over frames and
+scaled by 1/temperature; the loss pulls same-class views together and
+pushes classes apart, with each anchor normalized by a partition over
+every other batch member.
 
 ``cf_value_and_grad`` evaluates one level per call: "sequence" on the
 frame sequences, or "utterance" on their means (single-frame sequences).
@@ -16,7 +18,8 @@ reach 1/temperature (about 14.3 at the default 0.07).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,43 +41,10 @@ class CfConfig:
     levels: str = "both"
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ConfigError(f"temperature must be positive, got {self.temperature}")
+        if not 0 < self.temperature < math.inf:
+            raise ConfigError(f"temperature must be finite and positive, got {self.temperature!r}")
         if self.levels not in LEVEL_TERMS:
             raise ConfigError(f"levels must be one of {tuple(LEVEL_TERMS)}, got {self.levels!r}")
-
-
-@dataclass(frozen=True)
-class BatchComposition:
-    """Bona fide and spoofed feature-sequence views entering the loss.
-
-    Every member must share the same frame count and dimension, and each
-    class needs at least two members so every anchor has a positive."""
-
-    bona_views: list = field(default_factory=list)
-    spoof_views: list = field(default_factory=list)
-
-    def __post_init__(self):
-        bona = [np.asarray(m, dtype=np.float64) for m in self.bona_views]
-        spoof = [np.asarray(m, dtype=np.float64) for m in self.spoof_views]
-        if len(bona) < 2 or len(spoof) < 2:
-            raise ConfigError(
-                f"batch composition needs >= 2 views per class, got "
-                f"{len(bona)} bona fide and {len(spoof)} spoofed"
-            )
-        shapes = {m.shape for m in bona + spoof}
-        if len(shapes) != 1 or bona[0].ndim != 2:
-            raise ConfigError(f"all members must share one (N, D) shape, got {sorted(shapes)}")
-        object.__setattr__(self, "bona_views", bona)
-        object.__setattr__(self, "spoof_views", spoof)
-
-    @property
-    def members(self) -> list:
-        return self.bona_views + self.spoof_views
-
-    @property
-    def labels(self) -> list:
-        return [1] * len(self.bona_views) + [0] * len(self.spoof_views)
 
 
 def _similarity_matrix(members: list, temperature: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -119,16 +89,23 @@ def _cf_core(members: list, labels: list, temperature: float):
     return loss, [grads[i] for i in range(b)]
 
 
-def cf_value_and_grad(batch: BatchComposition, level: str, temperature: float):
-    """The loss at one level ("sequence" or "utterance") and its exact
-    gradient with respect to every member frame.
+def cf_value_and_grad(members: list, labels: list, level: str, temperature: float):
+    """The loss of a batch at one level ("sequence" or "utterance") and its
+    exact gradient with respect to every member frame, in member order.
 
+    Each class needs at least two members, so every anchor has a positive.
     The utterance-level gradient is propagated through the mean pooling,
     so the returned arrays always match the member shapes.
     """
     if level not in ("sequence", "utterance"):
         raise ConfigError(f"level must be 'sequence' or 'utterance', got {level!r}")
-    members, labels = batch.members, batch.labels
+    n_bona, n_spoof = (list(labels).count(c) for c in (1, 0))
+    if min(n_bona, n_spoof) < 2:
+        raise ConfigError(f"batch composition needs >= 2 views per class, got "
+                          f"{n_bona} bona fide and {n_spoof} spoofed")
+    shapes = {np.shape(m) for m in members}
+    if len(shapes) != 1 or len(next(iter(shapes))) != 2:
+        raise ConfigError(f"all members must share one (N, D) shape, got {sorted(shapes)}")
     if level == "sequence":
         return _cf_core(members, labels, temperature)
     n_frames = members[0].shape[0]

@@ -64,7 +64,7 @@ from .training import (
     train,
 )
 from .util import derive_seed, file_sha256, read_utf8, table_text, text_sha256, write_file
-from .vocoders import DEFAULT_CHANNEL_NAMES, SYNTHESIS_VERSION, VocoderChannel, check_channels
+from .vocoders import DEFAULT_CHANNEL_NAMES, SYNTHESIS_VERSION, VocoderChannel, build_vocoded_set, check_channels
 
 
 @dataclass(frozen=True)
@@ -106,21 +106,24 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(v.strip()) for v in text.split(",") if v.strip())
 
 
-# The INI keys outside [train], [cf] and [systems]: (section, key) -> (ExperimentConfig field, parser).
-_EXPERIMENT_KEYS = {
-    ("experiment", "name"): ("name", str),
-    ("experiment", "seed"): ("master_seed", int),
-    ("experiment", "seeds"): ("seeds", _parse_int_list),
-    ("data", "manifest"): ("manifest_path", str),
-    ("data", "generate"): ("generate", int),
-    ("channels", "names"): ("channel_names", lambda t: tuple(n.strip() for n in t.split(","))),
-    ("channels", "intermediate_sr"): ("intermediate_sr", lambda t: int(t) if t.strip() else None),
-    ("augment", "kind"): ("augment_kind", lambda t: None if t == "none" else t),
-}
-# The [train] keys; each sets the TrainConfig field of the same name.
-_TRAIN_KEYS = {
-    "lr0": float, "lr_decay": float, "lr_decay_every": int, "batch_size": int, "max_seconds": float,
-    "patience": int, "max_epochs": int, "feature_dim": int, "extractor_hidden": int, "head_hidden": int,
+# Every INI key outside the free-form [systems]: (section, key) -> (the config
+# it sets, that config's field, parser).
+_INI_KEYS = {
+    ("experiment", "name"): ("experiment", "name", str),
+    ("experiment", "seed"): ("experiment", "master_seed", int),
+    ("experiment", "seeds"): ("experiment", "seeds", _parse_int_list),
+    ("data", "manifest"): ("experiment", "manifest_path", str),
+    ("data", "generate"): ("experiment", "generate", int),
+    ("channels", "names"): ("experiment", "channel_names", lambda t: tuple(n.strip() for n in t.split(","))),
+    ("channels", "intermediate_sr"): ("experiment", "intermediate_sr", lambda t: int(t) if t.strip() else None),
+    ("augment", "kind"): ("experiment", "augment_kind", lambda t: None if t == "none" else t),
+    ("augment", "k_views"): ("train", "k_views", int),
+    **{("train", key): ("train", key, kind) for key, kind in {
+        "lr0": float, "lr_decay": float, "lr_decay_every": int, "batch_size": int, "max_seconds": float,
+        "patience": int, "max_epochs": int, "feature_dim": int, "extractor_hidden": int, "head_hidden": int,
+    }.items()},
+    ("cf", "temperature"): ("cf", "temperature", float),
+    ("cf", "levels"): ("cf", "levels", str),
 }
 
 
@@ -130,35 +133,27 @@ def load_config(path: str | Path) -> ExperimentConfig:
     that need no data run here, before a run writes any file."""
     path = Path(path)
     raw = read_utf8(path, "config file", decode_error=ConfigError)
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(default_section="")  # so [DEFAULT] is a section like any other
     try:
         parser.read_string(raw)
         sections = {name: dict(parser[name]) for name in parser.sections()}
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
-    def value(section: str, key: str, kind):
-        text = sections[section][key]
-        try:
-            return kind(text)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {section}.{key} = {text!r}: {exc}") from None
-
-    def given(section: str, kinds: dict) -> dict:
-        """The keys of ``kinds`` set in the section, parsed."""
-        fields = sections.get(section, {})
-        return {key: value(section, key, kind) for key, kind in kinds.items() if key in fields}
-
-    settings = {
-        name: value(section, key, kind)
-        for (section, key), (name, kind) in _EXPERIMENT_KEYS.items()
-        if key in sections.get(section, {})
-    }
-    settings["train"] = TrainConfig(
-        **given("train", _TRAIN_KEYS),
-        **given("augment", {"k_views": int}),
-        cf=CfConfig(**given("cf", {"temperature": float, "levels": str})),
-    )
+    given = {"experiment": {}, "train": {}, "cf": {}}
+    for section, keys in sections.items():
+        if section == "systems":  # free-form, read below
+            continue
+        for key, text in keys.items():
+            if (section, key) not in _INI_KEYS:
+                raise ConfigError(f"{path}: unknown key '{section}.{key}'")
+            target, name, kind = _INI_KEYS[section, key]
+            try:
+                given[target][name] = kind(text)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: {section}.{key} = {text!r}: {exc}") from None
+    settings = given["experiment"]
+    settings["train"] = TrainConfig(**given["train"], cf=CfConfig(**given["cf"]))
     systems = []
     for name, text in sections.get("systems", {}).items():
         parts = [p.strip() for p in text.split(",")]
@@ -184,10 +179,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
             cfg.train_config(system)
         except ConfigError as exc:
             raise ConfigError(f"{path}: system {system.name!r}: {exc}") from None
-    wanting = [s.name for s in cfg.systems if s.loss_mode == "ce+cf"]  # contrastive batches take views
-    if cfg.augment_kind is None and cfg.train.k_views > 0 and wanting:
-        raise ConfigError(f"{path}: systems {wanting} train on augmented views "
-                          f"(k_views = {cfg.train.k_views}) but [augment] kind = none")
+    # a contrastive batch needs two bona fide views: the trial and an augmented copy
+    wanting = [s.name for s in cfg.systems if s.loss_mode == "ce+cf"]
+    if wanting and (cfg.augment_kind is None or cfg.train.k_views < 1):
+        raise ConfigError(f"{path}: systems {wanting} train on augmented views, which need a kind and "
+                          f"k_views >= 1; [augment] kind = {cfg.augment_kind or 'none'}, "
+                          f"k_views = {cfg.train.k_views}")
     return cfg
 
 
@@ -215,8 +212,6 @@ def ensure_vocoded_set(
     equals what a rebuild would produce). A missing, added or resized WAV or
     any other manifest is a miss.
     """
-    from .vocoders import build_vocoded_set
-
     meta_path = out_dir / "build_meta.json"
     combined_path = out_dir / "manifest.tsv"
     desc = {

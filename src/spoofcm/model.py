@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .audio_io import Waveform
-from .contrastive import LEVEL_TERMS, BatchComposition, CfConfig, cf_value_and_grad
+from .contrastive import LEVEL_TERMS, CfConfig, cf_value_and_grad
 from .dsp import MelFilterbank, analysis_window, frame_signal
 from .errors import ConfigError, DataError, NumericalError
 
@@ -194,8 +194,10 @@ def forward_backward(
     """Mean cross-entropy over the batch (plus the contrastive feature loss
     when enabled) and exact gradients for every trainable tensor.
 
-    With the contrastive term, members must share one frame count; the
-    term is evaluated at each level ``LEVEL_TERMS`` lists for ``cf.levels``.
+    With the contrastive term, the members' feature sequences and their
+    labels, in the given order, are the contrastive batch: members must
+    share one frame count, and each class needs two. The term is evaluated
+    at each level ``LEVEL_TERMS`` lists for ``cf.levels``.
     Returns (loss, grads, parts) where parts splits the loss per term.
     """
     if len(members) != len(labels) or not members:
@@ -214,17 +216,14 @@ def forward_backward(
 
     cf_grads = [None] * n
     if loss_cfg.mode == "ce+cf":
-        bona = [caches[i]["X"] for i in range(n) if labels[i] == 1]
-        spoof = [caches[i]["X"] for i in range(n) if labels[i] == 0]
-        batch = BatchComposition(bona, spoof)  # validates composition sizes
-        order = [i for i in range(n) if labels[i] == 1] + [i for i in range(n) if labels[i] == 0]
-        cf_grads = [np.zeros_like(cache["X"]) for cache in caches]
+        seqs = [cache["X"] for cache in caches]
+        cf_grads = [np.zeros_like(x) for x in seqs]
         for level, part in LEVEL_TERMS[loss_cfg.cf.levels]:
-            value, gs = cf_value_and_grad(batch, level, loss_cfg.cf.temperature)
+            value, gs = cf_value_and_grad(seqs, labels, level, loss_cfg.cf.temperature)
             parts[part] = value
             loss += value
-            for slot, g in zip(order, gs):
-                cf_grads[slot] += g
+            for acc, g in zip(cf_grads, gs):
+                acc += g
 
     if not np.isfinite(loss):
         raise NumericalError(f"non-finite loss in batch {batch_id}")

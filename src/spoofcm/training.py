@@ -16,7 +16,7 @@ import numpy as np
 
 from .audio_io import read_wav
 from .augment import apply_augment
-from .contrastive import BatchComposition, CfConfig
+from .contrastive import CfConfig
 from .corpus import SAMPLE_RATE
 from .errors import ConfigError, DataError, SpoofcmError
 from .manifest import TrialManifest
@@ -67,8 +67,9 @@ class TrainConfig:
             raise ConfigError(f"loss_mode must be 'ce' or 'ce+cf', got {self.loss_mode!r}")
         if self.pairing not in ("paired", "random"):
             raise ConfigError(f"pairing must be 'paired' or 'random', got {self.pairing!r}")
-        if min(self.lr0, self.lr_decay, self.max_seconds) <= 0:
-            raise ConfigError("learning-rate, decay and max_seconds must be positive")
+        for name in ("lr0", "lr_decay", "max_seconds"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and positive, got {getattr(self, name)!r}")
 
     def max_frames(self) -> int:
         """Front-end frames in a max_seconds crop at the desk rate."""
@@ -167,8 +168,9 @@ def compose_batch(
     rng: np.random.Generator,
     max_frames: int,
     spoof_pool: list[str] | None = None,
-) -> BatchComposition:
-    """Build one contrastive mini-batch around a bona fide trial.
+) -> tuple[list[np.ndarray], list[int]]:
+    """Build one contrastive mini-batch around a bona fide trial: its members
+    and their labels (1 bona fide, 0 spoofed), bona fide members first.
 
     Paired mode takes the trial's own vocoded spoofs; random mode samples
     the same number of spoofs from the provided pool. The bona fide views
@@ -206,8 +208,7 @@ def compose_batch(
         members = [
             m[(s := int(rng.integers(0, m.shape[0] - common + 1))) : s + common] for m in members
         ]
-    n_bona = len(bona_views)
-    return BatchComposition(members[:n_bona], members[n_bona:])
+    return members, [1] * len(bona_views) + [0] * len(spoof_views)
 
 
 # ---------------------------------------------------------------------------
@@ -302,12 +303,10 @@ def train(
         else:
             for idx in rng.permutation(len(bona_train)):
                 bona_id = bona_train[idx]
-                batch = compose_batch(
+                members, labels = compose_batch(
                     bundle, bona_id, cfg.k_views, cfg.pairing, rng, max_frames, spoof_pool=spoof_train
                 )
-                loss, grads, _ = forward_backward(
-                    batch.members, batch.labels, params, loss_cfg, batch_id=bona_id
-                )
+                loss, grads, _ = forward_backward(members, labels, params, loss_cfg, batch_id=bona_id)
                 epoch_losses.append(loss)
                 adam_step(params, grads, state, lr)
 

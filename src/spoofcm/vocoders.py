@@ -126,8 +126,9 @@ class VocoderChannel:
     def __post_init__(self):
         if self.name not in CHANNEL_PARAMS:
             raise ConfigError(f"unknown channel {self.name!r}; available: {sorted(CHANNEL_PARAMS)}")
-        if self.intermediate_sr is not None and self.intermediate_sr <= 0:
-            raise ConfigError(f"intermediate_sr must be positive, got {self.intermediate_sr!r}")
+        low, high = _SUPPORTED_RATES  # the input rates copy_synthesize accepts
+        if self.intermediate_sr is not None and not low <= self.intermediate_sr <= high:
+            raise ConfigError(f"intermediate_sr must be within {low}-{high} Hz, got {self.intermediate_sr!r}")
         params = CHANNEL_PARAMS[self.name]
         if self.intermediate_sr is not None and "n_mels" in params:
             try:  # cached, so synthesis reuses the table

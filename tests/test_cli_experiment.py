@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spoofcm.experiment
 import spoofcm.vocoders
 from spoofcm.audio_io import Waveform, write_wav
 from spoofcm.cli import main
 from spoofcm.corpus import gen_desk_corpus
+from spoofcm.experiment import _INI_KEYS as LOADER_KEYS
 from spoofcm.experiment import ExperimentConfig, ensure_vocoded_set, load_config, run_experiment
 from spoofcm.errors import ConfigError, SpoofcmError
 from spoofcm.manifest import TrialManifest, TrialRecord, load_manifest
@@ -207,7 +209,7 @@ class TestVocodedCache:
             calls.append(list(channels))
             return real(manifest, channels, out_dir)
 
-        monkeypatch.setattr(spoofcm.vocoders, "build_vocoded_set", counting)
+        monkeypatch.setattr(spoofcm.experiment, "build_vocoded_set", counting)
         return manifest_file, calls
 
     def _ensure(self, manifest_file, channels):
@@ -327,6 +329,15 @@ def test_truncated_vocoded_set_is_rebuilt_or_refused(built_set, data):
     assert all(np.array_equal(bundle.base(t), features[t]) for t in features)
 
 
+def one_trial_manifest(tmp_path) -> str:
+    """A manifest of one 0.6 s bona fide trial, written under tmp_path; its path."""
+    write_wav(tmp_path / "t0.wav", harmonic_speechlike(duration=0.6, seed=0))
+    TrialManifest([TrialRecord("t0", "t0.wav", "bonafide", "-", "t0", "train")], root=tmp_path).save(
+        tmp_path / "manifest.tsv"
+    )
+    return str(tmp_path / "manifest.tsv")
+
+
 class TestCli:
     def test_gen_corpus_and_synth_and_score_flow(self, tmp_path, capsys):
         assert main(["gen-corpus", "--n", "20", "--seed", "9", "--out", str(tmp_path / "c")]) == 0
@@ -339,27 +350,28 @@ class TestCli:
         assert (tmp_path / "voc" / "manifest.tsv").exists()
 
     def test_synth_refuses_a_channel_listed_twice(self, tmp_path, capsys):
-        write_wav(tmp_path / "t0.wav", harmonic_speechlike(duration=0.6, seed=0))
-        TrialManifest([TrialRecord("t0", "t0.wav", "bonafide", "-", "t0", "train")], root=tmp_path).save(
-            tmp_path / "manifest.tsv"
-        )
         assert main([
-            "synth", "--manifest", str(tmp_path / "manifest.tsv"), "--channels", "phasernd,phasernd",
+            "synth", "--manifest", one_trial_manifest(tmp_path), "--channels", "phasernd,phasernd",
             "--out", str(tmp_path / "voc"),
         ]) == 1
         assert "'phasernd'" in capsys.readouterr().err
         assert not (tmp_path / "voc").exists()
 
     def test_synth_refuses_a_rate_glmel_cannot_invert(self, tmp_path, capsys):
-        write_wav(tmp_path / "t0.wav", harmonic_speechlike(duration=0.6, seed=0))
-        TrialManifest([TrialRecord("t0", "t0.wav", "bonafide", "-", "t0", "train")], root=tmp_path).save(
-            tmp_path / "manifest.tsv"
-        )
         assert main([
-            "synth", "--manifest", str(tmp_path / "manifest.tsv"), "--channels", "coarsegl,glmel",
+            "synth", "--manifest", one_trial_manifest(tmp_path), "--channels", "coarsegl,glmel",
             "--intermediate-sr", "48000", "--out", str(tmp_path / "voc"),
         ]) == 1
         assert "'glmel'" in capsys.readouterr().err
+        assert not (tmp_path / "voc").exists()
+
+    @pytest.mark.parametrize("rate", [200, 96000])
+    def test_synth_refuses_an_intermediate_rate_outside_8_to_48_khz(self, tmp_path, capsys, rate):
+        assert main([
+            "synth", "--manifest", one_trial_manifest(tmp_path), "--channels", "phasernd",
+            "--intermediate-sr", str(rate), "--out", str(tmp_path / "voc"),
+        ]) == 1
+        assert f"got {rate}" in capsys.readouterr().err
         assert not (tmp_path / "voc").exists()
 
     def test_synth_skips_a_truncated_wav(self, tmp_path):
@@ -460,10 +472,21 @@ class TestCli:
             ("names = coarsegl, phasernd", "names = coarsegl, phasernd\nintermediate_sr = -5", -5),
             ("names = coarsegl, phasernd", "names = coarsegl, phasernd, coarsegl", "coarsegl"),
             ("names = coarsegl, phasernd", "names = coarsegl, glmel\nintermediate_sr = 48000", 48000),
+            ("names = coarsegl, phasernd", "names = phasernd\nintermediate_sr = 200", 200),
             ("seeds = 5", "seeds = 5, 5", [5, 5]),
+            ("max_epochs = 2", "max_epoch = 2", "train.max_epoch"),
+            ("[augment]", "[augmnet]", "augmnet.kind"),
+            ("[systems]", "[cf]\ntemprature = 0.5\n\n[systems]", "cf.temprature"),
+            ("[systems]", "[DEFAULT]\nseed = 3\n\n[systems]", "DEFAULT.seed"),
+            ("k_views = 1", "k_views = 0", ["cecf_paired"]),
+            ("max_epochs = 2", "max_epochs = 2\nmax_seconds = nan", float("nan")),
+            ("max_epochs = 2", "max_epochs = 2\nmax_seconds = inf", float("inf")),
+            ("lr0 = 1e-3", "lr0 = inf", float("inf")),
+            ("[systems]", "[cf]\ntemperature = nan\n\n[systems]", float("nan")),
         ],
         ids=["augment-kind", "pairing", "loss-mode", "channel-name", "intermediate-sr", "channel-twice",
-             "glmel-rate", "seed-twice"],
+             "glmel-rate", "rate-below-8k", "seed-twice", "train-key", "section", "cf-key", "default-section",
+             "k0", "max-seconds-nan", "max-seconds-inf", "lr0-inf", "temperature-nan"],
     )
     def test_config_typo_fails_before_synthesis(self, tmp_path, capsys, right, wrong, word):
         (tmp_path / "exp.ini").write_text(TINY_CONFIG.replace(right, wrong))
@@ -498,7 +521,7 @@ class TestCli:
         )
         (tmp_path / "ce.ini").write_text(ce_only)
         assert load_config(tmp_path / "ce.ini").augment_kind is None
-        no_views = TINY_CONFIG.replace("kind = rawboost", "kind = none").replace("k_views = 1", "k_views = 0")
+        no_views = ce_only.replace("k_views = 1", "k_views = 0")
         (tmp_path / "k0.ini").write_text(no_views)
         assert load_config(tmp_path / "k0.ini").train.k_views == 0
 
@@ -552,16 +575,10 @@ def test_run_seed_override_is_hashed_and_written(tiny_run, tmp_path):
     assert load_checkpoint(out / "runs" / "ce_aug_seed5" / "checkpoint.ckpt")[1] == meta["config_hash"]
 
 
-_INI_KEYS = {
-    "experiment": ("name", "seed", "seeds"),
-    "data": ("manifest", "generate"),
-    "channels": ("names", "intermediate_sr"),
-    "augment": ("kind", "k_views"),
-    "train": ("lr0", "lr_decay", "lr_decay_every", "batch_size", "max_seconds", "patience",
-              "max_epochs", "feature_dim", "extractor_hidden", "head_hidden"),
-    "cf": ("temperature", "levels"),
-    "systems": ("ce_aug", "cecf_paired"),
-}
+# The loader's keys by section, and two names for the free-form [systems].
+_INI_KEYS = {section: tuple(k for s, k in LOADER_KEYS if s == section) for section, _ in LOADER_KEYS}
+_INI_KEYS["systems"] = ("ce_aug", "cecf_paired")
+_MISSPELT_KEY = "max_epoch"  # a key of no section
 _INI_VALUE = st.one_of(
     st.text(st.characters(blacklist_categories=("Cs", "Cc")), max_size=12),
     st.integers(-2, 50).map(str),
@@ -583,7 +600,8 @@ def test_sections_without_keys_load_the_dataclass_defaults(tmp_path):
 def test_load_config_raises_only_typed_errors(tmp_path_factory, data):
     text = ""
     for name in sorted(data.draw(st.sets(st.sampled_from(sorted(_INI_KEYS))))):
-        fields = data.draw(st.dictionaries(st.sampled_from(_INI_KEYS[name]), _INI_VALUE, max_size=4))
+        keys = st.sampled_from(_INI_KEYS[name] + (_MISSPELT_KEY,))
+        fields = data.draw(st.dictionaries(keys, _INI_VALUE, max_size=4))
         text += f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in fields.items())
     text += data.draw(st.text(st.characters(blacklist_categories=("Cs",)), max_size=12))
     path = tmp_path_factory.getbasetemp() / "arbitrary.ini"

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from spoofcm.contrastive import (
-    LEVEL_TERMS,
-    BatchComposition,
-    _similarity_matrix,
-    cf_value_and_grad,
-)
+from spoofcm.contrastive import LEVEL_TERMS, _similarity_matrix, cf_value_and_grad
 from spoofcm.errors import ConfigError, NumericalError
 
 from reference import (
@@ -18,11 +13,11 @@ from reference import (
 TAU = 0.07
 
 
-def cf_levels(batch, levels="both"):
+def cf_levels(members, labels, levels="both"):
     """Loss and member gradients summed over the levels LEVEL_TERMS lists."""
-    value, grads = 0.0, [np.zeros_like(m) for m in batch.members]
+    value, grads = 0.0, [np.zeros_like(m) for m in members]
     for level, _ in LEVEL_TERMS[levels]:
-        v, gs = cf_value_and_grad(batch, level, TAU)
+        v, gs = cf_value_and_grad(members, labels, level, TAU)
         value += v
         grads = [g + h for g, h in zip(grads, gs)]
     return value, grads
@@ -38,10 +33,14 @@ def partition(members, k):
     return float(np.exp(sims[k]).sum() - np.exp(sims[k, k]))
 
 
+def labels_of(n_bona, n_spoof):
+    return [1] * n_bona + [0] * n_spoof
+
+
 def random_batch(rng, n_bona=2, n_spoof=4, n=3, d=4):
-    bona = [rng.standard_normal((n, d)) for _ in range(n_bona)]
-    spoof = [rng.standard_normal((n, d)) for _ in range(n_spoof)]
-    return BatchComposition(bona, spoof)
+    """Members, bona fide first, and their labels."""
+    members = [rng.standard_normal((n, d)) for _ in range(n_bona + n_spoof)]
+    return members, labels_of(n_bona, n_spoof)
 
 
 class TestCosineSimilarity:
@@ -74,26 +73,26 @@ class TestCosineSimilarity:
         assert np.isclose(val, 0.5 / TAU)  # zero-norm frame contributes 0
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
-            BatchComposition([np.ones((2, 3))] * 2, [np.ones((3, 3))] * 2)
+        for members in ([np.ones((2, 3))] * 2 + [np.ones((3, 3))] * 2, [np.ones(3)] * 4):
+            for level in ("sequence", "utterance"):
+                with pytest.raises(ConfigError, match=r"\(N, D\) shape"):
+                    cf_value_and_grad(members, labels_of(2, 2), level, TAU)
 
 
 class TestPartition:
     def test_all_identical_members(self):
         m = np.ones((2, 3))
-        batch = BatchComposition([m, m.copy()], [m.copy(), m.copy()])
-        assert np.isclose(partition(batch.members, 0), 3.0 * np.exp(1.0 / TAU), rtol=1e-12)
+        members = [m, m.copy(), m.copy(), m.copy()]
+        assert np.isclose(partition(members, 0), 3.0 * np.exp(1.0 / TAU), rtol=1e-12)
 
     def test_mutually_orthogonal_members(self):
         eye = np.eye(4)
         members = [eye[i : i + 1].copy() for i in range(4)]
-        batch = BatchComposition(members[:2], members[2:])
-        assert np.isclose(partition(batch.members, 0), 3.0)  # |I| + |J| - 1 unit terms
+        assert np.isclose(partition(members, 0), 3.0)  # |I| + |J| - 1 unit terms
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(2)
-        batch = random_batch(rng)
-        members = batch.members
+        members, _ = random_batch(rng)
         for idx in (0, 3):
             mine = partition(members, idx)
             ref = partition_loops(idx, members, TAU)
@@ -103,89 +102,86 @@ class TestPartition:
 class TestLossValue:
     def test_fully_symmetric_batch_closed_form(self):
         m = np.full((3, 5), 0.7)
-        batch = BatchComposition([m, m.copy()], [m.copy(), m.copy()])
+        members, labels = [m, m.copy(), m.copy(), m.copy()], labels_of(2, 2)
         expected = 4.0 * np.log(3.0)  # (|I|+|J|) * ln(|I|+|J|-1)
-        seq_only = cf_levels(batch, "sequence")[0]
+        seq_only = cf_levels(members, labels, "sequence")[0]
         assert abs(seq_only - expected) < 1e-9
-        both = cf_levels(batch, "both")[0]
+        both = cf_levels(members, labels, "both")[0]
         assert abs(both - 2.0 * expected) < 1e-9
 
     def test_within_class_identical_across_class_orthogonal(self):
         a = np.array([[1.0, 0.0]])
         b = np.array([[0.0, 1.0]])
-        batch = BatchComposition([a, a.copy()], [b, b.copy()])
         expected = contrastive_loss_loops([a, a], [b, b], TAU)
-        got = cf_levels(batch, "sequence")[0]
+        got = cf_levels([a, a.copy(), b, b.copy()], labels_of(2, 2), "sequence")[0]
         assert abs(got - expected) < 1e-9
 
     @pytest.mark.parametrize("n_spoof", [2, 4, 8])
     def test_matches_bruteforce_oracle(self, n_spoof):
         rng = np.random.default_rng(4)
         for _ in range(10):
-            batch = random_batch(rng, n_bona=2, n_spoof=n_spoof)
-            ref = contrastive_loss_loops(batch.bona_views, batch.spoof_views, TAU)
-            got = cf_levels(batch, "sequence")[0]
+            members, labels = random_batch(rng, n_bona=2, n_spoof=n_spoof)
+            ref = contrastive_loss_loops(members[:2], members[2:], TAU)
+            got = cf_levels(members, labels, "sequence")[0]
             assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
 
     def test_loss_nonnegative(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            batch = random_batch(rng, n_spoof=3)
-            assert cf_levels(batch)[0] >= 0.0
+            assert cf_levels(*random_batch(rng, n_spoof=3))[0] >= 0.0
 
     def test_permutation_invariance(self):
+        """Permuting members and labels together, within a class or across
+        classes, keeps the loss, and the gradients permute with the members."""
         rng = np.random.default_rng(6)
-        batch = random_batch(rng, n_bona=3, n_spoof=4)
-        shuffled = BatchComposition(
-            [batch.bona_views[i] for i in (2, 0, 1)],
-            [batch.spoof_views[i] for i in (3, 1, 0, 2)],
-        )
-        assert np.isclose(cf_levels(batch)[0], cf_levels(shuffled)[0])
+        members, labels = random_batch(rng, n_bona=3, n_spoof=4)
+        value, grads = cf_levels(members, labels)
+        for order in ((2, 0, 1, 6, 4, 3, 5), (3, 0, 4, 1, 5, 2, 6), (6, 5, 4, 3, 2, 1, 0)):
+            shuffled = cf_levels([members[i] for i in order], [labels[i] for i in order])
+            assert np.isclose(shuffled[0], value, rtol=1e-12)
+            for got, i in zip(shuffled[1], order):
+                assert np.allclose(got, grads[i], rtol=1e-10, atol=1e-14)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(7)
-        batch = random_batch(rng)
-        scaled = BatchComposition(
-            [batch.bona_views[0] * 7.3] + batch.bona_views[1:], batch.spoof_views
-        )
-        assert np.isclose(cf_levels(batch)[0], cf_levels(scaled)[0])
+        members, labels = random_batch(rng)
+        scaled = [members[0] * 7.3] + members[1:]
+        assert np.isclose(cf_levels(members, labels)[0], cf_levels(scaled, labels)[0])
 
     def test_single_frame_sequence_matches_utterance_level(self):
         rng = np.random.default_rng(8)
         batch = random_batch(rng, n=1)
-        seq = cf_levels(batch, "sequence")[0]
-        utt = cf_levels(batch, "utterance")[0]
+        seq = cf_levels(*batch, "sequence")[0]
+        utt = cf_levels(*batch, "utterance")[0]
         assert np.isclose(seq, utt)
 
     def test_one_level_per_call(self):
-        batch = random_batch(np.random.default_rng(12))
+        members, labels = random_batch(np.random.default_rng(12))
         with pytest.raises(ConfigError):
-            cf_value_and_grad(batch, "both", TAU)
+            cf_value_and_grad(members, labels, "both", TAU)
 
     def test_too_small_composition_rejected(self):
         rng = np.random.default_rng(9)
-        with pytest.raises(ConfigError):
-            random_batch(rng, n_bona=1, n_spoof=2)
-        with pytest.raises(ConfigError):
-            random_batch(rng, n_bona=2, n_spoof=1)
+        for n_bona, n_spoof in ((1, 2), (2, 1), (0, 4)):
+            for level in ("sequence", "utterance"):
+                with pytest.raises(ConfigError, match=">= 2 views per class"):
+                    cf_value_and_grad(*random_batch(rng, n_bona, n_spoof), level, TAU)
 
 
 class TestGradient:
     @pytest.mark.parametrize("levels", ["sequence", "utterance", "both"])
     def test_finite_difference_agreement(self, levels):
         rng = np.random.default_rng(10)
-        batch = random_batch(rng, n_bona=2, n_spoof=4, n=3, d=4)
-        value, grads = cf_levels(batch, levels)
+        members, labels = random_batch(rng, n_bona=2, n_spoof=4, n=3, d=4)
+        value, grads = cf_levels(members, labels, levels)
         step = 1e-5
         worst = 0.0
         for mi in range(6):
-            arrays = [m.copy() for m in batch.members]
-            for idx in np.ndindex(arrays[mi].shape):
+            for idx in np.ndindex(members[mi].shape):
                 def loss_at(delta):
-                    pert = [a.copy() for a in arrays]
+                    pert = [a.copy() for a in members]
                     pert[mi][idx] += delta
-                    b = BatchComposition(pert[:2], pert[2:])
-                    return cf_levels(b, levels)[0]
+                    return cf_levels(pert, labels, levels)[0]
 
                 fd = (loss_at(step) - loss_at(-step)) / (2 * step)
                 an = grads[mi][idx]
@@ -195,8 +191,8 @@ class TestGradient:
 
     def test_symmetric_batch_gradient_structure(self):
         v = np.ones((2, 4)) / 2.0  # unit-norm frames
-        batch = BatchComposition([v, v.copy()], [v.copy(), v.copy()])
-        _, grads = cf_value_and_grad(batch, "sequence", TAU)
+        members = [v, v.copy(), v.copy(), v.copy()]
+        _, grads = cf_value_and_grad(members, labels_of(2, 2), "sequence", TAU)
         for g in grads[1:]:
             assert np.allclose(g, grads[0])
         for g in grads:  # cosine gradients live in the tangent space
@@ -205,12 +201,9 @@ class TestGradient:
 
     def test_scaling_direction_is_flat(self):
         rng = np.random.default_rng(11)
-        batch = random_batch(rng)
-        base = cf_levels(batch)[0]
-        scaled = BatchComposition(
-            [batch.bona_views[0] * 2.0] + batch.bona_views[1:], batch.spoof_views
-        )
-        assert abs(cf_levels(scaled)[0] - base) < 1e-12
-        grads = cf_levels(batch)[1]
-        radial = float(np.sum(grads[0] * batch.bona_views[0]))
+        members, labels = random_batch(rng)
+        base, grads = cf_levels(members, labels)
+        scaled = [members[0] * 2.0] + members[1:]
+        assert abs(cf_levels(scaled, labels)[0] - base) < 1e-12
+        radial = float(np.sum(grads[0] * members[0]))
         assert abs(radial) < 1e-10

@@ -116,18 +116,21 @@ class TestForwardBackward:
         assert np.isclose(base, doubled)
 
     @pytest.mark.parametrize(
-        "loss_cfg",
+        "loss_cfg, order",
         [
-            LossConfig("ce"),
-            LossConfig("ce+cf", CfConfig(levels="sequence")),
-            LossConfig("ce+cf", CfConfig(levels="utterance")),
-            LossConfig("ce+cf", CfConfig(levels="both")),
+            (LossConfig("ce"), None),
+            (LossConfig("ce+cf", CfConfig(levels="sequence")), None),
+            (LossConfig("ce+cf", CfConfig(levels="utterance")), None),
+            (LossConfig("ce+cf", CfConfig(levels="both")), None),
+            (LossConfig("ce+cf", CfConfig(levels="both")), (2, 0, 3, 4, 1, 5)),
         ],
-        ids=["ce", "cf-seq", "cf-utt", "cf-both"],
+        ids=["ce", "cf-seq", "cf-utt", "cf-both", "cf-both-interleaved"],
     )
-    def test_gradients_match_finite_differences(self, loss_cfg):
+    def test_gradients_match_finite_differences(self, loss_cfg, order):
         rng = np.random.default_rng(6)
         members, labels = self._batch(rng, n=3)
+        if order is not None:  # labels interleaved: spoof, bona, spoof, spoof, bona, spoof
+            members, labels = [members[i] for i in order], [labels[i] for i in order]
         max_rel, max_abs = gradcheck(members, labels, loss_cfg, tiny_model(7), n_probe=120, probe_seed=7)
         assert max_rel < 1e-4
         assert max_abs < 1e-8

@@ -11,7 +11,7 @@ from spoofcm.audio_io import read_wav, write_wav
 from spoofcm.augment import apply_augment
 from spoofcm.errors import ConfigError, DataError, SpoofcmError
 from spoofcm.manifest import TrialManifest, TrialRecord
-from spoofcm.model import extract_base_features, init_model
+from spoofcm.model import LossConfig, extract_base_features, forward_backward, init_model
 from spoofcm.training import (
     AdamState,
     DataBundle,
@@ -109,21 +109,26 @@ class TestAdam:
 class TestComposeBatch:
     def test_paired_sizes_s4_k1_like(self, tiny_bundle):
         rng = np.random.default_rng(0)
-        batch = compose_batch(tiny_bundle, "t00", k_views=1, mode="paired", rng=rng, max_frames=398)
-        assert len(batch.bona_views) == 2  # 1 + K
-        assert len(batch.spoof_views) == 4  # S(1 + K), S = 2 channels here
-        assert len({m.shape for m in batch.members}) == 1
+        members, labels = compose_batch(tiny_bundle, "t00", k_views=1, mode="paired", rng=rng, max_frames=398)
+        # bona fide first: 1 + K of them, then S(1 + K) spoofs, S = 2 channels here
+        assert labels == [1] * 2 + [0] * 4
+        assert len(members) == len(labels)
+        assert len({m.shape for m in members}) == 1
 
     def test_k0_composition_error(self, tiny_bundle):
         rng = np.random.default_rng(1)
-        with pytest.raises(ConfigError):
-            compose_batch(tiny_bundle, "t00", k_views=0, mode="paired", rng=rng, max_frames=398)
+        members, labels = compose_batch(tiny_bundle, "t00", k_views=0, mode="paired", rng=rng, max_frames=398)
+        assert labels == [1, 0, 0]  # one bona fide view: no positive for it
+        params = init_model(0, feature_dim=8, extractor_hidden=6, head_hidden=7)
+        with pytest.raises(ConfigError, match=">= 2 views per class"):
+            forward_backward(members, labels, params, LossConfig("ce+cf"))
 
     def test_paired_mode_pulls_pairing_index(self, tiny_bundle):
         rng = np.random.default_rng(2)
-        batch = compose_batch(tiny_bundle, "t01", k_views=1, mode="paired", rng=rng, max_frames=10_000)
+        members, labels = compose_batch(tiny_bundle, "t01", k_views=1, mode="paired", rng=rng, max_frames=10_000)
         expected = tiny_bundle.pairing["t01"]
-        for got, sid in zip(batch.spoof_views[: len(expected)], expected):
+        spoofs = [m for m, y in zip(members, labels) if y == 0]
+        for got, sid in zip(spoofs[: len(expected)], expected):
             full = tiny_bundle.base(sid)
             n = got.shape[0]
             assert any(
@@ -135,8 +140,8 @@ class TestComposeBatch:
         with pytest.raises(ConfigError):
             compose_batch(tiny_bundle, "t00", 1, "random", rng, 398, spoof_pool=[])
         pool = tiny_bundle.ids(label="spoof")
-        batch = compose_batch(tiny_bundle, "t00", 1, "random", rng, 398, spoof_pool=pool)
-        assert len(batch.spoof_views) == 4
+        _, labels = compose_batch(tiny_bundle, "t00", 1, "random", rng, 398, spoof_pool=pool)
+        assert labels == [1] * 2 + [0] * 4
 
 
 class TestTrainLoop:
