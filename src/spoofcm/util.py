@@ -1,4 +1,5 @@
-"""Seed derivation, content hashing, and the toolkit's file I/O.
+"""Seed derivation, content hashing, the toolkit's file I/O, and its one
+worker pool.
 
 All randomness in the toolkit flows from one master seed through
 ``derive_seed``; no function reads ambient entropy.
@@ -6,11 +7,22 @@ All randomness in the toolkit flows from one master seed through
 Every file the toolkit writes goes through ``write_file``, the only code
 that writes a file or makes a directory; delimited tables are formatted
 by ``table_text`` and parsed by ``read_table``.
+
+``parallel_map`` is ``[fn(item) for item in items]`` over forked worker
+processes, one per CPU this process may run on (capped at the number of
+items; with one, it is that loop in this process). The calling process
+runs share 0 of the items itself, results come back in input order, and
+the exception raised is the loop's, so a deterministic ``fn`` gives
+byte-identical output with any worker count.
 """
 from __future__ import annotations
 
 import hashlib
 import os
+import pickle
+import signal
+import sys
+import threading
 from pathlib import Path
 
 from .errors import DataError, SpoofcmError
@@ -93,3 +105,122 @@ def write_file(path: str | Path, data: str | bytes) -> None:
             raise
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def parallel_map(fn, items, weights=None) -> list:
+    """``[fn(item) for item in items]``, spread over forked worker processes.
+
+    The worker count is the number of CPUs this process may run on (one
+    where the platform cannot say), capped at the number of items. With one
+    worker, or while another thread runs (a forked copy of a running
+    thread's locks can deadlock), it is that loop in this process.
+    Otherwise the items are dealt into one share per worker, heaviest first
+    by ``weights`` (default: all equal) to the share with the least weight
+    so far, and each share runs in input order. This process runs share 0
+    itself and forks one child per other share, here, after every import:
+    children share its loaded pages and read ``fn`` and the items from its
+    memory, and only results are pickled back. Results come back in input
+    order.
+
+    A share stops at its first exception. The exception of the earliest
+    failing item in input order is raised, with its type and message: the
+    one the loop would raise. Children ignore SIGINT; an interrupt of this
+    process kills them. Every child is reaped before this returns or
+    raises, and a child whose parent has gone exits before its next item.
+    """
+    items = list(items)
+    weights = [1] * len(items) if weights is None else list(weights)
+    if len(weights) != len(items):
+        raise ValueError(f"{len(weights)} weights for {len(items)} items")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    n = min(cpus, len(items))
+    if n <= 1 or threading.active_count() > 1:
+        return [fn(item) for item in items]
+    shares = _deal(weights, n)
+    sys.stdout.flush()  # else a child would write this process's buffered text again
+    sys.stderr.flush()
+    parent, children = os.getpid(), {}  # pid -> read end of its result pipe
+    try:
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})  # till each child is known
+        try:
+            for share in shares[1:]:
+                read_end, write_end = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    _child(fn, items, share, parent, write_end, [read_end, *(p.fileno() for p in children.values())])
+                os.close(write_end)
+                children[pid] = os.fdopen(read_end, "rb")
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        outcomes = [_run_share(fn, items, shares[0])]
+        for pid, pipe in list(children.items()):
+            data = pipe.read()
+            pipe.close()
+            del children[pid]
+            status = os.waitpid(pid, 0)[1]
+            if not data:
+                raise ChildProcessError(f"worker process {pid} ended without a result "
+                                        f"(exit status {os.waitstatus_to_exitcode(status)})")
+            outcomes.append(pickle.loads(data))  # bytes its own child wrote
+    finally:
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    results, failures = [None] * len(items), []
+    for share, (done, failure) in zip(shares, outcomes):
+        for i, result in zip(share, done):
+            results[i] = result
+        if failure is not None:
+            failures.append(failure)
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return results
+
+
+def _deal(weights: list, n: int) -> list[list[int]]:
+    """Item indices in ``n`` shares: heaviest item first (ties in input order)
+    to the share with the least weight, then the fewest items, so far (ties to
+    the lowest share); each share in input order."""
+    shares, loads = [[] for _ in range(n)], [0] * n
+    for i in sorted(range(len(weights)), key=lambda i: -weights[i]):
+        k = min(range(n), key=lambda k: (loads[k], len(shares[k])))
+        shares[k].append(i)
+        loads[k] += weights[i]
+    return [sorted(share) for share in shares]
+
+
+def _run_share(fn, items, share, parent: int | None = None):
+    """``(results, failure)`` of ``fn`` over the items of ``share`` in order,
+    stopping at the first exception; ``failure`` is ``(index, exception)`` or
+    None. In a child (``parent`` given), an interrupt raised by ``fn`` is a
+    failure too, and the child exits once its parent has gone."""
+    caught = Exception if parent is None else BaseException
+    results = []
+    for i in share:
+        if parent is not None and os.getppid() != parent:
+            os._exit(1)
+        try:
+            results.append(fn(items[i]))
+        except caught as exc:
+            return results, (i, exc)
+    return results, None
+
+
+def _child(fn, items, share, parent: int, write_end: int, inherited: list[int]):
+    """Run ``share`` in a forked child, send its outcome to the parent through
+    ``write_end`` and exit; never returns into the caller's code."""
+    code = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # also drops one sent before this
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+        for fd in inherited:
+            os.close(fd)
+        data = pickle.dumps(_run_share(fn, items, share, parent))
+        sys.stdout.flush()
+        sys.stderr.flush()
+        with os.fdopen(write_end, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)

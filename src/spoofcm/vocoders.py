@@ -21,6 +21,7 @@ so a wrapper rebound onto a module attribute sees every call.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import os
 import warnings
@@ -49,7 +50,7 @@ from .dsp import (
 from .errors import ConfigError, DataError, NumericalError
 from .lpc import lpc_resynthesize
 from .manifest import TrialManifest, TrialRecord
-from .util import derive_seed
+from .util import derive_seed, parallel_map
 
 log = logging.getLogger(__name__)
 
@@ -246,6 +247,32 @@ def check_channels(channels: list[VocoderChannel]) -> None:
         raise ConfigError(f"need one or more distinct vocoder channels, got {names}")
 
 
+def _vocode_trial(manifest: TrialManifest, channels: list[VocoderChannel], out_dir: Path,
+                  rec: TrialRecord) -> list[TrialRecord]:
+    """Write one bona fide trial's spoof WAVs, one per channel, and return its
+    record and theirs; none, with a logged error, if its audio cannot be read."""
+    src = manifest.resolve(rec)
+    try:
+        w = read_wav(src)
+    except DataError as exc:
+        log.error("skipping %s: %s", rec.trial_id, exc)
+        return []
+    records = [dc_replace(rec, path=os.path.relpath(src.resolve(), out_dir.resolve()))]
+    for ch in channels:
+        spoof_id = f"{rec.trial_id}_{ch.name}"
+        write_wav(out_dir / f"{spoof_id}.wav", copy_synthesize(w, ch))
+        records.append(TrialRecord(trial_id=spoof_id, path=f"{spoof_id}.wav", label="spoof",
+                                   attack_tag=ch.name, source_id=rec.trial_id, subset=rec.subset))
+    return records
+
+
+def _file_size(path: Path) -> int:
+    try:
+        return path.stat().st_size
+    except OSError:  # read_wav reports it
+        return 0
+
+
 def build_vocoded_set(
     manifest: TrialManifest,
     channels: list[VocoderChannel],
@@ -257,37 +284,23 @@ def build_vocoded_set(
     sorted by trial id: the original bona fide records plus the new spoof
     records, paths relative to ``out_dir``. Trials whose audio cannot be
     read are skipped with a logged error.
+
+    Trials are synthesized by ``util.parallel_map``: one forked worker per
+    CPU this process may run on (at most one per trial), largest WAV first
+    to the least-loaded share. This process synthesizes share 0 itself.
+    Every spoof depends on its trial and channel alone and records come
+    back in trial order, so the WAVs and ``manifest.tsv`` are byte-identical
+    for any worker count, and an error is the one of the first failing trial
+    in trial-id order, as in a serial loop.
     """
     check_channels(channels)
-    bona = [r for r in manifest if r.label == "bonafide"]
+    bona = sorted((r for r in manifest if r.label == "bonafide"), key=lambda r: r.trial_id)
     if not bona:
         raise DataError("manifest contains no bona fide trials")
     out_dir = Path(out_dir)
-    records: list[TrialRecord] = []
-    for rec in sorted(bona, key=lambda r: r.trial_id):
-        try:
-            w = read_wav(manifest.resolve(rec))
-        except DataError as exc:
-            log.error("skipping %s: %s", rec.trial_id, exc)
-            continue
-        records.append(
-            dc_replace(rec, path=os.path.relpath(manifest.resolve(rec).resolve(), out_dir.resolve()))
-        )
-        for ch in channels:
-            spoof = copy_synthesize(w, ch)
-            spoof_id = f"{rec.trial_id}_{ch.name}"
-            fname = f"{spoof_id}.wav"
-            write_wav(out_dir / fname, spoof)
-            records.append(
-                TrialRecord(
-                    trial_id=spoof_id,
-                    path=fname,
-                    label="spoof",
-                    attack_tag=ch.name,
-                    source_id=rec.trial_id,
-                    subset=rec.subset,
-                )
-            )
+    per_trial = parallel_map(functools.partial(_vocode_trial, manifest, channels, out_dir), bona,
+                             weights=[_file_size(manifest.resolve(r)) for r in bona])
+    records = [r for trial in per_trial for r in trial]
     if not records:
         raise DataError("no bona fide trial could be synthesized")
     combined = TrialManifest(sorted(records, key=lambda r: r.trial_id), root=out_dir)

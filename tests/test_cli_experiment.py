@@ -1,7 +1,12 @@
 import argparse
 import hashlib
 import json
+import os
 import re
+import signal
+import subprocess
+import sys
+import time
 from dataclasses import replace as dc_replace
 from pathlib import Path
 
@@ -10,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spoofcm
 import spoofcm.experiment
 import spoofcm.vocoders
 from spoofcm.audio_io import Waveform, write_wav
@@ -20,6 +26,7 @@ from spoofcm.experiment import ExperimentConfig, ensure_vocoded_set, load_config
 from spoofcm.errors import ConfigError, SpoofcmError
 from spoofcm.manifest import TrialManifest, TrialRecord, load_manifest
 from spoofcm.training import DataBundle, TrainConfig, load_checkpoint
+from spoofcm.util import _deal
 from spoofcm.vocoders import CHANNEL_PARAMS, SYNTHESIS_VERSION, VocoderChannel
 
 from conftest import harmonic_speechlike
@@ -266,22 +273,114 @@ class TestVocodedCache:
         self._ensure(manifest_file, [VocoderChannel("phasernd")])
         first = {p.name: p.read_bytes() for p in vocoded.glob("*.wav")}
         real = spoofcm.vocoders.write_wav
-        written = []
+        # Trials may be synthesized in forked workers, so the first write is claimed
+        # with an O_EXCL file, which holds its path once the WAV is written
+        marker = manifest_file.parent / "first_wav"
 
         def killed_after_one_wav(path, w):
-            if written:
-                raise KeyboardInterrupt
-            written.append(path)
+            try:
+                fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            except FileExistsError:
+                while not marker.read_text():  # the kill comes after the first WAV
+                    time.sleep(0.01)
+                raise KeyboardInterrupt from None
             real(path, w)
+            os.write(fd, str(path).encode())
+            os.close(fd)
 
         monkeypatch.setattr(spoofcm.vocoders, "write_wav", killed_after_one_wav)
         with pytest.raises(KeyboardInterrupt):
             self._ensure(manifest_file, [VocoderChannel("phasernd", 24000)])
         monkeypatch.setattr(spoofcm.vocoders, "write_wav", real)
+        written = [Path(marker.read_text())]
         assert first[written[0].name] != written[0].read_bytes()
         self._ensure(manifest_file, [VocoderChannel("phasernd")])
         assert len(calls) == 3
         assert {p.name: p.read_bytes() for p in vocoded.glob("*.wav")} == first
+
+
+# spoofcm.cli.main in a fresh interpreter that sees two CPUs, so that synthesis
+# forks a worker on any machine
+_ON_TWO_CPUS = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+                "from spoofcm.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+def _spoofcm_on_two_cpus(args, **popen):
+    paths = [str(Path(spoofcm.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return subprocess.Popen([sys.executable, "-c", _ON_TWO_CPUS, *args], env=env, **popen)
+
+
+def _speech_manifest(root: Path, durations) -> Path:
+    """A bona fide manifest of speechlike trials; a duration of None is an unreadable WAV."""
+    records = []
+    for i, seconds in enumerate(durations):
+        tid = f"trial{i:03d}"
+        if seconds is None:
+            (root / f"{tid}.wav").write_bytes(b"not audio")
+        else:
+            write_wav(root / f"{tid}.wav", harmonic_speechlike(duration=seconds, seed=i))
+        records.append(TrialRecord(tid, f"{tid}.wav", "bonafide", "-", tid, "train"))
+    TrialManifest(records, root=root).save(root / "manifest.tsv")
+    return root / "manifest.tsv"
+
+
+@pytest.mark.parametrize("stop", ["sigkill-parent", "ctrl-c"])
+def test_stopped_synth_leaves_no_process_running(tmp_path, stop):
+    """After a SIGKILL of the parent, a worker exits before its next trial, once it
+    sees its parent gone, and init reaps it. On Ctrl-C (SIGINT to the process group)
+    the workers ignore it, and the parent kills and reaps them before it exits."""
+    manifest_file = _speech_manifest(tmp_path, [1.5] * 100)  # a worker's share takes over 5 s
+    out = tmp_path / "vocoded"
+    proc = _spoofcm_on_two_cpus(["synth", "--manifest", str(manifest_file), "--intermediate-sr", "24000",
+                                 "--out", str(out)], start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not list(out.glob("*.wav")) and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert proc.poll() is None, "synth ended before it could be stopped"
+        if stop == "ctrl-c":
+            os.killpg(proc.pid, signal.SIGINT)
+            proc.wait(timeout=5)  # a worker's share takes longer
+        else:
+            os.kill(proc.pid, signal.SIGKILL)
+    finally:
+        proc.kill()
+        proc.wait()
+    deadline = time.monotonic() + 5
+    while time.monotonic() < deadline:
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            break
+        time.sleep(0.1)
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+
+
+def test_typed_error_in_a_worker_keeps_its_exit_code(tmp_path, capfd):
+    manifest_file = _speech_manifest(tmp_path, [4.0, 0.8])
+    write_wav(tmp_path / "trial001.wav", harmonic_speechlike(duration=0.8, sr=48000))  # glmel cannot invert it
+    sizes = [p.stat().st_size for p in sorted(tmp_path.glob("*.wav"))]
+    assert 1 in _deal(sizes, 2)[1]  # the failing trial is in the forked worker's share
+    proc = _spoofcm_on_two_cpus(["synth", "--manifest", str(manifest_file), "--channels", "glmel",
+                                 "--out", str(tmp_path / "vocoded")], start_new_session=True)
+    assert proc.wait(timeout=120) == 3
+    assert capfd.readouterr().err.count("numerical error: ") == 1
+    with pytest.raises(ProcessLookupError):  # the parent reaped its worker
+        os.killpg(proc.pid, 0)
+
+
+def test_skip_in_a_worker_is_logged_once_and_left_out(tmp_path, capfd):
+    manifest_file = _speech_manifest(tmp_path, [0.8, None, 1.0])
+    sizes = [p.stat().st_size for p in sorted(tmp_path.glob("*.wav"))]
+    assert 1 in _deal(sizes, 2)[1]  # the unreadable trial is in the forked worker's share
+    proc = _spoofcm_on_two_cpus(["synth", "--manifest", str(manifest_file), "--channels", "phasernd",
+                                 "--out", str(tmp_path / "vocoded")])
+    assert proc.wait(timeout=120) == 0
+    assert capfd.readouterr().err.count("skipping trial001:") == 1
+    combined = load_manifest(tmp_path / "vocoded" / "manifest.tsv")
+    assert [r.trial_id for r in combined] == ["trial000", "trial000_phasernd", "trial002", "trial002_phasernd"]
 
 
 @pytest.fixture(scope="module")

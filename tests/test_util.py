@@ -1,12 +1,16 @@
 import ast
 import errno
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import spoofcm
-from spoofcm.errors import DataError
-from spoofcm.util import table_text, write_file
+from spoofcm.errors import DataError, NumericalError
+from spoofcm.util import _deal, parallel_map, table_text, write_file
 
 PACKAGE = Path(spoofcm.__file__).parent
 WRITE_METHODS = {"write_text", "write_bytes", "mkdir", "makedirs"}
@@ -119,3 +123,92 @@ def test_write_under_a_file_is_a_data_error(tmp_path):
 def test_table_text_writes_fields_with_str():
     assert table_text([("a", 0.1, 3, 1e-20)], sep="\t") == "a\t0.1\t3\t1e-20\n"
     assert table_text([]) == ""
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPU count parallel_map sees; afterwards, assert that no child is left."""
+    yield lambda n: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_deal_gives_the_heaviest_item_to_the_lightest_share():
+    assert _deal([1, 5, 2, 8, 3, 3, 0, 7, 1], 2) == [[0, 3, 4, 5, 6], [1, 2, 7, 8]]
+    assert _deal([1] * 5, 2) == [[0, 2, 4], [1, 3]]  # equal weights: round-robin
+    assert _deal([0] * 4, 3) == [[0, 3], [1], [2]]
+
+
+def _square_and_pid(x):
+    return x * x, os.getpid()
+
+
+def test_parallel_map_returns_results_in_input_order_from_forked_workers(cpus):
+    cpus(2)
+    out = parallel_map(_square_and_pid, range(9), weights=[1, 5, 2, 8, 3, 3, 0, 7, 1])
+    assert [r for r, _ in out] == [x * x for x in range(9)]
+    assert os.getpid() in {pid for _, pid in out} and len({pid for _, pid in out}) == 2
+
+
+def test_parallel_map_on_one_cpu_is_a_loop_in_this_process(cpus, monkeypatch):
+    cpus(1)
+
+    def no_fork():
+        raise AssertionError("forked on one CPU")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert parallel_map(_square_and_pid, range(4)) == [(x * x, os.getpid()) for x in range(4)]
+
+
+def _failing_at(failing, exc_type):
+    def fn(i):
+        if i in failing:
+            raise exc_type(f"item {i}")
+        return i
+    return fn
+
+
+# Equal weights deal round-robin: on 2 CPUs this process runs the even items
+# and one forked worker the odd ones.
+@pytest.mark.parametrize("exc_type", [DataError, NumericalError, KeyboardInterrupt])
+def test_parallel_map_raises_a_worker_exception_of_the_earliest_failing_item(cpus, exc_type):
+    cpus(2)
+    with pytest.raises(exc_type, match=r"^item 3$"):
+        parallel_map(_failing_at({3, 7}, exc_type), range(8))
+
+
+@pytest.mark.parametrize("exc_type", [DataError, NumericalError])
+@pytest.mark.parametrize("failing, first", [({3, 4}, 3), ({2, 5}, 2)], ids=["worker-first", "parent-first"])
+def test_parallel_map_raises_what_the_loop_raises(cpus, exc_type, failing, first):
+    for n in (1, 2):
+        cpus(n)
+        with pytest.raises(exc_type, match=rf"^item {first}$"):
+            parallel_map(_failing_at(failing, exc_type), range(8))
+
+
+def test_interrupt_in_the_parent_kills_the_workers(cpus):
+    cpus(2)
+
+    def fn(i):
+        if i % 2:
+            time.sleep(60)  # the worker's share
+        raise KeyboardInterrupt
+
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        parallel_map(fn, range(4))
+    assert time.monotonic() - t0 < 30
+
+
+def test_text_buffered_before_the_fork_is_written_once():
+    """Block-buffered stdout (a pipe): the parent's pending text must not be copied
+    into the child's buffer, and the child's own text must not be lost at its exit."""
+    script = ("import os; os.sched_getaffinity = lambda pid: {0, 1}\n"
+              "from spoofcm.util import parallel_map\n"
+              "print('before', end='')\n"
+              "parallel_map(print, ['a', 'b'])\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(PACKAGE.parent)
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.count("before") == 1
+    assert sorted(out.replace("before", "").split()) == ["a", "b"]

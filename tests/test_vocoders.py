@@ -220,6 +220,19 @@ class TestBuildVocodedSet:
         combined = build_vocoded_set(manifest, [VocoderChannel("phasernd")], tmp_path / "voc")
         assert [r.trial_id for r in combined if r.label == "spoof"] == ["trial001_phasernd"]
 
+    def test_bytes_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch):
+        manifest = self._corpus(tmp_path, n=4)
+        channels = [VocoderChannel(n, 24000) for n in DEFAULT_CHANNEL_NAMES]
+        real_fork, forks, built = os.fork, [], {}
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        for n_cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
+            out = tmp_path / f"voc{n_cpus}"
+            build_vocoded_set(manifest, channels, out)
+            built[n_cpus] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert forks == [1]  # none on one CPU, one worker on two
+        assert len(built[2]) == 4 * len(channels) + 1 and built[1] == built[2]
+
     def test_empty_manifest_rejected(self, tmp_path):
         with pytest.raises(DataError):
             build_vocoded_set(TrialManifest([], root=tmp_path), [VocoderChannel("phasernd")], tmp_path / "v")
