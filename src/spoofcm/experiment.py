@@ -2,6 +2,9 @@
 refresh, multi-seed multi-system runs, trimmed-eval scoring, seed
 averaging, and significance reports.
 
+Each system's seeds train in forked worker processes, one per CPU this
+process may run on; outputs are byte-identical for any CPU count.
+
 Config files are INI. Example:
 
     [experiment]
@@ -41,6 +44,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import configparser
+import functools
 import json
 from contextlib import contextmanager, suppress
 from dataclasses import astuple, dataclass, field
@@ -63,7 +67,7 @@ from .training import (
     score_manifest,
     train,
 )
-from .util import derive_seed, file_sha256, read_utf8, table_text, text_sha256, write_file
+from .util import derive_seed, file_sha256, parallel_map, read_utf8, table_text, text_sha256, write_file
 from .vocoders import DEFAULT_CHANNEL_NAMES, SYNTHESIS_VERSION, VocoderChannel, build_vocoded_set, check_channels
 
 
@@ -251,6 +255,13 @@ def train_system(cfg: ExperimentConfig, bundle: DataBundle, system: SystemSpec, 
     return params, history
 
 
+def _train_run(cfg: ExperimentConfig, bundle: DataBundle, system: SystemSpec, out_dir: Path, seed: int):
+    """Train one system for one seed into its run directory; (run directory, params)."""
+    run_dir = out_dir / "runs" / f"{system.name}_seed{seed}"
+    with _stage(f"train:{system.name}:{seed}"):
+        return run_dir, train_system(cfg, bundle, system, seed, run_dir)[0]
+
+
 @dataclass(frozen=True)
 class RunResult:
     system: str
@@ -270,7 +281,13 @@ class ExperimentReport:
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, base_dir: str | Path = ".") -> ExperimentReport:
     """The full protocol: vocode, train each system for each seed, score
     the evaluation subsets (original and non-speech-trimmed), average
-    over seeds, and test pairwise significance between systems."""
+    over seeds, and test pairwise significance between systems.
+
+    Systems train one after another, in config order; a system's seeds
+    train in forked worker processes (``util.parallel_map``), the first in
+    this process. Each worker writes its run's checkpoint and history and
+    sends back only the trained parameters, so every output is
+    byte-identical for any CPU count. Scoring and what follows run here."""
     out_dir = Path(out_dir)
     base_dir = Path(base_dir)
 
@@ -290,13 +307,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, base_dir: str | P
 
     with _stage("train-data"):
         bundle = DataBundle(combined, cfg.augment_kind, cfg.master_seed)
+        # here, before any fork: a worker's own fills of the view cache die with it
+        bundle.build_views(cfg.train.k_views)
 
     trained = {}
-    for system in cfg.systems:
-        for seed in cfg.seeds:
-            run_dir = out_dir / "runs" / f"{system.name}_seed{seed}"
-            with _stage(f"train:{system.name}:{seed}"):
-                trained[system.name, seed] = run_dir, train_system(cfg, bundle, system, seed, run_dir)[0]
+    for system in cfg.systems:  # the first seed trains in this process, so every system trains in it
+        runs = parallel_map(functools.partial(_train_run, cfg, bundle, system, out_dir), cfg.seeds)
+        trained.update({(system.name, seed): run for seed, run in zip(cfg.seeds, runs)})
 
     with _stage("eval-data"):
         # Features do not depend on the model, so they are built once, not per

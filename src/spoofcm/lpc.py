@@ -100,6 +100,32 @@ def estimate_f0(frames: np.ndarray, sample_rate: int) -> np.ndarray:
     return np.where(voiced, sample_rate / lag, 0.0)
 
 
+def _frame_synthesis(excitation, active, coefs, gains, levels, win, hop) -> np.ndarray:
+    """Overlap-add of the active frames' synthesis, one row of coefs, gains and
+    levels per entry of ``active`` (frame indices): each frame's excitation
+    slice, normalized to its gain, through its all-pole filter, matched to its
+    level. Only the filter and the overlap-add run per frame."""
+    exc = frame_signal(excitation, len(win), hop)[active]  # a copy
+    exc -= exc.mean(axis=1, keepdims=True)  # pulse trains carry DC; de-emphasis would amplify it
+    exc = exc / np.maximum(np.sqrt(np.mean(exc**2, axis=1)), 1e-12)[:, None] * gains[:, None]
+    synth = np.empty_like(exc)
+    for j, a in enumerate(coefs):
+        synth[j] = lfilter([1.0], np.concatenate([[1.0], -a]), exc[j])
+    # pulse excitation can over-ring sharp resonances: match frame level
+    synth_rms = np.sqrt(np.mean((synth * win) ** 2, axis=1))
+    synth = synth * (levels / np.maximum(synth_rms, 1e-12))[:, None]
+    # win^2 weights make out/env a convex combination of frame synths;
+    # plain win weights would divide unconstrained content by ~0 at edges
+    weighted = synth * win * win
+    out = np.zeros(len(excitation))
+    env = np.zeros(len(excitation))
+    for j, m in enumerate(active):
+        s = m * hop
+        out[s : s + len(win)] += weighted[j]
+        env[s : s + len(win)] += win * win
+    return out / np.maximum(env, 1e-12)
+
+
 def lpc_resynthesize(w: Waveform, order: int, frame_ms: float, hop_ms: float, seed: int) -> Waveform:
     """Analyze/resynthesize a waveform frame by frame.
 
@@ -139,22 +165,7 @@ def lpc_resynthesize(w: Waveform, order: int, frame_ms: float, hop_ms: float, se
     noise = rng.standard_normal(len(pre))
     excitation = np.where(f0_track > 0, pulses, noise)
 
-    out = np.zeros(len(pre))
-    env = np.zeros(len(pre))
-    for j, m in enumerate(active):
-        s = m * hop
-        exc = excitation[s : s + frame_len].copy()
-        exc -= exc.mean()  # pulse trains carry DC; de-emphasis would amplify it
-        exc = exc / max(np.sqrt(np.mean(exc**2)), 1e-12) * gains[j]
-        synth = lfilter([1.0], np.concatenate([[1.0], -coefs[j]]), exc)
-        # pulse excitation can over-ring sharp resonances: match frame level
-        synth_rms = np.sqrt(np.mean((synth * win) ** 2))
-        synth = synth * (level[m] / max(synth_rms, 1e-12))
-        # win^2 weights make out/env a convex combination of frame synths;
-        # plain win weights would divide unconstrained content by ~0 at edges
-        out[s : s + frame_len] += synth * win * win
-        env[s : s + frame_len] += win * win
-    out = out / np.maximum(env, 1e-12)
+    out = _frame_synthesis(excitation, active, coefs, gains, level[active], win, hop)
     out = lfilter([1.0], [1.0, -PREEMPHASIS], out)
     # de-emphasis amplifies sub-F0 residue by up to 30 dB: cut below 60 Hz
     out = sosfilt(butter(2, 60.0, btype="highpass", fs=sr, output="sos"), out)

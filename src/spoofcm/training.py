@@ -146,6 +146,15 @@ class DataBundle:
     def base(self, trial_id: str) -> np.ndarray:
         return self.features[trial_id]
 
+    def build_views(self, k_views: int) -> None:
+        """Fill the view cache with views 1..k_views of every train trial:
+        every view that training on this bundle can ask for (none when the
+        bundle does not augment)."""
+        if self.augment_kind is not None:
+            for trial_id in self.ids(subset="train"):
+                for k in range(1, k_views + 1):
+                    self.view(trial_id, k)
+
     def view(self, trial_id: str, view_index: int) -> np.ndarray:
         """Augmented view's base features (view_index >= 1)."""
         if view_index == 0:

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -9,6 +10,22 @@ sys.path.insert(0, str(Path(__file__).parent))  # make reference.py importable
 from spoofcm.audio_io import Waveform
 
 SR = 16000
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPU count util.parallel_map sees; afterwards, assert that no child is left."""
+    yield lambda n: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The os.fork calls of this process, one entry each."""
+    real_fork, calls = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or real_fork())
+    return calls
 
 
 def harmonic_speechlike(duration=1.0, f0=200.0, sr=SR, seed=0, noise=0.01):

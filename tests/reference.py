@@ -5,7 +5,7 @@ shared code with the package) so test expectations are computed by a
 second, independent route.
 """
 import numpy as np
-from scipy.signal import get_window
+from scipy.signal import get_window, lfilter
 from scipy.stats import norm
 
 
@@ -284,3 +284,22 @@ def griffin_lim_loops(mag, cfg, sample_rate, iters, error_trace=None):
             part *= modulus
         wave = istft(ComplexSpectrogram(reanalyzed, cfg, sample_rate))
     return wave
+
+
+def lpc_frame_synthesis_loops(excitation, active, coefs, gains, levels, win, hop):
+    """The per-frame synthesis loop of spoofcm.lpc.lpc_resynthesize as it was
+    before its normalization and level matching were batched over frames."""
+    frame_len = len(win)
+    out = np.zeros(len(excitation))
+    env = np.zeros(len(excitation))
+    for j, m in enumerate(active):
+        s = m * hop
+        exc = excitation[s : s + frame_len].copy()
+        exc -= exc.mean()
+        exc = exc / max(np.sqrt(np.mean(exc**2)), 1e-12) * gains[j]
+        synth = lfilter([1.0], np.concatenate([[1.0], -coefs[j]]), exc)
+        synth_rms = np.sqrt(np.mean((synth * win) ** 2))
+        synth = synth * (levels[j] / max(synth_rms, 1e-12))
+        out[s : s + frame_len] += synth * win * win
+        env[s : s + frame_len] += win * win
+    return out / np.maximum(env, 1e-12)

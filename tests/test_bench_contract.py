@@ -155,3 +155,25 @@ def test_synth_at_another_rate_fires_every_synthesis_wrapper(traced, tracer_modu
     assert [name for name in bench_run.WORKLOADS["synth_24k"].expected_layers if name not in rows] == []
     assert all(row["errors"] == 0 for row in rows.values())
     assert tuple(rows["vocoders.copy_synthesize"]["labels"]) == DEFAULT_CHANNEL_NAMES
+
+
+def test_each_system_trains_in_this_process_when_seeds_fork(traced, tracer_module, run_layers, cpus, forks,
+                                                              tmp_path):
+    """On two CPUs each system's second seed trains in a forked worker, whose
+    spans are not collected: every layer a traced run must see still fires here,
+    through each system's first seed."""
+    records = []
+    for i, subset in enumerate(["train"] * 3 + ["dev"] * 2 + ["eval"] * 2):
+        tid = f"c{i}"
+        write_wav(tmp_path / f"{tid}.wav", harmonic_speechlike(duration=0.6, f0=120.0 + 20 * i, seed=i))
+        records.append(TrialRecord(tid, f"{tid}.wav", "bonafide", "-", tid, subset))
+    TrialManifest(records, root=tmp_path).save(tmp_path / "manifest.tsv")
+    (tmp_path / "run.ini").write_text(CONFIG.format(manifest="manifest.tsv").replace("seeds = 5", "seeds = 5, 6"))
+    cpus(2)
+    assert cli.main(["run", "--config", str(tmp_path / "run.ini"), "--out", str(tmp_path / "out")]) == 0
+    assert len(forks) == 3  # synthesis once, training once per system
+    rows = tracer_module.aggregate(traced.spans)
+    assert [name for name in run_layers if name not in rows] == []
+    assert all(row["errors"] == 0 for row in rows.values())
+    train_labels = rows["training.train"]["labels"]
+    assert {k: v["calls"] for k, v in train_labels.items()} == {"ce/random": 1, "ce+cf/paired": 1}

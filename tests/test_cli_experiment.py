@@ -17,13 +17,14 @@ from hypothesis import strategies as st
 
 import spoofcm
 import spoofcm.experiment
+import spoofcm.training
 import spoofcm.vocoders
 from spoofcm.audio_io import Waveform, write_wav
 from spoofcm.cli import main
 from spoofcm.corpus import gen_desk_corpus
 from spoofcm.experiment import _INI_KEYS as LOADER_KEYS
 from spoofcm.experiment import ExperimentConfig, ensure_vocoded_set, load_config, run_experiment
-from spoofcm.errors import ConfigError, SpoofcmError
+from spoofcm.errors import ConfigError, NumericalError, SpoofcmError
 from spoofcm.manifest import TrialManifest, TrialRecord, load_manifest
 from spoofcm.training import DataBundle, TrainConfig, load_checkpoint
 from spoofcm.util import _deal
@@ -381,6 +382,67 @@ def test_skip_in_a_worker_is_logged_once_and_left_out(tmp_path, capfd):
     assert capfd.readouterr().err.count("skipping trial001:") == 1
     combined = load_manifest(tmp_path / "vocoded" / "manifest.tsv")
     assert [r.trial_id for r in combined] == ["trial000", "trial000_phasernd", "trial002", "trial002_phasernd"]
+
+
+# Both default systems over two seeds: on two CPUs, each system's second seed
+# trains in a forked worker
+TWO_SEED_CONFIG = TINY_CONFIG.replace("seeds = 5", "seeds = 5, 6").replace(
+    "names = coarsegl, phasernd", "names = phasernd"
+)
+
+
+def test_run_bytes_do_not_depend_on_the_worker_count(tmp_path, cpus, forks, monkeypatch):
+    """Every run file and report is byte-equal on one and two CPUs, and each
+    augmented view is built once, in this process or a worker."""
+    (tmp_path / "exp.ini").write_text(TWO_SEED_CONFIG)
+    augmented = tmp_path / "augmented.log"  # a line per apply_augment call, in any process
+    real_augment = spoofcm.training.apply_augment
+
+    def apply_augment(*args):
+        with open(augmented, "a") as log:
+            log.write("view\n")
+        return real_augment(*args)
+
+    monkeypatch.setattr(spoofcm.training, "apply_augment", apply_augment)
+    written, forked, views = {}, {}, {}
+    for n in (1, 2):
+        cpus(n)
+        out = tmp_path / f"out{n}"
+        before = len(forks)
+        augmented.write_text("")
+        assert main(["run", "--config", str(tmp_path / "exp.ini"), "--out", str(out)]) == 0
+        forked[n] = len(forks) - before
+        views[n] = len(augmented.read_text().splitlines())
+        files = [*out.glob("runs/*/*"), out / "results.csv", out / "summary.csv", *out.glob("sig_*.csv")]
+        written[n] = {str(p.relative_to(out)): p.read_bytes() for p in files}
+    assert forked == {1: 0, 2: 3}  # on two CPUs: synthesis once, training once per system
+    n_train = len(load_manifest(tmp_path / "out2" / "vocoded" / "manifest.tsv").subset("train").records)
+    assert views == {1: n_train, 2: n_train}  # k_views = 1
+    assert len([rel for rel in written[2] if rel.startswith("runs")]) == 2 * 2 * 4
+    assert written[1] == written[2]
+
+
+def test_failing_seed_in_a_worker_keeps_its_exit_code_and_stage(tmp_path, cpus, forks, monkeypatch, capsys):
+    """The first system's second seed fails in the forked worker: the run exits
+    3 with the serial loop's error line, and no child is left."""
+    (tmp_path / "exp.ini").write_text(TWO_SEED_CONFIG)
+    real_train = spoofcm.experiment.train
+
+    def train(bundle, cfg, seed):
+        if seed == 6:
+            raise NumericalError("loss is not finite")
+        return real_train(bundle, cfg, seed)
+
+    monkeypatch.setattr(spoofcm.experiment, "train", train)
+    errors = {}
+    for n in (1, 2):  # the second run reads the vocoded set the first built
+        cpus(n)
+        assert main(["run", "--config", str(tmp_path / "exp.ini"), "--out", str(tmp_path / "out")]) == 3
+        errors[n] = capsys.readouterr().err.splitlines()
+    assert errors[2] == errors[1] == ["numerical error: [stage train:ce_aug:6] loss is not finite"]
+    assert len(forks) == 1  # the two-CPU run's training of ce_aug
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="module")

@@ -5,10 +5,17 @@ from hypothesis import strategies as st
 
 from spoofcm.audio_io import Waveform
 from spoofcm.errors import ConfigError
+import spoofcm.lpc
 from spoofcm.lpc import _levinson, estimate_f0, lpc_analyze, lpc_resynthesize
 
 from conftest import harmonic_speechlike
-from reference import estimate_f0_loops, f0_autocorrelation_oracle, levinson_loops, lpc_analyze_loops
+from reference import (
+    estimate_f0_loops,
+    f0_autocorrelation_oracle,
+    levinson_loops,
+    lpc_analyze_loops,
+    lpc_frame_synthesis_loops,
+)
 
 SR = 16000
 FRAMING = dict(order=16, frame_ms=25.0, hop_ms=10.0)  # the lpcvoc channel's
@@ -160,6 +167,34 @@ class TestEstimateF0:
     def test_short_frame_rejected(self):
         with pytest.raises(ConfigError):
             estimate_f0(np.zeros((1, 100)), SR)
+
+
+def _with_gaps(w: Waveform, seed: int) -> Waveform:
+    """w with a silent stretch and a stretch of low noise, so some frames fall
+    under the silence gate and some are unvoiced."""
+    x = w.samples.copy()
+    n = len(x)
+    x[n // 4 : n // 2] = 0.0
+    x[n // 2 : 5 * n // 8] = 1e-3 * np.random.default_rng(seed).standard_normal(5 * n // 8 - n // 2)
+    return Waveform(x, w.sample_rate)
+
+
+@pytest.mark.parametrize("sr", [8000, 16000, 24000])
+@pytest.mark.parametrize("case", ["speech", "gaps", "noise", "silence"])
+def test_batched_frame_synthesis_matches_the_per_frame_loop(monkeypatch, sr, case):
+    """lpc_resynthesize with its frame synthesis batched against the same call
+    through a per-frame copy of the loop it replaced, byte for byte."""
+    seed = {"speech": 1, "gaps": 2, "noise": 3, "silence": 4}[case]
+    w = harmonic_speechlike(duration=0.7, sr=sr, seed=seed)
+    if case == "gaps":
+        w = _with_gaps(w, seed)
+    elif case == "noise":
+        w = Waveform(0.1 * np.random.default_rng(seed).standard_normal(len(w)), sr)
+    elif case == "silence":
+        w = Waveform(np.zeros(len(w)), sr)
+    batched = lpc_resynthesize(w, **FRAMING, seed=seed).samples
+    monkeypatch.setattr(spoofcm.lpc, "_frame_synthesis", lpc_frame_synthesis_loops)
+    assert same_bytes(batched, lpc_resynthesize(w, **FRAMING, seed=seed).samples)
 
 
 class TestLpcResynthesize:

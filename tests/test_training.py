@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
@@ -66,6 +67,30 @@ def test_view_is_the_kind_applied_with_a_per_view_seed(tiny_bundle, kind):
     assert np.array_equal(first, extract_base_features(apply_augment(w, kind, derive_seed(99, tid, 1))))
     assert bundle.view(tid, 1) is first  # built once, then cached
     assert not np.array_equal(bundle.view(tid, 2), first)
+
+
+def test_built_views_are_all_that_training_asks_for(tiny_bundle, monkeypatch):
+    """After build_views, training builds no view, in either loss mode: a view
+    built in a forked worker is lost with it, so each worker would build it again."""
+    calls = []
+    monkeypatch.setattr(training_mod, "apply_augment", lambda *args: calls.append(args) or apply_augment(*args))
+    cfg = TrainConfig(max_epochs=2, patience=10, k_views=2, feature_dim=4, extractor_hidden=6, head_hidden=6)
+    systems = [("ce", "random"), ("ce+cf", "paired"), ("ce+cf", "random")]
+    bundle = DataBundle(tiny_bundle.manifest, "rawboost", master_seed=99)
+    bundle.build_views(cfg.k_views)
+    assert len(calls) == 2 * len(bundle.ids(subset="train"))
+    calls.clear()
+    for loss_mode, pairing in systems:
+        train(bundle, dc_replace(cfg, loss_mode=loss_mode, pairing=pairing), seed=5)
+    assert calls == []
+    unbuilt = DataBundle(tiny_bundle.manifest, "rawboost", master_seed=99)
+    train(unbuilt, dc_replace(cfg, loss_mode="ce+cf", pairing="paired"), seed=5)
+    assert calls  # the spy sees the views training builds itself
+
+
+def test_build_views_without_augmentation_builds_none(plain_bundle):
+    plain_bundle.build_views(2)
+    assert plain_bundle._views == {}
 
 
 class TestAdam:

@@ -125,14 +125,6 @@ def test_table_text_writes_fields_with_str():
     assert table_text([]) == ""
 
 
-@pytest.fixture
-def cpus(monkeypatch):
-    """Set the CPU count parallel_map sees; afterwards, assert that no child is left."""
-    yield lambda n: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def test_deal_gives_the_heaviest_item_to_the_lightest_share():
     assert _deal([1, 5, 2, 8, 3, 3, 0, 7, 1], 2) == [[0, 3, 4, 5, 6], [1, 2, 7, 8]]
     assert _deal([1] * 5, 2) == [[0, 2, 4], [1, 3]]  # equal weights: round-robin
