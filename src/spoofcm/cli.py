@@ -1,11 +1,10 @@
 """Command-line surface.
 
-Subcommands: gen-corpus, synth, train, score, eer, group-report, run.
+Subcommands: gen-corpus, synth, score, eer, group-report, run.
 Each takes only the flags it reads: every subcommand takes --out; --seed
-is taken by gen-corpus, train and run; --config by train and run. Exit
-codes: 0 success, 1 usage/config error, 2 data error, 3 numerical
-error. Relative --out paths are resolved under $SPOOFCM_OUT_ROOT when
-that variable is set.
+is taken by gen-corpus and run; --config by run. Exit codes: 0 success,
+1 usage/config error, 2 data error, 3 numerical error. Relative --out
+paths are resolved under $SPOOFCM_OUT_ROOT when that variable is set.
 """
 from __future__ import annotations
 
@@ -30,7 +29,7 @@ from .metrics import (
     pooled_eer,
     save_scores,
 )
-from .training import DataBundle, load_checkpoint, manifest_features, score_manifest
+from .training import load_checkpoint, manifest_features, score_manifest
 from .util import table_text, write_file
 from .vocoders import DEFAULT_CHANNEL_NAMES, VocoderChannel, build_vocoded_set
 
@@ -62,11 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--channels", default=",".join(DEFAULT_CHANNEL_NAMES))
     p.add_argument("--intermediate-sr", type=int, default=None)
-
-    p = sub.add_parser("train", help="train one system for one seed")
-    p.add_argument("--system", default=None, help="system name from the config's [systems]")
-    p.add_argument("--seed", type=int, default=None, help="run seed (default: the config's first seed)")
-    p.add_argument("--config", required=True, help="experiment config file (INI)")
 
     p = sub.add_parser("score", help="score a manifest with a checkpoint")
     p.add_argument("--checkpoint", required=True)
@@ -106,27 +100,6 @@ def _cmd_synth(args) -> int:
     combined = build_vocoded_set(manifest, channels, out)
     n_spoof = sum(1 for r in combined if r.label == "spoof")
     print(f"wrote {n_spoof} spoofed trials under {out}")
-    return 0
-
-
-def _cmd_train(args) -> int:
-    from .experiment import load_config, train_system
-
-    cfg = load_config(args.config)
-    base = Path(args.config).parent
-    system = cfg.systems[0] if args.system is None else next(
-        (s for s in cfg.systems if s.name == args.system), None
-    )
-    if system is None:
-        raise ConfigError(f"unknown system {args.system!r}; config defines "
-                          f"{[s.name for s in cfg.systems]}")
-    seed = args.seed if args.seed is not None else cfg.seeds[0]
-    combined = load_manifest(base / cfg.manifest_path)
-    bundle = DataBundle(combined, cfg.augment_kind, cfg.master_seed)
-    out = _out_path(args.out or f"run_{system.name}_seed{seed}")
-    _, history = train_system(cfg, bundle, system, seed, out)
-    print(f"trained {system.name} seed {seed}: best dev loss "
-          f"{min(h.dev_loss for h in history)!r} ({len(history)} epochs)")
     return 0
 
 
@@ -198,7 +171,6 @@ def _cmd_run(args) -> int:
 _COMMANDS = {
     "gen-corpus": _cmd_gen_corpus,
     "synth": _cmd_synth,
-    "train": _cmd_train,
     "score": _cmd_score,
     "eer": _cmd_eer,
     "group-report": _cmd_group_report,

@@ -246,20 +246,16 @@ def _wav_bytes(out_dir: Path) -> dict[str, int]:
     return {p.name: p.stat().st_size for p in out_dir.glob("*.wav")}
 
 
-def train_system(cfg: ExperimentConfig, bundle: DataBundle, system: SystemSpec, seed: int, run_dir: Path):
-    """Train one system for one seed; write checkpoint.ckpt and history.csv
-    into ``run_dir``. Returns (params, history)."""
-    params, history = train(bundle, cfg.train_config(system), seed)
-    save_checkpoint(run_dir / "checkpoint.ckpt", params, cfg.config_hash())
-    write_file(run_dir / "history.csv", history_csv(history))
-    return params, history
-
-
 def _train_run(cfg: ExperimentConfig, bundle: DataBundle, system: SystemSpec, out_dir: Path, seed: int):
-    """Train one system for one seed into its run directory; (run directory, params)."""
+    """Train one system for one seed; write checkpoint.ckpt and history.csv
+    into its run directory, ``out_dir/runs/<system>_seed<seed>``. Returns
+    (run directory, params): a worker sends back only the parameters."""
     run_dir = out_dir / "runs" / f"{system.name}_seed{seed}"
     with _stage(f"train:{system.name}:{seed}"):
-        return run_dir, train_system(cfg, bundle, system, seed, run_dir)[0]
+        params, history = train(bundle, cfg.train_config(system), seed)
+        save_checkpoint(run_dir / "checkpoint.ckpt", params, cfg.config_hash())
+        write_file(run_dir / "history.csv", history_csv(history))
+    return run_dir, params
 
 
 @dataclass(frozen=True)

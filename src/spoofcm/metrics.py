@@ -87,12 +87,11 @@ def compute_eer(s: ScoreSet) -> EerResult:
 
 
 def pooled_eer(sets: list[ScoreSet]) -> EerResult:
-    """EER of the concatenation; ids are prefixed with the set name so the
-    same trial may appear in several sets."""
+    """EER of the concatenation; ids are prefixed with the set's position so
+    the same trial may appear in several sets, whatever their names."""
     if not sets:
         raise ConfigError("need at least one score set to pool")
-    entries = [replace(e, trial_id=f"{s.name or f'set{i}'}:{e.trial_id}")
-               for i, s in enumerate(sets) for e in s.entries]
+    entries = [replace(e, trial_id=f"{i}:{e.trial_id}") for i, s in enumerate(sets) for e in s.entries]
     return compute_eer(ScoreSet(entries, name="pooled"))
 
 
@@ -145,13 +144,19 @@ def save_scores(path: str | Path, s: ScoreSet) -> None:
 def load_scores(path: str | Path, manifest, set_name: str = "") -> ScoreSet:
     """Read a score file and join labels/tags from a manifest."""
     path = Path(path)
-    entries = []
+    entries, first_line = [], {}
     for ln, (trial_id, text) in read_table(path, "score file", None, 2, "\t"):
         try:
             score = float(text)
         except ValueError:
             raise DataError(f"{path}:{ln}: score {text!r} is not a number") from None
-        rec = manifest.by_id(trial_id)
+        if trial_id in first_line:
+            raise DataError(f"{path}:{ln}: trial id {trial_id!r} already scored on line {first_line[trial_id]}")
+        first_line[trial_id] = ln
+        try:
+            rec = manifest.by_id(trial_id)
+        except DataError as exc:
+            raise DataError(f"{path}:{ln}: {exc}") from None
         entries.append(ScoreEntry(trial_id, score, rec.label, rec.attack_tag))
     return ScoreSet(entries, name=set_name)
 

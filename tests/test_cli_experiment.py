@@ -558,6 +558,8 @@ class TestCli:
         ]) == 0
         text = (tmp_path / "eer.csv").read_text()
         assert text.splitlines()[0] == "set,eer,threshold,n_tar,n_non"
+        # two score files with one stem pool like any two
+        assert main(["eer", "--scores", str(scores), str(scores), "--manifest", str(manifest)]) == 0
 
         ckpt = tmp_path / "out" / "runs" / "ce_aug_seed5" / "checkpoint.ckpt"
         assert main([
@@ -584,16 +586,15 @@ class TestCli:
         files[bad].write_bytes(files[bad].read_bytes() + b"\xff\xfe\n")
         capsys.readouterr()
         if bad == "config":
-            for command in ("run", "train"):
-                assert main([command, "--config", str(files["config"]), "--out", str(tmp_path / "o")]) == code
-                assert str(files["config"]) in capsys.readouterr().err
+            assert main(["run", "--config", str(files["config"]), "--out", str(tmp_path / "o")]) == code
+            assert str(files["config"]) in capsys.readouterr().err
         else:
             assert main(["eer", "--scores", str(files["scores"]), "--manifest", str(files["manifest"])]) == code
             assert str(files[bad]) in capsys.readouterr().err
 
     def test_unparsable_value_names_section_and_key(self, tmp_path, capsys):
         (tmp_path / "exp.ini").write_text(TINY_CONFIG.replace("max_epochs = 2", "max_epochs = ten"))
-        assert main(["train", "--config", str(tmp_path / "exp.ini")]) == 1
+        assert main(["run", "--config", str(tmp_path / "exp.ini"), "--out", str(tmp_path / "out")]) == 1
         assert "train.max_epochs" in capsys.readouterr().err
 
     def test_exit_codes(self, tmp_path):
@@ -607,6 +608,7 @@ class TestCli:
             build_parser().parse_args(["unknown-command"])
         assert main(["unknown-command"]) == 1
         assert main(["sigtest", "--results", "r.csv"]) == 1  # significance is a stage of run, not a command
+        assert main(["train", "--config", "x.ini"]) == 1  # training is a stage of run, not a command
         (tmp_path / "garbage.ckpt").write_bytes(b"\x00not a checkpoint")
         assert main(["score", "--checkpoint", str(tmp_path / "garbage.ckpt"), "--manifest", "missing.tsv"]) == 2
 
@@ -617,6 +619,11 @@ class TestCli:
         sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         documented = re.search(r"Subcommands: ([^.]*)\.", cli.__doc__).group(1)
         assert set(sub.choices) == set(cli._COMMANDS) == {n.strip() for n in documented.split(",")}
+        # and the docstring's "--seed is taken by ...; --config by ..." lists name the subparsers that define them
+        doc = " ".join(cli.__doc__.split())
+        for flag, pattern in [("--seed", r"--seed is taken by ([^;]*);"), ("--config", r"--config by ([^.]*)\.")]:
+            documented = set(re.split(r",\s*|\s+and\s+", re.search(pattern, doc).group(1)))
+            assert documented == {name for name, p in sub.choices.items() if flag in p._option_string_actions}
 
     def test_augment_none_with_contrastive_system_fails_before_synthesis(self, tmp_path):
         (tmp_path / "exp.ini").write_text(TINY_CONFIG.replace("kind = rawboost", "kind = none"))
@@ -693,20 +700,16 @@ class TestCli:
 
 
 @pytest.mark.parametrize(
-    "command", ["gen-corpus", "synth", "train", "score", "eer", "group-report", "run"]
+    "command", ["gen-corpus", "synth", "score", "eer", "group-report", "run"]
 )
 def test_unwritable_out_is_a_data_error(tiny_run, tmp_path, capsys, command):
     base, report = tiny_run
     ce_run = report.out_dir / "runs" / "ce_aug_seed5"
     manifest = str(report.out_dir / "vocoded" / "manifest.tsv")
     scores = str(ce_run / "scores_eval.txt")
-    (tmp_path / "train.ini").write_text(
-        TINY_CONFIG.replace("corpus/manifest.tsv", manifest).replace("max_epochs = 2", "max_epochs = 1")
-    )
     args = {
         "gen-corpus": ["--n", "20"],
         "synth": ["--manifest", str(base / "corpus" / "manifest.tsv"), "--channels", "phasernd"],
-        "train": ["--config", str(tmp_path / "train.ini")],
         "score": ["--checkpoint", str(ce_run / "checkpoint.ckpt"), "--manifest", manifest],
         "eer": ["--scores", scores, "--manifest", manifest],
         "group-report": ["--scores", scores, "--manifest", manifest],

@@ -117,6 +117,13 @@ class TestPooledEer:
         two = pooled_eer([make_set(bona[:20], spoof[:15], "x"), make_set(bona[20:], spoof[15:], "y")])
         assert np.isclose(one.eer, two.eer)
 
+    def test_sets_with_one_name_pool_as_sets_with_two(self):
+        # two score files with one stem (runs/a/scores_eval.txt, runs/b/scores_eval.txt) share a set name
+        rng = np.random.default_rng(5)
+        halves = [(list(rng.standard_normal(12) + 1), list(rng.standard_normal(9))) for _ in range(2)]
+        same = pooled_eer([make_set(*halves[0], "scores_eval"), make_set(*halves[1], "scores_eval")])
+        assert same == pooled_eer([make_set(*halves[0], "x"), make_set(*halves[1], "y")])
+
 
 class TestMeanOverSeeds:
     def test_examples(self):
@@ -203,6 +210,19 @@ class TestScoreFiles:
         path = tmp_path / "scores.txt"
         path.write_text("t1\t0.5\nt1\tabc\n")
         with pytest.raises(DataError, match=re.escape(f"{path}:2")):
+            load_scores(path, man)
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [("t1\t0.5\nzz\t0.5\n", ":2: trial id not in manifest: zz"),
+         ("t1\t0.5\n\nt1\t0.7\n", ":3: trial id 't1' already scored on line 1")],
+        ids=["unknown-id", "repeated-id"],
+    )
+    def test_bad_trial_id_names_path_and_line(self, tmp_path, text, where):
+        man = TrialManifest([TrialRecord("t1", "t1.wav", "bonafide", "-", "t1", "eval")])
+        path = tmp_path / "scores.txt"
+        path.write_text(text)
+        with pytest.raises(DataError, match=re.escape(f"{path}{where}")):
             load_scores(path, man)
 
     @settings(max_examples=150, deadline=None)
