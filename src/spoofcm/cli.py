@@ -118,9 +118,23 @@ def _cmd_score(args) -> int:
     return 0
 
 
+def _row_names(paths: list[str]) -> list[str]:
+    """Each path's shortest trailing part without its suffix (stem, then
+    parent/stem, and so on) that no other path shares at that depth; the
+    path as given when every such part is shared (the same file given
+    twice, or files that differ only in suffix)."""
+    tails = [(*Path(p).parent.parts, Path(p).stem) for p in paths]
+    names = []
+    for i, parts in enumerate(tails):
+        others = tails[:i] + tails[i + 1:]
+        k = next((k for k in range(1, len(parts) + 1) if all(o[-k:] != parts[-k:] for o in others)), None)
+        names.append(paths[i] if k is None else str(Path(*parts[-k:])))
+    return names
+
+
 def _cmd_eer(args) -> int:
     manifest = load_manifest(args.manifest)
-    sets = [load_scores(path, manifest, set_name=Path(path).stem) for path in args.scores]
+    sets = [load_scores(path, manifest, set_name=name) for path, name in zip(args.scores, _row_names(args.scores))]
     rows = [("set", *EER_COLUMNS)] + [(s.name, *astuple(compute_eer(s))) for s in sets]
     if len(sets) > 1:
         rows.append(("pooled", *astuple(pooled_eer(sets))))

@@ -2,8 +2,10 @@
 refresh, multi-seed multi-system runs, trimmed-eval scoring, seed
 averaging, and significance reports.
 
-Each system's seeds train in forked worker processes, one per CPU this
-process may run on; outputs are byte-identical for any CPU count.
+Synthesis, the per-trial features (base features, augmented views and
+the trimmed eval features) and each system's seeds run in forked worker
+processes, one per CPU this process may run on (``util.parallel_map``);
+outputs are byte-identical for any CPU count.
 
 Config files are INI. Example:
 
@@ -279,11 +281,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, base_dir: str | P
     the evaluation subsets (original and non-speech-trimmed), average
     over seeds, and test pairwise significance between systems.
 
+    The bundle's features and views, and the trimmed eval features, are
+    built per trial in forked worker processes (``util.parallel_map``).
     Systems train one after another, in config order; a system's seeds
-    train in forked worker processes (``util.parallel_map``), the first in
-    this process. Each worker writes its run's checkpoint and history and
-    sends back only the trained parameters, so every output is
-    byte-identical for any CPU count. Scoring and what follows run here."""
+    train in worker processes too, the first in this process. Each worker
+    writes its run's checkpoint and history and sends back only the
+    trained parameters, so every output is byte-identical for any CPU
+    count. Scoring and what follows run here."""
     out_dir = Path(out_dir)
     base_dir = Path(base_dir)
 

@@ -3,9 +3,14 @@ crops, paired or random contrastive mini-batches, early stopping on the
 development loss, and deterministic checkpoints.
 
 All randomness is derived from the run seed; reruns are bit-identical.
+Per-trial features (a bundle's base features and augmented views, and
+``manifest_features``) are built by ``util.parallel_map``, one trial or
+view per item, and come back in input order, so they are byte-identical
+for any CPU count.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections.abc import Mapping
@@ -32,7 +37,7 @@ from .model import (
     forward_member,
     init_model,
 )
-from .util import derive_seed, table_text, write_file
+from .util import derive_seed, file_size, parallel_map, table_text, write_file
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -112,6 +117,13 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float) -> 
 # Data access
 # ---------------------------------------------------------------------------
 
+def _trial_features(manifest: TrialManifest, transform, rec) -> np.ndarray:
+    """Base features of one trial's audio, mapped by ``transform`` first
+    unless it is None."""
+    w = read_wav(manifest.resolve(rec))
+    return extract_base_features(w if transform is None else transform(w))
+
+
 class DataBundle:
     """The manifest's trials as base features, plus lazily computed augmented views.
 
@@ -121,13 +133,21 @@ class DataBundle:
     bundle's augmentation kind (None for none) and are fixed per (trial,
     view index): their seeds derive from the bundle's master seed, so every
     epoch sees the same view and reruns are deterministic.
+
+    The base features, and the views ``build_views`` builds, are computed
+    in ``util.parallel_map``'s worker processes, largest first, and are
+    byte-identical for any CPU count. An unreadable trial raises the
+    DataError of the first such trial in manifest order.
     """
 
     def __init__(self, manifest: TrialManifest, augment_kind: str | None, master_seed: int):
         self.manifest = manifest
         self.augment_kind = augment_kind
         self.master_seed = master_seed
-        self.features = {r.trial_id: extract_base_features(read_wav(manifest.resolve(r))) for r in manifest}
+        records = list(manifest)
+        features = parallel_map(functools.partial(_trial_features, manifest, None), records,
+                                weights=[file_size(manifest.resolve(r)) for r in records])
+        self.features = {r.trial_id: f for r, f in zip(records, features)}
         self.pairing: dict[str, list[str]] = {r.trial_id: [] for r in manifest if r.label == "bonafide"}
         for rec in sorted(manifest, key=lambda r: r.trial_id):  # so each list is sorted
             if rec.label == "spoof" and rec.source_id in self.pairing:
@@ -149,11 +169,13 @@ class DataBundle:
     def build_views(self, k_views: int) -> None:
         """Fill the view cache with views 1..k_views of every train trial:
         every view that training on this bundle can ask for (none when the
-        bundle does not augment)."""
+        bundle does not augment). Each view is built by ``view`` in a
+        worker, longest trial first, and stored here."""
         if self.augment_kind is not None:
-            for trial_id in self.ids(subset="train"):
-                for k in range(1, k_views + 1):
-                    self.view(trial_id, k)
+            keys = [(t, k) for t in self.ids(subset="train") for k in range(1, k_views + 1)]
+            views = parallel_map(lambda key: self.view(*key), keys,
+                                 weights=[self.features[t].shape[0] for t, _ in keys])
+            self._views.update(zip(keys, views))
 
     def view(self, trial_id: str, view_index: int) -> np.ndarray:
         """Augmented view's base features (view_index >= 1)."""
@@ -332,24 +354,27 @@ def train(
     return best_params, history
 
 
+def _features_or_none(manifest: TrialManifest, transform, rec) -> np.ndarray | None:
+    try:
+        return _trial_features(manifest, transform, rec)
+    except DataError:
+        return None
+
+
 def manifest_features(manifest: TrialManifest, transform=None) -> tuple[dict[str, np.ndarray], list[str]]:
     """Base features of every trial at full length (no crop), keyed by trial
-    id; unreadable trials are reported back as missing rather than failing
-    the whole set.
+    id; unreadable trials are reported back as missing, in manifest order,
+    rather than failing the whole set.
 
     ``transform`` optionally maps each waveform first (for example
-    non-speech trimming)."""
-    features = {}
-    missing = []
-    for rec in manifest:
-        try:
-            w = read_wav(manifest.resolve(rec))
-            if transform is not None:
-                w = transform(w)
-            features[rec.trial_id] = extract_base_features(w)
-        except DataError:
-            missing.append(rec.trial_id)
-    return features, missing
+    non-speech trimming). Trials are mapped by ``util.parallel_map``,
+    largest WAV first, and come back in manifest order: the result is
+    byte-identical for any CPU count."""
+    records = list(manifest)
+    features = parallel_map(functools.partial(_features_or_none, manifest, transform), records,
+                            weights=[file_size(manifest.resolve(r)) for r in records])
+    missing = [r.trial_id for r, f in zip(records, features) if f is None]
+    return {r.trial_id: f for r, f in zip(records, features) if f is not None}, missing
 
 
 def score_manifest(

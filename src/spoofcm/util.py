@@ -14,9 +14,19 @@ items; with one, it is that loop in this process). The calling process
 runs share 0 of the items itself, results come back in input order, and
 the exception raised is the loop's, so a deterministic ``fn`` gives
 byte-identical output with any worker count.
+
+Before it forks, ``parallel_map`` moves every object the process tracks
+into the collector's permanent generation (``gc.freeze``), the pattern the
+``gc`` documentation gives for fork without exec. Why: a collection in a
+child then no longer scans, and so copies, the pages of the parent's
+objects, and the process skips the exit-time traversal of the objects its
+imports made (on a 2-vCPU VM, a process that only imports ``scipy.signal``
+took 0.25 s to exit, 0.03 s after ``gc.freeze()``). The cost: cyclic
+garbage alive at a fork is never reclaimed.
 """
 from __future__ import annotations
 
+import gc
 import hashlib
 import os
 import pickle
@@ -107,6 +117,15 @@ def write_file(path: str | Path, data: str | bytes) -> None:
         raise DataError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+def file_size(path: Path) -> int:
+    """Byte size of ``path``, a ``parallel_map`` weight; 0 when it cannot be
+    read (the reader of the file reports that)."""
+    try:
+        return path.stat().st_size
+    except OSError:
+        return 0
+
+
 def parallel_map(fn, items, weights=None) -> list:
     """``[fn(item) for item in items]``, spread over forked worker processes.
 
@@ -120,7 +139,9 @@ def parallel_map(fn, items, weights=None) -> list:
     itself and forks one child per other share, here, after every import:
     children share its loaded pages and read ``fn`` and the items from its
     memory, and only results are pickled back. Results come back in input
-    order.
+    order. Right before the forks, every object this process tracks is
+    frozen (``gc.freeze``, never undone): cyclic garbage alive at a fork
+    is not reclaimed before exit.
 
     A share stops at its first exception. The exception of the earliest
     failing item in input order is raised, with its type and message: the
@@ -137,6 +158,7 @@ def parallel_map(fn, items, weights=None) -> list:
     if n <= 1 or threading.active_count() > 1:
         return [fn(item) for item in items]
     shares = _deal(weights, n)
+    gc.freeze()  # no gc.collect() first: with scipy loaded, that is a full traversal per call
     sys.stdout.flush()  # else a child would write this process's buffered text again
     sys.stderr.flush()
     parent, children = os.getpid(), {}  # pid -> read end of its result pipe

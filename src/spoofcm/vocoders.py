@@ -50,7 +50,7 @@ from .dsp import (
 from .errors import ConfigError, DataError, NumericalError
 from .lpc import lpc_resynthesize
 from .manifest import TrialManifest, TrialRecord
-from .util import derive_seed, parallel_map
+from .util import derive_seed, file_size, parallel_map
 
 log = logging.getLogger(__name__)
 
@@ -266,13 +266,6 @@ def _vocode_trial(manifest: TrialManifest, channels: list[VocoderChannel], out_d
     return records
 
 
-def _file_size(path: Path) -> int:
-    try:
-        return path.stat().st_size
-    except OSError:  # read_wav reports it
-        return 0
-
-
 def build_vocoded_set(
     manifest: TrialManifest,
     channels: list[VocoderChannel],
@@ -299,7 +292,7 @@ def build_vocoded_set(
         raise DataError("manifest contains no bona fide trials")
     out_dir = Path(out_dir)
     per_trial = parallel_map(functools.partial(_vocode_trial, manifest, channels, out_dir), bona,
-                             weights=[_file_size(manifest.resolve(r)) for r in bona])
+                             weights=[file_size(manifest.resolve(r)) for r in bona])
     records = [r for trial in per_trial for r in trial]
     if not records:
         raise DataError("no bona fide trial could be synthesized")

@@ -103,7 +103,10 @@ def traced(tracer_module):
             setattr(DataBundle, key, value)
 
 
-def test_labels_and_work_counts_accept_current_call_shapes(traced, tracer_module, run_layers, tmp_path):
+def test_labels_and_work_counts_accept_current_call_shapes(traced, tracer_module, run_layers, cpus, tmp_path):
+    """On one CPU, so every count below is the whole run's: on two, a worker's
+    spans are not collected."""
+    cpus(1)
     records = []
     for i, subset in enumerate(["train"] * 3 + ["dev"] * 2 + ["eval"] * 2):
         tid = f"c{i}"
@@ -163,7 +166,7 @@ def test_each_system_trains_in_this_process_when_seeds_fork(traced, tracer_modul
     (tmp_path / "run.ini").write_text(CONFIG.replace("seeds = 5", "seeds = 5, 6"))
     cpus(2)
     assert cli.main(["run", "--config", str(tmp_path / "run.ini"), "--out", str(tmp_path / "out")]) == 0
-    assert len(forks) == 3  # synthesis once, training once per system
+    assert len(forks) == 6  # synthesis, bundle features, views, training once per system, eval_trim
     rows = tracer_module.aggregate(traced.spans)
     assert [name for name in run_layers if name not in rows] == []
     assert all(row["errors"] == 0 for row in rows.values())

@@ -197,6 +197,23 @@ def test_text_artifacts_match_golden(tiny_run, tmp_path, capsys):
     digests = {rel: hashlib.sha256(path.read_bytes()).hexdigest() for rel, path in files.items()}
     assert digests == GOLDEN_ARTIFACT_SHA256
 
+def test_eer_names_each_row_by_the_shortest_path_tail_no_other_file_shares(tiny_run, tmp_path, capsys):
+    _, report = tiny_run
+    runs = report.out_dir / "runs"
+    scores = [str(runs / run / name) for run, name in [
+        ("ce_aug_seed5", "scores_eval.txt"), ("cecf_paired_seed5", "scores_eval.txt"),
+        ("cecf_paired_seed5", "scores_eval_trim.txt"),
+    ]]
+    scores += [scores[2], str(tmp_path / "s.txt"), str(tmp_path / "s.csv")]
+    for copy in scores[4:]:
+        Path(copy).write_bytes(Path(scores[0]).read_bytes())
+    capsys.readouterr()
+    assert main(["eer", "--scores", *scores, "--manifest", str(report.out_dir / "vocoded" / "manifest.tsv")]) == 0
+    rows = [line.split(",")[0] for line in capsys.readouterr().out.splitlines()[1:]]
+    # a file given twice, and two that differ only in suffix, are named by the path as given
+    assert rows == ["ce_aug_seed5/scores_eval", "cecf_paired_seed5/scores_eval", *scores[2:], "pooled"]
+
+
 class TestVocodedCache:
     BASE = (VocoderChannel("coarsegl"), VocoderChannel("phasernd"))
 
@@ -415,7 +432,8 @@ def test_run_bytes_do_not_depend_on_the_worker_count(tmp_path, cpus, forks, monk
         views[n] = len(augmented.read_text().splitlines())
         files = [*out.glob("runs/*/*"), out / "results.csv", out / "summary.csv", *out.glob("sig_*.csv")]
         written[n] = {str(p.relative_to(out)): p.read_bytes() for p in files}
-    assert forked == {1: 0, 2: 3}  # on two CPUs: synthesis once, training once per system
+    # on two CPUs: synthesis, the bundle's features, its views, training once per system, eval_trim
+    assert forked == {1: 0, 2: 6}
     n_train = len(load_manifest(tmp_path / "out2" / "vocoded" / "manifest.tsv").subset("train").records)
     assert views == {1: n_train, 2: n_train}  # k_views = 1
     assert len([rel for rel in written[2] if rel.startswith("runs")]) == 2 * 2 * 4
@@ -440,7 +458,7 @@ def test_failing_seed_in_a_worker_keeps_its_exit_code_and_stage(tmp_path, cpus, 
         assert main(["run", "--config", str(tmp_path / "exp.ini"), "--out", str(tmp_path / "out")]) == 3
         errors[n] = capsys.readouterr().err.splitlines()
     assert errors[2] == errors[1] == ["numerical error: [stage train:ce_aug:6] loss is not finite"]
-    assert len(forks) == 1  # the two-CPU run's training of ce_aug
+    assert len(forks) == 3  # the two-CPU run's bundle features, views and training of ce_aug
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

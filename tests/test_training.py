@@ -27,7 +27,7 @@ from spoofcm.training import (
     score_manifest,
     train,
 )
-from spoofcm.util import derive_seed
+from spoofcm.util import _deal, derive_seed, file_size
 from spoofcm.vocoders import VocoderChannel, build_vocoded_set
 
 from conftest import flat, harmonic_speechlike
@@ -69,9 +69,11 @@ def test_view_is_the_kind_applied_with_a_per_view_seed(tiny_bundle, kind):
     assert not np.array_equal(bundle.view(tid, 2), first)
 
 
-def test_built_views_are_all_that_training_asks_for(tiny_bundle, monkeypatch):
+def test_built_views_are_all_that_training_asks_for(tiny_bundle, monkeypatch, cpus):
     """After build_views, training builds no view, in either loss mode: a view
-    built in a forked worker is lost with it, so each worker would build it again."""
+    built in a forked worker is lost with it, so each worker would build it again.
+    On one CPU, so the spy sees every view built."""
+    cpus(1)
     calls = []
     monkeypatch.setattr(training_mod, "apply_augment", lambda *args: calls.append(args) or apply_augment(*args))
     cfg = TrainConfig(max_epochs=2, patience=10, k_views=2, feature_dim=4, extractor_hidden=6, head_hidden=6)
@@ -86,6 +88,43 @@ def test_built_views_are_all_that_training_asks_for(tiny_bundle, monkeypatch):
     unbuilt = DataBundle(tiny_bundle.manifest, "rawboost", master_seed=99)
     train(unbuilt, dc_replace(cfg, loss_mode="ce+cf", pairing="paired"), seed=5)
     assert calls  # the spy sees the views training builds itself
+
+
+def _manifest_with_two_unreadable(root):
+    """Four train trials; u1 and u3 are not WAV files. On two CPUs the first,
+    u1, lies in the worker's share and u3 in this process's."""
+    records = []
+    for tid, content in [("u0", 1.0), ("u1", 20000), ("u2", 0.5), ("u3", 10000)]:
+        if isinstance(content, float):
+            write_wav(root / f"{tid}.wav", harmonic_speechlike(duration=content, seed=len(records)))
+        else:
+            (root / f"{tid}.wav").write_bytes(b"\0" * content)
+        records.append(TrialRecord(tid, f"{tid}.wav", "bonafide", "-", tid, "train"))
+    manifest = TrialManifest(records, root=root)
+    assert _deal([file_size(manifest.resolve(r)) for r in manifest], 2) == [[0, 3], [1, 2]]
+    return manifest
+
+
+def test_unreadable_trial_in_a_worker_raises_the_serial_error(tmp_path, cpus):
+    manifest = _manifest_with_two_unreadable(tmp_path)
+    errors = {}
+    for n in (1, 2):
+        cpus(n)
+        with pytest.raises(DataError) as info:
+            DataBundle(manifest, None, master_seed=0)
+        errors[n] = str(info.value)
+    assert errors[2] == errors[1] and "u1.wav" in errors[1]
+
+
+def test_manifest_features_do_not_depend_on_the_worker_count(tmp_path, cpus):
+    manifest = _manifest_with_two_unreadable(tmp_path)
+    found = {}
+    for n in (1, 2):
+        cpus(n)
+        features, missing = manifest_features(manifest)
+        found[n] = [(t, f.dtype, f.shape, f.tobytes()) for t, f in features.items()], missing
+    assert found[2] == found[1]
+    assert [t for t, *_ in found[1][0]] == ["u0", "u2"] and found[1][1] == ["u1", "u3"]
 
 
 def test_build_views_without_augmentation_builds_none(plain_bundle):

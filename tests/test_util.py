@@ -1,5 +1,6 @@
 import ast
 import errno
+import gc
 import os
 import subprocess
 import sys
@@ -150,6 +151,16 @@ def test_parallel_map_on_one_cpu_is_a_loop_in_this_process(cpus, monkeypatch):
 
     monkeypatch.setattr(os, "fork", no_fork)
     assert parallel_map(_square_and_pid, range(4)) == [(x * x, os.getpid()) for x in range(4)]
+
+
+def test_parallel_map_freezes_the_collector_only_when_it_forks(cpus):
+    frozen = gc.get_freeze_count()
+    cpus(1)
+    parallel_map(_square_and_pid, range(4))
+    assert gc.get_freeze_count() == frozen
+    cpus(2)
+    parallel_map(_square_and_pid, range(4))
+    assert gc.get_freeze_count() > frozen
 
 
 def _failing_at(failing, exc_type):
