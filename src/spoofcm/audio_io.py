@@ -60,6 +60,8 @@ def read_wav(path: str | Path) -> Waveform:
         raise DataError(f"{path}: not a readable WAV file ({exc or 'unexpected end of file'})") from None
     if len(raw) != 2 * n_frames:
         raise DataError(f"{path}: truncated: {len(raw) // 2} of {n_frames} frames")
+    if sr <= 0:
+        raise DataError(f"{path}: sample rate must be positive, got {sr}")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return Waveform(samples, sr)
 

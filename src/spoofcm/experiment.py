@@ -90,6 +90,7 @@ class ExperimentConfig:
     channel_names: tuple[str, ...] = DEFAULT_CHANNEL_NAMES
     intermediate_sr: int | None = None
     augment_kind: str | None = "rawboost"  # or "freqmask", "codec"; None (INI "none") for no views
+    k_views: int = 1  # augmented views per train trial, when augment_kind is not None
     train: TrainConfig = field(default_factory=TrainConfig)
     systems: tuple[SystemSpec, ...] = (
         SystemSpec("ce_aug", "ce", "random"),
@@ -123,7 +124,7 @@ _INI_KEYS = {
     ("channels", "names"): ("experiment", "channel_names", lambda t: tuple(n.strip() for n in t.split(","))),
     ("channels", "intermediate_sr"): ("experiment", "intermediate_sr", lambda t: int(t) if t.strip() else None),
     ("augment", "kind"): ("experiment", "augment_kind", lambda t: None if t == "none" else t),
-    ("augment", "k_views"): ("train", "k_views", int),
+    ("augment", "k_views"): ("experiment", "k_views", int),
     **{("train", key): ("train", key, kind) for key, kind in {
         "lr0": float, "lr_decay": float, "lr_decay_every": int, "batch_size": int, "max_seconds": float,
         "patience": int, "max_epochs": int, "feature_dim": int, "extractor_hidden": int, "head_hidden": int,
@@ -180,6 +181,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if cfg.augment_kind is not None and cfg.augment_kind not in AUGMENT_KINDS:
         raise ConfigError(f"{path}: augment.kind = {cfg.augment_kind!r}; "
                           f"expected none or one of {sorted(AUGMENT_KINDS)}")
+    if cfg.k_views < 0:
+        raise ConfigError(f"{path}: augment.k_views must be >= 0, got {cfg.k_views}")
     for system in cfg.systems:
         try:
             cfg.train_config(system)
@@ -187,10 +190,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
             raise ConfigError(f"{path}: system {system.name!r}: {exc}") from None
     # a contrastive batch needs two bona fide views: the trial and an augmented copy
     wanting = [s.name for s in cfg.systems if s.loss_mode == "ce+cf"]
-    if wanting and (cfg.augment_kind is None or cfg.train.k_views < 1):
+    if wanting and (cfg.augment_kind is None or cfg.k_views < 1):
         raise ConfigError(f"{path}: systems {wanting} train on augmented views, which need a kind and "
                           f"k_views >= 1; [augment] kind = {cfg.augment_kind or 'none'}, "
-                          f"k_views = {cfg.train.k_views}")
+                          f"k_views = {cfg.k_views}")
     return cfg
 
 
@@ -306,9 +309,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, base_dir: str | P
         )
 
     with _stage("train-data"):
-        bundle = DataBundle(combined, cfg.augment_kind, cfg.master_seed)
-        # here, before any fork: a worker's own fills of the view cache die with it
-        bundle.build_views(cfg.train.k_views)
+        bundle = DataBundle(combined, cfg.augment_kind, cfg.master_seed, cfg.k_views)
 
     trained = {}
     for system in cfg.systems:  # the first seed trains in this process, so every system trains in it
@@ -321,7 +322,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, base_dir: str | P
         # The bundle already holds every trial's untrimmed features.
         eval_manifest = combined.subset("eval")
         eval_features = {
-            "eval": bundle.features,
+            "eval": {rec.trial_id: bundle.base(rec.trial_id) for rec in eval_manifest},
             "eval_trim": manifest_features(eval_manifest, trim_nonspeech)[0],
         }
 

@@ -155,9 +155,9 @@ def load_scores(path: str | Path, manifest, set_name: str = "") -> ScoreSet:
         first_line[trial_id] = ln
         try:
             rec = manifest.by_id(trial_id)
-        except DataError as exc:
+            entries.append(ScoreEntry(trial_id, score, rec.label, rec.attack_tag))
+        except DataError as exc:  # an unknown trial id or a non-finite score
             raise DataError(f"{path}:{ln}: {exc}") from None
-        entries.append(ScoreEntry(trial_id, score, rec.label, rec.attack_tag))
     return ScoreSet(entries, name=set_name)
 
 

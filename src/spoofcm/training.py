@@ -25,7 +25,7 @@ from .contrastive import CfConfig
 from .corpus import SAMPLE_RATE
 from .errors import ConfigError, DataError, SpoofcmError
 from .manifest import TrialManifest
-from .metrics import EerResult, ScoreEntry, ScoreSet, compute_eer
+from .metrics import ScoreEntry, ScoreSet, compute_eer
 from .model import (
     FRAME_HOP,
     FRAME_WIN,
@@ -55,7 +55,6 @@ class TrainConfig:
     max_epochs: int = 40
     loss_mode: str = "ce"  # "ce" or "ce+cf"
     pairing: str = "paired"  # spoof views paired with the batch's bona fide trial, or random
-    k_views: int = 1  # augmented views per trial (all batches, when the bundle augments)
     feature_dim: int = 32
     extractor_hidden: int = 64
     head_hidden: int = 64
@@ -66,8 +65,6 @@ class TrainConfig:
                   "feature_dim", "extractor_hidden", "head_hidden")
         if min(getattr(self, name) for name in counts) < 1:
             raise ConfigError(f"{', '.join(counts)} must be >= 1")
-        if self.k_views < 0:
-            raise ConfigError(f"k_views must be >= 0, got {self.k_views}")
         if self.loss_mode not in ("ce", "ce+cf"):
             raise ConfigError(f"loss_mode must be 'ce' or 'ce+cf', got {self.loss_mode!r}")
         if self.pairing not in ("paired", "random"):
@@ -125,34 +122,46 @@ def _trial_features(manifest: TrialManifest, transform, rec) -> np.ndarray:
 
 
 class DataBundle:
-    """The manifest's trials as base features, plus lazily computed augmented views.
+    """Every feature array that training on the manifest's trials can ask
+    for, built once by the constructor and read-only after it.
 
     Records and paths are read through the manifest; the bundle adds only
-    ``features`` (trial id -> base features), ``pairing`` (bona fide id ->
-    its sorted spoof ids) and the view cache. Augmented views apply the
-    bundle's augmentation kind (None for none) and are fixed per (trial,
-    view index): their seeds derive from the bundle's master seed, so every
-    epoch sees the same view and reruns are deterministic.
+    ``pairing`` (bona fide id -> its sorted spoof ids) and its views, keyed
+    by (trial id, view index). View 0 of every trial is its base features;
+    views 1..k_views of every train trial apply the augmentation kind with
+    a seed derived from the master seed, the trial and the index, so every
+    epoch sees the same view and reruns are deterministic. ``k_views`` is 0
+    when the kind is None (no augmentation).
 
-    The base features, and the views ``build_views`` builds, are computed
-    in ``util.parallel_map``'s worker processes, largest first, and are
-    byte-identical for any CPU count. An unreadable trial raises the
-    DataError of the first such trial in manifest order.
+    The views are built in one ``util.parallel_map``, weighted by WAV size,
+    and are byte-identical for any CPU count. View-0 keys come first, in
+    manifest order, so an unreadable trial raises the DataError of the
+    first such trial in manifest order.
     """
 
-    def __init__(self, manifest: TrialManifest, augment_kind: str | None, master_seed: int):
+    def __init__(self, manifest: TrialManifest, augment_kind: str | None, master_seed: int, k_views: int):
+        if k_views < 0:
+            raise ConfigError(f"k_views must be >= 0, got {k_views}")
         self.manifest = manifest
         self.augment_kind = augment_kind
         self.master_seed = master_seed
-        records = list(manifest)
-        features = parallel_map(functools.partial(_trial_features, manifest, None), records,
-                                weights=[file_size(manifest.resolve(r)) for r in records])
-        self.features = {r.trial_id: f for r, f in zip(records, features)}
+        self.k_views = 0 if augment_kind is None else k_views
+        keys = [(r.trial_id, 0) for r in manifest]
+        keys += [(t, k) for t in self.ids(subset="train") for k in range(1, self.k_views + 1)]
+        views = parallel_map(self._build, keys,
+                             weights=[file_size(manifest.resolve(manifest.by_id(t))) for t, _ in keys])
+        self._views = dict(zip(keys, views))
         self.pairing: dict[str, list[str]] = {r.trial_id: [] for r in manifest if r.label == "bonafide"}
         for rec in sorted(manifest, key=lambda r: r.trial_id):  # so each list is sorted
             if rec.label == "spoof" and rec.source_id in self.pairing:
                 self.pairing[rec.source_id].append(rec.trial_id)
-        self._views: dict[tuple[str, int], np.ndarray] = {}
+
+    def _build(self, key: tuple[str, int]) -> np.ndarray:
+        """The features of one view: the trial's audio, augmented first unless the index is 0."""
+        trial_id, k = key
+        seed = derive_seed(self.master_seed, trial_id, k)
+        augment = None if k == 0 else lambda w: apply_augment(w, self.augment_kind, seed)
+        return _trial_features(self.manifest, augment, self.manifest.by_id(trial_id))
 
     def ids(self, subset: str | None = None, label: str | None = None) -> list[str]:
         return sorted(
@@ -164,37 +173,19 @@ class DataBundle:
         return 1 if self.manifest.by_id(trial_id).label == "bonafide" else 0
 
     def base(self, trial_id: str) -> np.ndarray:
-        return self.features[trial_id]
-
-    def build_views(self, k_views: int) -> None:
-        """Fill the view cache with views 1..k_views of every train trial:
-        every view that training on this bundle can ask for (none when the
-        bundle does not augment). Each view is built by ``view`` in a
-        worker, longest trial first, and stored here."""
-        if self.augment_kind is not None:
-            keys = [(t, k) for t in self.ids(subset="train") for k in range(1, k_views + 1)]
-            views = parallel_map(lambda key: self.view(*key), keys,
-                                 weights=[self.features[t].shape[0] for t, _ in keys])
-            self._views.update(zip(keys, views))
+        return self.view(trial_id, 0)
 
     def view(self, trial_id: str, view_index: int) -> np.ndarray:
-        """Augmented view's base features (view_index >= 1)."""
-        if view_index == 0:
-            return self.base(trial_id)
-        if self.augment_kind is None:
-            raise ConfigError("augmented views requested but no augmentation is configured")
-        key = (trial_id, view_index)
-        if key not in self._views:
-            w = read_wav(self.manifest.resolve(self.manifest.by_id(trial_id)))
-            seed = derive_seed(self.master_seed, trial_id, view_index)
-            self._views[key] = extract_base_features(apply_augment(w, self.augment_kind, seed))
-        return self._views[key]
+        """The features of a view the bundle holds (0: the base features)."""
+        try:
+            return self._views[trial_id, view_index]
+        except KeyError:
+            raise ConfigError(f"the bundle holds no view {view_index} of trial {trial_id}") from None
 
 
 def compose_batch(
     bundle: DataBundle,
     bona_id: str,
-    k_views: int,
     mode: str,
     rng: np.random.Generator,
     max_frames: int,
@@ -205,9 +196,9 @@ def compose_batch(
 
     Paired mode takes the trial's own vocoded spoofs; random mode samples
     the same number of spoofs from the provided pool. The bona fide views
-    are the original plus k_views augmented copies, and every spoof gets
-    k_views augmented copies too. All members are cropped to a shared
-    frame window (aligned in paired mode).
+    are the original plus the bundle's k_views augmented copies, and every
+    spoof gets k_views augmented copies too. All members are cropped to a
+    shared frame window (aligned in paired mode).
     """
     if bundle.label(bona_id) != 1:
         raise ConfigError(f"{bona_id} is not a bona fide trial")
@@ -225,9 +216,9 @@ def compose_batch(
     else:
         raise ConfigError(f"unknown pairing mode {mode!r}")
 
-    bona_views = [bundle.base(bona_id)] + [bundle.view(bona_id, k) for k in range(1, k_views + 1)]
+    bona_views = [bundle.base(bona_id)] + [bundle.view(bona_id, k) for k in range(1, bundle.k_views + 1)]
     spoof_views = [bundle.base(s) for s in spoof_ids]
-    for k in range(1, k_views + 1):
+    for k in range(1, bundle.k_views + 1):
         spoof_views += [bundle.view(s, k) for s in spoof_ids]
 
     members = bona_views + spoof_views
@@ -320,9 +311,7 @@ def train(
         lr = cfg.lr0 * cfg.lr_decay ** (epoch // cfg.lr_decay_every)
         epoch_losses = []
         if cfg.loss_mode == "ce":
-            items = [(t, 0) for t in train_ids]
-            if bundle.augment_kind is not None:
-                items += [(t, k) for t in train_ids for k in range(1, cfg.k_views + 1)]
+            items = [(t, 0) for t in train_ids] + [(t, k) for t in train_ids for k in range(1, bundle.k_views + 1)]
             order = rng.permutation(len(items))
             for s in range(0, len(order), cfg.batch_size):
                 chunk = [items[i] for i in order[s : s + cfg.batch_size]]
@@ -334,9 +323,7 @@ def train(
         else:
             for idx in rng.permutation(len(bona_train)):
                 bona_id = bona_train[idx]
-                members, labels = compose_batch(
-                    bundle, bona_id, cfg.k_views, cfg.pairing, rng, max_frames, spoof_pool=spoof_train
-                )
+                members, labels = compose_batch(bundle, bona_id, cfg.pairing, rng, max_frames, spoof_pool=spoof_train)
                 loss, grads, _ = forward_backward(members, labels, params, loss_cfg, batch_id=bona_id)
                 epoch_losses.append(loss)
                 adam_step(params, grads, state, lr)

@@ -229,17 +229,6 @@ def copy_synthesize(w: Waveform, channel: VocoderChannel) -> Waveform:
     return Waveform(y, w.sample_rate)
 
 
-def log_spectral_distance(a: Waveform, b: Waveform, cfg: StftConfig | None = None) -> float:
-    """Mean per-frame RMS distance between log magnitude spectra, in dB."""
-    cfg = cfg or StftConfig()
-    sa = np.abs(stft(a, cfg).frames)
-    sb = np.abs(stft(b, cfg).frames)
-    n = min(len(sa), len(sb))
-    la = 20.0 * np.log10(sa[:n] + 1e-8)
-    lb = 20.0 * np.log10(sb[:n] + 1e-8)
-    return float(np.mean(np.sqrt(np.mean((la - lb) ** 2, axis=1))))
-
-
 def check_channels(channels: list[VocoderChannel]) -> None:
     """Reject an empty list and a channel listed twice, whose spoofs would share trial ids."""
     names = [ch.name for ch in channels]

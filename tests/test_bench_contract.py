@@ -166,7 +166,7 @@ def test_each_system_trains_in_this_process_when_seeds_fork(traced, tracer_modul
     (tmp_path / "run.ini").write_text(CONFIG.replace("seeds = 5", "seeds = 5, 6"))
     cpus(2)
     assert cli.main(["run", "--config", str(tmp_path / "run.ini"), "--out", str(tmp_path / "out")]) == 0
-    assert len(forks) == 6  # synthesis, bundle features, views, training once per system, eval_trim
+    assert len(forks) == 5  # synthesis, the bundle, training once per system, eval_trim
     rows = tracer_module.aggregate(traced.spans)
     assert [name for name in run_layers if name not in rows] == []
     assert all(row["errors"] == 0 for row in rows.values())

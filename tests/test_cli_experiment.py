@@ -401,6 +401,20 @@ def test_skip_in_a_worker_is_logged_once_and_left_out(tmp_path, capfd):
     assert [r.trial_id for r in combined] == ["trial000", "trial000_phasernd", "trial002", "trial002_phasernd"]
 
 
+def test_wav_whose_header_gives_a_zero_sample_rate_is_skipped(tmp_path, capfd):
+    manifest_file = _speech_manifest(tmp_path, [0.6, 0.6])
+    data = bytearray((tmp_path / "trial001.wav").read_bytes())
+    data[24:28] = bytes(4)  # the fmt chunk's sample rate
+    (tmp_path / "trial001.wav").write_bytes(data)
+    proc = _spoofcm_on_two_cpus(["synth", "--manifest", str(manifest_file), "--channels", "phasernd",
+                                 "--out", str(tmp_path / "vocoded")])
+    assert proc.wait(timeout=120) == 0
+    err = capfd.readouterr().err
+    assert err.count("skipping") == 1 and "trial001.wav: sample rate must be positive, got 0" in err
+    combined = load_manifest(tmp_path / "vocoded" / "manifest.tsv")
+    assert [r.trial_id for r in combined] == ["trial000", "trial000_phasernd"]
+
+
 # Both default systems over two seeds: on two CPUs, each system's second seed
 # trains in a forked worker
 TWO_SEED_CONFIG = TINY_CONFIG.replace("seeds = 5", "seeds = 5, 6").replace(
@@ -432,8 +446,8 @@ def test_run_bytes_do_not_depend_on_the_worker_count(tmp_path, cpus, forks, monk
         views[n] = len(augmented.read_text().splitlines())
         files = [*out.glob("runs/*/*"), out / "results.csv", out / "summary.csv", *out.glob("sig_*.csv")]
         written[n] = {str(p.relative_to(out)): p.read_bytes() for p in files}
-    # on two CPUs: synthesis, the bundle's features, its views, training once per system, eval_trim
-    assert forked == {1: 0, 2: 6}
+    # on two CPUs: synthesis, the bundle, training once per system, eval_trim
+    assert forked == {1: 0, 2: 5}
     n_train = len(load_manifest(tmp_path / "out2" / "vocoded" / "manifest.tsv").subset("train").records)
     assert views == {1: n_train, 2: n_train}  # k_views = 1
     assert len([rel for rel in written[2] if rel.startswith("runs")]) == 2 * 2 * 4
@@ -458,7 +472,7 @@ def test_failing_seed_in_a_worker_keeps_its_exit_code_and_stage(tmp_path, cpus, 
         assert main(["run", "--config", str(tmp_path / "exp.ini"), "--out", str(tmp_path / "out")]) == 3
         errors[n] = capsys.readouterr().err.splitlines()
     assert errors[2] == errors[1] == ["numerical error: [stage train:ce_aug:6] loss is not finite"]
-    assert len(forks) == 3  # the two-CPU run's bundle features, views and training of ce_aug
+    assert len(forks) == 2  # the two-CPU run's bundle and training of ce_aug
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -478,7 +492,7 @@ def built_set(tmp_path_factory):
     combined = ensure_vocoded_set(load_manifest(base / "manifest.tsv"), base / "manifest.tsv", channels,
                                   base / "vocoded")
     files = {p.name: p.read_bytes() for p in sorted((base / "vocoded").iterdir())}
-    bundle = DataBundle(combined, None, 0)
+    bundle = DataBundle(combined, None, 0, 0)
     return base / "manifest.tsv", channels, files, combined.records, {t: bundle.base(t) for t in bundle.ids()}
 
 
@@ -498,7 +512,7 @@ def test_truncated_vocoded_set_is_rebuilt_or_refused(built_set, data):
     (out / name).write_bytes(whole[:at])
     try:
         combined = ensure_vocoded_set(load_manifest(manifest_file), manifest_file, channels, out)
-        bundle = DataBundle(combined, None, 0)
+        bundle = DataBundle(combined, None, 0, 0)
     except SpoofcmError:
         if name.endswith(".wav"):
             raise
@@ -665,6 +679,7 @@ class TestCli:
             ("[systems]", "[cf]\ntemprature = 0.5\n\n[systems]", "cf.temprature"),
             ("[systems]", "[DEFAULT]\nseed = 3\n\n[systems]", "DEFAULT.seed"),
             ("k_views = 1", "k_views = 0", ["cecf_paired"]),
+            ("k_views = 1", "k_views = -1", -1),  # with ce_aug alone: see the test
             ("max_epochs = 2", "max_epochs = 2\nmax_seconds = nan", float("nan")),
             ("max_epochs = 2", "max_epochs = 2\nmax_seconds = inf", float("inf")),
             ("lr0 = 1e-3", "lr0 = inf", float("inf")),
@@ -672,10 +687,13 @@ class TestCli:
         ],
         ids=["augment-kind", "pairing", "loss-mode", "channel-name", "intermediate-sr", "channel-twice",
              "glmel-rate", "rate-below-8k", "seed-twice", "train-key", "section", "cf-key", "default-section",
-             "k0", "max-seconds-nan", "max-seconds-inf", "lr0-inf", "temperature-nan"],
+             "k0", "k-negative-ce-only", "max-seconds-nan", "max-seconds-inf", "lr0-inf", "temperature-nan"],
     )
     def test_config_typo_fails_before_synthesis(self, tmp_path, capsys, right, wrong, word):
-        (tmp_path / "exp.ini").write_text(TINY_CONFIG.replace(right, wrong))
+        text = TINY_CONFIG.replace(right, wrong)
+        if wrong == "k_views = -1":  # no system asks for views, so only the value itself is refused
+            text = text.replace("cecf_paired = ce+cf, paired\n", "")
+        (tmp_path / "exp.ini").write_text(text)
         assert main(["run", "--config", str(tmp_path / "exp.ini"), "--out", str(tmp_path / "out")]) == 1
         assert repr(word) in capsys.readouterr().err
         assert not (tmp_path / "corpus").exists() and not (tmp_path / "out").exists()
@@ -709,7 +727,7 @@ class TestCli:
         assert load_config(tmp_path / "ce.ini").augment_kind is None
         no_views = ce_only.replace("k_views = 1", "k_views = 0")
         (tmp_path / "k0.ini").write_text(no_views)
-        assert load_config(tmp_path / "k0.ini").train.k_views == 0
+        assert load_config(tmp_path / "k0.ini").k_views == 0
 
     def test_out_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SPOOFCM_OUT_ROOT", str(tmp_path / "root"))

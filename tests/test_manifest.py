@@ -96,7 +96,7 @@ def test_pairing_index_bijection(tmp_path):
     records = [bona("a"), bona("b"), spoof("a_x", "a", "x"), spoof("a_y", "a", "y"), spoof("b_x", "b", "x")]
     for r in records:
         write_wav(tmp_path / r.path, harmonic_speechlike(duration=0.05))
-    pairing = DataBundle(TrialManifest(records, root=tmp_path), None, master_seed=0).pairing
+    pairing = DataBundle(TrialManifest(records, root=tmp_path), None, master_seed=0, k_views=0).pairing
     assert pairing["a"] == ["a_x", "a_y"]
     assert pairing["b"] == ["b_x"]
     all_spoofs = sorted(sid for ids in pairing.values() for sid in ids)

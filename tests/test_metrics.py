@@ -215,8 +215,10 @@ class TestScoreFiles:
     @pytest.mark.parametrize(
         "text, where",
         [("t1\t0.5\nzz\t0.5\n", ":2: trial id not in manifest: zz"),
-         ("t1\t0.5\n\nt1\t0.7\n", ":3: trial id 't1' already scored on line 1")],
-        ids=["unknown-id", "repeated-id"],
+         ("t1\t0.5\n\nt1\t0.7\n", ":3: trial id 't1' already scored on line 1"),
+         ("\nt1\tnan\n", ":2: t1: non-finite score"),
+         ("t1\t-inf\n", ":1: t1: non-finite score")],
+        ids=["unknown-id", "repeated-id", "nan", "inf"],
     )
     def test_bad_trial_id_names_path_and_line(self, tmp_path, text, where):
         man = TrialManifest([TrialRecord("t1", "t1.wav", "bonafide", "-", "t1", "eval")])

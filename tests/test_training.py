@@ -48,46 +48,68 @@ def tiny_bundle(tmp_path_factory):
     manifest = TrialManifest(records, root=root)
     combined = build_vocoded_set(manifest, [VocoderChannel("coarsegl"), VocoderChannel("phasernd")], root / "voc")
     combined.save(root / "voc" / "manifest.tsv")
-    return DataBundle(combined, "rawboost", master_seed=99)
+    return DataBundle(combined, "rawboost", master_seed=99, k_views=1)
 
 
 @pytest.fixture(scope="module")
 def plain_bundle(tiny_bundle):
     """The same trials with no augmentation: training sees original views only."""
-    return DataBundle(tiny_bundle.manifest, None, master_seed=99)
+    return DataBundle(tiny_bundle.manifest, None, master_seed=99, k_views=1)
 
 
 @pytest.mark.parametrize("kind", ["codec", "freqmask", "rawboost"])
 def test_view_is_the_kind_applied_with_a_per_view_seed(tiny_bundle, kind):
-    bundle = DataBundle(tiny_bundle.manifest, kind, master_seed=99)
+    bundle = DataBundle(tiny_bundle.manifest, kind, master_seed=99, k_views=2)
     tid = "t03_coarsegl"
     assert bundle.view(tid, 0) is bundle.base(tid)
     w = read_wav(bundle.manifest.resolve(bundle.manifest.by_id(tid)))
     first = bundle.view(tid, 1)
     assert np.array_equal(first, extract_base_features(apply_augment(w, kind, derive_seed(99, tid, 1))))
-    assert bundle.view(tid, 1) is first  # built once, then cached
+    assert bundle.view(tid, 1) is first  # built once, then looked up
     assert not np.array_equal(bundle.view(tid, 2), first)
 
 
-def test_built_views_are_all_that_training_asks_for(tiny_bundle, monkeypatch, cpus):
-    """After build_views, training builds no view, in either loss mode: a view
-    built in a forked worker is lost with it, so each worker would build it again.
-    On one CPU, so the spy sees every view built."""
-    cpus(1)
+@pytest.fixture
+def augment_calls(monkeypatch):
+    """The apply_augment calls the bundle makes in this process, one entry each."""
     calls = []
     monkeypatch.setattr(training_mod, "apply_augment", lambda *args: calls.append(args) or apply_augment(*args))
-    cfg = TrainConfig(max_epochs=2, patience=10, k_views=2, feature_dim=4, extractor_hidden=6, head_hidden=6)
+    return calls
+
+
+def test_built_views_are_all_that_training_asks_for(tiny_bundle, augment_calls, cpus):
+    """The constructor builds views 1..k_views of every train trial, and
+    training, in either loss mode, builds no more. On one CPU, so the spy
+    sees every view built."""
+    cpus(1)
+    cfg = TrainConfig(max_epochs=2, patience=10, feature_dim=4, extractor_hidden=6, head_hidden=6)
     systems = [("ce", "random"), ("ce+cf", "paired"), ("ce+cf", "random")]
-    bundle = DataBundle(tiny_bundle.manifest, "rawboost", master_seed=99)
-    bundle.build_views(cfg.k_views)
-    assert len(calls) == 2 * len(bundle.ids(subset="train"))
-    calls.clear()
+    bundle = DataBundle(tiny_bundle.manifest, "rawboost", master_seed=99, k_views=2)
+    assert len(augment_calls) == 2 * len(bundle.ids(subset="train"))
+    augment_calls.clear()
     for loss_mode, pairing in systems:
         train(bundle, dc_replace(cfg, loss_mode=loss_mode, pairing=pairing), seed=5)
-    assert calls == []
-    unbuilt = DataBundle(tiny_bundle.manifest, "rawboost", master_seed=99)
-    train(unbuilt, dc_replace(cfg, loss_mode="ce+cf", pairing="paired"), seed=5)
-    assert calls  # the spy sees the views training builds itself
+    assert augment_calls == []
+
+
+def test_bundle_bytes_do_not_depend_on_the_worker_count(tiny_bundle, cpus):
+    train_ids = tiny_bundle.ids(subset="train")
+    keys = {(t, 0) for t in tiny_bundle.ids()} | {(t, k) for t in train_ids for k in (1, 2)}
+    found = {}
+    for n in (1, 2):
+        cpus(n)
+        bundle = DataBundle(tiny_bundle.manifest, "rawboost", master_seed=99, k_views=2)
+        found[n] = {key: (v.dtype, v.shape, v.tobytes()) for key, v in bundle._views.items()}
+    assert set(found[1]) == keys and found[2] == found[1]
+
+
+def test_a_view_the_bundle_does_not_hold_is_refused_without_augmenting(tiny_bundle, plain_bundle, augment_calls):
+    for bundle, key in [(tiny_bundle, ("t05", 1)),  # a dev trial
+                        (tiny_bundle, ("t00_phasernd", 2)),  # past k_views = 1
+                        (plain_bundle, ("t00", 1))]:  # no augmentation
+        with pytest.raises(ConfigError, match=f"no view {key[1]} of trial {key[0]}"):
+            bundle.view(*key)
+    assert augment_calls == []
 
 
 def _manifest_with_two_unreadable(root):
@@ -111,7 +133,7 @@ def test_unreadable_trial_in_a_worker_raises_the_serial_error(tmp_path, cpus):
     for n in (1, 2):
         cpus(n)
         with pytest.raises(DataError) as info:
-            DataBundle(manifest, None, master_seed=0)
+            DataBundle(manifest, None, master_seed=0, k_views=0)
         errors[n] = str(info.value)
     assert errors[2] == errors[1] and "u1.wav" in errors[1]
 
@@ -125,11 +147,6 @@ def test_manifest_features_do_not_depend_on_the_worker_count(tmp_path, cpus):
         found[n] = [(t, f.dtype, f.shape, f.tobytes()) for t, f in features.items()], missing
     assert found[2] == found[1]
     assert [t for t, *_ in found[1][0]] == ["u0", "u2"] and found[1][1] == ["u1", "u3"]
-
-
-def test_build_views_without_augmentation_builds_none(plain_bundle):
-    plain_bundle.build_views(2)
-    assert plain_bundle._views == {}
 
 
 class TestAdam:
@@ -173,15 +190,15 @@ class TestAdam:
 class TestComposeBatch:
     def test_paired_sizes_s4_k1_like(self, tiny_bundle):
         rng = np.random.default_rng(0)
-        members, labels = compose_batch(tiny_bundle, "t00", k_views=1, mode="paired", rng=rng, max_frames=398)
+        members, labels = compose_batch(tiny_bundle, "t00", mode="paired", rng=rng, max_frames=398)
         # bona fide first: 1 + K of them, then S(1 + K) spoofs, S = 2 channels here
         assert labels == [1] * 2 + [0] * 4
         assert len(members) == len(labels)
         assert len({m.shape for m in members}) == 1
 
-    def test_k0_composition_error(self, tiny_bundle):
+    def test_k0_composition_error(self, plain_bundle):
         rng = np.random.default_rng(1)
-        members, labels = compose_batch(tiny_bundle, "t00", k_views=0, mode="paired", rng=rng, max_frames=398)
+        members, labels = compose_batch(plain_bundle, "t00", mode="paired", rng=rng, max_frames=398)
         assert labels == [1, 0, 0]  # one bona fide view: no positive for it
         params = init_model(0, feature_dim=8, extractor_hidden=6, head_hidden=7)
         with pytest.raises(ConfigError, match=">= 2 views per class"):
@@ -189,7 +206,7 @@ class TestComposeBatch:
 
     def test_paired_mode_pulls_pairing_index(self, tiny_bundle):
         rng = np.random.default_rng(2)
-        members, labels = compose_batch(tiny_bundle, "t01", k_views=1, mode="paired", rng=rng, max_frames=10_000)
+        members, labels = compose_batch(tiny_bundle, "t01", mode="paired", rng=rng, max_frames=10_000)
         expected = tiny_bundle.pairing["t01"]
         spoofs = [m for m, y in zip(members, labels) if y == 0]
         for got, sid in zip(spoofs[: len(expected)], expected):
@@ -202,9 +219,9 @@ class TestComposeBatch:
     def test_random_mode_needs_pool(self, tiny_bundle):
         rng = np.random.default_rng(3)
         with pytest.raises(ConfigError):
-            compose_batch(tiny_bundle, "t00", 1, "random", rng, 398, spoof_pool=[])
-        pool = tiny_bundle.ids(label="spoof")
-        _, labels = compose_batch(tiny_bundle, "t00", 1, "random", rng, 398, spoof_pool=pool)
+            compose_batch(tiny_bundle, "t00", "random", rng, 398, spoof_pool=[])
+        pool = tiny_bundle.ids(subset="train", label="spoof")  # the bundle holds views of train trials only
+        _, labels = compose_batch(tiny_bundle, "t00", "random", rng, 398, spoof_pool=pool)
         assert labels == [1] * 2 + [0] * 4
 
 
@@ -217,10 +234,11 @@ class TestTrainLoop:
         with pytest.raises(ConfigError):
             TrainConfig(**{field: 0})
 
-    def test_negative_k_views_rejected(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(k_views=-1)
-        assert TrainConfig(k_views=0).k_views == 0
+    def test_negative_k_views_rejected(self, tiny_bundle):
+        with pytest.raises(ConfigError, match="k_views must be >= 0, got -1"):
+            DataBundle(tiny_bundle.manifest, "rawboost", master_seed=99, k_views=-1)
+        assert DataBundle(tiny_bundle.manifest, "rawboost", master_seed=99, k_views=0).k_views == 0
+        assert DataBundle(tiny_bundle.manifest, None, master_seed=99, k_views=2).k_views == 0
 
     def test_determinism(self, plain_bundle):
         cfg = TrainConfig(max_epochs=3, patience=10, loss_mode="ce")
@@ -259,7 +277,7 @@ class TestTrainLoop:
         bona_only = TrialManifest(
             [r for r in tiny_bundle.manifest if r.label == "bonafide"], tiny_bundle.manifest.root
         )
-        bundle = DataBundle(bona_only, None, master_seed=0)
+        bundle = DataBundle(bona_only, None, master_seed=0, k_views=0)
         with pytest.raises(ConfigError):
             train(bundle, TrainConfig(max_epochs=1), seed=0)
 
