@@ -172,12 +172,17 @@ def mel_to_hz(m):
 
 @dataclass(frozen=True)
 class MelFilterbank:
-    """Triangular mel filterbank from 0 Hz to Nyquist; every row must touch at least one FFT bin."""
+    """Triangular mel filterbank from 0 Hz to Nyquist; every row must touch at least one FFT bin.
+
+    Row m's nonzero weights lie within ``band_weights[m]``, the weights of the
+    bins from ``band_starts[m]``, as wide as the widest row."""
 
     n_mels: int
     fft_size: int
     sample_rate: int
     weights: np.ndarray = field(init=False, repr=False)
+    band_starts: np.ndarray = field(init=False, repr=False)
+    band_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.sample_rate <= 0:
@@ -199,16 +204,25 @@ class MelFilterbank:
                 f"fft_size={self.fft_size} at {self.sample_rate} Hz)"
             )
         object.__setattr__(self, "weights", W)
+        support = W > 0.0
+        width = int(support.sum(axis=1).max())  # a triangle's bins are contiguous
+        starts = np.minimum(np.argmax(support, axis=1), n_bins - width)
+        object.__setattr__(self, "band_starts", starts)
+        object.__setattr__(self, "band_weights", np.take_along_axis(W, starts[:, None] + np.arange(width), axis=1))
 
 
 def mel_apply(s: ComplexSpectrogram, fb: MelFilterbank) -> np.ndarray:
-    """Mel magnitudes: |bins| through the filterbank, F x n_mels."""
+    """Mel magnitudes: |bins| through the filterbank, F x n_mels.
+
+    Sums each row over its band only, in a fixed order: einsum calls no BLAS,
+    and a BLAS matmul sums in an order that depends on its thread count."""
     if fb.fft_size != s.config.fft_size or fb.sample_rate != s.sample_rate:
         raise ConfigError(
             f"filterbank built for fft={fb.fft_size}/sr={fb.sample_rate}, "
             f"spectrogram has fft={s.config.fft_size}/sr={s.sample_rate}"
         )
-    return np.abs(s.frames) @ fb.weights.T
+    bins = fb.band_starts[:, None] + np.arange(fb.band_weights.shape[1])
+    return np.einsum("fmb,mb->fm", np.abs(s.frames)[:, bins], fb.band_weights)
 
 
 @lru_cache(maxsize=_CONFIG_CACHE_SIZE)
@@ -227,13 +241,15 @@ def _mel_pinv_t(n_mels: int, fft_size: int, sample_rate: int) -> np.ndarray:
 def mel_pseudo_inverse(mel: np.ndarray, fb: MelFilterbank) -> np.ndarray:
     """Least-squares magnitude reconstruction from mel magnitudes, with
     negative values clamped to zero (magnitudes feed phase reconstruction).
+    A fixed-order product, as in mel_apply.
     """
     if fb.n_mels < 8:
         raise ConfigError(f"pseudo-inverse needs n_mels >= 8, got {fb.n_mels}")
     mel = np.asarray(mel, dtype=np.float64)
     if mel.ndim != 2 or mel.shape[1] != fb.n_mels:
         raise ConfigError(f"mel matrix must be F x {fb.n_mels}, got {mel.shape}")
-    return np.maximum(mel @ _mel_pinv_t(fb.n_mels, fb.fft_size, fb.sample_rate), 0.0)
+    pinv_t = _mel_pinv_t(fb.n_mels, fb.fft_size, fb.sample_rate)
+    return np.maximum(np.einsum("fm,mk->fk", mel, pinv_t), 0.0)
 
 
 # ---------------------------------------------------------------------------

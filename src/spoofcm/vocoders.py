@@ -9,6 +9,12 @@ distinct artifact signature:
                 spectral coloration (magnitudes preserved within a few %)
 * ``lpcvoc``    all-pole source-filter resynthesis
 
+Both Griffin-Lim channels reconstruct phase with the fast Griffin-Lim
+algorithm (Perraudin, Balazs & Søndergaard, WASPAA 2013; momentum
+α = 0.99) in 16 iterations: from the same zero-phase start, 16 of them end
+at a lower spectral-convergence error than 32 plain Griffin-Lim iterations,
+at half the transforms.
+
 A channel is a name and a rate. Its internals are its row of
 ``CHANNEL_PARAMS``, applied to every trial, so its artifacts are consistent
 across a corpus. A channel's repr names every value of that row, and the
@@ -38,7 +44,6 @@ from .dsp import (
     MelFilterbank,
     StftConfig,
     _istft_samples,
-    _mel_pinv_t,
     _ola_envelope,
     _stft_frames,
     istft,
@@ -56,10 +61,14 @@ log = logging.getLogger(__name__)
 
 # Part of the vocoded-set cache key: bump it with any change that alters
 # the bytes a channel writes for the same parameters.
-SYNTHESIS_VERSION = 1
+SYNTHESIS_VERSION = 2
 MIN_INPUT_SECONDS = 0.5
 _SUPPORTED_RATES = (8000, 48000)
 _SILENT_PEAK = 1e-6
+# The fast Griffin-Lim momentum α; each step moves by β = α / (1 + α) of the
+# last re-analysis past the current one. 0.99 is the paper's choice.
+FGLA_ALPHA = 0.99
+_FGLA_BETA = FGLA_ALPHA / (1.0 + FGLA_ALPHA)
 
 
 def griffin_lim(
@@ -69,11 +78,21 @@ def griffin_lim(
     iters: int,
     error_trace: list | None = None,
 ) -> Waveform:
-    """Phase reconstruction by alternating projections onto the magnitude
-    constraint and the set of consistent spectrograms, from zero phase.
+    """Phase reconstruction by the fast Griffin-Lim algorithm (Perraudin,
+    Balazs & Søndergaard, "A fast Griffin-Lim algorithm", WASPAA 2013), from
+    zero phase.
 
-    When given, ``error_trace`` collects the spectral convergence error
-    (Frobenius, relative) once per iteration.
+    Each iteration re-analyses the current samples (``rebuilt``), steps past
+    it by the momentum ``angles = rebuilt - β·rebuilt_prev`` with
+    β = α/(1+α) and α = ``FGLA_ALPHA``, and synthesizes
+    ``mag · angles/|angles|``. The first iteration has no previous
+    spectrogram, so it is a plain Griffin-Lim step. Unlike plain Griffin-Lim
+    the error need not fall on every iteration, but it falls faster: the
+    channels' 16 iterations end below the error of 32 plain ones.
+
+    When given, ``error_trace`` collects once per iteration the spectral
+    convergence error (Frobenius, relative) of |STFT(current samples)|
+    against ``mag``, taken before the momentum step.
     """
     if iters < 1:
         raise ConfigError(f"iters must be >= 1, got {iters}")
@@ -84,21 +103,26 @@ def griffin_lim(
     # istft checks mag and cfg once; the loop runs on the unchecked kernels
     samples = istft(ComplexSpectrogram(mag.astype(np.complex128), cfg, sample_rate)).samples
     envelope = _ola_envelope(cfg, len(mag))
-    spec, modulus = np.empty(mag.shape, dtype=np.complex128), np.empty(mag.shape)
+    rebuilt, prev = np.empty(mag.shape, dtype=np.complex128), np.zeros(mag.shape, dtype=np.complex128)
+    modulus = np.empty(mag.shape)
     for _ in range(iters):
-        _stft_frames(samples, cfg, spec)
-        np.abs(spec, out=modulus)
+        _stft_frames(samples, cfg, rebuilt)
         if error_trace is not None:
-            err = np.linalg.norm(modulus - mag) / max(mag_norm, 1e-12)
+            err = np.linalg.norm(np.abs(rebuilt) - mag) / max(mag_norm, 1e-12)
             error_trace.append(float(err))
-        # New phase in place on float64 views: (X * mag) * (1 / max(|X|, eps)),
-        # the products complex mag * X / max(|X|, eps) makes, in its order.
+        # the momentum step, angles = rebuilt - beta * prev, written over prev
+        np.multiply(prev, _FGLA_BETA, out=prev)
+        angles = np.subtract(rebuilt, prev, out=prev)
+        # New phase in place on float64 views: (A * mag) * (1 / max(|A|, eps)),
+        # the products complex mag * A / max(|A|, eps) makes, in its order.
+        np.abs(angles, out=modulus)
         np.maximum(modulus, 1e-12, out=modulus)
         np.divide(1.0, modulus, out=modulus)
-        for part in (spec.real, spec.imag):
+        for part in (angles.real, angles.imag):
             part *= mag
             part *= modulus
-        samples = _istft_samples(spec, cfg, envelope)
+        samples = _istft_samples(angles, cfg, envelope)
+        prev, rebuilt = rebuilt, angles  # the next analysis overwrites the angles
     if not np.all(np.isfinite(samples)):  # e.g. finite magnitudes that overflow
         raise NumericalError("Griffin-Lim diverged to non-finite samples")
     return Waveform(samples, sample_rate)
@@ -106,9 +130,11 @@ def griffin_lim(
 
 # Each channel's fixed internals, by name. Part of the vocoded-set cache key
 # through VocoderChannel's repr, so changing a value rebuilds cached sets.
+# A Griffin-Lim channel's fft_size maps the highest rate it serves to the
+# size: glmel's 80 mel bands need a 2048-point FFT above 32 kHz to stay invertible.
 CHANNEL_PARAMS = {
-    "glmel": {"n_mels": 80, "iters": 32, "fft_size": 1024, "hop": 512},
-    "coarsegl": {"n_mels": 20, "iters": 32, "fft_size": 512, "hop": 128},
+    "glmel": {"n_mels": 80, "iters": 16, "fft_size": {32000: 1024, 48000: 2048}, "hop": 512},
+    "coarsegl": {"n_mels": 20, "iters": 16, "fft_size": {48000: 512}, "hop": 128},
     "phasernd": {"seed": 2001, "n_sections": 12, "radius_range": (0.4, 0.75), "color_db": (0.2, 1.0),
                  "color_from": 3500.0},
     "lpcvoc": {"order": 16, "frame_ms": 25.0, "hop_ms": 10.0, "seed": 2002},
@@ -130,13 +156,6 @@ class VocoderChannel:
         low, high = _SUPPORTED_RATES  # the input rates copy_synthesize accepts
         if self.intermediate_sr is not None and not low <= self.intermediate_sr <= high:
             raise ConfigError(f"intermediate_sr must be within {low}-{high} Hz, got {self.intermediate_sr!r}")
-        params = CHANNEL_PARAMS[self.name]
-        if self.intermediate_sr is not None and "n_mels" in params:
-            try:  # cached, so synthesis reuses the table
-                _mel_pinv_t(params["n_mels"], params["fft_size"], self.intermediate_sr)
-            except NumericalError as exc:
-                raise ConfigError(f"channel {self.name!r} cannot synthesize at intermediate_sr "
-                                  f"{self.intermediate_sr!r}: {exc}") from None
 
     def __repr__(self) -> str:
         """Names the rate and every table value; the vocoded-set cache key is built from it."""
@@ -144,10 +163,16 @@ class VocoderChannel:
         return f"VocoderChannel(name={self.name!r}, intermediate_sr={self.intermediate_sr!r}{params})"
 
 
-def _mel_griffin_lim(w: Waveform, n_mels: int, iters: int, fft_size: int, hop: int) -> Waveform:
+def _mel_fft_size(fft_size: dict[int, int], sample_rate: int) -> int:
+    """The size that a Griffin-Lim row's fft_size gives for this rate."""
+    return fft_size[min(top for top in fft_size if sample_rate <= top)]
+
+
+def _mel_griffin_lim(w: Waveform, n_mels: int, iters: int, fft_size: dict[int, int], hop: int) -> Waveform:
     """Mel analysis, pseudo-inverse, Griffin-Lim phase: artifacts come from the
     mel bottleneck (20 bands destroy spectral detail) and reconstructed phase."""
-    cfg = StftConfig(fft_size=fft_size, hop=hop, win_length=fft_size)
+    size = _mel_fft_size(fft_size, w.sample_rate)
+    cfg = StftConfig(fft_size=size, hop=hop, win_length=size)
     pad = cfg.win_length  # synthesize past the end, then trim: no dead tail
     x = np.pad(w.samples, (0, pad), mode="reflect")
     fb = MelFilterbank(n_mels, cfg.fft_size, w.sample_rate)

@@ -179,14 +179,16 @@ class TestMel:
         assert np.allclose(mel_apply(s, fb)[0], fb.weights[:, k])
 
     def test_matches_loop_oracle(self):
-        cfg = StftConfig()
-        fb = MelFilterbank(24, cfg.fft_size, SR)
+        """On the test bank and on the Griffin-Lim channels' banks, whose band sums mel_apply takes."""
         rng = np.random.default_rng(5)
-        frames = rng.standard_normal((4, cfg.fft_size // 2 + 1)) + 1j * rng.standard_normal(
-            (4, cfg.fft_size // 2 + 1)
-        )
-        s = ComplexSpectrogram(frames, cfg, SR)
-        assert np.allclose(mel_apply(s, fb), mel_apply_loops(np.abs(frames), fb.weights), atol=1e-10)
+        for n_mels, fft_size, sr in [(24, 512, SR), (80, 1024, 24000), (80, 2048, 48000), (20, 512, 8000)]:
+            cfg = StftConfig(fft_size, fft_size // 4, fft_size)
+            fb = MelFilterbank(n_mels, cfg.fft_size, sr)
+            frames = rng.standard_normal((4, cfg.fft_size // 2 + 1)) + 1j * rng.standard_normal(
+                (4, cfg.fft_size // 2 + 1)
+            )
+            s = ComplexSpectrogram(frames, cfg, sr)
+            assert np.allclose(mel_apply(s, fb), mel_apply_loops(np.abs(frames), fb.weights), atol=1e-10)
 
     def test_dimension_mismatch_raises(self):
         fb = MelFilterbank(24, 1024, SR)
