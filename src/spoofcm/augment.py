@@ -15,7 +15,7 @@ import numpy as np
 from scipy.signal import butter, iirnotch, lfilter
 
 from .audio_io import Waveform
-from .dsp import BiquadCascade, design_butterworth_bandstop, filtfilt
+from .dsp import filtfilt
 from .errors import ConfigError
 from .util import derive_seed
 
@@ -66,7 +66,7 @@ def draw_freqmask(rng: np.random.Generator, n: int, sample_rate: int) -> dict:
 
 def apply_freqmask(w: Waveform, lo: float, hi: float) -> Waveform:
     """10th-order Butterworth band-stop over [lo, hi] Hz, applied zero-phase."""
-    return filtfilt(design_butterworth_bandstop(10, lo, hi, w.sample_rate), w)
+    return filtfilt(butter(5, [lo, hi], btype="bandstop", fs=w.sample_rate, output="sos"), w)
 
 
 _CODEC_MIN_KBPS, _CODEC_MAX_KBPS = 16.0, 320.0
@@ -91,7 +91,7 @@ def apply_codec(w: Waveform, bitrate: float) -> Waveform:
     y = w.samples
     if cutoff < 0.99 * nyquist:
         sos = butter(8, cutoff, btype="lowpass", fs=w.sample_rate, output="sos")
-        y = filtfilt(BiquadCascade(sos), Waveform(y, w.sample_rate)).samples
+        y = filtfilt(sos, Waveform(y, w.sample_rate)).samples
 
     peak = float(np.max(np.abs(y)))
     if peak > 0.0:

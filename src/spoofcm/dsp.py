@@ -1,13 +1,13 @@
 """Shared signal-processing primitives.
 
-STFT/iSTFT, mel filterbanks and their pseudo-inverse, Butterworth
-band-stop design as second-order sections, zero-phase filtering, and
-rational resampling. Everything operates on float64 and is a pure
-function of its inputs. Hann is the only window: ``analysis_window`` gives
-its periodic form and is the one place that names it. The public entry
-points validate their inputs; the private kernels behind stft and istft
-(``_stft_frames``, ``_istft_samples``) trust their caller, so an iterative
-one checks on entry and its result once.
+STFT/iSTFT, mel filterbanks and their pseudo-inverse, zero-phase
+filtering over scipy's second-order sections, and rational resampling.
+Everything operates on float64 and is a pure function of its inputs. Hann
+is the only window: ``analysis_window`` gives its periodic form and is the
+one place that names it. The public entry points validate their inputs;
+the private kernels behind stft and istft (``_stft_frames``,
+``_istft_samples``) trust their caller, so an iterative one checks on
+entry and its result once.
 
 Built once per configuration and shared read-only: the analysis window
 (per length), the constant-overlap-add verdict (per StftConfig; a
@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import gcd
 
 import numpy as np
-from scipy.signal import butter, get_window, sosfilt, sosfilt_zi, upfirdn
+from scipy.signal import get_window, sosfilt, sosfilt_zi, upfirdn
 
 from .audio_io import Waveform
 from .errors import ConfigError, DataError, NumericalError
@@ -253,65 +253,31 @@ def mel_pseudo_inverse(mel: np.ndarray, fb: MelFilterbank) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Butterworth band-stop + zero-phase filtering
+# Zero-phase filtering
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BiquadCascade:
-    """Second-order sections, scipy layout [b0 b1 b2 1 a1 a2]; all poles inside the unit circle."""
-
-    sections: np.ndarray
-
-    def __post_init__(self):
-        sec = np.asarray(self.sections, dtype=np.float64)
-        if sec.ndim != 2 or sec.shape[1] != 6:
-            raise ConfigError(f"sections must be n x 6, got {sec.shape}")
-        if not np.allclose(sec[:, 3], 1.0):
-            raise ConfigError("denominator leading coefficients must be 1")
-        for row in sec:
-            poles = np.roots(row[3:])
-            if np.any(np.abs(poles) >= 1.0):
-                raise NumericalError(f"unstable section {row}: pole magnitude >= 1")
-        object.__setattr__(self, "sections", sec)
-
-    @property
-    def order(self) -> int:
-        return 2 * self.sections.shape[0]
-
-
-def design_butterworth_bandstop(order: int, f_lo: float, f_hi: float, sample_rate: int) -> BiquadCascade:
-    """Band-stop Butterworth of the given overall order (even), as biquad cascade."""
-    if order < 2 or order % 2 != 0:
-        raise ConfigError(f"order must be a positive even count, got {order}")
-    if not (0.0 < f_lo < f_hi < sample_rate / 2.0):
-        raise ConfigError(
-            f"band edges must satisfy 0 < f_lo < f_hi < sr/2, got ({f_lo}, {f_hi}) at sr={sample_rate}"
-        )
-    sos = butter(order // 2, [f_lo, f_hi], btype="bandstop", fs=sample_rate, output="sos")
-    return BiquadCascade(sos)
-
-
-def _two_pass(sections: np.ndarray, x: np.ndarray) -> np.ndarray:
-    zi = sosfilt_zi(sections)  # steady-state start suppresses edge transients
-    y, _ = sosfilt(sections, x, zi=zi * x[0])
-    y, _ = sosfilt(sections, y[::-1], zi=zi * y[-1])
+def _two_pass(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
+    zi = sosfilt_zi(sos)  # steady-state start suppresses edge transients
+    y, _ = sosfilt(sos, x, zi=zi * x[0])
+    y, _ = sosfilt(sos, y[::-1], zi=zi * y[-1])
     return y[::-1]
 
 
-def filtfilt(cascade: BiquadCascade, w: Waveform) -> Waveform:
-    """Zero-phase filtering: a forward and a reverse pass over the cascade.
+def filtfilt(sos: np.ndarray, w: Waveform) -> Waveform:
+    """Zero-phase filtering: a forward and a reverse pass over scipy's
+    (n, 6) second-order sections, rows [b0 b1 b2 1 a1 a2].
 
-    Edge transients are mitigated by reflective padding of length
-    3 * order on both ends. The two pass orders
+    Edge transients are mitigated by reflective padding of 6 samples per
+    section (3 * order) on both ends. The two pass orders
     (forward-then-backward and backward-then-forward) are averaged, which
     makes the result exactly symmetric under time reversal.
     """
-    pad = 3 * cascade.order
+    pad = 6 * len(sos)
     if len(w) <= pad:
         raise DataError(f"waveform too short for zero-phase filtering: {len(w)} <= {pad}")
     x = np.pad(w.samples, pad, mode="reflect")
-    fwd_first = _two_pass(cascade.sections, x)
-    bwd_first = _two_pass(cascade.sections, x[::-1])[::-1]
+    fwd_first = _two_pass(sos, x)
+    bwd_first = _two_pass(sos, x[::-1])[::-1]
     y = 0.5 * (fwd_first + bwd_first)
     return Waveform(y[pad:-pad], w.sample_rate)
 
@@ -322,7 +288,7 @@ def filtfilt(cascade: BiquadCascade, w: Waveform) -> Waveform:
 
 _TAPS_PER_PHASE = 32
 _KAISER_BETA = 8.0
-_MAX_FACTOR = 256
+_MAX_FACTOR = 1280  # 11.025 <-> 32 kHz (1280/441), the largest among the usual 8-48 kHz rates
 
 
 def _resample_filter(up: int, down: int) -> np.ndarray:

@@ -39,6 +39,10 @@ Config files are INI. Example:
     ce_aug = ce, random
     cecf_paired = ce+cf, paired
 
+A system is a name and its TrainConfig: each [systems] line gives a loss
+mode and a pairing, and the [train] and [cf] keys give the rest, shared by
+every system. A config without [systems] lines trains DEFAULT_SYSTEMS.
+
 Every report embeds the resolved config hash and the content hash of
 each input manifest; reruns with identical config and seeds produce
 byte-identical outputs.
@@ -49,16 +53,17 @@ import configparser
 import functools
 import json
 from contextlib import contextmanager, suppress
-from dataclasses import astuple, dataclass, field
-from dataclasses import replace as dc_replace
+from dataclasses import astuple, dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .augment import AUGMENT_KINDS
 from .contrastive import CfConfig
 from .corpus import gen_desk_corpus, trim_nonspeech
 from .errors import ConfigError, DataError, SpoofcmError
 from .manifest import TrialManifest, load_manifest
-from .metrics import EER_COLUMNS, EerResult, compute_eer, mean_eer_over_seeds, pooled_eer, save_scores
+from .metrics import EER_COLUMNS, EerResult, compute_eer, pooled_eer, save_scores
 from .stats import SignificanceMatrix, significance_matrix
 from .training import (
     DataBundle,
@@ -73,11 +78,23 @@ from .util import derive_seed, file_sha256, parallel_map, read_utf8, table_text,
 from .vocoders import DEFAULT_CHANNEL_NAMES, SYNTHESIS_VERSION, VocoderChannel, build_vocoded_set, check_channels
 
 
-@dataclass(frozen=True)
-class SystemSpec:
-    name: str
-    loss_mode: str  # "ce" | "ce+cf"
-    pairing: str  # "paired" | "random"
+# The [systems] lines of a config that has none: name = loss_mode, pairing.
+DEFAULT_SYSTEMS = {"ce_aug": "ce, random", "cecf_paired": "ce+cf, paired"}
+
+
+def _systems(lines: dict[str, str], train: dict, cf: CfConfig) -> tuple[tuple[str, TrainConfig], ...]:
+    """A (name, TrainConfig) pair per [systems] line: the [train] settings
+    given, with cf and the line's loss mode and pairing."""
+    systems = []
+    for name, text in lines.items():
+        parts = [p.strip() for p in text.split(",")]
+        if len(parts) != 2:
+            raise ConfigError(f"system {name!r} must be 'loss_mode, pairing', got {text!r}")
+        try:
+            systems.append((name, TrainConfig(**train, loss_mode=parts[0], pairing=parts[1], cf=cf)))
+        except ConfigError as exc:
+            raise ConfigError(f"system {name!r}: {exc}") from None
+    return tuple(systems)
 
 
 @dataclass(frozen=True)
@@ -91,11 +108,7 @@ class ExperimentConfig:
     intermediate_sr: int | None = None
     augment_kind: str | None = "rawboost"  # or "freqmask", "codec"; None (INI "none") for no views
     k_views: int = 1  # augmented views per train trial, when augment_kind is not None
-    train: TrainConfig = field(default_factory=TrainConfig)
-    systems: tuple[SystemSpec, ...] = (
-        SystemSpec("ce_aug", "ce", "random"),
-        SystemSpec("cecf_paired", "ce+cf", "paired"),
-    )
+    systems: tuple[tuple[str, TrainConfig], ...] = _systems(DEFAULT_SYSTEMS, {}, CfConfig())
     raw_text: str = ""
 
     def config_hash(self) -> str:
@@ -103,10 +116,6 @@ class ExperimentConfig:
 
     def channels(self) -> list[VocoderChannel]:
         return [VocoderChannel(n, self.intermediate_sr) for n in self.channel_names]
-
-    def train_config(self, system: SystemSpec) -> TrainConfig:
-        """The shared training settings with this system's loss mode and pairing."""
-        return dc_replace(self.train, loss_mode=system.loss_mode, pairing=system.pairing)
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -136,8 +145,8 @@ _INI_KEYS = {
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Read an INI config. Only the keys it sets are passed on, so every
-    default lives in ExperimentConfig, TrainConfig or CfConfig. The checks
-    that need no data run here, before a run writes any file."""
+    default lives in ExperimentConfig, TrainConfig, CfConfig or DEFAULT_SYSTEMS.
+    The checks that need no data run here, before a run writes any file."""
     path = Path(path)
     raw = read_utf8(path, "config file", decode_error=ConfigError)
     parser = configparser.ConfigParser(default_section="")  # so [DEFAULT] is a section like any other
@@ -159,17 +168,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
                 given[target][name] = kind(text)
             except ValueError as exc:
                 raise ConfigError(f"{path}: {section}.{key} = {text!r}: {exc}") from None
-    settings = given["experiment"]
-    settings["train"] = TrainConfig(**given["train"], cf=CfConfig(**given["cf"]))
-    systems = []
-    for name, text in sections.get("systems", {}).items():
-        parts = [p.strip() for p in text.split(",")]
-        if len(parts) != 2:
-            raise ConfigError(f"system {name!r} must be 'loss_mode, pairing', got {text!r}")
-        systems.append(SystemSpec(name, parts[0], parts[1]))
-    if systems:
-        settings["systems"] = tuple(systems)
-    cfg = ExperimentConfig(**settings, raw_text=raw)
+    try:
+        systems = _systems(sections.get("systems") or DEFAULT_SYSTEMS, given["train"], CfConfig(**given["cf"]))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    cfg = ExperimentConfig(**given["experiment"], systems=systems, raw_text=raw)
 
     # a seed listed twice would train each system twice into one run directory
     if not cfg.seeds or len(set(cfg.seeds)) < len(cfg.seeds):
@@ -183,13 +186,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
                           f"expected none or one of {sorted(AUGMENT_KINDS)}")
     if cfg.k_views < 0:
         raise ConfigError(f"{path}: augment.k_views must be >= 0, got {cfg.k_views}")
-    for system in cfg.systems:
-        try:
-            cfg.train_config(system)
-        except ConfigError as exc:
-            raise ConfigError(f"{path}: system {system.name!r}: {exc}") from None
     # a contrastive batch needs two bona fide views: the trial and an augmented copy
-    wanting = [s.name for s in cfg.systems if s.loss_mode == "ce+cf"]
+    wanting = [name for name, train_cfg in cfg.systems if train_cfg.loss_mode == "ce+cf"]
     if wanting and (cfg.augment_kind is None or cfg.k_views < 1):
         raise ConfigError(f"{path}: systems {wanting} train on augmented views, which need a kind and "
                           f"k_views >= 1; [augment] kind = {cfg.augment_kind or 'none'}, "
@@ -251,13 +249,14 @@ def _wav_bytes(out_dir: Path) -> dict[str, int]:
     return {p.name: p.stat().st_size for p in out_dir.glob("*.wav")}
 
 
-def _train_run(cfg: ExperimentConfig, bundle: DataBundle, system: SystemSpec, out_dir: Path, seed: int):
+def _train_run(cfg: ExperimentConfig, bundle: DataBundle, name: str, train_cfg: TrainConfig, out_dir: Path,
+               seed: int):
     """Train one system for one seed; write checkpoint.ckpt and history.csv
-    into its run directory, ``out_dir/runs/<system>_seed<seed>``. Returns
+    into its run directory, ``out_dir/runs/<name>_seed<seed>``. Returns
     (run directory, params): a worker sends back only the parameters."""
-    run_dir = out_dir / "runs" / f"{system.name}_seed{seed}"
-    with _stage(f"train:{system.name}:{seed}"):
-        params, history = train(bundle, cfg.train_config(system), seed)
+    run_dir = out_dir / "runs" / f"{name}_seed{seed}"
+    with _stage(f"train:{name}:{seed}"):
+        params, history = train(bundle, train_cfg, seed)
         save_checkpoint(run_dir / "checkpoint.ckpt", params, cfg.config_hash())
         write_file(run_dir / "history.csv", history_csv(history))
     return run_dir, params
@@ -312,9 +311,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, base_dir: str | P
         bundle = DataBundle(combined, cfg.augment_kind, cfg.master_seed, cfg.k_views)
 
     trained = {}
-    for system in cfg.systems:  # the first seed trains in this process, so every system trains in it
-        runs = parallel_map(functools.partial(_train_run, cfg, bundle, system, out_dir), cfg.seeds)
-        trained.update({(system.name, seed): run for seed, run in zip(cfg.seeds, runs)})
+    for name, train_cfg in cfg.systems:  # the first seed trains in this process, so every system trains in it
+        runs = parallel_map(functools.partial(_train_run, cfg, bundle, name, train_cfg, out_dir), cfg.seeds)
+        trained.update({(name, seed): run for seed, run in zip(cfg.seeds, runs)})
 
     with _stage("eval-data"):
         # Features do not depend on the model, so they are built once, not per
@@ -340,20 +339,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, base_dir: str | P
     with _stage("aggregate"):
         seed_means: dict[tuple[str, str], float] = {}
         set_names = sorted({r.set_name for r in results})
-        for system in cfg.systems:
+        for name, _ in cfg.systems:
             for set_name in set_names:
-                runs = [r.eer for r in results if r.system == system.name and r.set_name == set_name]
-                seed_means[(system.name, set_name)] = mean_eer_over_seeds(runs)
+                eers = [r.eer.eer for r in results if r.system == name and r.set_name == set_name]
+                seed_means[(name, set_name)] = float(np.mean(eers))
 
     with _stage("significance"):
         significance = None
         if len(cfg.systems) >= 2:
             pooled_results = {}
-            for system in cfg.systems:
-                runs = [r for r in results if r.system == system.name and r.set_name == "pooled"]
-                pooled_results[system.name] = EerResult(
-                    seed_means[(system.name, "pooled")], 0.0, runs[0].eer.n_tar, runs[0].eer.n_non
-                )
+            for name, _ in cfg.systems:
+                first = next(r.eer for r in results if r.system == name and r.set_name == "pooled")
+                pooled_results[name] = EerResult(seed_means[(name, "pooled")], 0.0, first.n_tar, first.n_non)
             significance = significance_matrix(pooled_results)
             significance.save(out_dir)
 
@@ -367,7 +364,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, base_dir: str | P
             "config_hash": cfg.config_hash(),
             "manifest_hashes": {str(cfg.manifest_path): file_sha256(manifest_file)},
             "seeds": list(cfg.seeds),
-            "systems": [s.name for s in cfg.systems],
+            "systems": [name for name, _ in cfg.systems],
         }
         write_file(out_dir / "meta.json", json.dumps(meta, sort_keys=True, indent=1) + "\n")
         write_file(out_dir / "config_resolved.ini", cfg.raw_text)

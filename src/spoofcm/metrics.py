@@ -70,6 +70,7 @@ def compute_eer(s: ScoreSet) -> EerResult:
     thresholds = np.unique(np.concatenate([bona, spoof]))
     frr = np.searchsorted(bona, thresholds, side="left") / len(bona)  # P(bona < t)
     far = (len(spoof) - np.searchsorted(spoof, thresholds, side="left")) / len(spoof)  # P(spoof >= t)
+    # end points with FRR - FAR = -1 and +1, so the sweep below always returns
     frr = np.concatenate([[0.0], frr, [1.0]])
     far = np.concatenate([[1.0], far, [0.0]])
     tvals = np.concatenate([[thresholds[0] - 1.0], thresholds, [thresholds[-1] + 1.0]])
@@ -83,7 +84,6 @@ def compute_eer(s: ScoreSet) -> EerResult:
             eer = frr[i - 1] + alpha * (frr[i] - frr[i - 1])
             thr = tvals[i - 1] + alpha * (tvals[i] - tvals[i - 1])
             return EerResult(float(eer), float(thr), len(bona), len(spoof))
-    return EerResult(0.5, float(tvals[-1]), len(bona), len(spoof))
 
 
 def pooled_eer(sets: list[ScoreSet]) -> EerResult:
@@ -93,12 +93,6 @@ def pooled_eer(sets: list[ScoreSet]) -> EerResult:
         raise ConfigError("need at least one score set to pool")
     entries = [replace(e, trial_id=f"{i}:{e.trial_id}") for i, s in enumerate(sets) for e in s.entries]
     return compute_eer(ScoreSet(entries, name="pooled"))
-
-
-def mean_eer_over_seeds(results: list[EerResult]) -> float:
-    if not results:
-        raise ConfigError("need at least one result to average")
-    return float(np.mean([r.eer for r in results]))
 
 
 @dataclass(frozen=True)

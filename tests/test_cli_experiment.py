@@ -789,7 +789,10 @@ def test_sections_without_keys_load_the_dataclass_defaults(tmp_path):
     (tmp_path / "empty.ini").write_text(text)
     cfg = load_config(tmp_path / "empty.ini")
     assert cfg == ExperimentConfig(raw_text=text)
-    assert cfg.train == TrainConfig()
+    assert cfg.systems == (
+        ("ce_aug", TrainConfig(loss_mode="ce", pairing="random")),
+        ("cecf_paired", TrainConfig(loss_mode="ce+cf", pairing="paired")),
+    )
 
 
 @settings(max_examples=150, deadline=None)

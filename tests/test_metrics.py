@@ -5,17 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spoofcm.errors import ConfigError, DataError, SpoofcmError
+from spoofcm.errors import DataError, SpoofcmError
 from spoofcm.manifest import TrialManifest, TrialRecord
 from spoofcm.metrics import (
-    EerResult,
     ScoreEntry,
     ScoreSet,
     compute_eer,
     group_analysis,
     histogram_csv,
     load_scores,
-    mean_eer_over_seeds,
     pooled_eer,
     save_scores,
 )
@@ -123,16 +121,6 @@ class TestPooledEer:
         halves = [(list(rng.standard_normal(12) + 1), list(rng.standard_normal(9))) for _ in range(2)]
         same = pooled_eer([make_set(*halves[0], "scores_eval"), make_set(*halves[1], "scores_eval")])
         assert same == pooled_eer([make_set(*halves[0], "x"), make_set(*halves[1], "y")])
-
-
-class TestMeanOverSeeds:
-    def test_examples(self):
-        res = [EerResult(e, 0.0, 10, 10) for e in (0.02, 0.04, 0.06)]
-        assert np.isclose(mean_eer_over_seeds(res), 0.04)
-        assert mean_eer_over_seeds(res[:1]) == 0.02
-        assert mean_eer_over_seeds([res[0]] * 3) == 0.02
-        with pytest.raises(ConfigError):
-            mean_eer_over_seeds([])
 
 
 class TestGroupAnalysis:

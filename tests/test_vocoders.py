@@ -140,6 +140,14 @@ class TestChannels:
         assert out.sample_rate == rate and len(out) == len(w)
         assert np.all(np.isfinite(out.samples))
 
+    @pytest.mark.parametrize("name", DEFAULT_CHANNEL_NAMES)
+    @pytest.mark.parametrize("rate", [8000, 16000, 32000])
+    def test_44k_input_through_an_intermediate_rate(self, name, rate):
+        """44.1 kHz against 8, 16 and 32 kHz are the ratios 441/80, 441/160 and 1280/441."""
+        w = harmonic_speechlike(duration=0.6, f0=150.0, sr=44100, seed=10)
+        out = copy_synthesize(w, VocoderChannel(name, rate))
+        assert out.sample_rate == 44100 and len(out) == len(w)
+
     def test_phasernd_preserves_magnitudes_but_not_waveform(self):
         w = harmonic_speechlike(duration=1.0, f0=190.0, seed=6)
         out = copy_synthesize(w, VocoderChannel("phasernd"))
