@@ -12,10 +12,9 @@ always preserved, and augmentation never changes a trial's class label.
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import butter, iirnotch, lfilter
 
 from .audio_io import Waveform
-from .dsp import filtfilt
+from .dsp import butter_sos, filtfilt, notch_sos, sosfilt
 from .errors import ConfigError
 from .util import derive_seed
 
@@ -42,12 +41,9 @@ def apply_rawboost(w: Waveform, notches: list, impulses: np.ndarray, snr_db: flo
     x = w.samples
     sig_rms = float(np.sqrt(np.mean(x**2)))
     in_peak = float(np.max(np.abs(x))) if len(x) else 0.0
-    y = x.copy()
-    for f0, q in notches:
-        b, a = iirnotch(f0, q, fs=w.sample_rate)
-        y = lfilter(b, a, y)
+    y = sosfilt(np.array([notch_sos(f0, q, w.sample_rate) for f0, q in notches]), x)
     y = y + impulses * np.abs(y)
-    colored = lfilter([1.0], [1.0, -tilt], white)
+    colored = sosfilt(np.array([[1.0, 0.0, 0.0, 1.0, -tilt, 0.0]]), white)
     colored_rms = float(np.sqrt(np.mean(colored**2))) or 1.0
     y = y + colored / colored_rms * sig_rms * 10.0 ** (-snr_db / 20.0)
     if in_peak > 0.0:
@@ -66,7 +62,7 @@ def draw_freqmask(rng: np.random.Generator, n: int, sample_rate: int) -> dict:
 
 def apply_freqmask(w: Waveform, lo: float, hi: float) -> Waveform:
     """10th-order Butterworth band-stop over [lo, hi] Hz, applied zero-phase."""
-    return filtfilt(butter(5, [lo, hi], btype="bandstop", fs=w.sample_rate, output="sos"), w)
+    return filtfilt(butter_sos(5, (lo, hi), "bandstop", w.sample_rate), w)
 
 
 _CODEC_MIN_KBPS, _CODEC_MAX_KBPS = 16.0, 320.0
@@ -90,8 +86,7 @@ def apply_codec(w: Waveform, bitrate: float) -> Waveform:
 
     y = w.samples
     if cutoff < 0.99 * nyquist:
-        sos = butter(8, cutoff, btype="lowpass", fs=w.sample_rate, output="sos")
-        y = filtfilt(sos, Waveform(y, w.sample_rate)).samples
+        y = filtfilt(butter_sos(8, cutoff, "lowpass", w.sample_rate), Waveform(y, w.sample_rate)).samples
 
     peak = float(np.max(np.abs(y)))
     if peak > 0.0:

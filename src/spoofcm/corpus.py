@@ -12,10 +12,9 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .audio_io import Waveform, write_wav
-from .dsp import frame_signal
+from .dsp import frame_signal, sosfilt
 from .errors import ConfigError, DataError
 from .manifest import TrialManifest, TrialRecord
 from .util import derive_seed
@@ -52,13 +51,13 @@ def synth_pseudo_speech(seed: int, duration: float, sample_rate: int = SAMPLE_RA
         fc_start = center * rng.uniform(0.9, 1.1)
         fc_end = fc_start * rng.uniform(0.92, 1.08)
         out = np.zeros(n)
-        zi = np.zeros(2)
+        zi = np.zeros((1, 2))
         for b in range(n_blocks):
             lo, hi = b * _BLOCK, min(n, (b + 1) * _BLOCK) if b < n_blocks - 1 else n
             fc = fc_start + (fc_end - fc_start) * b / max(n_blocks - 1, 1)
             r = np.exp(-np.pi * bandwidth / sample_rate)
-            den = [1.0, -2.0 * r * np.cos(2 * np.pi * fc / sample_rate), r * r]
-            out[lo:hi], zi = lfilter([1.0 - r * r], den, y[lo:hi], zi=zi)
+            section = [1.0 - r * r, 0.0, 0.0, 1.0, -2.0 * r * np.cos(2 * np.pi * fc / sample_rate), r * r]
+            out[lo:hi], zi = sosfilt(np.array([section]), y[lo:hi], zi=zi)
         y = out
     y = y / np.sqrt(np.mean(y**2))
     y = y + 0.02 * rng.standard_normal(n)  # aspiration floor, not resonator-shaped

@@ -8,10 +8,9 @@ detect.
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import butter, lfilter, sosfilt
 
 from .audio_io import Waveform
-from .dsp import analysis_window, frame_signal
+from .dsp import allpole_rows, analysis_window, butter_sos, frame_signal, sosfilt
 from .errors import ConfigError, DataError
 from .util import derive_seed
 
@@ -104,13 +103,11 @@ def _frame_synthesis(excitation, active, coefs, gains, levels, win, hop) -> np.n
     """Overlap-add of the active frames' synthesis, one row of coefs, gains and
     levels per entry of ``active`` (frame indices): each frame's excitation
     slice, normalized to its gain, through its all-pole filter, matched to its
-    level. Only the filter and the overlap-add run per frame."""
+    level. Only the overlap-add runs per frame."""
     exc = frame_signal(excitation, len(win), hop)[active]  # a copy
     exc -= exc.mean(axis=1, keepdims=True)  # pulse trains carry DC; de-emphasis would amplify it
     exc = exc / np.maximum(np.sqrt(np.mean(exc**2, axis=1)), 1e-12)[:, None] * gains[:, None]
-    synth = np.empty_like(exc)
-    for j, a in enumerate(coefs):
-        synth[j] = lfilter([1.0], np.concatenate([[1.0], -a]), exc[j])
+    synth = allpole_rows(exc, np.hstack([np.ones((len(coefs), 1)), -coefs]))
     # pulse excitation can over-ring sharp resonances: match frame level
     synth_rms = np.sqrt(np.mean((synth * win) ** 2, axis=1))
     synth = synth * (levels / np.maximum(synth_rms, 1e-12))[:, None]
@@ -166,7 +163,6 @@ def lpc_resynthesize(w: Waveform, order: int, frame_ms: float, hop_ms: float, se
     excitation = np.where(f0_track > 0, pulses, noise)
 
     out = _frame_synthesis(excitation, active, coefs, gains, level[active], win, hop)
-    out = lfilter([1.0], [1.0, -PREEMPHASIS], out)
-    # de-emphasis amplifies sub-F0 residue by up to 30 dB: cut below 60 Hz
-    out = sosfilt(butter(2, 60.0, btype="highpass", fs=sr, output="sos"), out)
+    # de-emphasis, then a cut below 60 Hz: de-emphasis amplifies sub-F0 residue by up to 30 dB
+    out = sosfilt(np.vstack([[1.0, 0.0, 0.0, 1.0, -PREEMPHASIS, 0.0], butter_sos(2, 60.0, "highpass", sr)]), out)
     return Waveform(out[: len(w)], sr)

@@ -20,9 +20,10 @@ into the collector's permanent generation (``gc.freeze``), the pattern the
 ``gc`` documentation gives for fork without exec. Why: a collection in a
 child then no longer scans, and so copies, the pages of the parent's
 objects, and the process skips the exit-time traversal of the objects its
-imports made (on a 2-vCPU VM, a process that only imports ``scipy.signal``
-took 0.25 s to exit, 0.03 s after ``gc.freeze()``). The cost: cyclic
-garbage alive at a fork is never reclaimed.
+imports made (on a 2-vCPU VM, a process that had imported
+``spoofcm.cli`` and ``spoofcm.experiment`` took 0.020 s to exit, 0.005 s
+after ``gc.freeze()``; with scipy loaded as well, 0.115 s and 0.016 s). The
+cost: cyclic garbage alive at a fork is never reclaimed.
 """
 from __future__ import annotations
 
@@ -158,7 +159,7 @@ def parallel_map(fn, items, weights=None) -> list:
     if n <= 1 or threading.active_count() > 1:
         return [fn(item) for item in items]
     shares = _deal(weights, n)
-    gc.freeze()  # no gc.collect() first: with scipy loaded, that is a full traversal per call
+    gc.freeze()  # no gc.collect() first: that is a full traversal of every tracked object, per call
     sys.stdout.flush()  # else a child would write this process's buffered text again
     sys.stderr.flush()
     parent, children = os.getpid(), {}  # pid -> read end of its result pipe

@@ -36,7 +36,6 @@ from dataclasses import replace as dc_replace
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import sosfilt
 
 from .audio_io import Waveform, read_wav, write_wav
 from .dsp import (
@@ -50,6 +49,7 @@ from .dsp import (
     mel_apply,
     mel_pseudo_inverse,
     resample,
+    sosfilt,
     stft,
 )
 from .errors import ConfigError, DataError, NumericalError
@@ -61,7 +61,7 @@ log = logging.getLogger(__name__)
 
 # Part of the vocoded-set cache key: bump it with any change that alters
 # the bytes a channel writes for the same parameters.
-SYNTHESIS_VERSION = 2
+SYNTHESIS_VERSION = 3
 MIN_INPUT_SECONDS = 0.5
 _SUPPORTED_RATES = (8000, 48000)
 _SILENT_PEAK = 1e-6

@@ -4,8 +4,10 @@ Everything here is written as plainly as possible (explicit loops, no
 shared code with the package) so test expectations are computed by a
 second, independent route.
 """
+from math import gcd
+
 import numpy as np
-from scipy.signal import get_window, lfilter
+from scipy.signal import get_window, lfilter, upfirdn
 from scipy.stats import norm
 
 
@@ -308,3 +310,21 @@ def lpc_frame_synthesis_loops(excitation, active, coefs, gains, levels, win, hop
         out[s : s + frame_len] += synth * win * win
         env[s : s + frame_len] += win * win
     return out / np.maximum(env, 1e-12)
+
+
+def resample_upfirdn(x, sample_rate, target_sr, resample_filter):
+    """Rational resampling through scipy's upfirdn, as spoofcm.dsp.resample
+    computed it before it ran per phase: the filter from
+    resample_filter(up, down), delayed by zeros to a whole number of output
+    samples, over the input with zeros appended."""
+    g = gcd(sample_rate, target_sr)
+    up, down = target_sr // g, sample_rate // g
+    h = resample_filter(up, down)
+    center = (len(h) - 1) // 2
+    n_pre = (-center) % down
+    h_padded = np.concatenate([np.zeros(n_pre), h])
+    offset = (center + n_pre) // down
+    n_out = int(round(len(x) * target_sr / sample_rate))
+    need_in = ((offset + n_out) * down + len(h_padded)) // up + 1
+    x = np.concatenate([x, np.zeros(max(0, need_in - len(x)))])
+    return upfirdn(h_padded, x, up=up, down=down)[offset : offset + n_out]

@@ -119,20 +119,22 @@ def _golden_input(name):
 
 
 # SHA-256 of apply_augment's output samples for each kind, at three rates and
-# on a silent input, recorded before the ops became a kind and a seed. A
-# refactor of the augmentation must keep every byte.
+# on a silent input, re-recorded when the IIR filtering and the Butterworth
+# designs moved from scipy to spoofcm.dsp (within about 1e-15 of scipy's
+# output; codec at 48 kHz filters nothing and kept its bytes). A refactor of
+# the augmentation must keep every byte.
 GOLDEN_AUGMENT_SHA256 = {
-    ("codec", "16000"): "00aaa9fcf35a89e86547a331e5d416352ce417ea63f7720da394abbc2c53726e",
+    ("codec", "16000"): "5bcfdb82220c6507e070ebfe32bddccccac26e7f7b9b99e96da7952f30b57b3d",
     ("codec", "48000"): "49de7a92591fe688cc12a2f8666a3a10a1d962d418e5ea52453cb339b3072e18",
-    ("codec", "8000"): "018f35d28d5d955ab2369d3e832f4f24f6461fdc69a8c3ef9de764ccd85e613c",
+    ("codec", "8000"): "0cd67b773f85f5653d07aa4be9adebc34db1cbd88a4db0f0c2d0b575bd825d8b",
     ("codec", "silent"): "4f7988030a00d082fe445e00a2ac5dab502300ff1b80e8592dd569867b60ef74",
-    ("freqmask", "16000"): "7a57350ba983335403068d41c20856091ef335bc4e22bb770dbf603e939cfb42",
-    ("freqmask", "48000"): "ddf8918fc087a34a41f43f816dc313e5cf62bd7d27437af408587108a1ba9d14",
-    ("freqmask", "8000"): "a05e33c70dbe65022aede4b825e394b986f7cdcac7a878e1c9e7c14a2d4c3857",
+    ("freqmask", "16000"): "ea9419bfc962ab2d068bf22999790679c3a26a648928817e6cce2b0eb422af28",
+    ("freqmask", "48000"): "f3e16105c81394b354cefe7a218895406bc42e313a68b6e287a673da9a5a07c7",
+    ("freqmask", "8000"): "72d85e55df3508b87a1e5d62ffcfc79eb1bb6626960022374383bbc4fb08a3b3",
     ("freqmask", "silent"): "4f7988030a00d082fe445e00a2ac5dab502300ff1b80e8592dd569867b60ef74",
-    ("rawboost", "16000"): "d74e1ec8be0c1241b22f24bbcdee8b277f61c04d6848c5faf04a7fc604e86412",
-    ("rawboost", "48000"): "d4afe7cc78adfd14f1bedbee9221097aaa47c321cff0bff4757c9f7780c8058e",
-    ("rawboost", "8000"): "c970a910009a257f0e3d3b7ae99c8a6f1f9f2f5b6fec34a0b5a7531527e861f9",
+    ("rawboost", "16000"): "1467f333b18ba6a732dae008770d8cf741caa3ee46086e544d556ac6032ed7e0",
+    ("rawboost", "48000"): "1164091c0ad81e49fbfa0ad4eb4b77d2ca8c0d3ccb711c7c09a19269601414a1",
+    ("rawboost", "8000"): "c6bcdc6dc2c61f0b17498dd7e0675d1ef12658a13bd50d4665a920f356e94547",
     ("rawboost", "silent"): "4f7988030a00d082fe445e00a2ac5dab502300ff1b80e8592dd569867b60ef74",
 }
 

@@ -144,27 +144,29 @@ class TestRunExperiment:
 
 
 # SHA-256 of every text artifact that a tiny run and the analysis commands
-# write, re-recorded at vocoders.SYNTHESIS_VERSION 2 (fast Griffin-Lim, fixed-
-# order mel products), which moved every file that spoof audio reaches.
-# A change that keeps the synthesis version must keep every byte.
+# write, re-recorded at vocoders.SYNTHESIS_VERSION 3 (numpy IIR filtering and
+# Butterworth designs), which moved the augmented views' last bits and so the
+# training histories, scores and tables built from them; the summary and
+# significance tables kept their bytes. A change that keeps the synthesis
+# version must keep every byte.
 GOLDEN_ARTIFACT_SHA256 = {
     "config_resolved.ini": "11e5944d1d27020b406ee9ac56e9e419ec7a84e970af00441468ba981d60b14e",
-    "eer.csv": "ee0e2d8456207289e66f68e94ef484b0bdc06c7d6016f43a9711c4f44d64ca3c",
-    "group/category_eer.csv": "46f47fc1d08143faa3451bd0ad104c41e49cd5bb8142933c75bee2d8f969fccc",
-    "group/histograms.csv": "c9700e06c13cc094681c25f9fd2d17266fcb7a5b55443e88d62e26dd1b2d149b",
+    "eer.csv": "78cb700465217f08997ee86a0a53a0ce3d875692bbece9a10401497f6b331fbe",
+    "group/category_eer.csv": "1cb2ffe30f5d7bac0b9ec6802388f3e579b31826f8b438129be5c8525821ff2f",
+    "group/histograms.csv": "f3dbe6162a938c55e16c64f956e4aa38c204d583f9068c9d785ede1b1a59654e",
     "meta.json": "e96324b17d519b41ce9da862f383755010b5c05b2a642ee8dd6668075babb18c",
-    "rescored.txt": "560acf01afdaf8902a2c9cbcf016499709281763548a6e55e4a6577231f37502",
-    "results.csv": "f048b111abe2315d3e9b242efbfe2633c88371c857dce31fe5d9baecfc16990a",
-    "runs/ce_aug_seed5/history.csv": "3a12e107c37f8f6c59aeee90518d9ca9e3e310e922e7d785c409cdc9747472b2",
-    "runs/ce_aug_seed5/scores_eval.txt": "99a47c1ec42744fead7e0f283a1c22c4a0def4d91b36a7727cd9b3863654adf3",
-    "runs/ce_aug_seed5/scores_eval_trim.txt": "6af7e93d5a92bc6d4edaccfa7477fd43f587c2f5cd98c62c6bd59618f203d386",
-    "runs/cecf_paired_seed5/history.csv": "e1a5abbd9a3a4f61485c474f65296712e5be86bc7e53da22926445166f556d7d",
-    "runs/cecf_paired_seed5/scores_eval.txt": "998de5fe5313739c984b9d3e24f5a55e50ba483b59495f40fe8f0a249ce16ae6",
-    "runs/cecf_paired_seed5/scores_eval_trim.txt": "f0d55c847316744cbd7891b8707c2d2f6f14fb5c91b2e0d7bb2179e65c31143d",
+    "rescored.txt": "e2738504ff9b4107df9187bb77d4f29ded312a6d69c0da4e73b75db6ad20b226",
+    "results.csv": "263efab1a324fadad384524ff9ec7e5b7884fc0a07a24651a0d17d081624e9a9",
+    "runs/ce_aug_seed5/history.csv": "6e2019a0463b429eb0b666583adf6cb371c87a01b51f35e878176747109770ca",
+    "runs/ce_aug_seed5/scores_eval.txt": "1e5756b5437c29effc9c9ff7553d942051c8074e1567c4d0be412fa064b1e714",
+    "runs/ce_aug_seed5/scores_eval_trim.txt": "18df2f83505c854fe973258e93f7d95b941b30116c4e308e074c6eaf7f2c6a92",
+    "runs/cecf_paired_seed5/history.csv": "2c77434bf832de52e39c4359d3abbf86ef2333b19a2b5326cb1251ccd8a581de",
+    "runs/cecf_paired_seed5/scores_eval.txt": "2ca50e9dca0acf8320e7bda71102712f4d60f84c2e58c2eabeddbb039c365cb4",
+    "runs/cecf_paired_seed5/scores_eval_trim.txt": "2d0b2a0ce6c73aff6887f2b4877e68259f1f630f0c662e149a94c6cce3b23fd9",
     "sig_p.csv": "f12f8f5f21e683a9c2e32474c1a3a0d40c0b7ed314f6b94365b01b10195b2a57",
     "sig_reject.csv": "bd1d7b6738157f20093f694a85b0e070b4481125b2c7162cf78729c77cdb05e4",
     "summary.csv": "7055cb095d53896657d1651b317b43cc48deedea0a2cce0187aeace87ed61209",
-    "vocoded/build_meta.json": "b74f80ebc8306768f92fdbe68aec7be570c48b8f6b04fd4c62b40204ea257624",
+    "vocoded/build_meta.json": "235211397eaada236808b92da1cf7ce45f69cd50f62d1313c4f01744e7ffc2ff",
     "vocoded/manifest.tsv": "ed4a3110efbfc7965297f2f323f6afee8943a15638459584bdc74fcec1a2137c",
 }
 
@@ -374,6 +376,39 @@ def test_stopped_synth_leaves_no_process_running(tmp_path, stop):
         time.sleep(0.1)
     with pytest.raises(ProcessLookupError):
         os.killpg(proc.pid, 0)
+
+
+# gen-corpus, synth through a second rate and a tiny run in a fresh interpreter
+# that refuses to import scipy; each prints its exit code and whether scipy was
+# loaded after it
+_WITHOUT_SCIPY = """
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"{name} is refused")
+
+sys.meta_path.insert(0, RefuseScipy())
+from spoofcm.cli import main
+base = sys.argv[1]
+for args in (["gen-corpus", "--n", "20", "--seed", "3", "--out", base + "/corpus"],
+             ["synth", "--manifest", base + "/corpus/manifest.tsv", "--intermediate-sr", "24000",
+              "--out", base + "/vocoded"],
+             ["run", "--config", base + "/exp.ini", "--out", base + "/out"]):
+    code = main(args)
+    print("exit:", args[0], code, "scipy" in sys.modules)
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    (tmp_path / "exp.ini").write_text(TINY_CONFIG)
+    paths = [str(Path(spoofcm.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)], env=env, capture_output=True,
+                          text=True, timeout=300)
+    exits = [line for line in done.stdout.splitlines() if line.startswith("exit:")]
+    assert exits == [f"exit: {command} 0 False" for command in ("gen-corpus", "synth", "run")], done.stderr
 
 
 def test_typed_error_in_a_worker_keeps_its_exit_code(tmp_path, capfd):

@@ -4,21 +4,28 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.signal import butter, freqz_sos, get_window
+from scipy import signal
 
 from spoofcm.audio_io import Waveform
-from spoofcm.augment import apply_freqmask, draw_freqmask
+from spoofcm.augment import apply_freqmask, draw_freqmask, draw_rawboost
 from spoofcm.dsp import (
     ComplexSpectrogram,
     MelFilterbank,
     StftConfig,
+    _IIR_BLOCK,
     _mel_pinv_t,
+    _resample_filter,
+    allpole_rows,
     analysis_window,
+    butter_sos,
     filtfilt,
     istft,
     mel_apply,
     mel_pseudo_inverse,
+    notch_sos,
     resample,
+    sosfilt,
+    sosfilt_zi,
     stft,
 )
 from spoofcm.errors import ConfigError, DataError, NumericalError
@@ -29,6 +36,7 @@ from reference import (
     istft_loops,
     mel_apply_loops,
     overlap_add_loops,
+    resample_upfirdn,
 )
 
 SR = 16000
@@ -40,6 +48,11 @@ def wave(x, sr=SR):
 
 def rms(x):
     return np.sqrt(np.mean(np.square(x)))
+
+
+@pytest.mark.parametrize("n", [1, 256, 400, 480, 512, 600, 1024, 1200, 2048])
+def test_window_matches_scipy_hann_bytes(n):
+    assert analysis_window(n).tobytes() == signal.get_window("hann", n, fftbins=True).tobytes()
 
 
 class TestStft:
@@ -131,7 +144,7 @@ class TestIstft:
         try:
             got = istft(ComplexSpectrogram(frames, cfg, SR)).samples
         except ConfigError:  # rejected as not COLA-safe: the squared windows must leave a gap
-            squares = np.tile(get_window("hann", win_length, fftbins=True) ** 2, (16, 1))
+            squares = np.tile(signal.get_window("hann", win_length, fftbins=True) ** 2, (16, 1))
             assert overlap_add_loops(squares, hop)[win_length:-win_length].min() < 1e-3
             return
         assert np.array_equal(got, istft_loops(frames, fft_size, hop, win_length))
@@ -154,7 +167,7 @@ class TestIstft:
             rejected = True
         # the verdict of a probe with a steady region; 16 frames while ceil(win/hop) <= 14
         n_probe = max(16, -(-win_length // hop) + 2)
-        squares = np.tile(get_window("hann", win_length, fftbins=True) ** 2, (n_probe, 1))
+        squares = np.tile(signal.get_window("hann", win_length, fftbins=True) ** 2, (n_probe, 1))
         assert rejected == (overlap_add_loops(squares, hop)[win_length:-win_length].min() < 1e-3)
 
     def test_output_length(self):
@@ -236,42 +249,77 @@ def freqmask_design(lo, hi, sr=SR):
     designs = []
 
     def spy(*args, **kwargs):
-        designs.append(butter(*args, **kwargs))
+        designs.append(butter_sos(*args, **kwargs))
         return designs[-1]
 
-    with mock.patch("spoofcm.augment.butter", spy):
+    with mock.patch("spoofcm.augment.butter_sos", spy):
         apply_freqmask(wave(np.zeros(1000), sr), lo, hi)
     return designs[0]
 
 
 def bandstop(order, lo, hi):
-    """A Butterworth band-stop of the given (even) order as scipy SOS."""
-    return butter(order // 2, [lo, hi], btype="bandstop", fs=SR, output="sos")
+    """A Butterworth band-stop of the given (even) order."""
+    return butter_sos(order // 2, (lo, hi), "bandstop", SR)
+
+
+def assert_stable(sos):
+    for row in sos:
+        assert np.all(np.abs(np.roots(row[3:])) < 1.0)
+
+
+def assert_response_matches_scipy(order, band, btype, sr):
+    grid = np.linspace(0.0, sr / 2, 1001)
+    _, h = signal.freqz_sos(butter_sos(order, band, btype, sr), worN=grid, fs=sr)
+    _, ref = signal.freqz_sos(signal.butter(order, band, btype=btype, fs=sr, output="sos"), worN=grid, fs=sr)
+    assert np.max(np.abs(h - ref)) < 1e-9
 
 
 class TestButterworth:
-    """The band-stop designs apply_freqmask filters with."""
+    """The closed-form designs against scipy's butter: freqmask's band-stop,
+    codec's low-pass, the LPC channel's high-pass, and odd orders."""
+
+    @pytest.mark.parametrize("order,band,btype,sr", [
+        (5, (2000.0, 3000.0), "bandstop", SR),
+        (5, (300.0, 2300.0), "bandstop", 48000),  # the real prototype pole gives two real poles
+        (4, (1000.0, 1100.0), "bandstop", SR),
+        (8, 3000.0, "lowpass", 48000),
+        (8, 3950.0, "lowpass", 8000),
+        (3, 1000.0, "lowpass", SR),
+        (2, 60.0, "highpass", 8000),
+        (2, 60.0, "highpass", 48000),
+        (3, 1000.0, "highpass", SR),
+    ])
+    def test_response_matches_scipy_and_poles_are_stable(self, order, band, btype, sr):
+        assert_response_matches_scipy(order, band, btype, sr)
+        sos = butter_sos(order, band, btype, sr)
+        assert sos.shape == (order if btype == "bandstop" else -(-order // 2), 6)
+        assert_stable(sos)
+
+    def test_band_outside_nyquist_rejected(self):
+        with pytest.raises(ConfigError):
+            butter_sos(2, 9000.0, "lowpass", SR)
+        with pytest.raises(ConfigError):
+            butter_sos(5, (2000.0,), "bandstop", SR)
 
     def test_stopband_attenuation(self):
-        _, h = freqz_sos(freqmask_design(2000.0, 3000.0), worN=np.array([2500.0]), fs=SR)
+        _, h = signal.freqz_sos(freqmask_design(2000.0, 3000.0), worN=np.array([2500.0]), fs=SR)
         assert 20 * np.log10(np.abs(h[0])) <= -60.0
 
     def test_passband_flat(self):
-        _, h = freqz_sos(freqmask_design(2000.0, 3000.0), worN=np.array([5.0, SR / 2 - 5.0]), fs=SR)
+        _, h = signal.freqz_sos(freqmask_design(2000.0, 3000.0), worN=np.array([5.0, SR / 2 - 5.0]), fs=SR)
         assert np.all(np.abs(20 * np.log10(np.abs(h))) < 0.5)
 
     def test_all_poles_inside_unit_circle(self):
         sos = freqmask_design(2000.0, 3000.0)
         assert sos.shape == (5, 6)  # 10th order
-        for row in sos:
-            assert np.all(np.abs(np.roots(row[3:])) < 1.0)
+        assert_stable(sos)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), sr=st.sampled_from([8000, SR, 48000]))
     def test_stability_over_random_bands(self, seed, sr):
         band = draw_freqmask(np.random.default_rng(seed), sr, sr)
-        for row in freqmask_design(band["lo"], band["hi"], sr):
-            assert np.all(np.abs(np.roots(row[3:])) < 1.0)
+        assert_stable(freqmask_design(band["lo"], band["hi"], sr))
+        assert_response_matches_scipy(5, (band["lo"], band["hi"]), "bandstop", sr)
 
 
 class TestFiltfilt:
@@ -309,7 +357,118 @@ class TestFiltfilt:
             filtfilt(sos, wave(np.ones(30)))
 
 
+def relative_error(y, ref):
+    """Largest deviation from the reference, relative to the reference output's peak."""
+    return np.max(np.abs(np.asarray(y) - ref)) / np.max(np.abs(ref))
+
+
+def _allpass_cascade(seed, sr=24000):
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(12):  # phasernd's cascade
+        r, f0 = rng.uniform(0.4, 0.75), rng.uniform(100.0, 0.95 * sr / 2)
+        c = 2.0 * r * np.cos(2.0 * np.pi * f0 / sr)
+        rows.append([r * r, -c, 1.0, 1.0, -c, r * r])
+    return np.array(rows)
+
+
+_R = np.exp(-np.pi * 80.0 / SR)
+IIR_FILTERS = {
+    "order-1 tilt": np.array([[1.0, 0.0, 0.0, 1.0, -0.9, 0.0]]),
+    "resonator": np.array([[1.0 - _R * _R, 0.0, 0.0, 1.0, -2.0 * _R * np.cos(2 * np.pi * 500.0 / SR), _R * _R]]),
+    "narrow notch": notch_sos(250.0, 30.0, 48000)[None],  # rawboost's narrowest: poles 6e-4 inside the circle
+    "all-pass cascade": _allpass_cascade(3),
+    "band-stop": signal.butter(5, [300.0, 2300.0], btype="bandstop", fs=48000, output="sos"),
+    "low-pass": signal.butter(8, 3000.0, fs=48000, output="sos"),
+}
+IIR_LENGTHS = [1, _IIR_BLOCK - 27, _IIR_BLOCK, 1601, 4 * _IIR_BLOCK]  # short, whole and partial blocks
+
+
+class TestSosfilt:
+    """The block state-space kernel against scipy's sosfilt, lfilter and
+    sosfilt_zi, within 1e-12 of the reference output's peak. A final state
+    is held to the output's peak too: a narrow notch's direct-form state is
+    a small difference of terms as large as the output."""
+
+    @pytest.mark.parametrize("name", sorted(IIR_FILTERS))
+    @pytest.mark.parametrize("n", IIR_LENGTHS)
+    def test_from_rest_matches_scipy(self, name, n):
+        sos = IIR_FILTERS[name]
+        x = np.random.default_rng(n).standard_normal(n)
+        assert relative_error(sosfilt(sos, x), signal.sosfilt(sos, x)) < 1e-12
+
+    @pytest.mark.parametrize("name", sorted(IIR_FILTERS))
+    @pytest.mark.parametrize("n", IIR_LENGTHS)
+    def test_state_in_and_out_match_scipy(self, name, n):
+        sos = IIR_FILTERS[name]
+        rng = np.random.default_rng(n + 1)
+        x, zi = rng.standard_normal(n), rng.standard_normal((len(sos), 2))
+        y, zf = sosfilt(sos, x, zi=zi)
+        y_ref, zf_ref = signal.sosfilt(sos, x, zi=zi)
+        scale = np.max(np.abs(y_ref))
+        assert relative_error(y, y_ref) < 1e-12 and np.max(np.abs(zf - zf_ref)) / scale < 1e-12
+
+    @pytest.mark.parametrize("name", sorted(IIR_FILTERS))
+    def test_state_carried_across_split_calls(self, name):
+        sos = IIR_FILTERS[name]
+        x = np.random.default_rng(5).standard_normal(3000)
+        zi, pieces = np.zeros((len(sos), 2)), []
+        for lo, hi in [(0, 1), (1, 40), (40, 1640), (1640, 1704), (1704, 3000)]:
+            y, zi = sosfilt(sos, x[lo:hi], zi=zi)
+            pieces.append(y)
+        y_ref, zf_ref = signal.sosfilt(sos, x, zi=np.zeros((len(sos), 2)))
+        assert relative_error(np.concatenate(pieces), y_ref) < 1e-12
+        assert np.max(np.abs(zi - zf_ref)) / np.max(np.abs(y_ref)) < 1e-12
+
+    @pytest.mark.parametrize("n", IIR_LENGTHS)
+    def test_order_one_section_matches_lfilter(self, n):
+        rng = np.random.default_rng(n + 2)
+        x, zi = rng.standard_normal(n), rng.standard_normal(1)
+        y, zf = sosfilt(np.array([[1.0, 0.0, 0.0, 1.0, -0.97, 0.0]]), x, zi=[[zi[0], 0.0]])
+        y_ref, zf_ref = signal.lfilter([1.0], [1.0, -0.97], x, zi=zi)
+        assert relative_error(y, y_ref) < 1e-12 and abs(zf[0, 0] - zf_ref[0]) / np.max(np.abs(y_ref)) < 1e-12
+
+    def test_no_section_is_the_identity(self):
+        x = np.random.default_rng(6).standard_normal(100)
+        assert np.array_equal(sosfilt(np.zeros((0, 6)), x), x)
+
+    @pytest.mark.parametrize("name", sorted(IIR_FILTERS))
+    def test_steady_state_matches_sosfilt_zi(self, name):
+        sos = IIR_FILTERS[name]
+        ref = signal.sosfilt_zi(sos)
+        assert np.max(np.abs(sosfilt_zi(sos) - ref)) / np.max(np.abs(ref)) < 1e-12
+
+
+@pytest.mark.parametrize("sr", [8000, 16000, 22050, 44100, 48000])
+def test_notch_matches_iirnotch_bytes_on_rawboost_draws(sr):
+    for seed in range(40):
+        for f0, q in draw_rawboost(np.random.default_rng(seed), 10, sr)["notches"]:
+            b, a = signal.iirnotch(f0, q, fs=sr)
+            assert notch_sos(f0, q, sr).tobytes() == np.concatenate([b, a]).tobytes()
+
+
+@pytest.mark.parametrize("sr", [8000, 24000])
+def test_allpole_rows_match_lfilter_bytes(sr):
+    """LPC's per-frame all-pole filters: 25 ms frames of order-16 filters."""
+    rng = np.random.default_rng(sr)
+    frames = rng.standard_normal((40, int(0.025 * sr)))
+    roots = rng.uniform(0.5, 0.98, (40, 8)) * np.exp(1j * rng.uniform(0.1, 3.0, (40, 8)))
+    den = np.array([np.poly(np.concatenate([p, np.conj(p)])).real for p in roots])
+    out = allpole_rows(frames, den)
+    ref = np.array([signal.lfilter([1.0], d, f) for d, f in zip(den, frames)])
+    assert out.tobytes() == ref.tobytes()
+
+
 class TestResample:
+    def test_matches_upfirdn_bytes_for_every_pair_of_distinct_common_rates(self):
+        rates = [8000, 11025, 12000, 16000, 22050, 24000, 32000, 44100, 48000]
+        rng = np.random.default_rng(12)
+        for src in rates:
+            x = rng.standard_normal(int(src * 0.137))
+            for dst in (r for r in rates if r != src):  # equal rates copy the input
+                ref = resample_upfirdn(x, src, dst, _resample_filter)
+                assert resample(wave(x, sr=src), dst).samples.tobytes() == ref.tobytes(), (src, dst)
+
     def test_length_ratio(self):
         y = resample(wave(np.zeros(16000)), 24000)
         assert len(y) == 24000 and y.sample_rate == 24000

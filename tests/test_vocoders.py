@@ -266,24 +266,25 @@ class TestBuildVocodedSet:
             build_vocoded_set(TrialManifest([], root=tmp_path), [VocoderChannel("phasernd")], tmp_path / "v")
 
 
-# SHA-256 of copy_synthesize's float64 output bytes on harmonic_speechlike(),
-# recorded at GOLDEN_SYNTHESIS_VERSION when the Griffin-Lim channels moved to
-# 16 fast Griffin-Lim iterations and the mel products to a fixed order
-# (numpy 2.4.6, scipy 1.17.1, x86-64). A speedup must leave them alone; a
-# change that alters synthesis on purpose re-records them and bumps
-# vocoders.SYNTHESIS_VERSION with GOLDEN_SYNTHESIS_VERSION. The bytes do not
-# depend on the BLAS thread count (see the one-thread test below); another
-# numpy, scipy or CPU may round differently.
-GOLDEN_SYNTHESIS_VERSION = 2
+# SHA-256 of copy_synthesize's float64 output bytes on harmonic_speechlike().
+# The Griffin-Lim channels' were recorded at synthesis version 2, when they
+# moved to 16 fast Griffin-Lim iterations and the mel products to a fixed
+# order; phasernd's and lpcvoc's were re-recorded at GOLDEN_SYNTHESIS_VERSION
+# 3, when their IIR filters moved from scipy to spoofcm.dsp (numpy 2.4.6,
+# x86-64). A speedup must leave them alone; a change that alters synthesis on
+# purpose re-records them and bumps vocoders.SYNTHESIS_VERSION with
+# GOLDEN_SYNTHESIS_VERSION. The bytes do not depend on the BLAS thread count
+# (see the one-thread test below); another numpy or CPU may round differently.
+GOLDEN_SYNTHESIS_VERSION = 3
 GOLDEN_SYNTHESIS_SHA256 = {
     ("glmel", None): "7fb4ca51b12a11a78aac36fb127aaefb66f12c05661ba497a909333376784ccd",
     ("glmel", 24000): "dc087647b388cc6c231f0eca3efb6d4ec29878811b762c8525fec845223c78d9",
     ("coarsegl", None): "a20207904cc14f65f8bd01f69ad0e45b48c5333a1f38f0f8a567659ae96b1131",
     ("coarsegl", 24000): "086dab1195b329b55fe5adce897a11d9d83b2467fb6fde2ac04ecfff8f35fadb",
-    ("phasernd", None): "94b6ef0a36555c4168ee19b5954d46b1cac462449429ff65ef18bf5cd74fb330",
-    ("phasernd", 24000): "4812d7d9e91c1769cf382a0d532375bd763b1292570f5fec9e1f73919c089f33",
-    ("lpcvoc", None): "33c7938d3960c44aa7381d27b84cdfacf58f10fc1091a044ce7e78bf63209a40",
-    ("lpcvoc", 24000): "5f1602b8204c3133bc24a94fa3189f26237ea8e5248aac7f31f1ffec1f1b27ad",
+    ("phasernd", None): "65c68e65d75172ff824c050e617a388a367a70236ca902d09c18aac3c9ad7eb2",
+    ("phasernd", 24000): "fd7159dc69bc6f5e66827be606be0d2b2e9d0712a56e38cea60bdd9608e96510",
+    ("lpcvoc", None): "87b7ad291ac40f6b345ffc657c9d5c047a67afe50fa959a528ab0caa079f1e0c",
+    ("lpcvoc", 24000): "305648d65de85d4d6fbccb47382d9b10057fe9e792069d6408ef12057f786ec8",
 }
 
 
