@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio_io import Waveform, write_wav
-from .dsp import frame_signal, sosfilt
+from .dsp import frame_signal, sosfilt_piecewise
 from .errors import ConfigError, DataError
 from .manifest import TrialManifest, TrialRecord
 from .util import derive_seed
@@ -22,7 +22,7 @@ from .util import derive_seed
 SAMPLE_RATE = 16000
 SPLIT = (0.6, 0.2, 0.2)  # train / dev / eval
 _FORMANTS = ((500.0, 80.0), (1500.0, 110.0), (2700.0, 150.0))
-_BLOCK = 1600  # resonator coefficients held constant per 100 ms block
+_BLOCK = 1600  # resonator coefficients held constant per 100 ms block; a multiple of dsp's IIR block
 TRIM_FRAME_MS = 20.0
 TRIM_HOP_MS = 10.0
 TRIM_GATE_DB = 40.0
@@ -45,20 +45,18 @@ def synth_pseudo_speech(seed: int, duration: float, sample_rate: int = SAMPLE_RA
     excitation[np.flatnonzero(np.diff(np.floor(phase)) > 0) + 1] = 1.0
     excitation += 0.01 * rng.standard_normal(n)
 
-    y = excitation
+    # per 100 ms block, the three resonators in cascade; the last block takes the rest of the trial
     n_blocks = max(1, n // _BLOCK)
-    for center, bandwidth in _FORMANTS:
+    block = np.minimum(np.arange(-(-n // _BLOCK)), n_blocks - 1)  # each segment's block
+    sections = np.zeros((len(block), len(_FORMANTS), 6))
+    for i, (center, bandwidth) in enumerate(_FORMANTS):
         fc_start = center * rng.uniform(0.9, 1.1)
         fc_end = fc_start * rng.uniform(0.92, 1.08)
-        out = np.zeros(n)
-        zi = np.zeros((1, 2))
-        for b in range(n_blocks):
-            lo, hi = b * _BLOCK, min(n, (b + 1) * _BLOCK) if b < n_blocks - 1 else n
-            fc = fc_start + (fc_end - fc_start) * b / max(n_blocks - 1, 1)
-            r = np.exp(-np.pi * bandwidth / sample_rate)
-            section = [1.0 - r * r, 0.0, 0.0, 1.0, -2.0 * r * np.cos(2 * np.pi * fc / sample_rate), r * r]
-            out[lo:hi], zi = sosfilt(np.array([section]), y[lo:hi], zi=zi)
-        y = out
+        fc = fc_start + (fc_end - fc_start) * block / max(n_blocks - 1, 1)
+        r = np.exp(-np.pi * bandwidth / sample_rate)
+        sections[:, i, 0], sections[:, i, 3], sections[:, i, 5] = 1.0 - r * r, 1.0, r * r
+        sections[:, i, 4] = -2.0 * r * np.cos(2 * np.pi * fc / sample_rate)
+    y = sosfilt_piecewise(sections, excitation, _BLOCK)
     y = y / np.sqrt(np.mean(y**2))
     y = y + 0.02 * rng.standard_normal(n)  # aspiration floor, not resonator-shaped
     y = y / np.sqrt(np.mean(y**2)) * 0.08

@@ -25,6 +25,7 @@ from spoofcm.dsp import (
     notch_sos,
     resample,
     sosfilt,
+    sosfilt_piecewise,
     sosfilt_zi,
     stft,
 )
@@ -431,6 +432,33 @@ class TestSosfilt:
     def test_no_section_is_the_identity(self):
         x = np.random.default_rng(6).standard_normal(100)
         assert np.array_equal(sosfilt(np.zeros((0, 6)), x), x)
+
+    @pytest.mark.parametrize("n", [1, 200, 3 * 2 * _IIR_BLOCK, 5 * 2 * _IIR_BLOCK - 37])
+    def test_piecewise_matches_chained_scipy_calls(self, n):
+        """Coefficients switching every segment, as the corpus's resonators
+        do, against scipy calls that pass zf on as zi. The second section
+        switches between real and complex poles, so the state also changes
+        form at a switch."""
+        segment = 2 * _IIR_BLOCK
+        rng = np.random.default_rng(n + 3)
+        x = rng.standard_normal(n)
+        sos = []
+        for s in range(-(-n // segment)):
+            r, f0 = 0.98, rng.uniform(300.0, 3000.0)
+            a1, a2 = (-1.5, 0.56) if s % 2 else (-2.0 * 0.9 * np.cos(rng.uniform(0.1, 3.0)), 0.81)  # real: 0.8, 0.7
+            sos.append([[1.0 - r * r, 0.0, 0.0, 1.0, -2.0 * r * np.cos(2 * np.pi * f0 / SR), r * r],
+                        [1.0, 0.3, -0.2, 1.0, a1, a2]])
+        zi, pieces = np.zeros((2, 2)), []
+        for s, sections in enumerate(sos):
+            y, zi = signal.sosfilt(sections, x[s * segment : (s + 1) * segment], zi=zi)
+            pieces.append(y)
+        assert relative_error(sosfilt_piecewise(np.array(sos), x, segment), np.concatenate(pieces)) < 1e-12
+
+    @pytest.mark.parametrize("segment, n_segments", [(_IIR_BLOCK + 1, 2), (2 * _IIR_BLOCK, 1), (2 * _IIR_BLOCK, 3)])
+    def test_piecewise_rejects_a_schedule_that_does_not_fit(self, segment, n_segments):
+        sos = np.tile(IIR_FILTERS["resonator"], (n_segments, 1, 1))
+        with pytest.raises(ConfigError):
+            sosfilt_piecewise(sos, np.zeros(2 * _IIR_BLOCK + 1), segment)
 
     @pytest.mark.parametrize("name", sorted(IIR_FILTERS))
     def test_steady_state_matches_sosfilt_zi(self, name):
