@@ -9,20 +9,19 @@ one place that names it.
 
 The window, the notch design and the resampler give the bytes of scipy's
 ``get_window``, ``iirnotch`` and ``upfirdn``; ``allpole_rows`` gives those of
-``lfilter`` on each row. ``sosfilt`` and ``sosfilt_zi`` follow scipy's
-``sosfilt`` and ``sosfilt_zi``, state layout included, to within 1e-12 of
-the output's peak (about 1e-15 on the filters spoofcm runs): ``sosfilt``
-filters in blocks (Burrus, "Block implementation of digital filters", IEEE
-Trans. Circuit Theory, 1971) and carries the state across blocks by a
-log-depth prefix scan (Blelloch, "Prefix sums and their applications",
-CMU-CS-90-190, 1990); ``sosfilt_piecewise`` gives the output of chained
-``sosfilt`` calls through a cascade whose coefficients switch every
-segment. ``butter_sos`` designs in closed form and pairs its sections
-differently from scipy's ``butter``; the tests hold its response to
-scipy's. The public entry points validate their inputs;
-the private kernels behind stft and istft (``_stft_frames``,
-``_istft_samples``) trust their caller, so an iterative one checks on
-entry and its result once.
+``lfilter`` on each row. ``sosfilt``, ``sosfilt_piecewise`` (a cascade
+whose coefficients switch every segment) and ``filtfilt`` give the output
+of scipy's ``sosfilt`` called as they describe, to within 1e-12 of the
+output's peak (about 1e-15 on the filters spoofcm runs). All three call
+one runner, ``_run_iir``, which filters in blocks (Burrus, "Block
+implementation of digital filters", IEEE Trans. Circuit Theory, 1971) and
+carries the state across blocks by a log-depth prefix scan (Blelloch,
+"Prefix sums and their applications", CMU-CS-90-190, 1990). ``butter_sos``
+designs in closed form and pairs its sections differently from scipy's
+``butter``; the tests hold its response to scipy's. The public entry
+points validate their inputs; the private kernels behind stft and istft
+(``_stft_frames``, ``_istft_samples``) trust their caller, so an iterative
+one checks on entry and its result once.
 
 Built once per configuration and shared read-only: the analysis window
 (per length), the constant-overlap-add verdict (per StftConfig; a
@@ -289,7 +288,6 @@ def _state_space(sos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     loses digits for poles near z = 1. A section with real poles keeps the
     direct form (T = I there)."""
     sos = np.asarray(sos, dtype=np.float64)
-    sos = sos.reshape(sos.shape[:-2] + (-1, 6))  # no section: the identity
     b, a = sos[..., :3] / sos[..., 3:4], sos[..., 3:] / sos[..., 3:4]
     sigma = -0.5 * a[..., 1]
     omega = np.sqrt(np.maximum(a[..., 2] - sigma * sigma, 0.0))
@@ -365,77 +363,56 @@ def _block_starts(G: np.ndarray, P: np.ndarray, X: np.ndarray, z0) -> np.ndarray
     return starts
 
 
-def sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray | None = None):
-    """x through the cascade of second-order sections ``sos`` (n x 6, rows
-    [b0 b1 b2 a0 a1 a2]), as scipy's sosfilt: with ``zi`` (n x 2) the filter
-    starts from that state and (y, zf) is returned, else it starts at rest
-    and y is returned.
+def _run_iir(system: _System, x: np.ndarray, segment: int | None = None, zi: np.ndarray | None = None) -> np.ndarray:
+    """x through a stack of S built cascades, sample k through system[k //
+    segment] (``segment`` a multiple of _IIR_BLOCK; None: one segment for all
+    of x), from the sections' stacked direct-form state ``zi`` (scipy's
+    layout, flattened) or from rest. Each section's direct-form state
+    carries across a switch.
 
-    The cascade runs as one state-space system over blocks of _IIR_BLOCK
-    samples. A block's output is its start state's response plus one
+    Within a segment a block's output is its start state's response plus one
     product with the zero-state response matrix; the start states come from
     a log-depth scan over the blocks.
     """
-    return _sosfilt(_system(sos), x, zi)
-
-
-def _sosfilt(system: _System, x: np.ndarray, zi: np.ndarray | None):
-    """sosfilt through a built system."""
-    A, _, T, G, O, P, H = system
     x = np.asarray(x, dtype=np.float64)
-    n, size = len(x), _IIR_BLOCK
-    n_blocks = max(1, -(-n // size))
-    X = np.zeros((n_blocks, size))
-    X.ravel()[:n] = x
-    starts = _block_starts(G, P, X, 0.0 if zi is None else np.linalg.solve(T, np.ravel(zi)))
-    y = (X @ H + starts @ O.T).ravel()[:n]
-    if zi is None:
-        return y
-    tail = n - (n_blocks - 1) * size
-    power = P if tail == size else np.linalg.matrix_power(A, tail)
-    zf = power @ starts[-1] + G[:, size - tail :] @ x[n - tail :]
-    return y, (T @ zf).reshape(-1, 2)
+    _, _, T, G, O, P, H = system
+    if segment is None:
+        segment = _IIR_BLOCK * max(1, -(-len(x) // _IIR_BLOCK))
+    X = np.zeros((len(P), segment // _IIR_BLOCK, _IIR_BLOCK))
+    X.ravel()[: len(x)] = x
+    starts = np.empty(X.shape[:2] + P.shape[-1:])
+    z = np.zeros(P.shape[-1]) if zi is None else np.linalg.solve(T[0], zi)
+    if len(P) > 1:
+        switch = np.linalg.solve(T[1:], T[:-1])  # a state at a switch, into the next system's coordinates
+    for s in range(len(P)):
+        starts[s] = _block_starts(G[s], P[s], X[s], z)
+        if s + 1 < len(P):
+            z = switch[s] @ (P[s] @ starts[s, -1] + G[s] @ X[s, -1])
+    return (X @ H + starts @ np.swapaxes(O, -1, -2)).ravel()[: len(x)]
+
+
+def sosfilt(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x from rest through the cascade of second-order sections ``sos`` (n x
+    6, rows [b0 b1 b2 a0 a1 a2]), as scipy's sosfilt: one segment of
+    _run_iir."""
+    return _run_iir(_system(np.reshape(sos, (1, -1, 6))), x)
 
 
 def sosfilt_piecewise(sos: np.ndarray, x: np.ndarray, segment: int) -> np.ndarray:
     """x from rest through a cascade whose coefficients switch every
     ``segment`` samples (a multiple of _IIR_BLOCK): sample k goes through the
     sections sos[k // segment] (sos S x n x 6, S = ceil(len(x) / segment)),
-    and each section's direct-form state carries across a switch. The
-    output of S sosfilt calls, each passing its zf on as the next one's zi.
-
-    The S systems are built in one stack; a loop over the segments runs
-    sosfilt's scan in each and carries the state to the next.
+    and each section's direct-form state carries across a switch, as in S
+    chained scipy sosfilt calls. The S systems are built in one stack for
+    _run_iir.
     """
-    sos, x = np.asarray(sos, dtype=np.float64), np.asarray(x, dtype=np.float64)
+    sos = np.asarray(sos, dtype=np.float64)
     if segment % _IIR_BLOCK or sos.ndim != 3 or not (len(sos) - 1) * segment < len(x) <= len(sos) * segment:
         raise ConfigError(
             f"need a segment that is a multiple of {_IIR_BLOCK} and one cascade per segment, "
             f"got segment {segment}, sections {sos.shape} for {len(x)} samples"
         )
-    _, _, T, G, O, P, H = _system(sos)
-    X = np.zeros((len(sos), segment // _IIR_BLOCK, _IIR_BLOCK))
-    X.ravel()[: len(x)] = x
-    switch = np.linalg.solve(T[1:], T[:-1])  # a state at a switch, into the next system's coordinates
-    starts = np.empty(X.shape[:2] + P.shape[-1:])
-    z = np.zeros(P.shape[-1])
-    for s in range(len(sos)):
-        starts[s] = _block_starts(G[s], P[s], X[s], z)
-        if s + 1 < len(sos):
-            z = switch[s] @ (P[s] @ starts[s, -1] + G[s] @ X[s, -1])
-    return (X @ H + starts @ np.swapaxes(O, -1, -2)).ravel()[: len(x)]
-
-
-def _step_state(A: np.ndarray, B: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """sosfilt_zi of the system (A, B, T)."""
-    return (T @ np.linalg.solve(np.eye(len(A)) - A, B)).reshape(-1, 2)
-
-
-def sosfilt_zi(sos: np.ndarray) -> np.ndarray:
-    """The state (n x 2) a unit step holds the cascade in, as scipy's
-    sosfilt_zi: scaled by x[0], a start without a step transient."""
-    A, B, _, _, T = _state_space(sos)
-    return _step_state(A, B, T)
+    return _run_iir(_system(sos), x, segment)
 
 
 def allpole_rows(x: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -516,18 +493,13 @@ def butter_sos(order: int, band: float | tuple[float, float], btype: str, fs: fl
 # Zero-phase filtering
 # ---------------------------------------------------------------------------
 
-def _two_pass(system: _System, zi: np.ndarray, x: np.ndarray) -> np.ndarray:
-    y, _ = _sosfilt(system, x, zi * x[0])  # a steady-state start suppresses edge transients
-    y, _ = _sosfilt(system, y[::-1], zi * y[-1])
-    return y[::-1]
-
-
 def filtfilt(sos: np.ndarray, w: Waveform) -> Waveform:
     """Zero-phase filtering: a forward and a reverse pass through the
     (n, 6) second-order sections, rows [b0 b1 b2 1 a1 a2].
 
     Edge transients are mitigated by reflective padding of 6 samples per
-    section (3 * order) on both ends. The two pass orders
+    section (3 * order) on both ends, and each pass starts in the steady
+    state of a step as high as its first sample. The two pass orders
     (forward-then-backward and backward-then-forward) are averaged, which
     makes the result exactly symmetric under time reversal.
     """
@@ -535,11 +507,14 @@ def filtfilt(sos: np.ndarray, w: Waveform) -> Waveform:
     if len(w) <= pad:
         raise DataError(f"waveform too short for zero-phase filtering: {len(w)} <= {pad}")
     x = np.pad(w.samples, pad, mode="reflect")
-    system = _system(sos)  # built once for the four passes
-    zi = _step_state(system.A, system.B, system.T)
-    fwd_first = _two_pass(system, zi, x)
-    bwd_first = _two_pass(system, zi, x[::-1])[::-1]
-    y = 0.5 * (fwd_first + bwd_first)
+    system = _system(np.reshape(sos, (1, -1, 6)))  # built once for the four passes
+    A, B, T = system.A[0], system.B[0], system.T[0]
+    step = T @ np.linalg.solve(np.eye(len(A)) - A, B)  # the state a unit step holds the cascade in
+    fwd_first, bwd_first = x, x[::-1]
+    for _ in range(2):  # each pass's output reversed, so the second runs backward
+        fwd_first = _run_iir(system, fwd_first, zi=step * fwd_first[0])[::-1]
+        bwd_first = _run_iir(system, bwd_first, zi=step * bwd_first[0])[::-1]
+    y = 0.5 * (fwd_first + bwd_first[::-1])
     return Waveform(y[pad:-pad], w.sample_rate)
 
 

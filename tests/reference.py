@@ -7,7 +7,7 @@ second, independent route.
 from math import gcd
 
 import numpy as np
-from scipy.signal import get_window, lfilter, upfirdn
+from scipy.signal import get_window, lfilter, sosfilt, sosfilt_zi, upfirdn
 from scipy.stats import norm
 
 
@@ -328,3 +328,21 @@ def resample_upfirdn(x, sample_rate, target_sr, resample_filter):
     need_in = ((offset + n_out) * down + len(h_padded)) // up + 1
     x = np.concatenate([x, np.zeros(max(0, need_in - len(x)))])
     return upfirdn(h_padded, x, up=up, down=down)[offset : offset + n_out]
+
+
+def filtfilt_sosfilt(sos, x):
+    """Zero-phase filtering built from scipy's sosfilt and sosfilt_zi, as
+    spoofcm.dsp.filtfilt describes it: 6 samples per section of reflective
+    padding at both ends; each pass starts at the steady state times its
+    first sample; forward-then-backward and backward-then-forward averaged."""
+    pad = 6 * len(sos)
+    padded = np.pad(x, pad, mode="reflect")
+    zi = sosfilt_zi(sos)
+
+    def two_pass(v):
+        y, _ = sosfilt(sos, v, zi=zi * v[0])
+        y, _ = sosfilt(sos, y[::-1], zi=zi * y[-1])
+        return y[::-1]
+
+    y = 0.5 * (two_pass(padded) + two_pass(padded[::-1])[::-1])
+    return y[pad:-pad]

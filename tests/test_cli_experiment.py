@@ -345,15 +345,30 @@ def _speech_manifest(root: Path, durations) -> Path:
     return root / "manifest.tsv"
 
 
+def _stall_report(proc, sent, out, stderr) -> str:
+    """What a synth that outlived its wait after SIGINT was doing, taken
+    before the test kills it."""
+    try:
+        os.killpg(proc.pid, 0)
+        group_alive = True
+    except ProcessLookupError:
+        group_alive = False
+    tail = "\n".join(stderr.read_text().splitlines()[-20:])
+    return (f"synth still running {time.monotonic() - sent:.2f} s after SIGINT: parent alive "
+            f"{proc.poll() is None}, process group alive {group_alive}, "
+            f"{len(list(out.glob('*.wav')))} WAVs written; parent's stderr ends:\n{tail}")
+
+
 @pytest.mark.parametrize("stop", ["sigkill-parent", "ctrl-c"])
 def test_stopped_synth_leaves_no_process_running(tmp_path, stop):
     """After a SIGKILL of the parent, a worker exits before its next trial, once it
     sees its parent gone, and init reaps it. On Ctrl-C (SIGINT to the process group)
     the workers ignore it, and the parent kills and reaps them before it exits."""
     manifest_file = _speech_manifest(tmp_path, [1.5] * 100)  # a worker's share takes over 5 s
-    out = tmp_path / "vocoded"
-    proc = _spoofcm_on_two_cpus(["synth", "--manifest", str(manifest_file), "--intermediate-sr", "24000",
-                                 "--out", str(out)], start_new_session=True)
+    out, stderr = tmp_path / "vocoded", tmp_path / "synth.stderr"
+    with open(stderr, "w") as err:
+        proc = _spoofcm_on_two_cpus(["synth", "--manifest", str(manifest_file), "--intermediate-sr", "24000",
+                                     "--out", str(out)], start_new_session=True, stderr=err)
     try:
         deadline = time.monotonic() + 60
         while not list(out.glob("*.wav")) and proc.poll() is None and time.monotonic() < deadline:
@@ -361,7 +376,11 @@ def test_stopped_synth_leaves_no_process_running(tmp_path, stop):
         assert proc.poll() is None, "synth ended before it could be stopped"
         if stop == "ctrl-c":
             os.killpg(proc.pid, signal.SIGINT)
-            proc.wait(timeout=5)  # a worker's share takes longer
+            sent = time.monotonic()
+            try:
+                proc.wait(timeout=5)  # a worker's share takes longer
+            except subprocess.TimeoutExpired:
+                pytest.fail(_stall_report(proc, sent, out, stderr))
         else:
             os.kill(proc.pid, signal.SIGKILL)
     finally:
