@@ -8,10 +8,11 @@ scaled by 1/temperature; the loss pulls same-class views together and
 pushes classes apart, with each anchor normalized by a partition over
 every other batch member.
 
-``cf_value_and_grad`` evaluates one level per call: "sequence" on the
-frame sequences, or "utterance" on their means (single-frame sequences).
-``LEVEL_TERMS`` maps a configured ``levels`` value to the single levels
-it sums, unweighted, and names each term.
+``cf_value_and_grad`` evaluates one level per call, on the members its
+caller passes: the frame sequences for "sequence", or the pooled utterance
+embeddings, as one-frame sequences, for "utterance". ``LEVEL_TERMS`` maps a
+configured ``levels`` value to the single levels it sums, unweighted, and
+names each term.
 
 All computation is done in the log domain (logsumexp) since similarities
 reach 1/temperature (about 14.3 at the default 0.07).
@@ -55,8 +56,8 @@ def _similarity_matrix(members: list, temperature: float) -> tuple[np.ndarray, n
         frame = int(np.argmax(zero.sum(axis=0) >= 2))
         raise NumericalError(f"degenerate zero-norm frame at index {frame} in multiple members")
     unit = stack / np.maximum(norms, NORM_FLOOR)
-    n_frames = stack.shape[1]
-    sims = np.einsum("and,bnd->ab", unit, unit) / (n_frames * temperature)
+    flat = unit.reshape(len(members), -1)  # frame-wise dot products summed over frames: one matmul
+    sims = flat @ flat.T / (stack.shape[1] * temperature)
     return sims, unit, norms
 
 
@@ -82,23 +83,18 @@ def _cf_core(members: list, labels: list, temperature: float):
         soft[positives] -= 1.0 / n_pos
         anchor_grad[k] = soft
     pair_weight = anchor_grad + anchor_grad.T  # similarity is symmetric in its arguments
-    cosines = np.einsum("and,mnd->amn", unit, unit)
-    term_other = np.einsum("am,mnd->and", pair_weight, unit)
-    term_self = np.einsum("am,amn->an", pair_weight, cosines)[:, :, None] * unit
+    term_other = (pair_weight @ unit.reshape(b, -1)).reshape(unit.shape)
+    term_self = np.sum(unit * term_other, axis=2, keepdims=True) * unit
     grads = (term_other - term_self) / (n_frames * temperature * np.maximum(norms, NORM_FLOOR))
     return loss, [grads[i] for i in range(b)]
 
 
-def cf_value_and_grad(members: list, labels: list, level: str, temperature: float):
-    """The loss of a batch at one level ("sequence" or "utterance") and its
-    exact gradient with respect to every member frame, in member order.
+def cf_value_and_grad(members: list, labels: list, temperature: float):
+    """The loss of a batch at one level and its exact gradient with respect
+    to every member frame, in member order.
 
     Each class needs at least two members, so every anchor has a positive.
-    The utterance-level gradient is propagated through the mean pooling,
-    so the returned arrays always match the member shapes.
     """
-    if level not in ("sequence", "utterance"):
-        raise ConfigError(f"level must be 'sequence' or 'utterance', got {level!r}")
     n_bona, n_spoof = (list(labels).count(c) for c in (1, 0))
     if min(n_bona, n_spoof) < 2:
         raise ConfigError(f"batch composition needs >= 2 views per class, got "
@@ -106,8 +102,4 @@ def cf_value_and_grad(members: list, labels: list, level: str, temperature: floa
     shapes = {np.shape(m) for m in members}
     if len(shapes) != 1 or len(next(iter(shapes))) != 2:
         raise ConfigError(f"all members must share one (N, D) shape, got {sorted(shapes)}")
-    if level == "sequence":
-        return _cf_core(members, labels, temperature)
-    n_frames = members[0].shape[0]
-    value, gs = _cf_core([m.mean(axis=0, keepdims=True) for m in members], labels, temperature)
-    return value, [np.repeat(g / n_frames, n_frames, axis=0) for g in gs]
+    return _cf_core(members, labels, temperature)

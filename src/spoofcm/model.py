@@ -3,6 +3,11 @@ trainable frame-feature extractor, global average pooling, and an MLP
 classifier head. Forward and backward passes are written out by hand in
 float64 so gradients can be checked against finite differences.
 
+The extractor's last layer ``W2`` is linear, so pooling commutes with it:
+the embedding is ``W2 @ mean(A1) + b2``, the mean over frames of the
+frame-level features ``A1 @ W2.T + b2``. Those frame sequences are built
+only for the sequence-level contrastive term, the one place that reads them.
+
 Score convention: bona fide logit minus spoof logit; higher means more
 likely bona fide. ``forward_member`` computes it, as ``"score"``.
 """
@@ -126,8 +131,8 @@ def forward_member(base: np.ndarray, p: ModelParams) -> dict:
     B = (np.asarray(base, dtype=np.float64) - p.feat_mean) / p.feat_scale
     Z1 = B @ p.W1.T + p.b1
     A1 = _lrelu(Z1)
-    X = A1 @ p.W2.T + p.b2  # the frame-level feature sequence
-    v = X.mean(axis=0)
+    a = A1.mean(axis=0)
+    v = p.W2 @ a + p.b2  # the pooled embedding, mean of the frame features A1 @ W2.T + b2
     z1 = p.H1 @ v + p.c1
     u1 = _lrelu(z1)
     z2 = p.H2 @ u1 + p.c2
@@ -137,7 +142,7 @@ def forward_member(base: np.ndarray, p: ModelParams) -> dict:
     logits = p.Ho @ u3 + p.co
     score = float(logits[1] - logits[0])
     return dict(
-        B=B, Z1=Z1, A1=A1, X=X, v=v, z1=z1, u1=u1, z2=z2, u2=u2, z3=z3, u3=u3, logits=logits, score=score
+        B=B, Z1=Z1, A1=A1, a=a, v=v, z1=z1, u1=u1, z2=z2, u2=u2, z3=z3, u3=u3, logits=logits, score=score
     )
 
 
@@ -151,7 +156,8 @@ def ce_and_grad(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
     return float(loss), grad
 
 
-def _backward_member(cache: dict, dlogits: np.ndarray, dX_extra, p: ModelParams, grads: dict) -> None:
+def _backward_member(cache: dict, dlogits: np.ndarray, dv_cf, dX_cf, p: ModelParams, grads: dict) -> None:
+    """dv_cf / dX_cf: the utterance / sequence contrastive gradient on v / the frame features, or None."""
     g = grads
     g["Ho"] += dlogits[:, None] * cache["u3"]
     g["co"] += dlogits
@@ -165,11 +171,16 @@ def _backward_member(cache: dict, dlogits: np.ndarray, dX_extra, p: ModelParams,
     g["H1"] += dz1[:, None] * cache["v"]
     g["c1"] += dz1
     dv = p.H1.T @ dz1
-    n = cache["X"].shape[0]
-    dX = np.tile(dv / n, (n, 1)) if dX_extra is None else dX_extra + dv / n
-    g["W2"] += dX.T @ cache["A1"]
-    g["b2"] += dX.sum(axis=0)
-    dZ1 = (dX @ p.W2) * _dlrelu(cache["Z1"])
+    if dv_cf is not None:
+        dv += dv_cf
+    g["W2"] += dv[:, None] * cache["a"]
+    g["b2"] += dv
+    dA1 = (dv / cache["A1"].shape[0]) @ p.W2  # the same for every frame
+    if dX_cf is not None:
+        g["W2"] += dX_cf.T @ cache["A1"]
+        g["b2"] += dX_cf.sum(axis=0)
+        dA1 = dA1 + dX_cf @ p.W2
+    dZ1 = dA1 * _dlrelu(cache["Z1"])
     g["W1"] += dZ1.T @ cache["B"]
     g["b1"] += dZ1.sum(axis=0)
 
@@ -194,10 +205,11 @@ def forward_backward(
     """Mean cross-entropy over the batch (plus the contrastive feature loss
     when enabled) and exact gradients for every trainable tensor.
 
-    With the contrastive term, the members' feature sequences and their
-    labels, in the given order, are the contrastive batch: members must
-    share one frame count, and each class needs two. The term is evaluated
-    at each level ``LEVEL_TERMS`` lists for ``cf.levels``.
+    With the contrastive term, the members and their labels, in the given
+    order, are the contrastive batch, and each class needs two. The term is
+    evaluated at each level ``LEVEL_TERMS`` lists for ``cf.levels``: on the
+    frame-level feature sequences ("sequence"; members must share one frame
+    count) or on the pooled embeddings ("utterance").
     Returns (loss, grads, parts) where parts splits the loss per term.
     """
     if len(members) != len(labels) or not members:
@@ -214,19 +226,20 @@ def forward_backward(
     loss = ce_total / n
     parts = {"ce": ce_total / n, "cf_seq": 0.0, "cf_utt": 0.0}
 
-    cf_grads = [None] * n
+    cf_dv, cf_dX = [None] * n, [None] * n
     if loss_cfg.mode == "ce+cf":
-        seqs = [cache["X"] for cache in caches]
-        cf_grads = [np.zeros_like(x) for x in seqs]
+        tau = loss_cfg.cf.temperature
         for level, part in LEVEL_TERMS[loss_cfg.cf.levels]:
-            value, gs = cf_value_and_grad(seqs, labels, level, loss_cfg.cf.temperature)
+            if level == "sequence":  # the frame sequences, built for this term only
+                value, cf_dX = cf_value_and_grad([c["A1"] @ p.W2.T + p.b2 for c in caches], labels, tau)
+            else:
+                value, gs = cf_value_and_grad([c["v"][None, :] for c in caches], labels, tau)
+                cf_dv = [g[0] for g in gs]
             parts[part] = value
             loss += value
-            for acc, g in zip(cf_grads, gs):
-                acc += g
 
     if not np.isfinite(loss):
         raise NumericalError(f"non-finite loss in batch {batch_id}")
-    for cache, dl, extra in zip(caches, dlogits_list, cf_grads):
-        _backward_member(cache, dl, extra, p, grads)
+    for cache, dl, dv_cf, dX_cf in zip(caches, dlogits_list, cf_dv, cf_dX):
+        _backward_member(cache, dl, dv_cf, dX_cf, p, grads)
     return loss, grads, parts

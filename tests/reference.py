@@ -346,3 +346,113 @@ def filtfilt_sosfilt(sos, x):
 
     y = 0.5 * (two_pass(padded) + two_pass(padded[::-1])[::-1])
     return y[pad:-pad]
+
+
+def forward_backward_frames(members, labels, p, mode="ce", levels="both", temperature=0.07):
+    """The model's loss, loss parts and gradients with the frame-level
+    feature sequence X = A1 @ W2.T + b2 built for every member and pooled
+    after W2: the utterance contrastive term runs on the means of X and its
+    gradient is repeated over the frames, the CE gradient is tiled over the
+    frames, and the contrastive gradient is written with einsum."""
+
+    def lrelu(z):
+        return np.where(z > 0, z, 0.01 * z)
+
+    def dlrelu(z):
+        return np.where(z > 0, 1.0, 0.01)
+
+    def cf_core(seqs):
+        stack = np.stack(seqs)
+        norms = np.linalg.norm(stack, axis=2, keepdims=True)
+        unit = stack / np.maximum(norms, 1e-12)
+        b, n_frames = stack.shape[:2]
+        sims = np.einsum("and,bnd->ab", unit, unit) / (n_frames * temperature)
+        lab = np.asarray(labels)
+        value = 0.0
+        anchor_grad = np.zeros((b, b))
+        for k in range(b):
+            others = np.arange(b) != k
+            positives = others & (lab == lab[k])
+            n_pos = int(positives.sum())
+            row = sims[k, others]
+            m = row.max()
+            lse = m + np.log(np.sum(np.exp(row - m)))
+            value += float(n_pos * lse - sims[k, positives].sum()) / n_pos
+            soft = np.zeros(b)
+            soft[others] = np.exp(sims[k, others] - lse)
+            soft[positives] -= 1.0 / n_pos
+            anchor_grad[k] = soft
+        pair_weight = anchor_grad + anchor_grad.T
+        cosines = np.einsum("and,mnd->amn", unit, unit)
+        term_other = np.einsum("am,mnd->and", pair_weight, unit)
+        term_self = np.einsum("am,amn->an", pair_weight, cosines)[:, :, None] * unit
+        grads = (term_other - term_self) / (n_frames * temperature * np.maximum(norms, 1e-12))
+        return value, list(grads)
+
+    caches = []
+    for base in members:
+        B = (np.asarray(base, dtype=np.float64) - p.feat_mean) / p.feat_scale
+        Z1 = B @ p.W1.T + p.b1
+        A1 = lrelu(Z1)
+        X = A1 @ p.W2.T + p.b2
+        v = X.mean(axis=0)
+        z1 = p.H1 @ v + p.c1
+        u1 = lrelu(z1)
+        z2 = p.H2 @ u1 + p.c2
+        u2 = lrelu(z2)
+        z3 = p.H3 @ u2 + p.c3
+        u3 = lrelu(z3)
+        logits = p.Ho @ u3 + p.co
+        caches.append(dict(B=B, Z1=Z1, A1=A1, X=X, v=v, z1=z1, u1=u1, z2=z2, u2=u2, z3=z3, u3=u3, logits=logits))
+
+    n = len(members)
+    ce_total = 0.0
+    dlogits = []
+    for c, label in zip(caches, labels):
+        m = c["logits"].max()
+        log_z = m + np.log(np.exp(c["logits"] - m).sum())
+        ce_total += log_z - c["logits"][label]
+        d = np.exp(c["logits"] - log_z)
+        d[label] -= 1.0
+        dlogits.append(d / n)
+    loss = ce_total / n
+    parts = {"ce": ce_total / n, "cf_seq": 0.0, "cf_utt": 0.0}
+
+    dX_cf = [np.zeros_like(c["X"]) for c in caches]
+    if mode == "ce+cf":
+        terms = {"sequence": ("sequence",), "utterance": ("utterance",), "both": ("sequence", "utterance")}
+        for level in terms[levels]:
+            if level == "sequence":
+                value, gs = cf_core([c["X"] for c in caches])
+                parts["cf_seq"] = value
+            else:
+                n_frames = caches[0]["X"].shape[0]
+                value, gs = cf_core([c["X"].mean(axis=0, keepdims=True) for c in caches])
+                gs = [np.repeat(g / n_frames, n_frames, axis=0) for g in gs]
+                parts["cf_utt"] = value
+            loss += value
+            for acc, g in zip(dX_cf, gs):
+                acc += g
+
+    grads = {name: np.zeros_like(getattr(p, name)) for name in p.TRAINABLE}
+    for c, dl, extra in zip(caches, dlogits, dX_cf):
+        grads["Ho"] += np.outer(dl, c["u3"])
+        grads["co"] += dl
+        dz3 = (p.Ho.T @ dl) * dlrelu(c["z3"])
+        grads["H3"] += np.outer(dz3, c["u2"])
+        grads["c3"] += dz3
+        dz2 = (p.H3.T @ dz3) * dlrelu(c["z2"])
+        grads["H2"] += np.outer(dz2, c["u1"])
+        grads["c2"] += dz2
+        dz1 = (p.H2.T @ dz2) * dlrelu(c["z1"])
+        grads["H1"] += np.outer(dz1, c["v"])
+        grads["c1"] += dz1
+        dv = p.H1.T @ dz1
+        n_frames = c["X"].shape[0]
+        dX = np.tile(dv / n_frames, (n_frames, 1)) + extra
+        grads["W2"] += dX.T @ c["A1"]
+        grads["b2"] += dX.sum(axis=0)
+        dZ1 = (dX @ p.W2) * dlrelu(c["Z1"])
+        grads["W1"] += dZ1.T @ c["B"]
+        grads["b1"] += dZ1.sum(axis=0)
+    return loss, grads, parts

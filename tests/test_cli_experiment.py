@@ -144,25 +144,25 @@ class TestRunExperiment:
 
 
 # SHA-256 of every text artifact that a tiny run and the analysis commands
-# write, re-recorded at vocoders.SYNTHESIS_VERSION 3 (numpy IIR filtering and
-# Butterworth designs), which moved the augmented views' last bits and so the
-# training histories, scores and tables built from them; the summary and
-# significance tables kept their bytes. A change that keeps the synthesis
-# version must keep every byte.
+# write. The histories, scores and the tables built from them were re-recorded
+# when the model came to pool before W2, which reassociates the training sums;
+# the summary and significance tables, the config and the vocoded set kept
+# their bytes. A change that keeps the synthesis version and the model's
+# arithmetic must keep every byte.
 GOLDEN_ARTIFACT_SHA256 = {
     "config_resolved.ini": "11e5944d1d27020b406ee9ac56e9e419ec7a84e970af00441468ba981d60b14e",
-    "eer.csv": "78cb700465217f08997ee86a0a53a0ce3d875692bbece9a10401497f6b331fbe",
-    "group/category_eer.csv": "1cb2ffe30f5d7bac0b9ec6802388f3e579b31826f8b438129be5c8525821ff2f",
-    "group/histograms.csv": "f3dbe6162a938c55e16c64f956e4aa38c204d583f9068c9d785ede1b1a59654e",
+    "eer.csv": "d2f689ed2f93ac4d99f1dbabdf79d7cd72997e51d6469d0f450c9d78ebcc2bd0",
+    "group/category_eer.csv": "dcb1701cdaf1c0e4928ced42516e3133142ea185ffdc6abb99659fb282c1c66a",
+    "group/histograms.csv": "e3c8ebd9da185f3c84400ea5112fbfeb5dcef0cd3986f99067f441b7b83eaf5b",
     "meta.json": "e96324b17d519b41ce9da862f383755010b5c05b2a642ee8dd6668075babb18c",
-    "rescored.txt": "e2738504ff9b4107df9187bb77d4f29ded312a6d69c0da4e73b75db6ad20b226",
-    "results.csv": "263efab1a324fadad384524ff9ec7e5b7884fc0a07a24651a0d17d081624e9a9",
-    "runs/ce_aug_seed5/history.csv": "6e2019a0463b429eb0b666583adf6cb371c87a01b51f35e878176747109770ca",
-    "runs/ce_aug_seed5/scores_eval.txt": "1e5756b5437c29effc9c9ff7553d942051c8074e1567c4d0be412fa064b1e714",
-    "runs/ce_aug_seed5/scores_eval_trim.txt": "18df2f83505c854fe973258e93f7d95b941b30116c4e308e074c6eaf7f2c6a92",
-    "runs/cecf_paired_seed5/history.csv": "2c77434bf832de52e39c4359d3abbf86ef2333b19a2b5326cb1251ccd8a581de",
-    "runs/cecf_paired_seed5/scores_eval.txt": "2ca50e9dca0acf8320e7bda71102712f4d60f84c2e58c2eabeddbb039c365cb4",
-    "runs/cecf_paired_seed5/scores_eval_trim.txt": "2d0b2a0ce6c73aff6887f2b4877e68259f1f630f0c662e149a94c6cce3b23fd9",
+    "rescored.txt": "61225de4258c28807cd8dddbf561b2bfe9c39c9bb89351606dc7a569496e46cd",
+    "results.csv": "cc0fc28aea22ceba4b9327e0d05e90d15fb68dac293a8682672a226a8fd22852",
+    "runs/ce_aug_seed5/history.csv": "0cce31cae306bd6417d3a5982e04904a6e53e36c14df80c96d9f5720c8e004d9",
+    "runs/ce_aug_seed5/scores_eval.txt": "4eb6fc52a59807de84ebc3d887d3693a46e3ab4bb88b854396a5dcb016c4e3f4",
+    "runs/ce_aug_seed5/scores_eval_trim.txt": "c8cac1fbff29fa7ab6a29be04dba9a4c7c8c1d566868ecfc4fca582e2a3b3ca8",
+    "runs/cecf_paired_seed5/history.csv": "b6a948f1c029030aabeb3c35435b673b8a35a3f14aebc14e926572bf6d862b7e",
+    "runs/cecf_paired_seed5/scores_eval.txt": "cbff588c8102fcd865f2e1f1dc931a3d0caa013ecec19f82c8a838acfa48da1c",
+    "runs/cecf_paired_seed5/scores_eval_trim.txt": "80f42e1f86c91be8a3ddc589397446d09ab47aba3a8937af7c1859ca162ef243",
     "sig_p.csv": "f12f8f5f21e683a9c2e32474c1a3a0d40c0b7ed314f6b94365b01b10195b2a57",
     "sig_reject.csv": "bd1d7b6738157f20093f694a85b0e070b4481125b2c7162cf78729c77cdb05e4",
     "summary.csv": "7055cb095d53896657d1651b317b43cc48deedea0a2cce0187aeace87ed61209",

@@ -13,11 +13,21 @@ from reference import (
 TAU = 0.07
 
 
+def cf_level(members, labels, level):
+    """One level's loss and member gradients: the utterance level runs on the
+    mean-pooled members, and its gradient is mapped back through the mean."""
+    if level == "sequence":
+        return cf_value_and_grad(members, labels, TAU)
+    n = members[0].shape[0]
+    value, gs = cf_value_and_grad([m.mean(axis=0, keepdims=True) for m in members], labels, TAU)
+    return value, [np.repeat(g / n, n, axis=0) for g in gs]
+
+
 def cf_levels(members, labels, levels="both"):
     """Loss and member gradients summed over the levels LEVEL_TERMS lists."""
     value, grads = 0.0, [np.zeros_like(m) for m in members]
     for level, _ in LEVEL_TERMS[levels]:
-        v, gs = cf_value_and_grad(members, labels, level, TAU)
+        v, gs = cf_level(members, labels, level)
         value += v
         grads = [g + h for g, h in zip(grads, gs)]
     return value, grads
@@ -73,10 +83,10 @@ class TestCosineSimilarity:
         assert np.isclose(val, 0.5 / TAU)  # zero-norm frame contributes 0
 
     def test_shape_mismatch_rejected(self):
-        for members in ([np.ones((2, 3))] * 2 + [np.ones((3, 3))] * 2, [np.ones(3)] * 4):
-            for level in ("sequence", "utterance"):
-                with pytest.raises(ConfigError, match=r"\(N, D\) shape"):
-                    cf_value_and_grad(members, labels_of(2, 2), level, TAU)
+        for members in ([np.ones((2, 3))] * 2 + [np.ones((3, 3))] * 2, [np.ones(3)] * 4,
+                        [np.ones((1, 3))] * 2 + [np.ones((1, 4))] * 2):
+            with pytest.raises(ConfigError, match=r"\(N, D\) shape"):
+                cf_value_and_grad(members, labels_of(2, 2), TAU)
 
 
 class TestPartition:
@@ -156,16 +166,21 @@ class TestLossValue:
         assert np.isclose(seq, utt)
 
     def test_one_level_per_call(self):
+        """A call evaluates the level of the members it is given: the
+        utterance level is a call on the pooled members, and "both" sums the
+        two calls."""
         members, labels = random_batch(np.random.default_rng(12))
-        with pytest.raises(ConfigError):
-            cf_value_and_grad(members, labels, "both", TAU)
+        seq = cf_value_and_grad(members, labels, TAU)[0]
+        utt = cf_value_and_grad([m.mean(axis=0, keepdims=True) for m in members], labels, TAU)[0]
+        assert seq != utt
+        assert cf_levels(members, labels, "both")[0] == seq + utt
 
     def test_too_small_composition_rejected(self):
         rng = np.random.default_rng(9)
         for n_bona, n_spoof in ((1, 2), (2, 1), (0, 4)):
             for level in ("sequence", "utterance"):
                 with pytest.raises(ConfigError, match=">= 2 views per class"):
-                    cf_value_and_grad(*random_batch(rng, n_bona, n_spoof), level, TAU)
+                    cf_level(*random_batch(rng, n_bona, n_spoof), level)
 
 
 class TestGradient:
@@ -192,7 +207,7 @@ class TestGradient:
     def test_symmetric_batch_gradient_structure(self):
         v = np.ones((2, 4)) / 2.0  # unit-norm frames
         members = [v, v.copy(), v.copy(), v.copy()]
-        _, grads = cf_value_and_grad(members, labels_of(2, 2), "sequence", TAU)
+        _, grads = cf_value_and_grad(members, labels_of(2, 2), TAU)
         for g in grads[1:]:
             assert np.allclose(g, grads[0])
         for g in grads:  # cosine gradients live in the tangent space

@@ -21,6 +21,7 @@ from spoofcm.model import (
 )
 
 from conftest import harmonic_speechlike
+from reference import forward_backward_frames
 
 SR = 16000
 
@@ -65,8 +66,10 @@ class TestPoolAndClassify:
         assert np.allclose(forward_member(base, p)["v"], forward_member(base[::-1], p)["v"])
 
     def test_pool_two_frames(self):
-        cache = forward_member(np.random.default_rng(3).standard_normal((2, BASE_DIM)), tiny_model())
-        assert np.allclose(cache["v"], 0.5 * (cache["X"][0] + cache["X"][1]))
+        p = tiny_model()
+        cache = forward_member(np.random.default_rng(3).standard_normal((2, BASE_DIM)), p)
+        X = cache["A1"] @ p.W2.T + p.b2  # the frame-level features the embedding pools
+        assert np.allclose(cache["v"], 0.5 * (X[0] + X[1]))
 
     def test_score_is_logit_difference(self):
         p = tiny_model()
@@ -83,9 +86,11 @@ class TestPoolAndClassify:
     def test_extract_features_shape_and_determinism(self):
         w = harmonic_speechlike(duration=0.5, seed=3)
         p = tiny_model()
-        f1 = forward_member(extract_base_features(w), p)["X"]
-        f2 = forward_member(extract_base_features(w), p)["X"]
-        assert f1.shape[1] == p.W2.shape[0] and np.array_equal(f1, f2)
+        c1 = forward_member(extract_base_features(w), p)
+        c2 = forward_member(extract_base_features(w), p)
+        assert c1["v"].shape == (p.W2.shape[0],)
+        assert np.allclose(c1["v"], (c1["A1"] @ p.W2.T + p.b2).mean(axis=0))
+        assert np.array_equal(c1["v"], c2["v"]) and c1["score"] == c2["score"]
 
 
 from conftest import gradcheck
@@ -134,6 +139,41 @@ class TestForwardBackward:
         max_rel, max_abs = gradcheck(members, labels, loss_cfg, tiny_model(7), n_probe=120, probe_seed=7)
         assert max_rel < 1e-4
         assert max_abs < 1e-8
+
+    @pytest.mark.parametrize(
+        "loss_cfg, ragged, order",
+        [
+            (LossConfig("ce"), True, None),
+            (LossConfig("ce"), True, (2, 0, 3, 4, 1, 5)),
+            (LossConfig("ce+cf", CfConfig(levels="sequence")), False, None),
+            (LossConfig("ce+cf", CfConfig(levels="utterance")), False, None),
+            (LossConfig("ce+cf", CfConfig(levels="both")), False, None),
+            (LossConfig("ce+cf", CfConfig(levels="both")), False, (2, 0, 3, 4, 1, 5)),
+        ],
+        ids=["ce-ragged", "ce-ragged-permuted", "cf-seq", "cf-utt", "cf-both", "cf-both-permuted"],
+    )
+    def test_matches_frame_level_oracle(self, loss_cfg, ragged, order):
+        """Pooling before W2 reassociates sums only: loss, parts and every
+        gradient match the formulation that builds X for every member."""
+        rng = np.random.default_rng(9)
+        members, labels = self._batch(rng, n=40)
+        if ragged:
+            members = [rng.standard_normal((n, BASE_DIM)) for n in (13, 40, 7, 1, 25, 40)]
+        if order is not None:
+            members, labels = [members[i] for i in order], [labels[i] for i in order]
+        p = tiny_model(8)
+        p.feat_mean[...] = rng.standard_normal(BASE_DIM) * 0.1
+        p.feat_scale[...] = rng.uniform(0.5, 2.0, BASE_DIM)
+        loss, grads, parts = forward_backward(members, labels, p, loss_cfg)
+        ref_loss, ref_grads, ref_parts = forward_backward_frames(
+            members, labels, p, loss_cfg.mode, loss_cfg.cf.levels, loss_cfg.cf.temperature
+        )
+        assert np.isclose(loss, ref_loss, rtol=1e-10, atol=0)
+        assert parts.keys() == ref_parts.keys()
+        for key in parts:
+            assert np.isclose(parts[key], ref_parts[key], rtol=1e-10, atol=0), key
+        for name in p.TRAINABLE:
+            np.testing.assert_allclose(grads[name], ref_grads[name], rtol=1e-10, atol=0, err_msg=name)
 
     def test_cf_requires_both_classes_twice(self):
         rng = np.random.default_rng(7)
