@@ -1,6 +1,7 @@
 """Shared signal-processing primitives.
 
-STFT/iSTFT, mel filterbanks and their pseudo-inverse, IIR filtering over
+STFT/iSTFT and the fast Griffin-Lim phase reconstruction that loops over
+them, mel filterbanks and their pseudo-inverse, IIR filtering over
 second-order sections (SOS, scipy's layout) with their Butterworth and notch
 designs, zero-phase filtering, and rational resampling, in numpy alone.
 Everything operates on float64 and is a pure function of its inputs. Hann
@@ -20,8 +21,8 @@ carries the state across blocks by a log-depth prefix scan (Blelloch,
 designs in closed form and pairs its sections differently from scipy's
 ``butter``; the tests hold its response to scipy's. The public entry
 points validate their inputs; the private kernels behind stft and istft
-(``_stft_frames``, ``_istft_samples``) trust their caller, so an iterative
-one checks on entry and its result once.
+(``_stft_frames``, ``_istft_samples``) trust their caller; ``griffin_lim``,
+their one iterative caller, checks on entry and its result once.
 
 Built once per configuration and shared read-only: the analysis window
 (per length), the constant-overlap-add verdict (per StftConfig; a
@@ -173,6 +174,56 @@ def _istft_samples(spec: np.ndarray, cfg: StftConfig, envelope: np.ndarray) -> n
     y = _overlap_add(frames, len(spec), cfg.hop)
     y /= envelope
     return y
+
+
+# The fast Griffin-Lim momentum α; each step moves by β = α / (1 + α) of the
+# last re-analysis past the current one. 0.99 is the paper's choice.
+FGLA_ALPHA = 0.99
+_FGLA_BETA = FGLA_ALPHA / (1.0 + FGLA_ALPHA)
+
+
+def griffin_lim(mag: np.ndarray, cfg: StftConfig, sample_rate: int, iters: int) -> Waveform:
+    """Phase reconstruction by the fast Griffin-Lim algorithm (Perraudin,
+    Balazs & Søndergaard, "A fast Griffin-Lim algorithm", WASPAA 2013), from
+    zero phase.
+
+    Each iteration re-analyses the current samples (``rebuilt``), steps past
+    it by the momentum ``angles = rebuilt - β·rebuilt_prev`` with
+    β = α/(1+α) and α = ``FGLA_ALPHA``, and synthesizes
+    ``mag · angles/|angles|``. The first iteration has no previous
+    spectrogram, so it is a plain Griffin-Lim step. Unlike plain Griffin-Lim
+    the spectral-convergence error need not fall on every iteration, but it
+    falls faster: the vocoder channels' 16 iterations end below the error
+    of 32 plain ones.
+    """
+    if iters < 1:
+        raise ConfigError(f"iters must be >= 1, got {iters}")
+    mag = np.asarray(mag, dtype=np.float64)
+    if mag.ndim != 2 or mag.shape[1] != cfg.fft_size // 2 + 1:
+        raise ConfigError(f"magnitude must be F x {cfg.fft_size // 2 + 1}, got {mag.shape}")
+    # istft checks mag and cfg once; the loop runs on the unchecked kernels
+    samples = istft(ComplexSpectrogram(mag.astype(np.complex128), cfg, sample_rate)).samples
+    envelope = _ola_envelope(cfg, len(mag))
+    rebuilt, prev = np.empty(mag.shape, dtype=np.complex128), np.zeros(mag.shape, dtype=np.complex128)
+    modulus = np.empty(mag.shape)
+    for _ in range(iters):
+        _stft_frames(samples, cfg, rebuilt)
+        # the momentum step, angles = rebuilt - beta * prev, written over prev
+        np.multiply(prev, _FGLA_BETA, out=prev)
+        angles = np.subtract(rebuilt, prev, out=prev)
+        # New phase in place on float64 views: (A * mag) * (1 / max(|A|, eps)),
+        # the products complex mag * A / max(|A|, eps) makes, in its order.
+        np.abs(angles, out=modulus)
+        np.maximum(modulus, 1e-12, out=modulus)
+        np.divide(1.0, modulus, out=modulus)
+        for part in (angles.real, angles.imag):
+            part *= mag
+            part *= modulus
+        samples = _istft_samples(angles, cfg, envelope)
+        prev, rebuilt = rebuilt, angles  # the next analysis overwrites the angles
+    if not np.all(np.isfinite(samples)):  # e.g. finite magnitudes that overflow
+        raise NumericalError("Griffin-Lim diverged to non-finite samples")
+    return Waveform(samples, sample_rate)
 
 
 # ---------------------------------------------------------------------------

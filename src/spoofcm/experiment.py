@@ -42,6 +42,11 @@ Config files are INI. Example:
 A system is a name and its TrainConfig: each [systems] line gives a loss
 mode and a pairing, and the [train] and [cf] keys give the rest, shared by
 every system. A config without [systems] lines trains DEFAULT_SYSTEMS.
+The loss mode decides which of them training reads. ``ce`` trains on
+shuffled mini-batches of ``batch_size`` single views and reads neither the
+pairing nor [cf], so ``ce, paired`` trains byte-identically to
+``ce, random``. ``ce+cf`` trains on one contrastive batch per bona fide
+train trial, built under the pairing, and does not read ``batch_size``.
 
 Every report embeds the resolved config hash and the content hash of
 each input manifest; reruns with identical config and seeds produce
@@ -321,7 +326,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, base_dir: str | P
         # The bundle already holds every trial's untrimmed features.
         eval_manifest = combined.subset("eval")
         eval_features = {
-            "eval": {rec.trial_id: bundle.base(rec.trial_id) for rec in eval_manifest},
+            "eval": {rec.trial_id: bundle.view(rec.trial_id, 0) for rec in eval_manifest},
             "eval_trim": manifest_features(eval_manifest, trim_nonspeech)[0],
         }
 

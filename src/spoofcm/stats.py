@@ -67,20 +67,11 @@ class SignificanceMatrix:
     p_values: np.ndarray = field(repr=False)
     reject: np.ndarray = field(repr=False)
 
-    def _csv(self, values: np.ndarray) -> str:
-        rows = [(name, *row) for name, row in zip(self.systems, values.tolist())]
-        return table_text([("system", *self.systems), *rows])
-
-    def p_csv(self) -> str:
-        return self._csv(self.p_values)
-
-    def reject_csv(self) -> str:
-        return self._csv(self.reject.astype(int))
-
     def save(self, out_dir: Path) -> None:
         """Write the p-values to sig_p.csv and the rejections to sig_reject.csv."""
-        write_file(out_dir / "sig_p.csv", self.p_csv())
-        write_file(out_dir / "sig_reject.csv", self.reject_csv())
+        for name, values in (("sig_p.csv", self.p_values), ("sig_reject.csv", self.reject.astype(int))):
+            rows = [(system, *row) for system, row in zip(self.systems, values.tolist())]
+            write_file(out_dir / name, table_text([("system", *self.systems), *rows]))
 
 
 def significance_matrix(results: dict[str, EerResult]) -> SignificanceMatrix:

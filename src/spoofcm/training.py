@@ -49,12 +49,12 @@ class TrainConfig:
     lr0: float = 1e-3  # desk scale; the paper's large pre-trained front end used 5e-6
     lr_decay: float = 0.1
     lr_decay_every: int = 10
-    batch_size: int = 8
+    batch_size: int = 8  # ce only; a ce+cf batch is one bona fide trial and its spoofs
     max_seconds: float = 4.0
     patience: int = 10
     max_epochs: int = 40
     loss_mode: str = "ce"  # "ce" or "ce+cf"
-    pairing: str = "paired"  # spoof views paired with the batch's bona fide trial, or random
+    pairing: str = "paired"  # ce+cf only: spoof views paired with the batch's bona fide trial, or random
     feature_dim: int = 32
     extractor_hidden: int = 64
     head_hidden: int = 64
@@ -172,9 +172,6 @@ class DataBundle:
     def label(self, trial_id: str) -> int:
         return 1 if self.manifest.by_id(trial_id).label == "bonafide" else 0
 
-    def base(self, trial_id: str) -> np.ndarray:
-        return self.view(trial_id, 0)
-
     def view(self, trial_id: str, view_index: int) -> np.ndarray:
         """The features of a view the bundle holds (0: the base features)."""
         try:
@@ -195,31 +192,27 @@ def compose_batch(
     and their labels (1 bona fide, 0 spoofed), bona fide members first.
 
     Paired mode takes the trial's own vocoded spoofs; random mode samples
-    the same number of spoofs from the provided pool. The bona fide views
+    the same number of spoofs from the provided pool. In either mode a trial
+    without paired spoofs is a ConfigError. The bona fide views
     are the original plus the bundle's k_views augmented copies, and every
     spoof gets k_views augmented copies too. All members are cropped to a
     shared frame window (aligned in paired mode).
     """
     if bundle.label(bona_id) != 1:
         raise ConfigError(f"{bona_id} is not a bona fide trial")
-    paired_ids = bundle.pairing.get(bona_id, [])
-    if mode == "paired":
-        spoof_ids = paired_ids
-        if not spoof_ids:
-            raise ConfigError(f"no paired spoofs for {bona_id}")
-    elif mode == "random":
-        pool = spoof_pool if spoof_pool is not None else []
-        count = len(paired_ids) if paired_ids else min(4, len(pool))
-        if count == 0 or len(pool) < count:
-            raise ConfigError("random pairing needs a spoof pool at least as large as S")
-        spoof_ids = [pool[i] for i in rng.choice(len(pool), size=count, replace=False)]
-    else:
+    if mode not in ("paired", "random"):
         raise ConfigError(f"unknown pairing mode {mode!r}")
+    spoof_ids = bundle.pairing.get(bona_id, [])
+    if not spoof_ids:
+        raise ConfigError(f"no paired spoofs for {bona_id}")
+    if mode == "random":
+        pool = spoof_pool if spoof_pool is not None else []
+        if len(pool) < len(spoof_ids):
+            raise ConfigError("random pairing needs a spoof pool at least as large as S")
+        spoof_ids = [pool[i] for i in rng.choice(len(pool), size=len(spoof_ids), replace=False)]
 
-    bona_views = [bundle.base(bona_id)] + [bundle.view(bona_id, k) for k in range(1, bundle.k_views + 1)]
-    spoof_views = [bundle.base(s) for s in spoof_ids]
-    for k in range(1, bundle.k_views + 1):
-        spoof_views += [bundle.view(s, k) for s in spoof_ids]
+    bona_views = [bundle.view(bona_id, k) for k in range(bundle.k_views + 1)]
+    spoof_views = [bundle.view(s, k) for k in range(bundle.k_views + 1) for s in spoof_ids]
 
     members = bona_views + spoof_views
     common = min(min(m.shape[0] for m in members), max_frames)
@@ -257,7 +250,7 @@ def _dev_metrics(bundle: DataBundle, dev_ids: list[str], params: ModelParams) ->
     losses = []
     entries = []
     for tid in dev_ids:
-        cache = forward_member(bundle.base(tid), params)
+        cache = forward_member(bundle.view(tid, 0), params)
         losses.append(ce_and_grad(cache["logits"], bundle.label(tid))[0])
         rec = bundle.manifest.by_id(tid)
         entries.append(ScoreEntry(tid, cache["score"], rec.label, rec.attack_tag))
@@ -268,7 +261,7 @@ def _dev_metrics(bundle: DataBundle, dev_ids: list[str], params: ModelParams) ->
 
 def fit_standardization(params: ModelParams, bundle: DataBundle, train_ids: list[str]) -> None:
     """Freeze per-dimension mean/scale of the front-end features into the model."""
-    stacked = np.vstack([bundle.base(t) for t in train_ids])
+    stacked = np.vstack([bundle.view(t, 0) for t in train_ids])
     params.feat_mean[...] = stacked.mean(axis=0)
     params.feat_scale[...] = stacked.std(axis=0) + 1e-8
 

@@ -9,11 +9,11 @@ distinct artifact signature:
                 spectral coloration (magnitudes preserved within a few %)
 * ``lpcvoc``    all-pole source-filter resynthesis
 
-Both Griffin-Lim channels reconstruct phase with the fast Griffin-Lim
-algorithm (Perraudin, Balazs & Søndergaard, WASPAA 2013; momentum
-α = 0.99) in 16 iterations: from the same zero-phase start, 16 of them end
-at a lower spectral-convergence error than 32 plain Griffin-Lim iterations,
-at half the transforms.
+Both Griffin-Lim channels reconstruct phase with ``dsp.griffin_lim``, the
+fast Griffin-Lim algorithm (Perraudin, Balazs & Søndergaard, WASPAA 2013;
+momentum α = 0.99), in 16 iterations: from the same zero-phase start, 16 of
+them end at a lower spectral-convergence error than 32 plain Griffin-Lim
+iterations, at half the transforms.
 
 A channel is a name and a rate. Its internals are its row of
 ``CHANNEL_PARAMS``, applied to every trial, so its artifacts are consistent
@@ -39,20 +39,16 @@ import numpy as np
 
 from .audio_io import Waveform, read_wav, write_wav
 from .dsp import (
-    ComplexSpectrogram,
     MelFilterbank,
     StftConfig,
-    _istft_samples,
-    _ola_envelope,
-    _stft_frames,
-    istft,
+    griffin_lim,
     mel_apply,
     mel_pseudo_inverse,
     resample,
     sosfilt,
     stft,
 )
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError
 from .lpc import lpc_resynthesize
 from .manifest import TrialManifest, TrialRecord
 from .util import derive_seed, file_size, parallel_map
@@ -65,68 +61,6 @@ SYNTHESIS_VERSION = 3
 MIN_INPUT_SECONDS = 0.5
 _SUPPORTED_RATES = (8000, 48000)
 _SILENT_PEAK = 1e-6
-# The fast Griffin-Lim momentum α; each step moves by β = α / (1 + α) of the
-# last re-analysis past the current one. 0.99 is the paper's choice.
-FGLA_ALPHA = 0.99
-_FGLA_BETA = FGLA_ALPHA / (1.0 + FGLA_ALPHA)
-
-
-def griffin_lim(
-    mag: np.ndarray,
-    cfg: StftConfig,
-    sample_rate: int,
-    iters: int,
-    error_trace: list | None = None,
-) -> Waveform:
-    """Phase reconstruction by the fast Griffin-Lim algorithm (Perraudin,
-    Balazs & Søndergaard, "A fast Griffin-Lim algorithm", WASPAA 2013), from
-    zero phase.
-
-    Each iteration re-analyses the current samples (``rebuilt``), steps past
-    it by the momentum ``angles = rebuilt - β·rebuilt_prev`` with
-    β = α/(1+α) and α = ``FGLA_ALPHA``, and synthesizes
-    ``mag · angles/|angles|``. The first iteration has no previous
-    spectrogram, so it is a plain Griffin-Lim step. Unlike plain Griffin-Lim
-    the error need not fall on every iteration, but it falls faster: the
-    channels' 16 iterations end below the error of 32 plain ones.
-
-    When given, ``error_trace`` collects once per iteration the spectral
-    convergence error (Frobenius, relative) of |STFT(current samples)|
-    against ``mag``, taken before the momentum step.
-    """
-    if iters < 1:
-        raise ConfigError(f"iters must be >= 1, got {iters}")
-    mag = np.asarray(mag, dtype=np.float64)
-    if mag.ndim != 2 or mag.shape[1] != cfg.fft_size // 2 + 1:
-        raise ConfigError(f"magnitude must be F x {cfg.fft_size // 2 + 1}, got {mag.shape}")
-    mag_norm = np.linalg.norm(mag)
-    # istft checks mag and cfg once; the loop runs on the unchecked kernels
-    samples = istft(ComplexSpectrogram(mag.astype(np.complex128), cfg, sample_rate)).samples
-    envelope = _ola_envelope(cfg, len(mag))
-    rebuilt, prev = np.empty(mag.shape, dtype=np.complex128), np.zeros(mag.shape, dtype=np.complex128)
-    modulus = np.empty(mag.shape)
-    for _ in range(iters):
-        _stft_frames(samples, cfg, rebuilt)
-        if error_trace is not None:
-            err = np.linalg.norm(np.abs(rebuilt) - mag) / max(mag_norm, 1e-12)
-            error_trace.append(float(err))
-        # the momentum step, angles = rebuilt - beta * prev, written over prev
-        np.multiply(prev, _FGLA_BETA, out=prev)
-        angles = np.subtract(rebuilt, prev, out=prev)
-        # New phase in place on float64 views: (A * mag) * (1 / max(|A|, eps)),
-        # the products complex mag * A / max(|A|, eps) makes, in its order.
-        np.abs(angles, out=modulus)
-        np.maximum(modulus, 1e-12, out=modulus)
-        np.divide(1.0, modulus, out=modulus)
-        for part in (angles.real, angles.imag):
-            part *= mag
-            part *= modulus
-        samples = _istft_samples(angles, cfg, envelope)
-        prev, rebuilt = rebuilt, angles  # the next analysis overwrites the angles
-    if not np.all(np.isfinite(samples)):  # e.g. finite magnitudes that overflow
-        raise NumericalError("Griffin-Lim diverged to non-finite samples")
-    return Waveform(samples, sample_rate)
-
 
 # Each channel's fixed internals, by name. Part of the vocoded-set cache key
 # through VocoderChannel's repr, so changing a value rebuilds cached sets.

@@ -266,21 +266,17 @@ def estimate_f0_loops(frame, sample_rate):
     return float(sample_rate / lag)
 
 
-def griffin_lim_loops(mag, cfg, sample_rate, iters, error_trace=None, alpha=0.99):
+def griffin_lim_loops(mag, cfg, sample_rate, iters, alpha=0.99):
     """Fast Griffin-Lim (momentum alpha) through the public, checking stft and
     istft on every iteration; alpha = 0 is plain Griffin-Lim."""
     from spoofcm.dsp import ComplexSpectrogram, istft, stft
 
     beta = alpha / (1.0 + alpha)
     mag = np.asarray(mag, dtype=np.float64)
-    mag_norm = np.linalg.norm(mag)
     wave = istft(ComplexSpectrogram(mag.astype(np.complex128), cfg, sample_rate))
     prev = np.zeros(mag.shape, dtype=np.complex128)
     for _ in range(iters):
         rebuilt = stft(wave, cfg).frames
-        if error_trace is not None:
-            err = np.linalg.norm(np.abs(rebuilt) - mag) / max(mag_norm, 1e-12)
-            error_trace.append(float(err))
         angles = rebuilt - beta * prev
         modulus = np.abs(angles)
         np.maximum(modulus, 1e-12, out=modulus)

@@ -546,7 +546,7 @@ def built_set(tmp_path_factory):
                                   base / "vocoded")
     files = {p.name: p.read_bytes() for p in sorted((base / "vocoded").iterdir())}
     bundle = DataBundle(combined, None, 0, 0)
-    return base / "manifest.tsv", channels, files, combined.records, {t: bundle.base(t) for t in bundle.ids()}
+    return base / "manifest.tsv", channels, files, combined.records, {t: bundle.view(t, 0) for t in bundle.ids()}
 
 
 @settings(max_examples=24, deadline=None, derandomize=True)
@@ -572,7 +572,7 @@ def test_truncated_vocoded_set_is_rebuilt_or_refused(built_set, data):
         return
     assert combined.records == records
     assert bundle.ids() == list(features)
-    assert all(np.array_equal(bundle.base(t), features[t]) for t in features)
+    assert all(np.array_equal(bundle.view(t, 0), features[t]) for t in features)
 
 
 def one_trial_manifest(tmp_path) -> str:

@@ -100,7 +100,7 @@ class TestSignificanceMatrix:
         with pytest.raises(ConfigError):
             significance_matrix({"only": res(0.1)})
 
-    def test_csv_outputs(self):
-        m = significance_matrix({"a": res(0.1), "b": res(0.3)})
-        assert m.p_csv().startswith("system,a,b")
-        assert m.reject_csv().splitlines()[1].startswith("a,0,")
+    def test_csv_outputs(self, tmp_path):
+        significance_matrix({"a": res(0.1), "b": res(0.3)}).save(tmp_path)
+        assert (tmp_path / "sig_p.csv").read_text(encoding="utf-8").startswith("system,a,b")
+        assert (tmp_path / "sig_reject.csv").read_text(encoding="utf-8").splitlines()[1].startswith("a,0,")

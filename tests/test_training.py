@@ -61,7 +61,6 @@ def plain_bundle(tiny_bundle):
 def test_view_is_the_kind_applied_with_a_per_view_seed(tiny_bundle, kind):
     bundle = DataBundle(tiny_bundle.manifest, kind, master_seed=99, k_views=2)
     tid = "t03_coarsegl"
-    assert bundle.view(tid, 0) is bundle.base(tid)
     w = read_wav(bundle.manifest.resolve(bundle.manifest.by_id(tid)))
     first = bundle.view(tid, 1)
     assert np.array_equal(first, extract_base_features(apply_augment(w, kind, derive_seed(99, tid, 1))))
@@ -210,7 +209,7 @@ class TestComposeBatch:
         expected = tiny_bundle.pairing["t01"]
         spoofs = [m for m, y in zip(members, labels) if y == 0]
         for got, sid in zip(spoofs[: len(expected)], expected):
-            full = tiny_bundle.base(sid)
+            full = tiny_bundle.view(sid, 0)
             n = got.shape[0]
             assert any(
                 np.array_equal(got, full[s : s + n]) for s in range(full.shape[0] - n + 1)
@@ -223,6 +222,17 @@ class TestComposeBatch:
         pool = tiny_bundle.ids(subset="train", label="spoof")  # the bundle holds views of train trials only
         _, labels = compose_batch(tiny_bundle, "t00", "random", rng, 398, spoof_pool=pool)
         assert labels == [1] * 2 + [0] * 4
+
+    @pytest.mark.parametrize("mode", ["paired", "random"])
+    def test_trial_without_paired_spoofs_is_an_error_in_both_modes(self, plain_bundle, mode):
+        """Random mode samples as many spoofs as the trial has paired ones, so it
+        has no count to sample for a trial that has none."""
+        records = [plain_bundle.manifest.by_id("t00")]
+        records += [r for r in plain_bundle.manifest if r.label == "spoof" and r.source_id == "t01"]
+        bundle = DataBundle(TrialManifest(records, plain_bundle.manifest.root), None, master_seed=99, k_views=0)
+        pool = bundle.ids(label="spoof")
+        with pytest.raises(ConfigError, match="no paired spoofs for t00"):
+            compose_batch(bundle, "t00", mode, np.random.default_rng(0), 398, spoof_pool=pool)
 
 
 class TestTrainLoop:
@@ -244,6 +254,15 @@ class TestTrainLoop:
         cfg = TrainConfig(max_epochs=3, patience=10, loss_mode="ce")
         p1, h1 = train(plain_bundle, cfg, seed=42)
         p2, h2 = train(plain_bundle, cfg, seed=42)
+        assert h1 == h2
+        assert np.array_equal(flat(p1), flat(p2))
+
+    @pytest.mark.parametrize("mode, setting, value", [("ce", "pairing", "random"), ("ce+cf", "batch_size", 3)])
+    def test_a_loss_mode_ignores_the_other_modes_setting(self, tiny_bundle, mode, setting, value):
+        """ce reads batch_size and not pairing; ce+cf reads pairing and not batch_size."""
+        cfg = TrainConfig(max_epochs=1, loss_mode=mode, pairing="paired", batch_size=8)
+        p1, h1 = train(tiny_bundle, cfg, seed=5)
+        p2, h2 = train(tiny_bundle, dc_replace(cfg, **{setting: value}), seed=5)
         assert h1 == h2
         assert np.array_equal(flat(p1), flat(p2))
 
@@ -313,7 +332,7 @@ class TestScoring:
         scores, missing = score_manifest(eval_manifest, params, features, "eval")
         assert not missing and len(scores) == len(eval_manifest)
         # run_experiment scores from the bundle's features: the same bytes
-        from_bundle = {tid: plain_bundle.base(tid) for tid in features}
+        from_bundle = {tid: plain_bundle.view(tid, 0) for tid in features}
         rescored, _ = score_manifest(eval_manifest, params, from_bundle, "eval")
         assert [e.score for e in scores.entries] == [e.score for e in rescored.entries]
 
