@@ -15,7 +15,9 @@ configured ``levels`` value to the single levels it sums, unweighted, and
 names each term.
 
 All computation is done in the log domain (logsumexp) since similarities
-reach 1/temperature (about 14.3 at the default 0.07).
+reach 1/temperature (about 14.3 at the default 0.07). The gradients come
+back in the members' dtype (float32 when training), and the loss as a
+Python float.
 """
 from __future__ import annotations
 
@@ -67,7 +69,7 @@ def _cf_core(members: list, labels: list, temperature: float):
     n_frames = members[0].shape[0]
     labels_arr = np.asarray(labels)
     loss = 0.0
-    anchor_grad = np.zeros((b, b))  # d loss / d sims[k, m] from anchor k's terms
+    anchor_grad = np.zeros((b, b), dtype=sims.dtype)  # d loss / d sims[k, m] from anchor k's terms
     for k in range(b):
         others = np.arange(b) != k
         positives = others & (labels_arr == labels_arr[k])

@@ -1,7 +1,13 @@
 """The countermeasure model: fixed filterbank framing front, a small
 trainable frame-feature extractor, global average pooling, and an MLP
-classifier head. Forward and backward passes are written out by hand in
-float64 so gradients can be checked against finite differences.
+classifier head. Forward and backward passes are written out by hand.
+
+The framing front computes in float64. Everything after it runs in the
+parameters' dtype, float32 or float64: ``forward_member`` casts its input
+to it, and every activation, gradient and contrastive term keeps it.
+``init_model`` makes float32 parameters (``PARAM_DTYPE``), as the paper's
+networks train; float64 parameters give the same computation at double
+precision, which the finite-difference gradient checks need.
 
 The extractor's last layer ``W2`` is linear, so pooling commutes with it:
 the embedding is ``W2 @ mean(A1) + b2``, the mean over frames of the
@@ -13,7 +19,7 @@ likely bona fide. ``forward_member`` computes it, as ``"score"``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -30,6 +36,7 @@ N_FILTERS = 24
 BASE_DIM = N_FILTERS + 1  # log-energy + filterbank energies
 LEAKY_SLOPE = 0.01
 LOG_FLOOR = 1e-10
+PARAM_DTYPE = np.float32  # what init_model makes; see the module docstring
 
 
 @lru_cache(maxsize=8)
@@ -53,7 +60,8 @@ def extract_base_features(w: Waveform) -> np.ndarray:
 
 @dataclass
 class ModelParams:
-    """All trainable tensors plus the frozen input standardization buffers."""
+    """All trainable tensors plus the frozen input standardization buffers,
+    all of one dtype: float32 or float64."""
 
     W1: np.ndarray
     b1: np.ndarray
@@ -67,15 +75,18 @@ class ModelParams:
     c3: np.ndarray
     Ho: np.ndarray
     co: np.ndarray
-    feat_mean: np.ndarray = field(default_factory=lambda: np.zeros(BASE_DIM))
-    feat_scale: np.ndarray = field(default_factory=lambda: np.ones(BASE_DIM))
+    feat_mean: np.ndarray
+    feat_scale: np.ndarray
 
     TRAINABLE = ("W1", "b1", "W2", "b2", "H1", "c1", "H2", "c2", "H3", "c3", "Ho", "co")
     FIELDS = TRAINABLE + ("feat_mean", "feat_scale")
 
     def __post_init__(self):
-        for name in self.FIELDS:
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+        arrays = {name: np.asarray(getattr(self, name)) for name in self.FIELDS}
+        dtypes = {arr.dtype for arr in arrays.values()}
+        if dtypes not in ({np.dtype(np.float32)}, {np.dtype(np.float64)}):
+            raise ConfigError(f"parameters must share one dtype, float32 or float64, got {sorted(map(str, dtypes))}")
+        for name, arr in arrays.items():
             if not np.all(np.isfinite(arr)):
                 raise NumericalError(f"parameter {name} contains non-finite values")
             setattr(self, name, arr)
@@ -89,7 +100,12 @@ class ModelParams:
         if bad:
             raise ConfigError(f"layer dimensions are inconsistent (input dim {BASE_DIM}, 2 logits): {bad}")
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.W1.dtype
+
     def zero_grads(self) -> dict:
+        """Zero arrays shaped and typed as the trainable tensors: gradients and Adam moments."""
         return {name: np.zeros_like(getattr(self, name)) for name in self.TRAINABLE}
 
     def copy(self) -> "ModelParams":
@@ -100,7 +116,8 @@ def init_model(seed: int, feature_dim: int, extractor_hidden: int, head_hidden: 
     rng = np.random.default_rng(seed)
 
     def layer(n_out, n_in):
-        return rng.standard_normal((n_out, n_in)) * np.sqrt(2.0 / n_in), np.zeros(n_out)
+        w = rng.standard_normal((n_out, n_in)) * np.sqrt(2.0 / n_in)
+        return w.astype(PARAM_DTYPE), np.zeros(n_out, PARAM_DTYPE)
 
     W1, b1 = layer(extractor_hidden, BASE_DIM)
     W2, b2 = layer(feature_dim, extractor_hidden)
@@ -108,11 +125,13 @@ def init_model(seed: int, feature_dim: int, extractor_hidden: int, head_hidden: 
     H2, c2 = layer(head_hidden, head_hidden)
     H3, c3 = layer(head_hidden, head_hidden)
     Ho, co = layer(2, head_hidden)
-    return ModelParams(W1, b1, W2, b2, H1, c1, H2, c2, H3, c3, Ho, co)
+    return ModelParams(W1, b1, W2, b2, H1, c1, H2, c2, H3, c3, Ho, co,
+                       np.zeros(BASE_DIM, PARAM_DTYPE), np.ones(BASE_DIM, PARAM_DTYPE))
 
 
 # Both helpers avoid np.where (~8x a multiply's time on numpy 2.4) and keep its bytes, also at +-0, +-inf, NaN.
-_SLOPES = np.array([LEAKY_SLOPE, 1.0])
+# The slopes come in each parameter dtype, so that a float32 gradient is not widened to float64.
+_SLOPES = {np.dtype(t): np.array([LEAKY_SLOPE, 1.0], dtype=t) for t in (np.float32, np.float64)}
 
 
 def _lrelu(z):
@@ -122,13 +141,13 @@ def _lrelu(z):
 
 def _dlrelu(z):
     """d lrelu / dz: 1 where z > 0, else LEAKY_SLOPE (also for NaN)."""
-    return _SLOPES.take((z > 0).view(np.uint8))
+    return _SLOPES[z.dtype].take((z > 0).view(np.uint8))
 
 
 def forward_member(base: np.ndarray, p: ModelParams) -> dict:
-    """Full forward pass for one trial; returns every intermediate needed
-    by the backward pass, and the trial's score."""
-    B = (np.asarray(base, dtype=np.float64) - p.feat_mean) / p.feat_scale
+    """Full forward pass for one trial, in the parameters' dtype; returns
+    every intermediate needed by the backward pass, and the trial's score."""
+    B = (np.asarray(base, dtype=p.dtype) - p.feat_mean) / p.feat_scale
     Z1 = B @ p.W1.T + p.b1
     A1 = _lrelu(Z1)
     a = A1.mean(axis=0)

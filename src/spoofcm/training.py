@@ -3,6 +3,13 @@ crops, paired or random contrastive mini-batches, early stopping on the
 development loss, and deterministic checkpoints.
 
 All randomness is derived from the run seed; reruns are bit-identical.
+Training runs in the parameters' dtype, float32 (``model.PARAM_DTYPE``):
+the forward and backward passes, the contrastive terms, the gradients and
+Adam's moments. The features are computed in float64 and stored as float32,
+because the stored views are most of a bundle's memory and training reads
+them in float32 anyway; ``manifest_features`` stores the eval features the
+same way. Checkpoints keep the parameters' dtype.
+
 Per-trial features (a bundle's base features and augmented views, and
 ``manifest_features``) are built by ``util.parallel_map``, one trial or
 view per item, and come back in input order, so they are byte-identical
@@ -29,6 +36,7 @@ from .metrics import ScoreEntry, ScoreSet, compute_eer
 from .model import (
     FRAME_HOP,
     FRAME_WIN,
+    PARAM_DTYPE,
     LossConfig,
     ModelParams,
     ce_and_grad,
@@ -116,9 +124,9 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float) -> 
 
 def _trial_features(manifest: TrialManifest, transform, rec) -> np.ndarray:
     """Base features of one trial's audio, mapped by ``transform`` first
-    unless it is None."""
+    unless it is None, stored in the training dtype."""
     w = read_wav(manifest.resolve(rec))
-    return extract_base_features(w if transform is None else transform(w))
+    return extract_base_features(w if transform is None else transform(w)).astype(PARAM_DTYPE)
 
 
 class DataBundle:
@@ -232,8 +240,15 @@ def compose_batch(
 
 @dataclass(frozen=True)
 class EpochStats:
+    """One row of history.csv. ``ce``, ``cf_seq`` and ``cf_utt`` split
+    ``train_loss`` into its terms (``forward_backward``'s parts), each the
+    epoch's mean over batches; a term the loss mode lacks reads 0."""
+
     epoch: int
     train_loss: float
+    ce: float
+    cf_seq: float
+    cf_utt: float
     dev_loss: float
     dev_eer: float
     lr: float
@@ -302,7 +317,7 @@ def train(
 
     for epoch in range(cfg.max_epochs):
         lr = cfg.lr0 * cfg.lr_decay ** (epoch // cfg.lr_decay_every)
-        epoch_losses = []
+        epoch_losses, epoch_parts = [], []
         if cfg.loss_mode == "ce":
             items = [(t, 0) for t in train_ids] + [(t, k) for t in train_ids for k in range(1, bundle.k_views + 1)]
             order = rng.permutation(len(items))
@@ -310,19 +325,23 @@ def train(
                 chunk = [items[i] for i in order[s : s + cfg.batch_size]]
                 members = [_crop(bundle.view(t, k), max_frames, rng) for t, k in chunk]
                 labels = [bundle.label(t) for t, _ in chunk]
-                loss, grads, _ = forward_backward(members, labels, params, loss_cfg, batch_id=f"ep{epoch}")
+                loss, grads, parts = forward_backward(members, labels, params, loss_cfg, batch_id=f"ep{epoch}")
                 epoch_losses.append(loss)
+                epoch_parts.append(parts)
                 adam_step(params, grads, state, lr)
         else:
             for idx in rng.permutation(len(bona_train)):
                 bona_id = bona_train[idx]
                 members, labels = compose_batch(bundle, bona_id, cfg.pairing, rng, max_frames, spoof_pool=spoof_train)
-                loss, grads, _ = forward_backward(members, labels, params, loss_cfg, batch_id=bona_id)
+                loss, grads, parts = forward_backward(members, labels, params, loss_cfg, batch_id=bona_id)
                 epoch_losses.append(loss)
+                epoch_parts.append(parts)
                 adam_step(params, grads, state, lr)
 
         dev_loss, dev_eer = _dev_metrics(bundle, dev_ids, params)
-        history.append(EpochStats(epoch, float(np.mean(epoch_losses)), dev_loss, dev_eer, lr))
+        part_means = {k: float(np.mean([parts[k] for parts in epoch_parts])) for k in ("ce", "cf_seq", "cf_utt")}
+        history.append(EpochStats(epoch, float(np.mean(epoch_losses)), **part_means,
+                                  dev_loss=dev_loss, dev_eer=dev_eer, lr=lr))
         if dev_loss < best_loss:
             best_loss = dev_loss
             best_params = params.copy()
@@ -379,24 +398,35 @@ def score_manifest(
 # ---------------------------------------------------------------------------
 
 _CKPT_MAGIC = "spoofcm-checkpoint"
+_CKPT_DTYPES = ("<f4", "<f8")
 
 
 def save_checkpoint(path: str | Path, params: ModelParams, config_hash: str = "") -> None:
+    """Write the parameters as one JSON header line, then every tensor's
+    bytes in ``ModelParams.FIELDS`` order, little-endian and C order.
+
+    The header holds ``format``, ``config_hash``, each tensor's ``name`` and
+    ``shape``, ``version`` 2 and ``dtype``, the parameters' dtype as "<f4"
+    or "<f8". Version 1 had no ``dtype`` and stored "<f8".
+    """
+    dtype = params.dtype.newbyteorder("<").str
     header = {
         "format": _CKPT_MAGIC,
-        "version": 1,
+        "version": 2,
+        "dtype": dtype,
         "config_hash": config_hash,
         "tensors": [
             {"name": n, "shape": list(getattr(params, n).shape)} for n in ModelParams.FIELDS
         ],
     }
-    blob = b"".join(np.ascontiguousarray(getattr(params, n), dtype="<f8").tobytes() for n in ModelParams.FIELDS)
+    blob = b"".join(np.ascontiguousarray(getattr(params, n), dtype=dtype).tobytes() for n in ModelParams.FIELDS)
     write_file(path, json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + blob)
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, str]:
-    """Read a checkpoint written by ``save_checkpoint``; any malformed or
-    truncated file raises DataError."""
+    """Read a checkpoint written by ``save_checkpoint``, header version 2 or
+    1, as parameters of its stored dtype; any malformed or truncated file,
+    or a dtype other than "<f4" or "<f8", raises DataError."""
     path = Path(path)
     try:
         with open(path, "rb") as f:
@@ -410,6 +440,9 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, str]:
         raise DataError(f"{path}: unreadable checkpoint header: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != _CKPT_MAGIC:
         raise DataError(f"{path}: not a model checkpoint")
+    dtype = header.get("dtype", "<f8" if header.get("version") == 1 else None)
+    if dtype not in _CKPT_DTYPES:
+        raise DataError(f"{path}: checkpoint tensors must be stored as one of {list(_CKPT_DTYPES)}, got {dtype!r}")
     specs = header.get("tensors")
     if not isinstance(specs, list) or len(specs) != len(ModelParams.FIELDS):
         raise DataError(f"{path}: checkpoint must hold the tensors {list(ModelParams.FIELDS)}")
@@ -419,10 +452,10 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, str]:
         shape = spec.get("shape") if isinstance(spec, dict) and spec.get("name") == name else None
         if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
             raise DataError(f"{path}: expected tensor {name} with a valid shape, got {spec!r}")
-        end = pos + 8 * math.prod(shape)
+        end = pos + np.dtype(dtype).itemsize * math.prod(shape)
         if end > len(blob):
             raise DataError(f"{path}: truncated: tensor data ends at byte {len(blob)}, inside {name}")
-        kwargs[name] = np.frombuffer(blob[pos:end], dtype="<f8").reshape(shape).copy()
+        kwargs[name] = np.frombuffer(blob[pos:end], dtype=dtype).reshape(shape).copy()
         pos = end
     if pos != len(blob):
         raise DataError(f"{path}: {len(blob) - pos} bytes follow the last tensor")

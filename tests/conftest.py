@@ -49,6 +49,15 @@ def speechlike():
     return harmonic_speechlike()
 
 
+def with_dtype(params, dtype):
+    """A copy of ``params`` with every tensor cast to ``dtype``. The checks
+    whose tolerances need double precision (finite differences, the oracles
+    in reference.py) widen ``init_model``'s float32 parameters with it."""
+    from spoofcm.model import ModelParams
+
+    return ModelParams(**{name: getattr(params, name).astype(dtype) for name in params.FIELDS})
+
+
 def flat(params):
     """The trainable parameters as one vector, in ``TRAINABLE`` order."""
     return np.concatenate([getattr(params, n).ravel() for n in params.TRAINABLE])

@@ -145,24 +145,24 @@ class TestRunExperiment:
 
 # SHA-256 of every text artifact that a tiny run and the analysis commands
 # write. The histories, scores and the tables built from them were re-recorded
-# when the model came to pool before W2, which reassociates the training sums;
-# the summary and significance tables, the config and the vocoded set kept
-# their bytes. A change that keeps the synthesis version and the model's
-# arithmetic must keep every byte.
+# when training moved to float32 and history.csv gained the loss split; the
+# summary and significance tables, the config and the vocoded set kept their
+# bytes. A change that keeps the synthesis version and the model's arithmetic
+# must keep every byte.
 GOLDEN_ARTIFACT_SHA256 = {
     "config_resolved.ini": "11e5944d1d27020b406ee9ac56e9e419ec7a84e970af00441468ba981d60b14e",
-    "eer.csv": "d2f689ed2f93ac4d99f1dbabdf79d7cd72997e51d6469d0f450c9d78ebcc2bd0",
-    "group/category_eer.csv": "dcb1701cdaf1c0e4928ced42516e3133142ea185ffdc6abb99659fb282c1c66a",
-    "group/histograms.csv": "e3c8ebd9da185f3c84400ea5112fbfeb5dcef0cd3986f99067f441b7b83eaf5b",
+    "eer.csv": "38e37475bcf289d20e662b1cbe2fedfa9d516183cb8403e75e3a3bbc0be01df2",
+    "group/category_eer.csv": "431282e4c69406925b1bbeedfa92e0e85060f05e360bc9af35fb8bee02763674",
+    "group/histograms.csv": "50937ea3580c1ee35665977a15fbcdff1ef0231b41ea09126a66ade2db536247",
     "meta.json": "e96324b17d519b41ce9da862f383755010b5c05b2a642ee8dd6668075babb18c",
-    "rescored.txt": "61225de4258c28807cd8dddbf561b2bfe9c39c9bb89351606dc7a569496e46cd",
-    "results.csv": "cc0fc28aea22ceba4b9327e0d05e90d15fb68dac293a8682672a226a8fd22852",
-    "runs/ce_aug_seed5/history.csv": "0cce31cae306bd6417d3a5982e04904a6e53e36c14df80c96d9f5720c8e004d9",
-    "runs/ce_aug_seed5/scores_eval.txt": "4eb6fc52a59807de84ebc3d887d3693a46e3ab4bb88b854396a5dcb016c4e3f4",
-    "runs/ce_aug_seed5/scores_eval_trim.txt": "c8cac1fbff29fa7ab6a29be04dba9a4c7c8c1d566868ecfc4fca582e2a3b3ca8",
-    "runs/cecf_paired_seed5/history.csv": "b6a948f1c029030aabeb3c35435b673b8a35a3f14aebc14e926572bf6d862b7e",
-    "runs/cecf_paired_seed5/scores_eval.txt": "cbff588c8102fcd865f2e1f1dc931a3d0caa013ecec19f82c8a838acfa48da1c",
-    "runs/cecf_paired_seed5/scores_eval_trim.txt": "80f42e1f86c91be8a3ddc589397446d09ab47aba3a8937af7c1859ca162ef243",
+    "rescored.txt": "07337a57ee76af0e5c92786b2d96adaab44ae2363182e71482664b87ca146c7d",
+    "results.csv": "fd27bf728983caa18d21b9665eb1f2cb238c1772d835d4d3039a51f82245edce",
+    "runs/ce_aug_seed5/history.csv": "d0cef746e565c2ff70163e5b53d36d2b9bf7c36dc5506445188e50d83dd07ac8",
+    "runs/ce_aug_seed5/scores_eval.txt": "9bcbd84dbfde32ae9061f39b96a3a9fdef38df1671be4f5f48c5ceb929094766",
+    "runs/ce_aug_seed5/scores_eval_trim.txt": "331c0b00457918b985eb18dafa5b2b705eeb9b58abfb4029d2ea193d66272ea4",
+    "runs/cecf_paired_seed5/history.csv": "07a924d3e091846cadbc4a5238acd83d6fc470524d946e5a5969dd50f684fbc7",
+    "runs/cecf_paired_seed5/scores_eval.txt": "39c5b3edc9d77247fc3bb992a3563552f29512aa6b08d106100052500981c2cc",
+    "runs/cecf_paired_seed5/scores_eval_trim.txt": "16ff1e5cae2d2bde60d54d54f30473c2f11cc0ae687857ab9c577625a8c4608d",
     "sig_p.csv": "f12f8f5f21e683a9c2e32474c1a3a0d40c0b7ed314f6b94365b01b10195b2a57",
     "sig_reject.csv": "bd1d7b6738157f20093f694a85b0e070b4481125b2c7162cf78729c77cdb05e4",
     "summary.csv": "7055cb095d53896657d1651b317b43cc48deedea0a2cce0187aeace87ed61209",

@@ -30,14 +30,14 @@ from spoofcm.training import (
 from spoofcm.util import _deal, derive_seed, file_size
 from spoofcm.vocoders import VocoderChannel, build_vocoded_set
 
-from conftest import flat, harmonic_speechlike
+from conftest import flat, harmonic_speechlike, with_dtype
 
 SR = 16000
 
 
-@pytest.fixture(scope="module")
-def tiny_bundle(tmp_path_factory):
-    root = tmp_path_factory.mktemp("tinycorpus")
+def make_tiny_bundle(root):
+    """Nine 0.8 s trials (5 train, 2 dev, 2 eval) and their coarsegl and
+    phasernd spoofs under ``root``, with one rawboost view per train trial."""
     records = []
     subsets = ["train"] * 5 + ["dev"] * 2 + ["eval"] * 2
     for i, subset in enumerate(subsets):
@@ -52,6 +52,11 @@ def tiny_bundle(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def tiny_bundle(tmp_path_factory):
+    return make_tiny_bundle(tmp_path_factory.mktemp("tinycorpus"))
+
+
+@pytest.fixture(scope="module")
 def plain_bundle(tiny_bundle):
     """The same trials with no augmentation: training sees original views only."""
     return DataBundle(tiny_bundle.manifest, None, master_seed=99, k_views=1)
@@ -63,7 +68,9 @@ def test_view_is_the_kind_applied_with_a_per_view_seed(tiny_bundle, kind):
     tid = "t03_coarsegl"
     w = read_wav(bundle.manifest.resolve(bundle.manifest.by_id(tid)))
     first = bundle.view(tid, 1)
-    assert np.array_equal(first, extract_base_features(apply_augment(w, kind, derive_seed(99, tid, 1))))
+    features = extract_base_features(apply_augment(w, kind, derive_seed(99, tid, 1)))
+    assert features.dtype == np.float64 and first.dtype == np.float32  # stored at half the width
+    assert np.array_equal(first, features.astype(np.float32))
     assert bundle.view(tid, 1) is first  # built once, then looked up
     assert not np.array_equal(bundle.view(tid, 2), first)
 
@@ -150,7 +157,7 @@ def test_manifest_features_do_not_depend_on_the_worker_count(tmp_path, cpus):
 
 class TestAdam:
     def test_first_step_magnitude(self):
-        p = init_model(0, feature_dim=8, extractor_hidden=6, head_hidden=7)
+        p = with_dtype(init_model(0, feature_dim=8, extractor_hidden=6, head_hidden=7), np.float64)
         state = adam_init(p)
         grads = {k: np.full_like(getattr(p, k), 3.0) for k in p.TRAINABLE}
         before = flat(p)
@@ -166,12 +173,34 @@ class TestAdam:
             adam_step(p, {k: np.zeros_like(getattr(p, k)) for k in p.TRAINABLE}, state, lr=0.1)
         assert np.array_equal(flat(p), before)
 
+    def test_a_float32_step_stays_float32(self, tiny_bundle):
+        """No term widens a float32 step: the forward cache, the activation
+        slopes, the contrastive gradients, every gradient and Adam moment."""
+        from spoofcm.contrastive import cf_value_and_grad
+        from spoofcm.model import _dlrelu, forward_member
+
+        p = init_model(3, feature_dim=8, extractor_hidden=6, head_hidden=7)
+        members, labels = compose_batch(tiny_bundle, "t00", "paired", np.random.default_rng(0), 40)
+        assert {m.dtype for m in members} == {np.dtype(np.float32)}
+        cache = forward_member(members[0], p)
+        assert {v.dtype for k, v in cache.items() if k != "score"} == {np.dtype(np.float32)}
+        assert _dlrelu(cache["Z1"]).dtype == np.float32
+        frames = [forward_member(m, p)["A1"] @ p.W2.T + p.b2 for m in members]
+        _, cf_grads = cf_value_and_grad(frames, labels, 0.07)
+        assert {g.dtype for g in cf_grads} == {np.dtype(np.float32)}
+        _, grads, _ = forward_backward(members, labels, p, LossConfig("ce+cf"))
+        state = adam_init(p)
+        adam_step(p, grads, state, lr=1e-3)
+        for name in p.TRAINABLE:
+            arrays = (grads[name], state.m[name], state.v[name], getattr(p, name))
+            assert [a.dtype for a in arrays] == [np.float32] * 4, name
+
     def test_scalar_quadratic_matches_oracle_and_decreases(self):
         from reference import scalar_adam_oracle
 
         # x0 = 20 keeps the iterate away from the sign flip where Adam
         # momentum makes |x| oscillate
-        p = init_model(2, feature_dim=8, extractor_hidden=6, head_hidden=7)
+        p = with_dtype(init_model(2, feature_dim=8, extractor_hidden=6, head_hidden=7), np.float64)
         p.W1[0, 0] = 20.0
         state = adam_init(p)
         traj = [p.W1[0, 0]]
@@ -255,6 +284,7 @@ class TestTrainLoop:
         p1, h1 = train(plain_bundle, cfg, seed=42)
         p2, h2 = train(plain_bundle, cfg, seed=42)
         assert h1 == h2
+        assert all(h.ce == h.train_loss and h.cf_seq == h.cf_utt == 0.0 for h in h1)  # ce mode has one term
         assert np.array_equal(flat(p1), flat(p2))
 
     @pytest.mark.parametrize("mode, setting, value", [("ce", "pairing", "random"), ("ce+cf", "batch_size", 3)])
@@ -291,6 +321,9 @@ class TestTrainLoop:
         _, history = train(tiny_bundle, cfg, seed=5)
         assert len(history) == 2
         assert all(np.isfinite(h.train_loss) for h in history)
+        for h in history:  # the loss split: each term's epoch mean, summing to the loss within float32 rounding
+            assert min(h.ce, h.cf_seq, h.cf_utt) > 0
+            assert np.isclose(h.ce + h.cf_seq + h.cf_utt, h.train_loss, rtol=1e-6, atol=0)
 
     def test_single_class_rejected(self, tiny_bundle, tmp_path):
         bona_only = TrialManifest(
@@ -301,24 +334,29 @@ class TestTrainLoop:
             train(bundle, TrainConfig(max_epochs=1), seed=0)
 
 
-# SHA-256 of checkpoint bytes followed by history_csv, re-recorded when the
-# model came to pool before W2 (the embedding is W2 @ mean(A1) + b2), which
-# reassociates the float sums of the forward and backward passes. Other
-# speedups of training must keep every byte.
+# SHA-256 of checkpoint bytes followed by history_csv, re-recorded when
+# training moved to float32 parameters, Adam state and stored views, and
+# history.csv gained the loss split. Other speedups of training must keep
+# every byte. test_vocoders checks the same digests with BLAS on one thread
+# (sgemm's kernels are not dgemm's, and the benchmark trains on one thread).
 GOLDEN_TRAIN_SHA256 = {
-    ("ce", "random"): "7c6cbbd06714466297b8a2f968076c05305f24080dc7084a4975c620da7c8bdb",
-    ("ce+cf", "paired"): "18dd971cb94998fab77b369cdb2d4c6df47102e6b313f9b19ff309c6dc0ec56a",
+    ("ce", "random"): "25b8e2f056af2ed7b513088419ea2550b2c84dbab88b406a4b2f0378724ec513",
+    ("ce+cf", "paired"): "4f042a03c8b23ed0268d83f1d86e9cd9f68cedd3e42360f7bfd2ce9aa091e000",
 }
+
+
+def golden_train_digest(bundle, tmp_path, loss_mode, pairing):
+    cfg = TrainConfig(max_epochs=2, patience=10, loss_mode=loss_mode, pairing=pairing,
+                      feature_dim=8, extractor_hidden=12, head_hidden=10)
+    params, history = train(bundle, cfg, seed=21)
+    save_checkpoint(tmp_path / "golden.ckpt", params, config_hash="golden")
+    data = (tmp_path / "golden.ckpt").read_bytes() + history_csv(history).encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
 
 
 @pytest.mark.parametrize("loss_mode,pairing", sorted(GOLDEN_TRAIN_SHA256))
 def test_training_bytes_match_golden(tiny_bundle, tmp_path, loss_mode, pairing):
-    cfg = TrainConfig(max_epochs=2, patience=10, loss_mode=loss_mode, pairing=pairing,
-                      feature_dim=8, extractor_hidden=12, head_hidden=10)
-    params, history = train(tiny_bundle, cfg, seed=21)
-    save_checkpoint(tmp_path / "golden.ckpt", params, config_hash="golden")
-    data = (tmp_path / "golden.ckpt").read_bytes() + history_csv(history).encode("utf-8")
-    assert hashlib.sha256(data).hexdigest() == GOLDEN_TRAIN_SHA256[(loss_mode, pairing)]
+    assert golden_train_digest(tiny_bundle, tmp_path, loss_mode, pairing) == GOLDEN_TRAIN_SHA256[(loss_mode, pairing)]
 
 
 class TestScoring:
@@ -362,6 +400,34 @@ class TestCheckpointFiles:
         assert h == "abc"
         assert np.array_equal(flat(loaded), flat(p))
         assert np.array_equal(loaded.feat_mean, p.feat_mean)
+        header = json.loads((tmp_path / "a.ckpt").read_bytes().split(b"\n", 1)[0])
+        assert (header["version"], header["dtype"], loaded.dtype) == (2, "<f4", np.float32)
+
+    def test_float64_and_version_1_checkpoints_load_as_float64(self, tmp_path):
+        p = with_dtype(init_model(9, feature_dim=8, extractor_hidden=6, head_hidden=7), np.float64)
+        save_checkpoint(tmp_path / "f8.ckpt", p, config_hash="abc")
+        header, blob = (tmp_path / "f8.ckpt").read_bytes().split(b"\n", 1)
+        spec = json.loads(header)
+        assert (spec["version"], spec["dtype"]) == (2, "<f8")
+        del spec["dtype"]  # a version-1 header: no dtype key, "<f8" tensors
+        spec["version"] = 1
+        (tmp_path / "v1.ckpt").write_bytes(json.dumps(spec).encode() + b"\n" + blob)
+        for name in ("f8.ckpt", "v1.ckpt"):
+            loaded, h = load_checkpoint(tmp_path / name)
+            assert loaded.dtype == np.float64 and h == "abc"
+            assert all(np.array_equal(getattr(loaded, n), getattr(p, n)) for n in p.FIELDS)
+
+    def test_unknown_dtype_makes_score_exit_2(self, tmp_path, capsys):
+        from spoofcm.cli import main
+
+        save_checkpoint(tmp_path / "c.ckpt", init_model(9, feature_dim=8, extractor_hidden=6, head_hidden=7))
+        header, blob = (tmp_path / "c.ckpt").read_bytes().split(b"\n", 1)
+        (tmp_path / "c.ckpt").write_bytes(header.replace(b'"<f4"', b'"<f2"') + b"\n" + blob)
+        write_wav(tmp_path / "a.wav", harmonic_speechlike(duration=0.5))
+        TrialManifest([TrialRecord("a", "a.wav", "bonafide", "-", "a", "eval")], tmp_path).save(tmp_path / "m.tsv")
+        args = ["score", "--checkpoint", str(tmp_path / "c.ckpt"), "--manifest", str(tmp_path / "m.tsv")]
+        assert main([*args, "--out", str(tmp_path / "s.txt")]) == 2
+        assert "'<f2'" in capsys.readouterr().err and not (tmp_path / "s.txt").exists()
 
     @pytest.fixture(scope="class")
     def ckpt_bytes(self, tmp_path_factory):
@@ -379,6 +445,8 @@ class TestCheckpointFiles:
             "padded": ckpt_bytes + bytes(8),
             "format": header.replace(b"spoofcm-checkpoint", b"other") + b"\n" + blob,
             "shape": json.dumps(spec).encode() + b"\n" + blob,
+            "dtype": header.replace(b'"<f4"', b'"<f2"') + b"\n" + blob,
+            "no dtype": header.replace(b'"dtype": "<f4", ', b"") + b"\n" + blob,
         }
         for name, data in cases.items():
             (tmp_path / name).write_bytes(data)
@@ -401,7 +469,7 @@ class TestCheckpointFiles:
     def test_history_csv_shape(self):
         from spoofcm.training import EpochStats
 
-        rows = [EpochStats(0, 1.0, 2.0, 0.25, 1e-3)]
+        rows = [EpochStats(0, 1.0, 0.75, 0.25, 0.0, 2.0, 0.25, 1e-3)]
         text = history_csv(rows)
-        assert text.splitlines()[0] == "epoch,train_loss,dev_loss,dev_eer,lr"
-        assert text.splitlines()[1].startswith("0,1.0,2.0,0.25,")
+        assert text.splitlines()[0] == "epoch,train_loss,ce,cf_seq,cf_utt,dev_loss,dev_eer,lr"
+        assert text.splitlines()[1].startswith("0,1.0,0.75,0.25,0.0,2.0,0.25,")

@@ -28,6 +28,7 @@ from spoofcm.vocoders import (
 from conftest import harmonic_speechlike
 from reference import f0_autocorrelation_oracle, griffin_lim_loops
 from test_augment import GOLDEN_AUGMENT_SHA256
+from test_training import GOLDEN_TRAIN_SHA256
 
 SR = 16000
 
@@ -299,15 +300,18 @@ def test_synthesis_bytes_match_golden(name, intermediate_sr):
     assert digest == GOLDEN_SYNTHESIS_SHA256[(name, intermediate_sr)]
 
 
-# The same cases, and the augmentation goldens, in a process with BLAS pinned
-# to one thread, as the benchmark runs synthesis and builds augmented views,
-# against the same digests.
+# The same cases, the augmentation goldens and the training goldens, in a
+# process with BLAS pinned to one thread, as the benchmark runs synthesis,
+# builds augmented views and trains, against the same digests.
 _ONE_THREAD_SCRIPT = """
 import hashlib
+import tempfile
+from pathlib import Path
 from conftest import harmonic_speechlike
 from spoofcm.augment import apply_augment
 from spoofcm.vocoders import DEFAULT_CHANNEL_NAMES, VocoderChannel, copy_synthesize
 from test_augment import GOLDEN_AUGMENT_SHA256, _golden_input
+from test_training import GOLDEN_TRAIN_SHA256, golden_train_digest, make_tiny_bundle
 for name in DEFAULT_CHANNEL_NAMES:
     for sr in (None, 24000):
         out = copy_synthesize(harmonic_speechlike(), VocoderChannel(name, sr))
@@ -315,6 +319,10 @@ for name in DEFAULT_CHANNEL_NAMES:
 for kind, name in sorted(GOLDEN_AUGMENT_SHA256):
     out = apply_augment(_golden_input(name), kind, 17)
     print("augment", kind, name, hashlib.sha256(out.samples.tobytes()).hexdigest())
+with tempfile.TemporaryDirectory() as tmp:
+    bundle = make_tiny_bundle(Path(tmp))
+    for loss_mode, pairing in sorted(GOLDEN_TRAIN_SHA256):
+        print("train", loss_mode, pairing, golden_train_digest(bundle, Path(tmp), loss_mode, pairing))
 """
 
 
@@ -324,8 +332,9 @@ def test_synthesis_bytes_match_golden_on_one_blas_thread():
     env = {**os.environ, **pin, "PYTHONPATH": os.pathsep.join(paths)}
     lines = subprocess.run([sys.executable, "-c", _ONE_THREAD_SCRIPT], env=env, capture_output=True, text=True,
                            check=True).stdout.split("\n")
-    digests = {"synthesis": {}, "augment": {}}
+    digests = {"synthesis": {}, "augment": {}, "train": {}}
     for table, first, second, digest in (ln.split() for ln in lines if ln):
         digests[table][(first, second)] = digest
     assert digests["synthesis"] == {(name, str(sr)): h for (name, sr), h in GOLDEN_SYNTHESIS_SHA256.items()}
     assert digests["augment"] == GOLDEN_AUGMENT_SHA256
+    assert digests["train"] == GOLDEN_TRAIN_SHA256
