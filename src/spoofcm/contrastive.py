@@ -12,7 +12,10 @@ every other batch member.
 caller passes: the frame sequences for "sequence", or the pooled utterance
 embeddings, as one-frame sequences, for "utterance". ``LEVEL_TERMS`` maps a
 configured ``levels`` value to the single levels it sums, unweighted, and
-names each term.
+names each term. The members come as a list or as their (B, N, D) stack;
+``model.forward_backward`` passes stacks, which are used without a copy.
+``_cf_core`` takes the stack and scores every anchor at once, with one
+masked (B, B) logsumexp, and returns the gradient as one (B, N, D) array.
 
 All computation is done in the log domain (logsumexp) since similarities
 reach 1/temperature (about 14.3 at the default 0.07). The gradients come
@@ -50,52 +53,46 @@ class CfConfig:
             raise ConfigError(f"levels must be one of {tuple(LEVEL_TERMS)}, got {self.levels!r}")
 
 
-def _similarity_matrix(members: list, temperature: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    stack = np.stack(members)  # (B, N, D)
+def _similarity_matrix(stack: np.ndarray, temperature: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     norms = np.linalg.norm(stack, axis=2, keepdims=True)
     zero = norms[:, :, 0] == 0.0
     if np.any(zero.sum(axis=0) >= 2):
         frame = int(np.argmax(zero.sum(axis=0) >= 2))
         raise NumericalError(f"degenerate zero-norm frame at index {frame} in multiple members")
     unit = stack / np.maximum(norms, NORM_FLOOR)
-    flat = unit.reshape(len(members), -1)  # frame-wise dot products summed over frames: one matmul
+    flat = unit.reshape(len(stack), -1)  # frame-wise dot products summed over frames: one matmul
     sims = flat @ flat.T / (stack.shape[1] * temperature)
     return sims, unit, norms
 
 
-def _cf_core(members: list, labels: list, temperature: float):
-    sims, unit, norms = _similarity_matrix(members, temperature)
-    b = len(members)
-    n_frames = members[0].shape[0]
-    labels_arr = np.asarray(labels)
-    loss = 0.0
-    anchor_grad = np.zeros((b, b), dtype=sims.dtype)  # d loss / d sims[k, m] from anchor k's terms
-    for k in range(b):
-        others = np.arange(b) != k
-        positives = others & (labels_arr == labels_arr[k])
-        n_pos = int(positives.sum())
-        if n_pos == 0:
-            continue
-        row = sims[k, others]
-        m = row.max()
-        lse = m + np.log(np.sum(np.exp(row - m)))
-        loss += float(n_pos * lse - sims[k, positives].sum()) / n_pos
-        soft = np.zeros(b)
-        soft[others] = np.exp(sims[k, others] - lse)
-        soft[positives] -= 1.0 / n_pos
-        anchor_grad[k] = soft
+def _cf_core(stack: np.ndarray, labels: np.ndarray, temperature: float):
+    """Every anchor at once: one masked (B, B) logsumexp gives each anchor's
+    log-partition over the other members, and the gradient comes back as
+    one (B, N, D) array."""
+    sims, unit, norms = _similarity_matrix(stack, temperature)
+    b, n_frames = stack.shape[:2]
+    others = ~np.eye(b, dtype=bool)
+    positives = others & (labels[:, None] == labels[None, :])
+    pos_weight = positives * (1 / positives.sum(axis=1, keepdims=True)).astype(sims.dtype)
+    masked = np.where(others, sims, -np.inf)
+    m = masked.max(axis=1, keepdims=True)
+    lse = m + np.log(np.sum(np.exp(masked - m), axis=1, keepdims=True))
+    loss = float(np.sum(lse[:, 0] - np.sum(sims * pos_weight, axis=1)))
+    anchor_grad = np.exp(masked - lse) - pos_weight  # d loss / d sims[k, m] from anchor k's terms
     pair_weight = anchor_grad + anchor_grad.T  # similarity is symmetric in its arguments
     term_other = (pair_weight @ unit.reshape(b, -1)).reshape(unit.shape)
     term_self = np.sum(unit * term_other, axis=2, keepdims=True) * unit
     grads = (term_other - term_self) / (n_frames * temperature * np.maximum(norms, NORM_FLOOR))
-    return loss, [grads[i] for i in range(b)]
+    return loss, grads
 
 
-def cf_value_and_grad(members: list, labels: list, temperature: float):
+def cf_value_and_grad(members, labels: list, temperature: float):
     """The loss of a batch at one level and its exact gradient with respect
-    to every member frame, in member order.
+    to every member frame, as one (B, N, D) array in member order.
 
-    Each class needs at least two members, so every anchor has a positive.
+    ``members`` is a list of B sequences of one (N, D) shape, or their
+    (B, N, D) stack, which is used without a copy. Each class needs at
+    least two members, so every anchor has a positive.
     """
     n_bona, n_spoof = (list(labels).count(c) for c in (1, 0))
     if min(n_bona, n_spoof) < 2:
@@ -104,4 +101,4 @@ def cf_value_and_grad(members: list, labels: list, temperature: float):
     shapes = {np.shape(m) for m in members}
     if len(shapes) != 1 or len(next(iter(shapes))) != 2:
         raise ConfigError(f"all members must share one (N, D) shape, got {sorted(shapes)}")
-    return _cf_core(members, labels, temperature)
+    return _cf_core(np.asarray(members), np.asarray(labels), temperature)

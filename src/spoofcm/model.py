@@ -3,8 +3,8 @@ trainable frame-feature extractor, global average pooling, and an MLP
 classifier head. Forward and backward passes are written out by hand.
 
 The framing front computes in float64. Everything after it runs in the
-parameters' dtype, float32 or float64: ``forward_member`` casts its input
-to it, and every activation, gradient and contrastive term keeps it.
+parameters' dtype, float32 or float64: ``forward`` casts its input to it,
+and every activation, gradient and contrastive term keeps it.
 ``init_model`` makes float32 parameters (``PARAM_DTYPE``), as the paper's
 networks train; float64 parameters give the same computation at double
 precision, which the finite-difference gradient checks need.
@@ -14,8 +14,13 @@ the embedding is ``W2 @ mean(A1) + b2``, the mean over frames of the
 frame-level features ``A1 @ W2.T + b2``. Those frame sequences are built
 only for the sequence-level contrastive term, the one place that reads them.
 
+A batch runs per member only where members may differ in frame count: the
+frame-level layers up to the mean over frames, and their backward pass.
+From the pooled rows on, it runs once per batch: ``W2``, the head, the
+cross-entropy and their gradients are (members, width) matrix products.
+
 Score convention: bona fide logit minus spoof logit; higher means more
-likely bona fide. ``forward_member`` computes it, as ``"score"``.
+likely bona fide. ``forward`` computes it per member, as ``"score"``.
 """
 from __future__ import annotations
 
@@ -104,10 +109,6 @@ class ModelParams:
     def dtype(self) -> np.dtype:
         return self.W1.dtype
 
-    def zero_grads(self) -> dict:
-        """Zero arrays shaped and typed as the trainable tensors: gradients and Adam moments."""
-        return {name: np.zeros_like(getattr(self, name)) for name in self.TRAINABLE}
-
     def copy(self) -> "ModelParams":
         return ModelParams(**{name: getattr(self, name).copy() for name in self.FIELDS})
 
@@ -144,64 +145,70 @@ def _dlrelu(z):
     return _SLOPES[z.dtype].take((z > 0).view(np.uint8))
 
 
-def forward_member(base: np.ndarray, p: ModelParams) -> dict:
-    """Full forward pass for one trial, in the parameters' dtype; returns
-    every intermediate needed by the backward pass, and the trial's score."""
-    B = (np.asarray(base, dtype=p.dtype) - p.feat_mean) / p.feat_scale
-    Z1 = B @ p.W1.T + p.b1
-    A1 = _lrelu(Z1)
-    a = A1.mean(axis=0)
-    v = p.W2 @ a + p.b2  # the pooled embedding, mean of the frame features A1 @ W2.T + b2
-    z1 = p.H1 @ v + p.c1
+def forward(members: list, p: ModelParams) -> dict:
+    """Forward pass of a batch of trials, in the parameters' dtype; returns
+    every intermediate the backward pass needs, and each trial's score.
+    ``frames`` holds each member's frame-level ``(B, Z1, A1)``; ``a``, ``v``,
+    the head activations and ``logits`` have one row per member, and
+    ``score`` is one float per member."""
+    frames, a = [], np.empty((len(members), p.W1.shape[0]), dtype=p.dtype)
+    for i, base in enumerate(members):
+        B = (np.asarray(base, dtype=p.dtype) - p.feat_mean) / p.feat_scale
+        Z1 = B @ p.W1.T + p.b1
+        A1 = _lrelu(Z1)
+        a[i] = A1.mean(axis=0)
+        frames.append((B, Z1, A1))
+    v = a @ p.W2.T + p.b2  # the pooled embeddings, means of the frame features A1 @ W2.T + b2
+    z1 = v @ p.H1.T + p.c1
     u1 = _lrelu(z1)
-    z2 = p.H2 @ u1 + p.c2
+    z2 = u1 @ p.H2.T + p.c2
     u2 = _lrelu(z2)
-    z3 = p.H3 @ u2 + p.c3
+    z3 = u2 @ p.H3.T + p.c3
     u3 = _lrelu(z3)
-    logits = p.Ho @ u3 + p.co
-    score = float(logits[1] - logits[0])
-    return dict(
-        B=B, Z1=Z1, A1=A1, a=a, v=v, z1=z1, u1=u1, z2=z2, u2=u2, z3=z3, u3=u3, logits=logits, score=score
-    )
+    logits = u3 @ p.Ho.T + p.co
+    score = (logits[:, 1] - logits[:, 0]).tolist()
+    return dict(frames=frames, a=a, v=v, z1=z1, u1=u1, z2=z2, u2=u2, z3=z3, u3=u3, logits=logits, score=score)
 
 
-def ce_and_grad(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
-    """Cross-entropy of one trial's logits against its label, and d loss / d logits."""
-    m = logits.max()
-    log_z = m + np.log(np.exp(logits - m).sum())
-    loss = log_z - logits[label]
+def cross_entropy(logits: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's cross-entropy against its label, and d loss / d logits,
+    from one logsumexp over the (members, 2) logits."""
+    rows = np.arange(len(logits))
+    m = logits.max(axis=1, keepdims=True)
+    log_z = m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
     grad = np.exp(logits - log_z)
-    grad[label] -= 1.0
-    return float(loss), grad
+    grad[rows, labels] -= 1
+    return log_z[:, 0] - logits[rows, labels], grad
 
 
-def _backward_member(cache: dict, dlogits: np.ndarray, dv_cf, dX_cf, p: ModelParams, grads: dict) -> None:
-    """dv_cf / dX_cf: the utterance / sequence contrastive gradient on v / the frame features, or None."""
-    g = grads
-    g["Ho"] += dlogits[:, None] * cache["u3"]
-    g["co"] += dlogits
-    dz3 = (p.Ho.T @ dlogits) * _dlrelu(cache["z3"])
-    g["H3"] += dz3[:, None] * cache["u2"]
-    g["c3"] += dz3
-    dz2 = (p.H3.T @ dz3) * _dlrelu(cache["z2"])
-    g["H2"] += dz2[:, None] * cache["u1"]
-    g["c2"] += dz2
-    dz1 = (p.H2.T @ dz2) * _dlrelu(cache["z1"])
-    g["H1"] += dz1[:, None] * cache["v"]
-    g["c1"] += dz1
-    dv = p.H1.T @ dz1
+def _backward(cache: dict, dlogits: np.ndarray, dv_cf, dX_cf, p: ModelParams) -> dict:
+    """Gradients of every trainable tensor. The head runs once on the batch;
+    per member only the frame level is left. dv_cf / dX_cf: the utterance /
+    sequence contrastive gradient on v / the frame features, or None."""
+    g = {"Ho": dlogits.T @ cache["u3"], "co": dlogits.sum(axis=0)}
+    dz3 = (dlogits @ p.Ho) * _dlrelu(cache["z3"])
+    g["H3"], g["c3"] = dz3.T @ cache["u2"], dz3.sum(axis=0)
+    dz2 = (dz3 @ p.H3) * _dlrelu(cache["z2"])
+    g["H2"], g["c2"] = dz2.T @ cache["u1"], dz2.sum(axis=0)
+    dz1 = (dz2 @ p.H2) * _dlrelu(cache["z1"])
+    g["H1"], g["c1"] = dz1.T @ cache["v"], dz1.sum(axis=0)
+    dv = dz1 @ p.H1
     if dv_cf is not None:
         dv += dv_cf
-    g["W2"] += dv[:, None] * cache["a"]
-    g["b2"] += dv
-    dA1 = (dv / cache["A1"].shape[0]) @ p.W2  # the same for every frame
-    if dX_cf is not None:
-        g["W2"] += dX_cf.T @ cache["A1"]
-        g["b2"] += dX_cf.sum(axis=0)
-        dA1 = dA1 + dX_cf @ p.W2
-    dZ1 = dA1 * _dlrelu(cache["Z1"])
-    g["W1"] += dZ1.T @ cache["B"]
-    g["b1"] += dZ1.sum(axis=0)
+    g["W2"], g["b2"] = dv.T @ cache["a"], dv.sum(axis=0)
+    counts = np.array([A1.shape[0] for _, _, A1 in cache["frames"]], dtype=p.dtype)
+    dA1_rows = (dv / counts[:, None]) @ p.W2  # the pooling's gradient, the same for every frame of a member
+    g["W1"], g["b1"] = np.zeros_like(p.W1), np.zeros_like(p.b1)
+    for i, (B, Z1, A1) in enumerate(cache["frames"]):
+        dA1 = dA1_rows[i]
+        if dX_cf is not None:
+            g["W2"] += dX_cf[i].T @ A1
+            g["b2"] += dX_cf[i].sum(axis=0)
+            dA1 = dA1 + dX_cf[i] @ p.W2
+        dZ1 = dA1 * _dlrelu(Z1)
+        g["W1"] += dZ1.T @ B
+        g["b1"] += dZ1.sum(axis=0)
+    return g
 
 
 @dataclass(frozen=True)
@@ -233,32 +240,38 @@ def forward_backward(
     """
     if len(members) != len(labels) or not members:
         raise ConfigError("members and labels must align and be non-empty")
-    caches = [forward_member(m, p) for m in members]
+    cache = forward(members, p)
     n = len(members)
-    grads = p.zero_grads()
-    ce_total = 0.0
-    dlogits_list = []
-    for cache, label in zip(caches, labels):
-        ce, dl = ce_and_grad(cache["logits"], label)
-        ce_total += ce
-        dlogits_list.append(dl / n)
-    loss = ce_total / n
-    parts = {"ce": ce_total / n, "cf_seq": 0.0, "cf_utt": 0.0}
+    ce, dlogits = cross_entropy(cache["logits"], labels)
+    loss = float(ce.sum()) / n
+    parts = {"ce": loss, "cf_seq": 0.0, "cf_utt": 0.0}
 
-    cf_dv, cf_dX = [None] * n, [None] * n
+    cf_dv = cf_dX = None
     if loss_cfg.mode == "ce+cf":
         tau = loss_cfg.cf.temperature
         for level, part in LEVEL_TERMS[loss_cfg.cf.levels]:
-            if level == "sequence":  # the frame sequences, built for this term only
-                value, cf_dX = cf_value_and_grad([c["A1"] @ p.W2.T + p.b2 for c in caches], labels, tau)
+            if level == "sequence":
+                value, cf_dX = cf_value_and_grad(_frame_features(cache["frames"], p), labels, tau)
             else:
-                value, gs = cf_value_and_grad([c["v"][None, :] for c in caches], labels, tau)
-                cf_dv = [g[0] for g in gs]
+                value, cf_dv = cf_value_and_grad(cache["v"][:, None, :], labels, tau)
+                cf_dv = cf_dv[:, 0, :]
             parts[part] = value
             loss += value
 
     if not np.isfinite(loss):
         raise NumericalError(f"non-finite loss in batch {batch_id}")
-    for cache, dl, dv_cf, dX_cf in zip(caches, dlogits_list, cf_dv, cf_dX):
-        _backward_member(cache, dl, dv_cf, dX_cf, p, grads)
-    return loss, grads, parts
+    return loss, _backward(cache, dlogits / n, cf_dv, cf_dX, p), parts
+
+
+def _frame_features(frames: list, p: ModelParams) -> np.ndarray:
+    """The (members, N, D) stack of frame-level features A1 @ W2.T + b2,
+    built for the sequence-level contrastive term only; members must share
+    one frame count."""
+    counts = sorted({A1.shape[0] for _, _, A1 in frames})
+    if len(counts) != 1:
+        raise ConfigError(f"all members must share one (N, D) shape, got frame counts {counts}")
+    X = np.empty((len(frames), counts[0], p.W2.shape[0]), dtype=p.dtype)
+    for x, (_, _, A1) in zip(X, frames):
+        np.matmul(A1, p.W2.T, out=x)
+        x += p.b2
+    return X

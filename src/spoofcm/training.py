@@ -10,6 +10,12 @@ because the stored views are most of a bundle's memory and training reads
 them in float32 anyway; ``manifest_features`` stores the eval features the
 same way. Checkpoints keep the parameters' dtype.
 
+A training batch is one ``forward_backward`` call, which runs the pooled
+head once for the whole batch, and one ``adam_step``, which updates all
+tensors as one concatenated vector. Scoring and the dev pass instead call
+``model.forward`` with one trial at a time, so that a trial's score does
+not depend on the other trials scored with it (``score_manifest`` says why).
+
 Per-trial features (a bundle's base features and augmented views, and
 ``manifest_features``) are built by ``util.parallel_map``, one trial or
 view per item, and come back in input order, so they are byte-identical
@@ -39,10 +45,10 @@ from .model import (
     PARAM_DTYPE,
     LossConfig,
     ModelParams,
-    ce_and_grad,
+    cross_entropy,
     extract_base_features,
+    forward,
     forward_backward,
-    forward_member,
     init_model,
 )
 from .util import derive_seed, file_size, parallel_map, table_text, write_file
@@ -93,28 +99,39 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    m: dict
-    v: dict
+    """Adam's moments as flat vectors over the trainable tensors, in
+    ``ModelParams.TRAINABLE`` order, in the parameters' dtype."""
+
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
 
 def adam_init(params: ModelParams) -> AdamState:
-    return AdamState(m=params.zero_grads(), v=params.zero_grads())
+    size = sum(getattr(params, name).size for name in params.TRAINABLE)
+    return AdamState(m=np.zeros(size, params.dtype), v=np.zeros(size, params.dtype))
 
 
 def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float) -> tuple[ModelParams, AdamState]:
-    """Bias-corrected Adam update, applied in place."""
+    """Bias-corrected Adam update, applied in place: one update of the
+    concatenated gradients, then each tensor subtracts its slice. Every
+    operation is elementwise, so the bytes are those of a per-tensor update."""
     state.step += 1
     t = state.step
+    g = np.concatenate([grads[name].ravel() for name in params.TRAINABLE])
+    m, v = state.m, state.v
+    m *= ADAM_BETA1
+    m += (1 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1 - ADAM_BETA2) * g * g
+    m_hat = m / (1 - ADAM_BETA1**t)
+    v_hat = v / (1 - ADAM_BETA2**t)
+    update = lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    pos = 0
     for name in params.TRAINABLE:
-        g, m, v = grads[name], state.m[name], state.v[name]
-        m *= ADAM_BETA1
-        m += (1 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1 - ADAM_BETA2) * g * g
-        m_hat = m / (1 - ADAM_BETA1**t)
-        v_hat = v / (1 - ADAM_BETA2**t)
-        getattr(params, name)[...] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        arr = getattr(params, name)
+        arr -= update[pos : pos + arr.size].reshape(arr.shape)
+        pos += arr.size
     return params, state
 
 
@@ -262,16 +279,17 @@ def _crop(seq: np.ndarray, max_frames: int, rng: np.random.Generator) -> np.ndar
 
 
 def _dev_metrics(bundle: DataBundle, dev_ids: list[str], params: ModelParams) -> tuple[float, float]:
-    losses = []
-    entries = []
+    """Mean dev cross-entropy and dev EER, one trial per ``forward`` call
+    (see ``score_manifest``)."""
+    logits, entries = [], []
     for tid in dev_ids:
-        cache = forward_member(bundle.view(tid, 0), params)
-        losses.append(ce_and_grad(cache["logits"], bundle.label(tid))[0])
+        cache = forward([bundle.view(tid, 0)], params)
+        logits.append(cache["logits"])
         rec = bundle.manifest.by_id(tid)
-        entries.append(ScoreEntry(tid, cache["score"], rec.label, rec.attack_tag))
-    dev_loss = float(np.mean(losses))
+        entries.append(ScoreEntry(tid, cache["score"][0], rec.label, rec.attack_tag))
+    losses, _ = cross_entropy(np.vstack(logits), [bundle.label(t) for t in dev_ids])
     dev_eer = compute_eer(ScoreSet(entries, "dev")).eer
-    return dev_loss, dev_eer
+    return float(np.mean(losses, dtype=np.float64)), dev_eer
 
 
 def fit_standardization(params: ModelParams, bundle: DataBundle, train_ids: list[str]) -> None:
@@ -380,7 +398,14 @@ def score_manifest(
     manifest: TrialManifest, params: ModelParams, features: Mapping[str, np.ndarray], set_name: str = ""
 ) -> tuple[ScoreSet, list[str]]:
     """Score every trial of the manifest from its base features; trials
-    without features are reported back as missing."""
+    without features are reported back as missing.
+
+    Each trial is its own ``forward`` call, so that its score depends on
+    the trial and the parameters only. A batch would not do: OpenBLAS
+    rounds a matmul's rows differently for different row counts. For the
+    first n rows of a random float32 (60, 64) @ (64, 2) product, the
+    (n, 64) @ (64, 2) product differs from those rows for 41 of the 59
+    counts n = 1..59."""
     entries = []
     missing = []
     for rec in manifest:
@@ -388,7 +413,7 @@ def score_manifest(
         if base is None:
             missing.append(rec.trial_id)
             continue
-        score = forward_member(base, params)["score"]
+        score = forward([base], params)["score"][0]
         entries.append(ScoreEntry(rec.trial_id, score, rec.label, rec.attack_tag))
     return ScoreSet(entries, name=set_name), missing
 

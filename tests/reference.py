@@ -182,6 +182,20 @@ def scalar_adam_oracle(x0, grad_fn, steps, lr, beta1=0.9, beta2=0.999, eps=1e-8)
     return traj
 
 
+def adam_per_tensor(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Bias-corrected Adam at step ``t`` (1-based), one tensor at a time and
+    in place: ``params``, ``grads``, ``m`` and ``v`` map the same names to
+    arrays."""
+    for name, g in grads.items():
+        m[name] *= beta1
+        m[name] += (1 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1 - beta2) * g * g
+        m_hat = m[name] / (1 - beta1**t)
+        v_hat = v[name] / (1 - beta2**t)
+        params[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
 def holm_bonferroni_manual(p_values, alpha):
     """Sequential step-down rejection, spelled out."""
     m = len(p_values)

@@ -145,24 +145,25 @@ class TestRunExperiment:
 
 # SHA-256 of every text artifact that a tiny run and the analysis commands
 # write. The histories, scores and the tables built from them were re-recorded
-# when training moved to float32 and history.csv gained the loss split; the
-# summary and significance tables, the config and the vocoded set kept their
-# bytes. A change that keeps the synthesis version and the model's arithmetic
-# must keep every byte.
+# when training moved to float32 and history.csv gained the loss split, and
+# again when a batch came to run the pooled head once, which reassociates
+# sums; the summary and significance tables, the config and the vocoded set
+# kept their bytes. A change that keeps the synthesis version and the model's
+# arithmetic must keep every byte.
 GOLDEN_ARTIFACT_SHA256 = {
     "config_resolved.ini": "11e5944d1d27020b406ee9ac56e9e419ec7a84e970af00441468ba981d60b14e",
-    "eer.csv": "38e37475bcf289d20e662b1cbe2fedfa9d516183cb8403e75e3a3bbc0be01df2",
-    "group/category_eer.csv": "431282e4c69406925b1bbeedfa92e0e85060f05e360bc9af35fb8bee02763674",
-    "group/histograms.csv": "50937ea3580c1ee35665977a15fbcdff1ef0231b41ea09126a66ade2db536247",
+    "eer.csv": "65eb4fffdf6120d5c7872d5b49b5e815be0b24874dc22461187e93d6f647449b",
+    "group/category_eer.csv": "703d57dd94606ee4d935677f447b730b007eff781712729d018313089437f3b0",
+    "group/histograms.csv": "d5b74ed7b76d2b29d74dc11b375f6502225f10ec96af3c518b0756bb8fe15ce9",
     "meta.json": "e96324b17d519b41ce9da862f383755010b5c05b2a642ee8dd6668075babb18c",
-    "rescored.txt": "07337a57ee76af0e5c92786b2d96adaab44ae2363182e71482664b87ca146c7d",
-    "results.csv": "fd27bf728983caa18d21b9665eb1f2cb238c1772d835d4d3039a51f82245edce",
-    "runs/ce_aug_seed5/history.csv": "d0cef746e565c2ff70163e5b53d36d2b9bf7c36dc5506445188e50d83dd07ac8",
-    "runs/ce_aug_seed5/scores_eval.txt": "9bcbd84dbfde32ae9061f39b96a3a9fdef38df1671be4f5f48c5ceb929094766",
-    "runs/ce_aug_seed5/scores_eval_trim.txt": "331c0b00457918b985eb18dafa5b2b705eeb9b58abfb4029d2ea193d66272ea4",
-    "runs/cecf_paired_seed5/history.csv": "07a924d3e091846cadbc4a5238acd83d6fc470524d946e5a5969dd50f684fbc7",
-    "runs/cecf_paired_seed5/scores_eval.txt": "39c5b3edc9d77247fc3bb992a3563552f29512aa6b08d106100052500981c2cc",
-    "runs/cecf_paired_seed5/scores_eval_trim.txt": "16ff1e5cae2d2bde60d54d54f30473c2f11cc0ae687857ab9c577625a8c4608d",
+    "rescored.txt": "0194bc2c57f2fe917c85cac46be760e22e679c9cd8795768132a71c56ade72b6",
+    "results.csv": "b40b274bacd3466b0e8d204880361efef741e44173d3b2897a06b9d1677ee55e",
+    "runs/ce_aug_seed5/history.csv": "99054cc35d70adff830895623685d6d2c7f2cf6af85b37746640cfda4d6f1d6d",
+    "runs/ce_aug_seed5/scores_eval.txt": "c513e6f0d550a3afeeb3773e0992bc994c326745e784381326523c3352c90ef4",
+    "runs/ce_aug_seed5/scores_eval_trim.txt": "c645619edfd830484c6f2180a46cd6f8c731f2de3d36a23b1025aabd66bf0f55",
+    "runs/cecf_paired_seed5/history.csv": "418e5b65fa32a129ba40c74606e4582a4d8a8958a3d5023f1dab7cde997dbfcb",
+    "runs/cecf_paired_seed5/scores_eval.txt": "c9b5c3f98a5271aba2f8fbc38da2aa6672b2bf710593e11691394ad95e0c158e",
+    "runs/cecf_paired_seed5/scores_eval_trim.txt": "7d591207df1a3094f2de74513ad40c45866449c332751ee4e471d01e09f18a9c",
     "sig_p.csv": "f12f8f5f21e683a9c2e32474c1a3a0d40c0b7ed314f6b94365b01b10195b2a57",
     "sig_reject.csv": "bd1d7b6738157f20093f694a85b0e070b4481125b2c7162cf78729c77cdb05e4",
     "summary.csv": "7055cb095d53896657d1651b317b43cc48deedea0a2cce0187aeace87ed61209",
@@ -214,6 +215,28 @@ def test_eer_names_each_row_by_the_shortest_path_tail_no_other_file_shares(tiny_
     rows = [line.split(",")[0] for line in capsys.readouterr().out.splitlines()[1:]]
     # a file given twice, and two that differ only in suffix, are named by the path as given
     assert rows == ["ce_aug_seed5/scores_eval", "cecf_paired_seed5/scores_eval", *scores[2:], "pooled"]
+
+
+@pytest.mark.parametrize("system", ["ce_aug", "cecf_paired"])
+def test_score_gives_each_eval_trial_the_score_its_run_wrote(tiny_run, tmp_path, capsys, system):
+    """`score` over the whole vocoded manifest, train and dev trials included,
+    and over a manifest of one eval trial, writes each eval trial's score
+    text as the run's scores_eval.txt has it: a trial's score does not
+    depend on what is scored with it."""
+    _, report = tiny_run
+    run_dir = report.out_dir / "runs" / f"{system}_seed5"
+    vocoded = load_manifest(report.out_dir / "vocoded" / "manifest.tsv")
+    expected = [tuple(line.split("\t")) for line in (run_dir / "scores_eval.txt").read_text().splitlines()]
+    first = vocoded.by_id(expected[0][0])
+    TrialManifest([dc_replace(first, path=str(vocoded.resolve(first)))]).save(tmp_path / "one.tsv")
+    assert len(vocoded) > len(expected) > 1
+    for manifest, n_eval in ((report.out_dir / "vocoded" / "manifest.tsv", len(expected)), (tmp_path / "one.tsv", 1)):
+        out = tmp_path / "scored.txt"
+        assert main(["score", "--checkpoint", str(run_dir / "checkpoint.ckpt"),
+                     "--manifest", str(manifest), "--out", str(out)]) == 0
+        scored = dict(line.split("\t") for line in out.read_text().splitlines())
+        assert [(tid, scored[tid]) for tid, _ in expected[:n_eval]] == expected[:n_eval]
+    capsys.readouterr()
 
 
 class TestVocodedCache:

@@ -34,12 +34,12 @@ def cf_levels(members, labels, levels="both"):
 
 
 def similarity(a, b):
-    return _similarity_matrix([a, b], TAU)[0][0, 1]
+    return _similarity_matrix(np.stack([a, b]), TAU)[0][0, 1]
 
 
 def partition(members, k):
     """H(z_k) read off the similarity matrix: every member but z_k itself."""
-    sims = _similarity_matrix(members, TAU)[0]
+    sims = _similarity_matrix(np.stack(members), TAU)[0]
     return float(np.exp(sims[k]).sum() - np.exp(sims[k, k]))
 
 
@@ -222,3 +222,42 @@ class TestGradient:
         assert abs(cf_levels(scaled, labels)[0] - base) < 1e-12
         radial = float(np.sum(grads[0] * members[0]))
         assert abs(radial) < 1e-10
+
+
+class TestInterleavedUnequalClasses:
+    """3 bona fide and 5 spoofed members in mixed order, at each level: the
+    anchor-vectorized core against the loop oracle and finite differences."""
+
+    LABELS = [0, 1, 0, 0, 1, 0, 1, 0]
+
+    def members(self, seed):
+        rng = np.random.default_rng(seed)
+        return [rng.standard_normal((3, 4)) for _ in self.LABELS]
+
+    @pytest.mark.parametrize("level", ["sequence", "utterance"])
+    def test_loss_matches_loop_oracle(self, level):
+        for seed in range(13, 18):
+            members = self.members(seed)
+            seqs = members if level == "sequence" else [m.mean(axis=0, keepdims=True) for m in members]
+            ref = contrastive_loss_loops([s for s, y in zip(seqs, self.LABELS) if y == 1],
+                                         [s for s, y in zip(seqs, self.LABELS) if y == 0], TAU)
+            got = cf_level(members, self.LABELS, level)[0]
+            assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("level", ["sequence", "utterance"])
+    def test_gradient_matches_finite_differences(self, level):
+        members = self.members(18)
+        _, grads = cf_level(members, self.LABELS, level)
+        step = 1e-5
+        worst = 0.0
+        for mi in range(len(members)):
+            for idx in np.ndindex(members[mi].shape):
+                def loss_at(delta):
+                    pert = [a.copy() for a in members]
+                    pert[mi][idx] += delta
+                    return cf_level(pert, self.LABELS, level)[0]
+
+                fd = (loss_at(step) - loss_at(-step)) / (2 * step)
+                if abs(fd) > 1e-7:
+                    worst = max(worst, abs(fd - grads[mi][idx]) / abs(fd))
+        assert worst < 1e-4

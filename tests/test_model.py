@@ -15,8 +15,8 @@ from spoofcm.model import (
     _dlrelu,
     _lrelu,
     extract_base_features,
+    forward,
     forward_backward,
-    forward_member,
     init_model,
 )
 
@@ -50,6 +50,12 @@ class TestBaseFeatures:
     def test_too_short_rejected(self):
         with pytest.raises(DataError):
             extract_base_features(Waveform(np.zeros(100), SR))
+
+
+def forward_member(base, p):
+    """``forward`` on a one-member batch, read back as that member's arrays."""
+    cache = forward([base], p)
+    return dict(A1=cache["frames"][0][2], v=cache["v"][0], logits=cache["logits"][0], score=cache["score"][0])
 
 
 class TestPoolAndClassify:
@@ -180,6 +186,12 @@ class TestForwardBackward:
         rng = np.random.default_rng(7)
         members, labels = self._batch(rng, n_bona=1, n_spoof=4)
         with pytest.raises(ConfigError):
+            forward_backward(members, labels, tiny_model(), LossConfig("ce+cf"))
+
+    def test_cf_refuses_members_of_unequal_length(self):
+        members, labels = self._batch(np.random.default_rng(7))
+        members[3] = members[3][:2]
+        with pytest.raises(ConfigError, match=r"\(N, D\) shape"):
             forward_backward(members, labels, tiny_model(), LossConfig("ce+cf"))
 
     def test_score_waveform_runs(self):

@@ -177,23 +177,48 @@ class TestAdam:
         """No term widens a float32 step: the forward cache, the activation
         slopes, the contrastive gradients, every gradient and Adam moment."""
         from spoofcm.contrastive import cf_value_and_grad
-        from spoofcm.model import _dlrelu, forward_member
+        from spoofcm.model import _dlrelu, forward
 
         p = init_model(3, feature_dim=8, extractor_hidden=6, head_hidden=7)
         members, labels = compose_batch(tiny_bundle, "t00", "paired", np.random.default_rng(0), 40)
         assert {m.dtype for m in members} == {np.dtype(np.float32)}
-        cache = forward_member(members[0], p)
-        assert {v.dtype for k, v in cache.items() if k != "score"} == {np.dtype(np.float32)}
-        assert _dlrelu(cache["Z1"]).dtype == np.float32
-        frames = [forward_member(m, p)["A1"] @ p.W2.T + p.b2 for m in members]
+        cache = forward(members, p)
+        arrays = [arr for frame in cache["frames"] for arr in frame]
+        arrays += [v for k, v in cache.items() if k not in ("frames", "score")]
+        assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+        assert _dlrelu(cache["frames"][0][1]).dtype == np.float32
+        frames = [A1 @ p.W2.T + p.b2 for _, _, A1 in cache["frames"]]
         _, cf_grads = cf_value_and_grad(frames, labels, 0.07)
-        assert {g.dtype for g in cf_grads} == {np.dtype(np.float32)}
+        assert cf_grads.dtype == np.float32
         _, grads, _ = forward_backward(members, labels, p, LossConfig("ce+cf"))
         state = adam_init(p)
         adam_step(p, grads, state, lr=1e-3)
+        assert state.m.dtype == state.v.dtype == np.float32
         for name in p.TRAINABLE:
-            arrays = (grads[name], state.m[name], state.v[name], getattr(p, name))
-            assert [a.dtype for a in arrays] == [np.float32] * 4, name
+            assert [a.dtype for a in (grads[name], getattr(p, name))] == [np.float32] * 2, name
+
+    def test_flat_update_matches_the_per_tensor_oracle_bytes(self):
+        """20 float32 steps over one concatenated vector leave every parameter
+        and moment with the bytes of the per-tensor update."""
+        from reference import adam_per_tensor
+
+        p = init_model(4, feature_dim=8, extractor_hidden=6, head_hidden=7)
+        ref = p.copy()
+        ref_m = {name: np.zeros_like(getattr(p, name)) for name in p.TRAINABLE}
+        ref_v = {name: np.zeros_like(getattr(p, name)) for name in p.TRAINABLE}
+        state = adam_init(p)
+        rng = np.random.default_rng(4)
+        for t in range(1, 21):
+            grads = {name: (rng.standard_normal(getattr(p, name).shape) * 10.0 ** rng.uniform(-6, 1))
+                     .astype(np.float32) for name in p.TRAINABLE}
+            lr = 1e-3 if t <= 10 else 1e-4
+            adam_step(p, grads, state, lr)
+            adam_per_tensor({name: getattr(ref, name) for name in p.TRAINABLE}, grads, ref_m, ref_v, t, lr)
+        for name in p.TRAINABLE:
+            assert getattr(p, name).dtype == np.float32
+            assert getattr(p, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert state.m.tobytes() == np.concatenate([ref_m[n].ravel() for n in p.TRAINABLE]).tobytes()
+        assert state.v.tobytes() == np.concatenate([ref_v[n].ravel() for n in p.TRAINABLE]).tobytes()
 
     def test_scalar_quadratic_matches_oracle_and_decreases(self):
         from reference import scalar_adam_oracle
@@ -336,12 +361,13 @@ class TestTrainLoop:
 
 # SHA-256 of checkpoint bytes followed by history_csv, re-recorded when
 # training moved to float32 parameters, Adam state and stored views, and
-# history.csv gained the loss split. Other speedups of training must keep
-# every byte. test_vocoders checks the same digests with BLAS on one thread
+# history.csv gained the loss split, and again when a batch came to run the
+# pooled head once and the contrastive core every anchor at once (sums are
+# reassociated). Other speedups of training must keep every byte. test_vocoders checks the same digests with BLAS on one thread
 # (sgemm's kernels are not dgemm's, and the benchmark trains on one thread).
 GOLDEN_TRAIN_SHA256 = {
-    ("ce", "random"): "25b8e2f056af2ed7b513088419ea2550b2c84dbab88b406a4b2f0378724ec513",
-    ("ce+cf", "paired"): "4f042a03c8b23ed0268d83f1d86e9cd9f68cedd3e42360f7bfd2ce9aa091e000",
+    ("ce", "random"): "735aa18b29ebe87493c1f056dab8cd10762197f025bc7d9f209128c02277eb5b",
+    ("ce+cf", "paired"): "a63967190e863b7796a03173dfb6b4fc25a30d2154ad63cd56e0a4722d5a5aa5",
 }
 
 
