@@ -25,13 +25,12 @@ likely bona fide. ``forward`` computes it per member, as ``"score"``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .audio_io import Waveform
 from .contrastive import LEVEL_TERMS, CfConfig, cf_value_and_grad
-from .dsp import MelFilterbank, analysis_window, frame_signal
+from .dsp import analysis_window, frame_signal, mel_filterbank
 from .errors import ConfigError, DataError, NumericalError
 
 FRAME_WIN = 400  # 25 ms at 16 kHz
@@ -44,11 +43,6 @@ LOG_FLOOR = 1e-10
 PARAM_DTYPE = np.float32  # what init_model makes; see the module docstring
 
 
-@lru_cache(maxsize=8)
-def _front_filterbank(sample_rate: int) -> np.ndarray:
-    return MelFilterbank(N_FILTERS, FRAME_FFT, sample_rate).weights
-
-
 def extract_base_features(w: Waveform) -> np.ndarray:
     """Fixed framing front: per frame, log energy plus log filterbank energies.
 
@@ -58,7 +52,7 @@ def extract_base_features(w: Waveform) -> np.ndarray:
         raise DataError(f"waveform shorter than one frame ({len(w)} < {FRAME_WIN})")
     frames = frame_signal(w.samples, FRAME_WIN, FRAME_HOP) * analysis_window(FRAME_WIN)
     power = np.abs(np.fft.rfft(frames, n=FRAME_FFT, axis=1)) ** 2
-    bands = np.log(power @ _front_filterbank(w.sample_rate).T + LOG_FLOOR)
+    bands = np.log(power @ mel_filterbank(N_FILTERS, FRAME_FFT, w.sample_rate).weights.T + LOG_FLOOR)
     log_energy = np.log(np.sum(frames**2, axis=1) + LOG_FLOOR)
     return np.hstack([log_energy[:, None], bands])
 

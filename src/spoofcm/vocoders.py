@@ -6,7 +6,10 @@ distinct artifact signature:
 * ``glmel``     mel-80 analysis, pseudo-inverse, Griffin-Lim phase
 * ``coarsegl``  mel-20 analysis (low-fidelity envelope), Griffin-Lim
 * ``phasernd``  seeded all-pass phase scrambling plus a fixed gentle
-                spectral coloration (magnitudes preserved within a few %)
+                spectral coloration (magnitudes preserved within a few %),
+                applied by one FFT zero-padded to ``dsp.fast_fft_length``
+                of the trial's length: the length itself may have a large
+                prime factor, whose FFT takes numpy's slow Bluestein path
 * ``lpcvoc``    all-pole source-filter resynthesis
 
 Both Griffin-Lim channels reconstruct phase with ``dsp.griffin_lim``, the
@@ -21,7 +24,8 @@ across a corpus. A channel's repr names every value of that row, and the
 vocoded-set cache key is built from it, so changing one rebuilds cached
 sets. Setting ``intermediate_sr`` makes a channel resample its input to that
 rate, synthesize there, and resample back, reproducing the artifact mix of
-mismatched-rate copy-synthesis. The table holds only values and the
+mismatched-rate copy-synthesis; a trial is resampled to a rate once, for all
+of its channels. The table holds only values and the
 synthesis functions look their kernels up as module globals on each call,
 so a wrapper rebound onto a module attribute sees every call.
 """
@@ -39,10 +43,11 @@ import numpy as np
 
 from .audio_io import Waveform, read_wav, write_wav
 from .dsp import (
-    MelFilterbank,
     StftConfig,
+    fast_fft_length,
     griffin_lim,
     mel_apply,
+    mel_filterbank,
     mel_pseudo_inverse,
     resample,
     sosfilt,
@@ -57,7 +62,7 @@ log = logging.getLogger(__name__)
 
 # Part of the vocoded-set cache key: bump it with any change that alters
 # the bytes a channel writes for the same parameters.
-SYNTHESIS_VERSION = 3
+SYNTHESIS_VERSION = 4
 MIN_INPUT_SECONDS = 0.5
 _SUPPORTED_RATES = (8000, 48000)
 _SILENT_PEAK = 1e-6
@@ -109,7 +114,7 @@ def _mel_griffin_lim(w: Waveform, n_mels: int, iters: int, fft_size: dict[int, i
     cfg = StftConfig(fft_size=size, hop=hop, win_length=size)
     pad = cfg.win_length  # synthesize past the end, then trim: no dead tail
     x = np.pad(w.samples, (0, pad), mode="reflect")
-    fb = MelFilterbank(n_mels, cfg.fft_size, w.sample_rate)
+    fb = mel_filterbank(n_mels, cfg.fft_size, w.sample_rate)
     mel = mel_apply(stft(Waveform(x, w.sample_rate), cfg), fb)  # the spectrogram dies here
     mag = mel_pseudo_inverse(mel, fb)
     out = griffin_lim(mag, cfg, w.sample_rate, iters=iters)
@@ -123,7 +128,8 @@ def _phase_random(w: Waveform, seed: int, n_sections: int, radius_range: tuple[f
 
     The all-pass cascade has exactly unit magnitude response, so frame
     magnitudes survive within a few percent while the waveform itself
-    decorrelates from the input.
+    decorrelates from the input. The coloration runs at the FFT length
+    ``fast_fft_length(len(w))``: zero-padded there, trimmed back after.
     """
     sr = w.sample_rate
     rng = np.random.default_rng(derive_seed(seed, "phasernd-allpass"))
@@ -134,8 +140,9 @@ def _phase_random(w: Waveform, seed: int, n_sections: int, radius_range: tuple[f
         c = 2.0 * r * np.cos(2.0 * np.pi * f0 / sr)
         sections.append([r * r, -c, 1.0, 1.0, -c, r * r])
     y = sosfilt(np.array(sections), w.samples)
-    spec = np.fft.rfft(y)
-    freqs = np.arange(len(spec)) * sr / len(y)
+    size = fast_fft_length(len(y))
+    spec = np.fft.rfft(y, n=size)
+    freqs = np.arange(len(spec)) * sr / size
     rng = np.random.default_rng(derive_seed(seed, "phasernd-color"))
     shape = np.zeros_like(freqs)
     fmax = max(freqs[-1], 1.0)
@@ -145,7 +152,7 @@ def _phase_random(w: Waveform, seed: int, n_sections: int, radius_range: tuple[f
     lo, hi = color_db
     weight = 1.0 / (1.0 + np.exp(-(freqs - color_from) / 300.0))
     gain = 10.0 ** ((lo + (hi - lo) * weight) * shape / 20.0)
-    return Waveform(np.fft.irfft(spec * gain, n=len(y)), sr)
+    return Waveform(np.fft.irfft(spec * gain, n=size)[: len(y)], sr)
 
 
 def _synthesize(w: Waveform, name: str) -> Waveform:
@@ -158,12 +165,16 @@ def _synthesize(w: Waveform, name: str) -> Waveform:
     return _mel_griffin_lim(w, **params)
 
 
-def copy_synthesize(w: Waveform, channel: VocoderChannel) -> Waveform:
+def copy_synthesize(w: Waveform, channel: VocoderChannel,
+                    resampled: dict[int, Waveform] | None = None) -> Waveform:
     """Run one waveform through a vocoder channel.
 
     Output matches the input sample rate and length exactly. If the
     channel defines an intermediate rate, the input is resampled there
-    and the result resampled back.
+    and the result resampled back. ``resampled`` maps a rate to ``w``
+    resampled there; a caller that runs ``w`` through several channels
+    passes one dict to every call, which fills it, so ``w`` is resampled
+    to each rate once.
     """
     if w.duration < MIN_INPUT_SECONDS:
         raise DataError(f"input too short: {w.duration:.3f} s < {MIN_INPUT_SECONDS} s")
@@ -174,10 +185,13 @@ def copy_synthesize(w: Waveform, channel: VocoderChannel) -> Waveform:
         seed = CHANNEL_PARAMS[channel.name].get("seed", 0)
         rng = np.random.default_rng(derive_seed(seed, "silent-floor", len(w)))
         return Waveform(1e-5 * rng.standard_normal(len(w)), w.sample_rate)
-    if channel.intermediate_sr is not None and channel.intermediate_sr != w.sample_rate:
-        inner = resample(w, channel.intermediate_sr)
-        out = _synthesize(inner, channel.name)
-        out = resample(out, w.sample_rate)
+    rate = channel.intermediate_sr
+    if rate is not None and rate != w.sample_rate:
+        if resampled is None:
+            resampled = {}
+        if rate not in resampled:
+            resampled[rate] = resample(w, rate)
+        out = resample(_synthesize(resampled[rate], channel.name), w.sample_rate)
     else:
         out = _synthesize(w, channel.name)
     y = out.samples
@@ -206,9 +220,10 @@ def _vocode_trial(manifest: TrialManifest, channels: list[VocoderChannel], out_d
         log.error("skipping %s: %s", rec.trial_id, exc)
         return []
     records = [dc_replace(rec, path=os.path.relpath(src.resolve(), out_dir.resolve()))]
+    resampled = {}  # w at each intermediate rate, shared by the channels
     for ch in channels:
         spoof_id = f"{rec.trial_id}_{ch.name}"
-        write_wav(out_dir / f"{spoof_id}.wav", copy_synthesize(w, ch))
+        write_wav(out_dir / f"{spoof_id}.wav", copy_synthesize(w, ch, resampled))
         records.append(TrialRecord(trial_id=spoof_id, path=f"{spoof_id}.wav", label="spoof",
                                    attack_tag=ch.name, source_id=rec.trial_id, subset=rec.subset))
     return records

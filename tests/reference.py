@@ -292,15 +292,39 @@ def griffin_lim_loops(mag, cfg, sample_rate, iters, alpha=0.99):
     for _ in range(iters):
         rebuilt = stft(wave, cfg).frames
         angles = rebuilt - beta * prev
-        modulus = np.abs(angles)
-        np.maximum(modulus, 1e-12, out=modulus)
-        np.divide(1.0, modulus, out=modulus)
-        for part in (angles.real, angles.imag):
-            part *= mag
-            part *= modulus
+        angles *= mag / np.maximum(np.abs(angles), 1e-12)
         wave = istft(ComplexSpectrogram(angles, cfg, sample_rate))
         prev = rebuilt
     return wave
+
+
+def phase_random_exact_length(x, sample_rate, seed, n_sections, radius_range, color_db, color_from):
+    """spoofcm.vocoders' phasernd channel as it was before it colored at a
+    fast FFT length: the all-pass cascade through scipy's sosfilt, then the
+    coloration by an rfft/irfft pair at the signal's own length."""
+    from spoofcm.util import derive_seed
+
+    sr = sample_rate
+    rng = np.random.default_rng(derive_seed(seed, "phasernd-allpass"))
+    sections = []
+    for _ in range(n_sections):
+        f0 = rng.uniform(100.0, 0.95 * sr / 2.0)
+        r = rng.uniform(*radius_range)
+        c = 2.0 * r * np.cos(2.0 * np.pi * f0 / sr)
+        sections.append([r * r, -c, 1.0, 1.0, -c, r * r])
+    y = sosfilt(np.array(sections), x)
+    spec = np.fft.rfft(y)
+    freqs = np.arange(len(spec)) * sr / len(y)
+    rng = np.random.default_rng(derive_seed(seed, "phasernd-color"))
+    shape = np.zeros_like(freqs)
+    fmax = max(freqs[-1], 1.0)
+    for k in range(1, 4):
+        shape += rng.uniform(-1, 1) * np.sin(2 * np.pi * k * freqs / fmax + rng.uniform(0, 2 * np.pi))
+    shape /= max(np.abs(shape).max(), 1e-12)
+    lo, hi = color_db
+    weight = 1.0 / (1.0 + np.exp(-(freqs - color_from) / 300.0))
+    gain = 10.0 ** ((lo + (hi - lo) * weight) * shape / 20.0)
+    return np.fft.irfft(spec * gain, n=len(y))
 
 
 def lpc_frame_synthesis_loops(excitation, active, coefs, gains, levels, win, hop):

@@ -148,26 +148,28 @@ class TestRunExperiment:
 # when training moved to float32 and history.csv gained the loss split, and
 # again when a batch came to run the pooled head once, which reassociates
 # sums; the summary and significance tables, the config and the vocoded set
-# kept their bytes. A change that keeps the synthesis version and the model's
-# arithmetic must keep every byte.
+# kept their bytes. At synthesis version 4 (phasernd colors at a fast FFT
+# length, Griffin-Lim's one-factor phase step) the vocoded set's build_meta.json
+# and everything trained or scored on its spoofs were re-recorded. A change that
+# keeps the synthesis version and the model's arithmetic must keep every byte.
 GOLDEN_ARTIFACT_SHA256 = {
     "config_resolved.ini": "11e5944d1d27020b406ee9ac56e9e419ec7a84e970af00441468ba981d60b14e",
-    "eer.csv": "65eb4fffdf6120d5c7872d5b49b5e815be0b24874dc22461187e93d6f647449b",
-    "group/category_eer.csv": "703d57dd94606ee4d935677f447b730b007eff781712729d018313089437f3b0",
-    "group/histograms.csv": "d5b74ed7b76d2b29d74dc11b375f6502225f10ec96af3c518b0756bb8fe15ce9",
+    "eer.csv": "db669310e1b3bc83e9c43e3839056099b61156bb7270cd6408a28fc11b80df19",
+    "group/category_eer.csv": "9c33722e00f5e7b368bd0a02b7bdf1eb898566e90386cfa016cf2a25209e7a36",
+    "group/histograms.csv": "ec86e7cc3e5da64f63230de63a9c7724b0b2486750f49555324dc0da5a39a38a",
     "meta.json": "e96324b17d519b41ce9da862f383755010b5c05b2a642ee8dd6668075babb18c",
-    "rescored.txt": "0194bc2c57f2fe917c85cac46be760e22e679c9cd8795768132a71c56ade72b6",
-    "results.csv": "b40b274bacd3466b0e8d204880361efef741e44173d3b2897a06b9d1677ee55e",
-    "runs/ce_aug_seed5/history.csv": "99054cc35d70adff830895623685d6d2c7f2cf6af85b37746640cfda4d6f1d6d",
-    "runs/ce_aug_seed5/scores_eval.txt": "c513e6f0d550a3afeeb3773e0992bc994c326745e784381326523c3352c90ef4",
-    "runs/ce_aug_seed5/scores_eval_trim.txt": "c645619edfd830484c6f2180a46cd6f8c731f2de3d36a23b1025aabd66bf0f55",
-    "runs/cecf_paired_seed5/history.csv": "418e5b65fa32a129ba40c74606e4582a4d8a8958a3d5023f1dab7cde997dbfcb",
-    "runs/cecf_paired_seed5/scores_eval.txt": "c9b5c3f98a5271aba2f8fbc38da2aa6672b2bf710593e11691394ad95e0c158e",
-    "runs/cecf_paired_seed5/scores_eval_trim.txt": "7d591207df1a3094f2de74513ad40c45866449c332751ee4e471d01e09f18a9c",
+    "rescored.txt": "2a3de6ed43167861fe37d0a7963d61248f08656334fde26f544a4d66fe8c6ed4",
+    "results.csv": "e53196fcbb5e1fc6a008f6f4af2e2281b325a32b1b385c75c753c1d51880e31f",
+    "runs/ce_aug_seed5/history.csv": "74e5bd40b249f41ce1715eda049f69d8ea8a721bb515d06b1443f911b4815c89",
+    "runs/ce_aug_seed5/scores_eval.txt": "5a2f956cf10528a28a158e776794339c8f65139f11e1682abb8871497b4387ab",
+    "runs/ce_aug_seed5/scores_eval_trim.txt": "985c194f78e64442aa7000417e6ea3a2d5bcb97b1b91cad26aa43e9a4ebecca6",
+    "runs/cecf_paired_seed5/history.csv": "a7d72dedf60158a4818e1a7a4d00be044b9d352d3828156c3a046130938b8b16",
+    "runs/cecf_paired_seed5/scores_eval.txt": "edb20c4e4e42b62a692e7605937da3d6483d7b204b0f18d8f1398bfea1091a77",
+    "runs/cecf_paired_seed5/scores_eval_trim.txt": "925906c9902282c7cfab4243eaea4cbf8877ff85a65ab69b83bd7790ee16566b",
     "sig_p.csv": "f12f8f5f21e683a9c2e32474c1a3a0d40c0b7ed314f6b94365b01b10195b2a57",
     "sig_reject.csv": "bd1d7b6738157f20093f694a85b0e070b4481125b2c7162cf78729c77cdb05e4",
     "summary.csv": "7055cb095d53896657d1651b317b43cc48deedea0a2cce0187aeace87ed61209",
-    "vocoded/build_meta.json": "235211397eaada236808b92da1cf7ce45f69cd50f62d1313c4f01744e7ffc2ff",
+    "vocoded/build_meta.json": "1e8a937ae035ffbe27ac867bd9df9fd8d548a3eba056e1d652eb1bea843ef35d",
     "vocoded/manifest.tsv": "ed4a3110efbfc7965297f2f323f6afee8943a15638459584bdc74fcec1a2137c",
 }
 

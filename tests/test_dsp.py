@@ -14,13 +14,16 @@ from spoofcm.dsp import (
     StftConfig,
     _IIR_BLOCK,
     _mel_pinv_t,
+    _polyphase_filter,
     _resample_filter,
     allpole_rows,
     analysis_window,
     butter_sos,
+    fast_fft_length,
     filtfilt,
     istft,
     mel_apply,
+    mel_filterbank,
     mel_pseudo_inverse,
     notch_sos,
     resample,
@@ -54,6 +57,12 @@ def rms(x):
 @pytest.mark.parametrize("n", [1, 256, 400, 480, 512, 600, 1024, 1200, 2048])
 def test_window_matches_scipy_hann_bytes(n):
     assert analysis_window(n).tobytes() == signal.get_window("hann", n, fftbins=True).tobytes()
+
+
+def test_fast_fft_length_is_the_next_5_smooth_length():
+    smooth = sorted(2**a * 3**b * 5**c for a in range(14) for b in range(9) for c in range(6))
+    expected = [next(m for m in smooth if m >= n) for n in range(1, 5001)]
+    assert [fast_fft_length(n) for n in range(1, 5001)] == expected
 
 
 class TestStft:
@@ -210,6 +219,14 @@ class TestMel:
         s = ComplexSpectrogram(np.zeros((2, 257)), StftConfig(), SR)
         with pytest.raises(ConfigError):
             mel_apply(s, fb)
+
+    def test_mel_filterbank_is_built_once_and_shared_read_only(self):
+        fb = mel_filterbank(80, 1024, 24000)
+        assert mel_filterbank(80, 1024, 24000) is fb
+        fresh = MelFilterbank(80, 1024, 24000)
+        for name in ("weights", "band_starts", "band_weights"):
+            assert not getattr(fb, name).flags.writeable
+            assert getattr(fb, name).tobytes() == getattr(fresh, name).tobytes()
 
     def test_invariants(self):
         fb = MelFilterbank(80, 1024, SR)
@@ -479,6 +496,14 @@ class TestResample:
             for dst in (r for r in rates if r != src):  # equal rates copy the input
                 ref = resample_upfirdn(x, src, dst, _resample_filter)
                 assert resample(wave(x, sr=src), dst).samples.tobytes() == ref.tobytes(), (src, dst)
+
+    def test_the_filter_is_built_once_per_ratio_and_shared_read_only(self):
+        x = np.random.default_rng(13).standard_normal(3001)
+        first = resample(wave(x), 24000).samples
+        with mock.patch("spoofcm.dsp._resample_filter", side_effect=AssertionError("filter rebuilt")):
+            again = resample(wave(x), 24000).samples
+        assert again.tobytes() == first.tobytes()
+        assert not _polyphase_filter(3, 2)[0].flags.writeable
 
     def test_length_ratio(self):
         y = resample(wave(np.zeros(16000)), 24000)

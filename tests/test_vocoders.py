@@ -1,7 +1,9 @@
 import hashlib
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spoofcm.audio_io import Waveform, write_wav
-from spoofcm.dsp import MelFilterbank, StftConfig, griffin_lim, mel_apply, mel_pseudo_inverse, stft
+from spoofcm.audio_io import Waveform, read_wav, write_wav
+from spoofcm.dsp import MelFilterbank, StftConfig, fast_fft_length, griffin_lim, mel_apply, mel_pseudo_inverse, stft
 import spoofcm
+from spoofcm import vocoders
 from spoofcm.errors import ConfigError, DataError, NumericalError
 from spoofcm.manifest import TrialManifest, TrialRecord
 from spoofcm.training import DataBundle
@@ -26,11 +29,17 @@ from spoofcm.vocoders import (
 )
 
 from conftest import harmonic_speechlike
-from reference import f0_autocorrelation_oracle, griffin_lim_loops
+from reference import f0_autocorrelation_oracle, griffin_lim_loops, phase_random_exact_length
 from test_augment import GOLDEN_AUGMENT_SHA256
 from test_training import GOLDEN_TRAIN_SHA256
 
 SR = 16000
+
+
+def next_prime(n: int) -> int:
+    while any(n % d == 0 for d in range(2, math.isqrt(n) + 1)):
+        n += 1
+    return n
 
 
 def spectral_convergence(out: Waveform, mag: np.ndarray, cfg: StftConfig) -> float:
@@ -94,11 +103,14 @@ class TestGriffinLim:
 
     @pytest.mark.parametrize("bad", ["huge", "nan", "inf"])
     def test_non_finite_result_is_a_numerical_error(self, bad):
-        """Finite magnitudes that overflow inside the loop fail as NaN or inf input does."""
+        """Finite magnitudes that overflow inside the loop fail as NaN or inf input does.
+
+        The peak magnitude here is about 12: scaled by 1e305 the first
+        synthesis already overflows, scaled by 1e303 the loop stays finite."""
         cfg = StftConfig()
         mag = np.abs(stft(harmonic_speechlike(duration=0.5, seed=3), cfg).frames)
         if bad == "huge":
-            mag *= 1e300
+            mag *= 1e304
         else:
             mag[3, 7] = float(bad)
         with np.errstate(all="ignore"), pytest.raises(NumericalError):
@@ -158,6 +170,23 @@ class TestChannels:
         assert rel < 0.05
         corr = np.corrcoef(w.samples, out.samples)[0, 1]
         assert abs(corr) < 0.9
+
+    @pytest.mark.parametrize("rate", [8000, 16000, 24000, 48000])
+    @pytest.mark.parametrize("kind", ["prime", "large_prime_factor", "5-smooth"])
+    def test_phasernd_matches_the_exact_length_oracle(self, rate, kind):
+        """Coloring at a fast FFT length, zero-padded, stays within 1e-3 RMS of
+        coloring at the trial's own length; at a 5-smooth length nothing is
+        padded, and only the two all-pass filter implementations differ."""
+        n = {"prime": next_prime(int(1.2 * rate)), "large_prime_factor": 2 * next_prime(int(0.6 * rate)),
+             "5-smooth": rate}[kind]
+        assert (fast_fft_length(n) == n) == (kind == "5-smooth")
+        w = harmonic_speechlike(duration=1.3, f0=170.0, sr=rate, seed=11)
+        w = Waveform(w.samples[:n], rate)
+        out = copy_synthesize(w, VocoderChannel("phasernd"))
+        expected = phase_random_exact_length(w.samples, rate, **CHANNEL_PARAMS["phasernd"])
+        assert len(out) == n and out.sample_rate == rate
+        rel = np.sqrt(np.mean((out.samples - expected) ** 2) / np.mean(expected**2))
+        assert rel <= (1e-12 if kind == "5-smooth" else 1e-3)
 
     def test_intermediate_sr_roundtrip_wrapper(self):
         w = harmonic_speechlike(duration=0.8, f0=160.0, seed=7)
@@ -261,26 +290,66 @@ class TestBuildVocodedSet:
         assert forks == [1]  # none on one CPU, one worker on two
         assert len(built[2]) == 4 * len(channels) + 1 and built[1] == built[2]
 
+    def test_each_trial_is_resampled_once_for_all_channels(self, tmp_path, monkeypatch):
+        manifest = self._corpus(tmp_path, n=2)
+        channels = [VocoderChannel(n, 24000) for n in DEFAULT_CHANNEL_NAMES]
+        real_resample, calls = vocoders.resample, []
+        monkeypatch.setattr(vocoders, "resample", lambda w, sr: calls.append(sr) or real_resample(w, sr))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # every trial in this process
+        build_vocoded_set(manifest, channels, tmp_path / "voc")
+        # in once per trial, back once per channel; 2 x 8 calls when each channel resampled its own input
+        assert calls == [24000] + [SR] * len(channels) + [24000] + [SR] * len(channels)
+        for rec in manifest:
+            w = read_wav(manifest.resolve(rec))
+            for ch in channels:
+                write_wav(tmp_path / "alone.wav", copy_synthesize(w, ch))
+                alone = (tmp_path / "alone.wav").read_bytes()
+                assert (tmp_path / "voc" / f"{rec.trial_id}_{ch.name}.wav").read_bytes() == alone
+
+    @pytest.mark.parametrize("case", ["too_short", "off_rate", "silent"])
+    def test_a_shared_resample_dict_keeps_every_check(self, case):
+        """The same DataError or warning, and output, with a dict as without; the dict stays empty."""
+        w = {"too_short": Waveform(np.full(1000, 0.1), SR), "off_rate": Waveform(np.full(6000, 0.1), 6000),
+             "silent": Waveform(np.zeros(SR), SR)}[case]
+
+        def outcome(ch, *resampled):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    result = copy_synthesize(w, ch, *resampled).samples.tobytes()
+                except DataError as exc:
+                    result = f"DataError: {exc}"
+            return result, [(c.category, str(c.message), c.filename) for c in caught]
+
+        for name in DEFAULT_CHANNEL_NAMES:
+            ch, resampled = VocoderChannel(name, 24000), {}
+            alone = outcome(ch)
+            assert isinstance(alone[0], str) == (case != "silent")  # a DataError's text, or the output bytes
+            assert len(alone[1]) == (case == "silent")
+            assert outcome(ch, resampled) == alone
+            assert resampled == {}
+
     def test_empty_manifest_rejected(self, tmp_path):
         with pytest.raises(DataError):
             build_vocoded_set(TrialManifest([], root=tmp_path), [VocoderChannel("phasernd")], tmp_path / "v")
 
 
 # SHA-256 of copy_synthesize's float64 output bytes on harmonic_speechlike().
-# The Griffin-Lim channels' were recorded at synthesis version 2, when they
-# moved to 16 fast Griffin-Lim iterations and the mel products to a fixed
-# order; phasernd's and lpcvoc's were re-recorded at GOLDEN_SYNTHESIS_VERSION
-# 3, when their IIR filters moved from scipy to spoofcm.dsp (numpy 2.4.6,
-# x86-64). A speedup must leave them alone; a change that alters synthesis on
+# phasernd's and lpcvoc's were recorded at synthesis version 3, when their IIR
+# filters moved from scipy to spoofcm.dsp; the input's 16,000 samples (24,000
+# at 24 kHz) are an FFT-friendly length, so phasernd's kept its bytes at
+# version 4. The Griffin-Lim channels' were re-recorded at
+# GOLDEN_SYNTHESIS_VERSION 4, when the phase step came to multiply by one real
+# factor (numpy 2.4.6, x86-64). A speedup must leave them alone; a change that alters synthesis on
 # purpose re-records them and bumps vocoders.SYNTHESIS_VERSION with
 # GOLDEN_SYNTHESIS_VERSION. The bytes do not depend on the BLAS thread count
 # (see the one-thread test below); another numpy or CPU may round differently.
-GOLDEN_SYNTHESIS_VERSION = 3
+GOLDEN_SYNTHESIS_VERSION = 4
 GOLDEN_SYNTHESIS_SHA256 = {
-    ("glmel", None): "7fb4ca51b12a11a78aac36fb127aaefb66f12c05661ba497a909333376784ccd",
-    ("glmel", 24000): "dc087647b388cc6c231f0eca3efb6d4ec29878811b762c8525fec845223c78d9",
-    ("coarsegl", None): "a20207904cc14f65f8bd01f69ad0e45b48c5333a1f38f0f8a567659ae96b1131",
-    ("coarsegl", 24000): "086dab1195b329b55fe5adce897a11d9d83b2467fb6fde2ac04ecfff8f35fadb",
+    ("glmel", None): "239acac421d6dc89acde30185bfb8d9d888035471c60675e160fc0b163d69624",
+    ("glmel", 24000): "42d0dd8141e3bdc16489a02016ad7857df5fb73a0e2ea90aecab97da23c06a6e",
+    ("coarsegl", None): "3ec6205d203b32fde352e05d29d592d9e8fd6ac2a2bd5e55f9f14e51d6315976",
+    ("coarsegl", 24000): "0b20eeb164a1781d6aabfcc8e80dc04944746458f5349fa08f32795e466286f2",
     ("phasernd", None): "65c68e65d75172ff824c050e617a388a367a70236ca902d09c18aac3c9ad7eb2",
     ("phasernd", 24000): "fd7159dc69bc6f5e66827be606be0d2b2e9d0712a56e38cea60bdd9608e96510",
     ("lpcvoc", None): "87b7ad291ac40f6b345ffc657c9d5c047a67afe50fa959a528ab0caa079f1e0c",
