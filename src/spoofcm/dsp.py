@@ -178,9 +178,13 @@ def _check_cola(cfg: StftConfig) -> None:
 
 
 def istft(s: ComplexSpectrogram) -> Waveform:
-    """Least-squares overlap-add inverse; length (F-1)*hop + win_length."""
+    """Least-squares overlap-add inverse; length (F-1)*hop + win_length. Bins
+    whose inverse overflows raise NumericalError, as non-finite bins do."""
     _check_cola(s.config)
-    return Waveform(_istft_samples(s.frames, s.config, _ola_envelope(s.config, s.n_frames)), s.sample_rate)
+    samples = _istft_samples(s.frames, s.config, _ola_envelope(s.config, s.n_frames))
+    if not np.all(np.isfinite(samples)):
+        raise NumericalError("inverse STFT overflowed to non-finite samples")
+    return Waveform(samples, s.sample_rate)
 
 
 def _istft_samples(spec: np.ndarray, cfg: StftConfig, envelope: np.ndarray) -> np.ndarray:

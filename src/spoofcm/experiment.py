@@ -291,7 +291,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, base_dir: str | P
     The bundle's features and views, and the trimmed eval features, are
     built per trial in forked worker processes (``util.parallel_map``).
     Systems train one after another, in config order; a system's seeds
-    train in worker processes too, the first in this process. Each worker
+    train in worker processes too, each worker taking the next seed when
+    it is free, and the first seed in this process. Each worker
     writes its run's checkpoint and history and sends back only the
     trained parameters, so every output is byte-identical for any CPU
     count. Scoring and what follows run here."""
@@ -316,7 +317,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, base_dir: str | P
         bundle = DataBundle(combined, cfg.augment_kind, cfg.master_seed, cfg.k_views)
 
     trained = {}
-    for name, train_cfg in cfg.systems:  # the first seed trains in this process, so every system trains in it
+    for name, train_cfg in cfg.systems:  # the first seed, item 0 of equal weights, trains here: so does every system
         runs = parallel_map(functools.partial(_train_run, cfg, bundle, name, train_cfg, out_dir), cfg.seeds)
         trained.update({(name, seed): run for seed, run in zip(cfg.seeds, runs)})
 

@@ -10,10 +10,11 @@ by ``table_text`` and parsed by ``read_table``.
 
 ``parallel_map`` is ``[fn(item) for item in items]`` over forked worker
 processes, one per CPU this process may run on (capped at the number of
-items; with one, it is that loop in this process). The calling process
-runs share 0 of the items itself, results come back in input order, and
-the exception raised is the loop's, so a deterministic ``fn`` gives
-byte-identical output with any worker count.
+items; with one, it is that loop in this process). Each worker takes the
+next item, heaviest first, when it is free; the calling process takes the
+first. Results come back in input order and the exception raised is the
+loop's, so a deterministic ``fn`` gives byte-identical output with any
+worker count.
 
 Before it forks, ``parallel_map`` moves every object the process tracks
 into the collector's permanent generation (``gc.freeze``), the pattern the
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import itertools
 import os
 import pickle
 import signal
@@ -134,21 +136,22 @@ def parallel_map(fn, items, weights=None) -> list:
     where the platform cannot say), capped at the number of items. With one
     worker, or while another thread runs (a forked copy of a running
     thread's locks can deadlock), it is that loop in this process.
-    Otherwise the items are dealt into one share per worker, heaviest first
-    by ``weights`` (default: all equal) to the share with the least weight
-    so far, and each share runs in input order. This process runs share 0
-    itself and forks one child per other share, here, after every import:
-    children share its loaded pages and read ``fn`` and the items from its
-    memory, and only results are pickled back. Results come back in input
-    order. Right before the forks, every object this process tracks is
-    frozen (``gc.freeze``, never undone): cyclic garbage alive at a fork
-    is not reclaimed before exit.
+    Otherwise the items queue heaviest first by ``weights`` (default: all
+    equal; ties in input order), and each worker, this process among them,
+    takes the next one whenever it is free, so a slow worker runs fewer.
+    This process takes the first, then forks one child per other worker,
+    here, after every import: children share its loaded pages and read
+    ``fn`` and the items from its memory, and only results are pickled
+    back. Results come back in input order. Right before the forks, every
+    object this process tracks is frozen (``gc.freeze``, never undone):
+    cyclic garbage alive at a fork is not reclaimed before exit.
 
-    A share stops at its first exception. The exception of the earliest
-    failing item in input order is raised, with its type and message: the
-    one the loop would raise. Children ignore SIGINT; an interrupt of this
-    process kills them. Every child is reaped before this returns or
-    raises, and a child whose parent has gone exits before its next item.
+    After its first exception a worker runs only items earlier in input
+    order. The exception of the earliest failing item is raised, with its
+    type and message: the one the loop would raise. Children ignore SIGINT;
+    an interrupt of this process kills them. Every child is reaped before
+    this returns or raises, and a child whose parent has gone exits before
+    its next item.
     """
     items = list(items)
     weights = [1] * len(items) if weights is None else list(weights)
@@ -158,24 +161,30 @@ def parallel_map(fn, items, weights=None) -> list:
     n = min(cpus, len(items))
     if n <= 1 or threading.active_count() > 1:
         return [fn(item) for item in items]
-    shares = _deal(weights, n)
+    order = sorted(range(len(items)), key=lambda i: -weights[i])
+    size = -(-len(order) // 1024)  # at most 1024 runs: their 4-byte tokens fit the 4 KiB any Linux pipe holds
+    runs = [order[p : p + size] for p in range(0, len(order), size)]
     gc.freeze()  # no gc.collect() first: that is a full traversal of every tracked object, per call
     sys.stdout.flush()  # else a child would write this process's buffered text again
     sys.stderr.flush()
     parent, children = os.getpid(), {}  # pid -> read end of its result pipe
+    queue, write_end = os.pipe()
     try:
+        with os.fdopen(write_end, "wb") as tokens:  # every run but 0, this process's; closed before the forks
+            tokens.write(b"".join(k.to_bytes(4, "little") for k in range(1, len(runs))))
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})  # till each child is known
         try:
-            for share in shares[1:]:
+            for _ in range(n - 1):
                 read_end, write_end = os.pipe()
                 pid = os.fork()
                 if pid == 0:
-                    _child(fn, items, share, parent, write_end, [read_end, *(p.fileno() for p in children.values())])
+                    _child(fn, items, runs, queue, parent, write_end,
+                           [read_end, *(p.fileno() for p in children.values())])
                 os.close(write_end)
                 children[pid] = os.fdopen(read_end, "rb")
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        outcomes = [_run_share(fn, items, shares[0])]
+        outcomes = [_run_queue(fn, items, runs, queue, [0])]
         for pid, pipe in list(children.items()):
             data = pipe.read()
             pipe.close()
@@ -186,13 +195,14 @@ def parallel_map(fn, items, weights=None) -> list:
                                         f"(exit status {os.waitstatus_to_exitcode(status)})")
             outcomes.append(pickle.loads(data))  # bytes its own child wrote
     finally:
+        os.close(queue)
         for pid, pipe in children.items():
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     results, failures = [None] * len(items), []
-    for share, (done, failure) in zip(shares, outcomes):
-        for i, result in zip(share, done):
+    for done, failure in outcomes:
+        for i, result in done:
             results[i] = result
         if failure is not None:
             failures.append(failure)
@@ -201,45 +211,39 @@ def parallel_map(fn, items, weights=None) -> list:
     return results
 
 
-def _deal(weights: list, n: int) -> list[list[int]]:
-    """Item indices in ``n`` shares: heaviest item first (ties in input order)
-    to the share with the least weight, then the fewest items, so far (ties to
-    the lowest share); each share in input order."""
-    shares, loads = [[] for _ in range(n)], [0] * n
-    for i in sorted(range(len(weights)), key=lambda i: -weights[i]):
-        k = min(range(n), key=lambda k: (loads[k], len(shares[k])))
-        shares[k].append(i)
-        loads[k] += weights[i]
-    return [sorted(share) for share in shares]
-
-
-def _run_share(fn, items, share, parent: int | None = None):
-    """``(results, failure)`` of ``fn`` over the items of ``share`` in order,
-    stopping at the first exception; ``failure`` is ``(index, exception)`` or
-    None. In a child (``parent`` given), an interrupt raised by ``fn`` is a
-    failure too, and the child exits once its parent has gone."""
+def _run_queue(fn, items, runs, queue: int, first: list[int], parent: int | None = None):
+    """``(done, failure)`` of ``fn`` over the items of the runs ``first``
+    names, then of each run taken from ``queue`` till it is empty: ``done``
+    lists ``(index, result)``, ``failure`` is the ``(index, exception)`` of
+    the earliest item that failed, or None, and after one only items of
+    lower index run. In a child (``parent`` given), an interrupt raised by
+    ``fn`` is a failure too, and the child exits once its parent has gone."""
     caught = Exception if parent is None else BaseException
-    results = []
-    for i in share:
-        if parent is not None and os.getppid() != parent:
-            os._exit(1)
-        try:
-            results.append(fn(items[i]))
-        except caught as exc:
-            return results, (i, exc)
-    return results, None
+    done, failure = [], None
+    taken = iter(lambda: int.from_bytes(os.read(queue, 4), "little"), 0)  # run 0 is never queued: b"" reads as 0
+    for run in itertools.chain(first, taken):
+        for i in runs[run]:
+            if failure is not None and i > failure[0]:
+                continue
+            if parent is not None and os.getppid() != parent:
+                os._exit(1)
+            try:
+                done.append((i, fn(items[i])))
+            except caught as exc:
+                failure = (i, exc)
+    return done, failure
 
 
-def _child(fn, items, share, parent: int, write_end: int, inherited: list[int]):
-    """Run ``share`` in a forked child, send its outcome to the parent through
-    ``write_end`` and exit; never returns into the caller's code."""
+def _child(fn, items, runs, queue: int, parent: int, write_end: int, inherited: list[int]):
+    """Run the items this child takes from ``queue``, send its outcome to the
+    parent through ``write_end`` and exit; never returns into the caller's code."""
     code = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # also drops one sent before this
         signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
         for fd in inherited:
             os.close(fd)
-        data = pickle.dumps(_run_share(fn, items, share, parent))
+        data = pickle.dumps(_run_queue(fn, items, runs, queue, [], parent))
         sys.stdout.flush()
         sys.stderr.flush()
         with os.fdopen(write_end, "wb") as pipe:

@@ -242,8 +242,8 @@ def build_vocoded_set(
     read are skipped with a logged error.
 
     Trials are synthesized by ``util.parallel_map``: one forked worker per
-    CPU this process may run on (at most one per trial), largest WAV first
-    to the least-loaded share. This process synthesizes share 0 itself.
+    CPU this process may run on (at most one per trial), each taking the
+    largest WAV left whenever it is free; this process takes the largest.
     Every spoof depends on its trial and channel alone and records come
     back in trial order, so the WAVs and ``manifest.tsv`` are byte-identical
     for any worker count, and an error is the one of the first failing trial

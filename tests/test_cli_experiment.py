@@ -27,7 +27,6 @@ from spoofcm.experiment import ExperimentConfig, ensure_vocoded_set, load_config
 from spoofcm.errors import ConfigError, NumericalError, SpoofcmError
 from spoofcm.manifest import TrialManifest, TrialRecord, load_manifest
 from spoofcm.training import DataBundle, TrainConfig, load_checkpoint
-from spoofcm.util import _deal
 from spoofcm.vocoders import CHANNEL_PARAMS, SYNTHESIS_VERSION, VocoderChannel
 
 from conftest import harmonic_speechlike
@@ -389,7 +388,7 @@ def test_stopped_synth_leaves_no_process_running(tmp_path, stop):
     """After a SIGKILL of the parent, a worker exits before its next trial, once it
     sees its parent gone, and init reaps it. On Ctrl-C (SIGINT to the process group)
     the workers ignore it, and the parent kills and reaps them before it exits."""
-    manifest_file = _speech_manifest(tmp_path, [1.5] * 100)  # a worker's share takes over 5 s
+    manifest_file = _speech_manifest(tmp_path, [1.5] * 100)  # a worker's half of the trials takes over 5 s
     out, stderr = tmp_path / "vocoded", tmp_path / "synth.stderr"
     with open(stderr, "w") as err:
         proc = _spoofcm_on_two_cpus(["synth", "--manifest", str(manifest_file), "--intermediate-sr", "24000",
@@ -403,7 +402,7 @@ def test_stopped_synth_leaves_no_process_running(tmp_path, stop):
             os.killpg(proc.pid, signal.SIGINT)
             sent = time.monotonic()
             try:
-                proc.wait(timeout=5)  # a worker's share takes longer
+                proc.wait(timeout=5)  # a worker's half takes longer
             except subprocess.TimeoutExpired:
                 pytest.fail(_stall_report(proc, sent, out, stderr))
         else:
@@ -456,9 +455,9 @@ def test_commands_run_without_scipy(tmp_path):
 
 
 def test_typed_error_in_a_worker_keeps_its_exit_code(tmp_path, capfd):
-    manifest_file = _speech_manifest(tmp_path, [4.0, 0.3])  # copy_synthesize refuses 0.3 s
+    manifest_file = _speech_manifest(tmp_path, [8.0, 0.3])  # copy_synthesize refuses 0.3 s
     sizes = [p.stat().st_size for p in sorted(tmp_path.glob("*.wav"))]
-    assert 1 in _deal(sizes, 2)[1]  # the failing trial is in the forked worker's share
+    assert max(sizes) == sizes[0]  # the parent holds trial000, the heaviest, while the forked worker takes trial001
     proc = _spoofcm_on_two_cpus(["synth", "--manifest", str(manifest_file), "--channels", "glmel",
                                  "--out", str(tmp_path / "vocoded")], start_new_session=True)
     assert proc.wait(timeout=120) == 2
@@ -468,9 +467,9 @@ def test_typed_error_in_a_worker_keeps_its_exit_code(tmp_path, capfd):
 
 
 def test_skip_in_a_worker_is_logged_once_and_left_out(tmp_path, capfd):
-    manifest_file = _speech_manifest(tmp_path, [0.8, None, 1.0])
+    manifest_file = _speech_manifest(tmp_path, [4.0, None, 1.0])
     sizes = [p.stat().st_size for p in sorted(tmp_path.glob("*.wav"))]
-    assert 1 in _deal(sizes, 2)[1]  # the unreadable trial is in the forked worker's share
+    assert max(sizes) == sizes[0]  # the parent holds trial000, the heaviest, while the forked worker takes the rest
     proc = _spoofcm_on_two_cpus(["synth", "--manifest", str(manifest_file), "--channels", "phasernd",
                                  "--out", str(tmp_path / "vocoded")])
     assert proc.wait(timeout=120) == 0

@@ -25,8 +25,8 @@ def test_finds_the_package():
 
 
 def test_detects_private_imports():
-    source = "from .dsp import _stft_frames, stft\nfrom spoofcm.util import _deal\nfrom os import _exit\n"
-    assert private_imports(source) == [".dsp._stft_frames", "spoofcm.util._deal"]
+    source = "from .dsp import _stft_frames, stft\nfrom spoofcm.util import _child\nfrom os import _exit\n"
+    assert private_imports(source) == [".dsp._stft_frames", "spoofcm.util._child"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from dataclasses import replace as dc_replace
 
 import numpy as np
@@ -27,7 +28,7 @@ from spoofcm.training import (
     score_manifest,
     train,
 )
-from spoofcm.util import _deal, derive_seed, file_size
+from spoofcm.util import derive_seed, file_size
 from spoofcm.vocoders import VocoderChannel, build_vocoded_set
 
 from conftest import flat, harmonic_speechlike, with_dtype
@@ -118,9 +119,11 @@ def test_a_view_the_bundle_does_not_hold_is_refused_without_augmenting(tiny_bund
     assert augment_calls == []
 
 
-def _manifest_with_two_unreadable(root):
-    """Four train trials; u1 and u3 are not WAV files. On two CPUs the first,
-    u1, lies in the worker's share and u3 in this process's."""
+def _manifest_with_two_unreadable(root, monkeypatch):
+    """Four train trials, heaviest first; u1 and u3 are not WAV files. Reading
+    u0 waits 0.1 s and u1 0.3 s, so on two CPUs this process holds u0, the
+    heaviest, while the forked worker takes u1, and this process then takes
+    u2 and u3."""
     records = []
     for tid, content in [("u0", 1.0), ("u1", 20000), ("u2", 0.5), ("u3", 10000)]:
         if isinstance(content, float):
@@ -129,12 +132,20 @@ def _manifest_with_two_unreadable(root):
             (root / f"{tid}.wav").write_bytes(b"\0" * content)
         records.append(TrialRecord(tid, f"{tid}.wav", "bonafide", "-", tid, "train"))
     manifest = TrialManifest(records, root=root)
-    assert _deal([file_size(manifest.resolve(r)) for r in manifest], 2) == [[0, 3], [1, 2]]
+    sizes = [file_size(manifest.resolve(r)) for r in manifest]
+    assert sizes == sorted(sizes, reverse=True)
+    real = training_mod._trial_features
+
+    def slowed(manifest, transform, rec):
+        time.sleep({"u0": 0.1, "u1": 0.3}.get(rec.trial_id, 0))
+        return real(manifest, transform, rec)
+
+    monkeypatch.setattr(training_mod, "_trial_features", slowed)
     return manifest
 
 
-def test_unreadable_trial_in_a_worker_raises_the_serial_error(tmp_path, cpus):
-    manifest = _manifest_with_two_unreadable(tmp_path)
+def test_unreadable_trial_in_a_worker_raises_the_serial_error(tmp_path, cpus, monkeypatch):
+    manifest = _manifest_with_two_unreadable(tmp_path, monkeypatch)
     errors = {}
     for n in (1, 2):
         cpus(n)
@@ -144,8 +155,8 @@ def test_unreadable_trial_in_a_worker_raises_the_serial_error(tmp_path, cpus):
     assert errors[2] == errors[1] and "u1.wav" in errors[1]
 
 
-def test_manifest_features_do_not_depend_on_the_worker_count(tmp_path, cpus):
-    manifest = _manifest_with_two_unreadable(tmp_path)
+def test_manifest_features_do_not_depend_on_the_worker_count(tmp_path, cpus, monkeypatch):
+    manifest = _manifest_with_two_unreadable(tmp_path, monkeypatch)
     found = {}
     for n in (1, 2):
         cpus(n)

@@ -2,6 +2,7 @@ import ast
 import errno
 import gc
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -11,7 +12,7 @@ import pytest
 
 import spoofcm
 from spoofcm.errors import DataError, NumericalError
-from spoofcm.util import _deal, parallel_map, table_text, write_file
+from spoofcm.util import parallel_map, table_text, write_file
 
 PACKAGE = Path(spoofcm.__file__).parent
 WRITE_METHODS = {"write_text", "write_bytes", "mkdir", "makedirs"}
@@ -126,21 +127,54 @@ def test_table_text_writes_fields_with_str():
     assert table_text([]) == ""
 
 
-def test_deal_gives_the_heaviest_item_to_the_lightest_share():
-    assert _deal([1, 5, 2, 8, 3, 3, 0, 7, 1], 2) == [[0, 3, 4, 5, 6], [1, 2, 7, 8]]
-    assert _deal([1] * 5, 2) == [[0, 2, 4], [1, 3]]  # equal weights: round-robin
-    assert _deal([0] * 4, 3) == [[0, 3], [1], [2]]
-
-
 def _square_and_pid(x):
     return x * x, os.getpid()
 
 
 def test_parallel_map_returns_results_in_input_order_from_forked_workers(cpus):
     cpus(2)
-    out = parallel_map(_square_and_pid, range(9), weights=[1, 5, 2, 8, 3, 3, 0, 7, 1])
+
+    def fn(x):
+        time.sleep(0.02)  # this process could take every instant item before its child starts
+        return _square_and_pid(x)
+
+    out = parallel_map(fn, range(9), weights=[1, 5, 2, 8, 3, 3, 0, 7, 1])
     assert [r for r, _ in out] == [x * x for x in range(9)]
     assert os.getpid() in {pid for _, pid in out} and len({pid for _, pid in out}) == 2
+
+
+def test_parallel_map_runs_the_heaviest_item_in_this_process(cpus):
+    cpus(2)
+    assert parallel_map(_square_and_pid, range(9), weights=[1, 5, 2, 8, 3, 3, 0, 7, 1])[3][1] == os.getpid()
+    assert parallel_map(_square_and_pid, range(9))[0][1] == os.getpid()  # equal weights: item 0
+
+
+def test_a_slow_worker_takes_fewer_items(cpus):
+    cpus(2)
+    parent = os.getpid()
+
+    def fn(x):
+        time.sleep(0.03 if os.getpid() == parent else 0.003)
+        return os.getpid()
+
+    # shares dealt before the fork would give each worker 20
+    assert sum(pid != parent for pid in parallel_map(fn, range(40))) > 20
+
+
+def _stalled(signum, frame):
+    raise TimeoutError("parallel_map stalled")
+
+
+def test_a_map_longer_than_the_queue_forks_one_child_per_other_cpu(cpus, forks):
+    cpus(2)
+    previous = signal.signal(signal.SIGALRM, _stalled)
+    signal.alarm(30)  # a stall fails the test instead of hanging the suite
+    try:
+        out = parallel_map(abs, range(-20000, 0))  # 80 kB of 4-byte tokens, more than a default pipe holds
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert out == list(range(20000, 0, -1)) and len(forks) == 1
 
 
 def test_parallel_map_on_one_cpu_is_a_loop_in_this_process(cpus, monkeypatch):
@@ -163,21 +197,37 @@ def test_parallel_map_freezes_the_collector_only_when_it_forks(cpus):
     assert gc.get_freeze_count() > frozen
 
 
-def _failing_at(failing, exc_type):
+def _failing_at(failing, exc_type, slow=None):
     def fn(i):
+        if i == slow:
+            time.sleep(0.5)
         if i in failing:
             raise exc_type(f"item {i}")
         return i
     return fn
 
 
-# Equal weights deal round-robin: on 2 CPUs this process runs the even items
-# and one forked worker the odd ones.
+# On 2 CPUs this process holds item 0, the heaviest, for 0.5 s; the forked
+# worker meanwhile takes item 7, which fails, then 1 to 6, of which 3 fails.
 @pytest.mark.parametrize("exc_type", [DataError, NumericalError, KeyboardInterrupt])
 def test_parallel_map_raises_a_worker_exception_of_the_earliest_failing_item(cpus, exc_type):
     cpus(2)
     with pytest.raises(exc_type, match=r"^item 3$"):
-        parallel_map(_failing_at({3, 7}, exc_type), range(8))
+        parallel_map(_failing_at({3, 7}, exc_type, slow=0), range(8), weights=[9, 0, 0, 0, 0, 0, 0, 1])
+
+
+# Items 3, 5 and 7 fail. This process takes the heaviest item first; a slow
+# item keeps the one who took it busy for 0.5 s while the other takes the
+# next items. A worker that has failed still runs the lower items it takes.
+@pytest.mark.parametrize("weights, slow", [
+    (list(range(8)), 7),  # 7 fails here, late; the worker takes 6 to 0 and fails at 5, then at 3
+    (list(range(8)), 6),  # 7 fails here, then 5 and 3, while the worker holds 6
+    ([0, 0, 0, 9, 0, 0, 0, 0], None),  # 3 fails here first
+], ids=["later-here-earliest-in-worker", "both-here-later-first", "earliest-here-first"])
+def test_parallel_map_raises_the_earliest_failure_wherever_it_lands(cpus, weights, slow):
+    cpus(2)
+    with pytest.raises(DataError, match=r"^item 3$"):
+        parallel_map(_failing_at({3, 5, 7}, DataError, slow), range(8), weights=weights)
 
 
 @pytest.mark.parametrize("exc_type", [DataError, NumericalError])

@@ -101,16 +101,17 @@ class TestGriffinLim:
         expected = griffin_lim_loops(mag, cfg, SR, iters)
         assert out.samples.tobytes() == expected.samples.tobytes()
 
-    @pytest.mark.parametrize("bad", ["huge", "nan", "inf"])
+    @pytest.mark.parametrize("bad", ["huge", "huge-at-once", "nan", "inf"])
     def test_non_finite_result_is_a_numerical_error(self, bad):
-        """Finite magnitudes that overflow inside the loop fail as NaN or inf input does.
+        """Finite magnitudes that overflow inside the loop, or in its first
+        synthesis, fail as NaN or inf input does.
 
         The peak magnitude here is about 12: scaled by 1e305 the first
         synthesis already overflows, scaled by 1e303 the loop stays finite."""
         cfg = StftConfig()
         mag = np.abs(stft(harmonic_speechlike(duration=0.5, seed=3), cfg).frames)
-        if bad == "huge":
-            mag *= 1e304
+        if bad.startswith("huge"):
+            mag *= 1e305 if bad == "huge-at-once" else 1e304
         else:
             mag[3, 7] = float(bad)
         with np.errstate(all="ignore"), pytest.raises(NumericalError):
