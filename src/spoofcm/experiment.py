@@ -3,9 +3,8 @@ refresh, multi-seed multi-system runs, trimmed-eval scoring, seed
 averaging, and significance reports.
 
 Synthesis, the per-trial features (base features, augmented views and
-the trimmed eval features) and each system's seeds run in forked worker
-processes, one per CPU this process may run on (``util.parallel_map``);
-outputs are byte-identical for any CPU count.
+the trimmed eval features) and each system's seeds are mapped by
+``util.parallel_map``; outputs are byte-identical for any CPU count.
 
 Config files are INI. Example:
 
@@ -267,17 +266,9 @@ def _train_run(cfg: ExperimentConfig, bundle: DataBundle, name: str, train_cfg: 
     return run_dir, params
 
 
-@dataclass(frozen=True)
-class RunResult:
-    system: str
-    seed: int
-    set_name: str
-    eer: EerResult
-
-
 @dataclass
 class ExperimentReport:
-    results: list[RunResult]
+    results: dict[tuple[str, int, str], EerResult]  # (system, seed, set), in results.csv row order
     seed_means: dict[tuple[str, str], float]  # (system, set) -> mean EER
     significance: SignificanceMatrix | None
     out_dir: Path
@@ -288,14 +279,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, base_dir: str | P
     the evaluation subsets (original and non-speech-trimmed), average
     over seeds, and test pairwise significance between systems.
 
-    The bundle's features and views, and the trimmed eval features, are
-    built per trial in forked worker processes (``util.parallel_map``).
-    Systems train one after another, in config order; a system's seeds
-    train in worker processes too, each worker taking the next seed when
-    it is free, and the first seed in this process. Each worker
-    writes its run's checkpoint and history and sends back only the
-    trained parameters, so every output is byte-identical for any CPU
-    count. Scoring and what follows run here."""
+    The bundle's features and views, the trimmed eval features and each
+    system's seeds are mapped by ``util.parallel_map``. Systems train one
+    after another, in config order. A seed's run writes its checkpoint and
+    history and returns only the trained parameters, so every output is
+    byte-identical for any CPU count. Scoring and what follows run here."""
     out_dir = Path(out_dir)
     base_dir = Path(base_dir)
 
@@ -331,7 +319,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, base_dir: str | P
             "eval_trim": manifest_features(eval_manifest, trim_nonspeech)[0],
         }
 
-    results: list[RunResult] = []
+    results: dict[tuple[str, int, str], EerResult] = {}
     for (name, seed), (run_dir, params) in trained.items():
         with _stage(f"score:{name}:{seed}"):
             sets = []
@@ -339,29 +327,25 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, base_dir: str | P
                 scores = score_manifest(eval_manifest, params, features, set_name)[0]
                 save_scores(run_dir / f"scores_{set_name}.txt", scores)
                 sets.append(scores)
-                results.append(RunResult(name, seed, set_name, compute_eer(scores)))
-            results.append(RunResult(name, seed, "pooled", pooled_eer(sets)))
+                results[name, seed, set_name] = compute_eer(scores)
+            results[name, seed, "pooled"] = pooled_eer(sets)
 
     with _stage("aggregate"):
-        seed_means: dict[tuple[str, str], float] = {}
-        set_names = sorted({r.set_name for r in results})
-        for name, _ in cfg.systems:
-            for set_name in set_names:
-                eers = [r.eer.eer for r in results if r.system == name and r.set_name == set_name]
-                seed_means[(name, set_name)] = float(np.mean(eers))
+        seed_means = {(name, set_name): float(np.mean([results[name, seed, set_name].eer for seed in cfg.seeds]))
+                      for name, _ in cfg.systems for set_name in (*eval_features, "pooled")}
 
     with _stage("significance"):
         significance = None
         if len(cfg.systems) >= 2:
             pooled_results = {}
             for name, _ in cfg.systems:
-                first = next(r.eer for r in results if r.system == name and r.set_name == "pooled")
+                first = results[name, cfg.seeds[0], "pooled"]
                 pooled_results[name] = EerResult(seed_means[(name, "pooled")], 0.0, first.n_tar, first.n_non)
             significance = significance_matrix(pooled_results)
             significance.save(out_dir)
 
     with _stage("report"):
-        rows = [(r.system, r.seed, r.set_name, *astuple(r.eer)) for r in results]
+        rows = [(*key, *astuple(eer)) for key, eer in results.items()]
         write_file(out_dir / "results.csv", table_text([("system", "seed", "set", *EER_COLUMNS), *rows]))
         rows = [(*key, seed_means[key]) for key in sorted(seed_means)]
         write_file(out_dir / "summary.csv", table_text([("system", "set", "mean_eer"), *rows]))

@@ -135,33 +135,30 @@ def _lrelu(z):
 
 
 def _dlrelu(z):
-    """d lrelu / dz: 1 where z > 0, else LEAKY_SLOPE (also for NaN)."""
+    """d lrelu / dz: 1 where z > 0, else LEAKY_SLOPE (also for NaN). z may be
+    a LeakyReLU input or its output: with a positive slope both share one sign."""
     return _SLOPES[z.dtype].take((z > 0).view(np.uint8))
 
 
 def forward(members: list, p: ModelParams) -> dict:
     """Forward pass of a batch of trials, in the parameters' dtype; returns
-    every intermediate the backward pass needs, and each trial's score.
-    ``frames`` holds each member's frame-level ``(B, Z1, A1)``; ``a``, ``v``,
-    the head activations and ``logits`` have one row per member, and
-    ``score`` is one float per member."""
+    each layer's input and activation, all the backward pass needs, and each
+    trial's score. ``frames`` holds each member's frame-level ``(B, A1)``;
+    ``a``, ``v``, the head activations and ``logits`` have one row per
+    member, and ``score`` is one float per member."""
     frames, a = [], np.empty((len(members), p.W1.shape[0]), dtype=p.dtype)
     for i, base in enumerate(members):
         B = (np.asarray(base, dtype=p.dtype) - p.feat_mean) / p.feat_scale
-        Z1 = B @ p.W1.T + p.b1
-        A1 = _lrelu(Z1)
+        A1 = _lrelu(B @ p.W1.T + p.b1)
         a[i] = A1.mean(axis=0)
-        frames.append((B, Z1, A1))
+        frames.append((B, A1))
     v = a @ p.W2.T + p.b2  # the pooled embeddings, means of the frame features A1 @ W2.T + b2
-    z1 = v @ p.H1.T + p.c1
-    u1 = _lrelu(z1)
-    z2 = u1 @ p.H2.T + p.c2
-    u2 = _lrelu(z2)
-    z3 = u2 @ p.H3.T + p.c3
-    u3 = _lrelu(z3)
+    u1 = _lrelu(v @ p.H1.T + p.c1)
+    u2 = _lrelu(u1 @ p.H2.T + p.c2)
+    u3 = _lrelu(u2 @ p.H3.T + p.c3)
     logits = u3 @ p.Ho.T + p.co
     score = (logits[:, 1] - logits[:, 0]).tolist()
-    return dict(frames=frames, a=a, v=v, z1=z1, u1=u1, z2=z2, u2=u2, z3=z3, u3=u3, logits=logits, score=score)
+    return dict(frames=frames, a=a, v=v, u1=u1, u2=u2, u3=u3, logits=logits, score=score)
 
 
 def cross_entropy(logits: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -180,26 +177,26 @@ def _backward(cache: dict, dlogits: np.ndarray, dv_cf, dX_cf, p: ModelParams) ->
     per member only the frame level is left. dv_cf / dX_cf: the utterance /
     sequence contrastive gradient on v / the frame features, or None."""
     g = {"Ho": dlogits.T @ cache["u3"], "co": dlogits.sum(axis=0)}
-    dz3 = (dlogits @ p.Ho) * _dlrelu(cache["z3"])
+    dz3 = (dlogits @ p.Ho) * _dlrelu(cache["u3"])
     g["H3"], g["c3"] = dz3.T @ cache["u2"], dz3.sum(axis=0)
-    dz2 = (dz3 @ p.H3) * _dlrelu(cache["z2"])
+    dz2 = (dz3 @ p.H3) * _dlrelu(cache["u2"])
     g["H2"], g["c2"] = dz2.T @ cache["u1"], dz2.sum(axis=0)
-    dz1 = (dz2 @ p.H2) * _dlrelu(cache["z1"])
+    dz1 = (dz2 @ p.H2) * _dlrelu(cache["u1"])
     g["H1"], g["c1"] = dz1.T @ cache["v"], dz1.sum(axis=0)
     dv = dz1 @ p.H1
     if dv_cf is not None:
         dv += dv_cf
     g["W2"], g["b2"] = dv.T @ cache["a"], dv.sum(axis=0)
-    counts = np.array([A1.shape[0] for _, _, A1 in cache["frames"]], dtype=p.dtype)
+    counts = np.array([A1.shape[0] for _, A1 in cache["frames"]], dtype=p.dtype)
     dA1_rows = (dv / counts[:, None]) @ p.W2  # the pooling's gradient, the same for every frame of a member
     g["W1"], g["b1"] = np.zeros_like(p.W1), np.zeros_like(p.b1)
-    for i, (B, Z1, A1) in enumerate(cache["frames"]):
+    for i, (B, A1) in enumerate(cache["frames"]):
         dA1 = dA1_rows[i]
         if dX_cf is not None:
             g["W2"] += dX_cf[i].T @ A1
             g["b2"] += dX_cf[i].sum(axis=0)
             dA1 = dA1 + dX_cf[i] @ p.W2
-        dZ1 = dA1 * _dlrelu(Z1)
+        dZ1 = dA1 * _dlrelu(A1)
         g["W1"] += dZ1.T @ B
         g["b1"] += dZ1.sum(axis=0)
     return g
@@ -261,11 +258,11 @@ def _frame_features(frames: list, p: ModelParams) -> np.ndarray:
     """The (members, N, D) stack of frame-level features A1 @ W2.T + b2,
     built for the sequence-level contrastive term only; members must share
     one frame count."""
-    counts = sorted({A1.shape[0] for _, _, A1 in frames})
+    counts = sorted({A1.shape[0] for _, A1 in frames})
     if len(counts) != 1:
         raise ConfigError(f"all members must share one (N, D) shape, got frame counts {counts}")
     X = np.empty((len(frames), counts[0], p.W2.shape[0]), dtype=p.dtype)
-    for x, (_, _, A1) in zip(X, frames):
+    for x, (_, A1) in zip(X, frames):
         np.matmul(A1, p.W2.T, out=x)
         x += p.b2
     return X

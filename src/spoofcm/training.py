@@ -17,9 +17,9 @@ tensors as one concatenated vector. Scoring and the dev pass instead call
 not depend on the other trials scored with it (``score_manifest`` says why).
 
 Per-trial features (a bundle's base features and augmented views, and
-``manifest_features``) are built by ``util.parallel_map``, one trial or
-view per item, and come back in input order, so they are byte-identical
-for any CPU count.
+``manifest_features``) are mapped by ``util.parallel_map``, one trial or
+view per item weighted by its WAV's bytes, and come back in input order,
+so they are byte-identical for any CPU count.
 """
 from __future__ import annotations
 
@@ -158,10 +158,10 @@ class DataBundle:
     epoch sees the same view and reruns are deterministic. ``k_views`` is 0
     when the kind is None (no augmentation).
 
-    The views are built in one ``util.parallel_map``, largest WAV first,
-    and are byte-identical for any CPU count. View-0 keys come first, in
-    manifest order, so an unreadable trial raises the DataError of the
-    first such trial in manifest order.
+    The views are built in one ``util.parallel_map``, weighted by WAV
+    bytes, and are byte-identical for any CPU count. View-0 keys come
+    first, in manifest order, so an unreadable trial raises the DataError
+    of the first such trial in manifest order.
     """
 
     def __init__(self, manifest: TrialManifest, augment_kind: str | None, master_seed: int, k_views: int):
@@ -384,9 +384,9 @@ def manifest_features(manifest: TrialManifest, transform=None) -> tuple[dict[str
     rather than failing the whole set.
 
     ``transform`` optionally maps each waveform first (for example
-    non-speech trimming). Trials are mapped by ``util.parallel_map``, each
-    worker taking the largest WAV left, and come back in manifest order:
-    the result is byte-identical for any CPU count."""
+    non-speech trimming). Trials are mapped by ``util.parallel_map``,
+    weighted by WAV bytes, and come back in manifest order: the result is
+    byte-identical for any CPU count."""
     records = list(manifest)
     features = parallel_map(functools.partial(_features_or_none, manifest, transform), records,
                             weights=[file_size(manifest.resolve(r)) for r in records])

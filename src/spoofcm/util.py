@@ -9,12 +9,9 @@ that writes a file or makes a directory; delimited tables are formatted
 by ``table_text`` and parsed by ``read_table``.
 
 ``parallel_map`` is ``[fn(item) for item in items]`` over forked worker
-processes, one per CPU this process may run on (capped at the number of
-items; with one, it is that loop in this process). Each worker takes the
-next item, heaviest first, when it is free; the calling process takes the
-first. Results come back in input order and the exception raised is the
-loop's, so a deterministic ``fn`` gives byte-identical output with any
-worker count.
+processes; its docstring states the schedule. Results come back in input
+order and the exception raised is the loop's, so a deterministic ``fn``
+gives byte-identical output with any worker count.
 
 Before it forks, ``parallel_map`` moves every object the process tracks
 into the collector's permanent generation (``gc.freeze``), the pattern the

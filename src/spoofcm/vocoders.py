@@ -241,9 +241,7 @@ def build_vocoded_set(
     records, paths relative to ``out_dir``. Trials whose audio cannot be
     read are skipped with a logged error.
 
-    Trials are synthesized by ``util.parallel_map``: one forked worker per
-    CPU this process may run on (at most one per trial), each taking the
-    largest WAV left whenever it is free; this process takes the largest.
+    Trials are synthesized by ``util.parallel_map``, weighted by WAV bytes.
     Every spoof depends on its trial and channel alone and records come
     back in trial order, so the WAVs and ``manifest.tsv`` are byte-identical
     for any worker count, and an error is the one of the first failing trial

@@ -79,6 +79,8 @@ class TestRunExperiment:
             assert (out / name).exists(), name
         # 2 systems x 1 seed x (eval, eval_trim, pooled)
         assert len(report.results) == 6
+        rows = [line.split(",")[:3] for line in (out / "results.csv").read_text().splitlines()[1:]]
+        assert list(report.results) == [(system, int(seed), set_name) for system, seed, set_name in rows]
         assert set(report.seed_means) == {
             (s, t) for s in ("ce_aug", "cecf_paired") for t in ("eval", "eval_trim", "pooled")
         }

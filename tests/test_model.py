@@ -55,7 +55,7 @@ class TestBaseFeatures:
 def forward_member(base, p):
     """``forward`` on a one-member batch, read back as that member's arrays."""
     cache = forward([base], p)
-    return dict(A1=cache["frames"][0][2], v=cache["v"][0], logits=cache["logits"][0], score=cache["score"][0])
+    return dict(A1=cache["frames"][0][1], v=cache["v"][0], logits=cache["logits"][0], score=cache["score"][0])
 
 
 class TestPoolAndClassify:
@@ -228,6 +228,20 @@ class TestActivations:
     @given(arrays(np.float64, array_shapes(min_dims=1, max_dims=2, max_side=9), elements=st.floats()))
     def test_arbitrary_arrays(self, z):
         self.assert_where_bytes(z)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_the_slope_of_the_output_is_the_slope_of_the_input(self, dtype):
+        """The backward pass reads each slope from the cached activation:
+        lrelu(z) > 0 exactly where z > 0, also where 0.01 * z underflows."""
+        info = np.finfo(dtype)
+        tiny = info.smallest_subnormal
+        underflowing = tiny * np.array([1, 2, 3, 10, 49], dtype=dtype)
+        assert np.all(LEAKY_SLOPE * underflowing == 0)
+        edges = np.array([0.0, tiny, info.smallest_normal, np.inf], dtype=dtype)
+        normals = np.random.default_rng(0).standard_normal(10_000).astype(dtype)
+        z = np.concatenate([edges, -edges, underflowing, -underflowing, np.array([np.nan], dtype), normals])
+        assert z.dtype == dtype
+        assert _dlrelu(_lrelu(z)).tobytes() == _dlrelu(z).tobytes()
 
 
 class TestDtype:

@@ -198,7 +198,7 @@ class TestAdam:
         arrays += [v for k, v in cache.items() if k not in ("frames", "score")]
         assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
         assert _dlrelu(cache["frames"][0][1]).dtype == np.float32
-        frames = [A1 @ p.W2.T + p.b2 for _, _, A1 in cache["frames"]]
+        frames = [A1 @ p.W2.T + p.b2 for _, A1 in cache["frames"]]
         _, cf_grads = cf_value_and_grad(frames, labels, 0.07)
         assert cf_grads.dtype == np.float32
         _, grads, _ = forward_backward(members, labels, p, LossConfig("ce+cf"))
