@@ -6,6 +6,14 @@ Synthesis, the per-trial features (base features, augmented views and
 the trimmed eval features) and each system's seeds are mapped by
 ``util.parallel_map``; outputs are byte-identical for any CPU count.
 
+Both caches sit in ``<out>/vocoded``. The vocoded set is rebuilt only when
+its inputs change (``ensure_vocoded_set``), and ``features.bin`` beside its
+WAVs keeps every trial's base features, so a rerun over an unchanged set and
+feature front featurizes only its augmented views and the trimmed eval
+trials (``ensure_data_bundle``). A run also writes ``journal.jsonl`` at the
+out dir's root: one JSON line per stage, in stage order, with the stage's
+name and its wall and CPU seconds.
+
 Config files are INI. Example:
 
     [experiment]
@@ -56,6 +64,8 @@ from __future__ import annotations
 import configparser
 import functools
 import json
+import os
+import time
 from contextlib import contextmanager, suppress
 from dataclasses import astuple, dataclass
 from pathlib import Path
@@ -68,6 +78,7 @@ from .corpus import gen_desk_corpus, trim_nonspeech
 from .errors import ConfigError, DataError, SpoofcmError
 from .manifest import TrialManifest, load_manifest
 from .metrics import EER_COLUMNS, EerResult, compute_eer, pooled_eer, save_scores
+from .model import BASE_DIM, FEATURES_VERSION, PARAM_DTYPE
 from .stats import SignificanceMatrix, significance_matrix
 from .training import (
     DataBundle,
@@ -78,7 +89,7 @@ from .training import (
     score_manifest,
     train,
 )
-from .util import derive_seed, file_sha256, parallel_map, read_utf8, table_text, text_sha256, write_file
+from .util import derive_seed, file_sha256, file_size, parallel_map, read_utf8, table_text, text_sha256, write_file
 from .vocoders import DEFAULT_CHANNEL_NAMES, SYNTHESIS_VERSION, VocoderChannel, build_vocoded_set, check_channels
 
 
@@ -200,12 +211,24 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 @contextmanager
-def _stage(name: str):
+def _stage(name: str, journal: list[dict] | None = None):
+    """One stage of a run. A SpoofcmError raised in it is prefixed with the
+    stage's name, unless an inner stage named it first. When the stage ends
+    without one and ``journal`` is given, one entry goes to it: the stage's
+    name, wall seconds and CPU seconds. CPU is from ``os.times()``, this
+    process plus its reaped children, so the workers of a ``parallel_map``
+    inside the stage count too."""
+    wall, cpu = time.perf_counter(), sum(os.times()[:4])  # user, system, children's user and system
     try:
         yield
     except SpoofcmError as exc:
-        exc.args = (f"[stage {name}] {exc.args[0] if exc.args else ''}",)
+        message = exc.args[0] if exc.args else ""
+        if not str(message).startswith("[stage "):
+            exc.args = (f"[stage {name}] {message}",)
         raise
+    if journal is not None:
+        journal.append({"stage": name, "wall_s": round(time.perf_counter() - wall, 6),
+                        "cpu_s": round(sum(os.times()[:4]) - cpu, 6)})
 
 
 def ensure_vocoded_set(
@@ -216,17 +239,24 @@ def ensure_vocoded_set(
 ) -> TrialManifest:
     """Build the vocoded set, or reuse it when inputs are unchanged.
 
-    A meta file records the source manifest hash, every channel parameter,
-    the synthesis version, the hash of the vocoded manifest.tsv and the size
-    of each WAV in out_dir (a stat, not a hash: a hit stays cheap); a matching
-    meta makes this a no-op (synthesis is deterministic, so the reused set
-    equals what a rebuild would produce). A missing, added or resized WAV or
-    any other manifest is a miss.
+    A meta file records the source manifest hash, the size of each source
+    WAV by trial id, every channel parameter, the synthesis version, the hash
+    of the vocoded manifest.tsv and the size of each WAV in out_dir (sizes
+    are a stat, not a hash: a hit stays cheap); a matching meta makes this a
+    no-op (synthesis is deterministic, so the reused set equals what a
+    rebuild would produce). A missing, added or resized WAV, here or among
+    the sources, or any other manifest is a miss. A WAV altered in place at
+    its size is not seen.
+
+    A miss also removes the stored base features (``FEATURES_FILE``, see
+    ``ensure_data_bundle``) before it synthesizes: they were read from WAVs
+    that the build overwrites.
     """
     meta_path = out_dir / "build_meta.json"
     combined_path = out_dir / "manifest.tsv"
     desc = {
         "source_manifest": file_sha256(manifest_file),
+        "source_wav_bytes": {r.trial_id: file_size(manifest.resolve(r)) for r in manifest},
         "channels": [repr(c) for c in channels],
         "synthesis_version": SYNTHESIS_VERSION,
     }
@@ -241,8 +271,9 @@ def ensure_vocoded_set(
         pass
     # Removed first and written last, so a killed rebuild leaves no meta that matches
     # the WAVs it overwrote. If it cannot be removed, the writes that follow fail too.
-    with suppress(OSError):
-        meta_path.unlink()
+    for stale in (meta_path, out_dir / FEATURES_FILE):
+        with suppress(OSError):
+            stale.unlink()
     combined = build_vocoded_set(manifest, channels, out_dir)
     write_file(meta_path, json.dumps(record(), sort_keys=True, indent=1) + "\n")
     return combined
@@ -251,6 +282,64 @@ def ensure_vocoded_set(
 def _wav_bytes(out_dir: Path) -> dict[str, int]:
     """Byte size of each WAV in the vocoded directory, by file name."""
     return {p.name: p.stat().st_size for p in out_dir.glob("*.wav")}
+
+
+FEATURES_FILE = "features.bin"  # beside the vocoded set's WAVs
+_FEATURES_MAGIC = "spoofcm-base-features"
+
+
+def ensure_data_bundle(manifest: TrialManifest, vocoded_dir: Path, augment_kind: str | None, master_seed: int,
+                       k_views: int) -> DataBundle:
+    """The DataBundle of the vocoded set's combined manifest, with view 0 of
+    every trial read from ``vocoded_dir/FEATURES_FILE`` when that file holds
+    this set's base features; the bundle then builds only the augmented
+    views. Otherwise the bundle builds every view, in one pass over the
+    WAVs, and the file is rewritten through ``util.write_file`` from the
+    bundle's own arrays, with no joined copy.
+
+    The layout follows the checkpoint's: one JSON header line, then each
+    trial's view 0 as little-endian float32 rows (``model.BASE_DIM``
+    columns), in manifest order. The header's key is the SHA-256 of the
+    set's build_meta.json (which holds every WAV's size), the feature
+    front's version (``model.FEATURES_VERSION``), the dtype and the trial ids
+    in manifest order; ``frames`` gives each trial's row count. A file that
+    is absent, cut or unreadable, holds another key or the wrong byte count
+    is a miss. ``ensure_vocoded_set`` removes it whenever it synthesizes."""
+    meta_path, path = vocoded_dir / "build_meta.json", vocoded_dir / FEATURES_FILE
+    try:
+        build = file_sha256(meta_path)
+    except OSError as exc:
+        raise DataError(f"cannot read {meta_path}: {exc.strerror or exc}") from None
+    key = {"build_meta": build, "features_version": FEATURES_VERSION,
+           "dtype": np.dtype(PARAM_DTYPE).newbyteorder("<").str, "trial_ids": [r.trial_id for r in manifest]}
+    stored = _read_base_features(path, key)
+    bundle = DataBundle(manifest, augment_kind, master_seed, k_views, stored)
+    if stored is None:
+        views = [bundle.view(t, 0) for t in key["trial_ids"]]
+        header = {"format": _FEATURES_MAGIC, "key": key, "frames": [len(v) for v in views]}
+        write_file(path, [json.dumps(header, sort_keys=True).encode("utf-8") + b"\n",
+                          *(np.ascontiguousarray(v, dtype=key["dtype"]) for v in views)])
+    return bundle
+
+
+def _read_base_features(path: Path, key: dict) -> dict[tuple[str, int], np.ndarray] | None:
+    """View 0 of each trial in ``key``, keyed (trial id, 0): slices of one
+    array read from the features file at ``path``, or None when the file is
+    a miss (see ``ensure_data_bundle``)."""
+    try:
+        with open(path, "rb") as f:
+            header = json.loads(f.readline().decode("utf-8"))
+            frames = header["frames"]
+            if (header["format"] != _FEATURES_MAGIC or header["key"] != key or len(frames) != len(key["trial_ids"])
+                    or not all(type(n) is int and n > 0 for n in frames)):
+                return None
+            rows = np.empty((sum(frames), BASE_DIM), dtype=key["dtype"])
+            if os.fstat(f.fileno()).st_size - f.tell() != rows.nbytes or f.readinto(rows) != rows.nbytes:
+                return None
+    except (OSError, ValueError, KeyError, TypeError):  # absent, cut or not this layout
+        return None
+    ends = np.cumsum(frames).tolist()
+    return {(t, 0): rows[end - n : end] for t, n, end in zip(key["trial_ids"], frames, ends)}
 
 
 def _train_run(cfg: ExperimentConfig, bundle: DataBundle, name: str, train_cfg: TrainConfig, out_dir: Path,
@@ -286,8 +375,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, base_dir: str | P
     byte-identical for any CPU count. Scoring and what follows run here."""
     out_dir = Path(out_dir)
     base_dir = Path(base_dir)
+    journal: list[dict] = []  # one entry per stage, in stage order: journal.jsonl
 
-    with _stage("corpus"):
+    with _stage("corpus", journal):
         manifest_file = base_dir / cfg.manifest_path
         if not manifest_file.exists():
             if cfg.generate > 0:
@@ -296,20 +386,21 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, base_dir: str | P
                 raise DataError(f"manifest not found: {manifest_file} (set data.generate to create one)")
         bona_manifest = load_manifest(manifest_file)
 
-    with _stage("synth"):
+    with _stage("synth", journal):
         combined = ensure_vocoded_set(
             bona_manifest, manifest_file, cfg.channels(), out_dir / "vocoded"
         )
 
-    with _stage("train-data"):
-        bundle = DataBundle(combined, cfg.augment_kind, cfg.master_seed, cfg.k_views)
+    with _stage("train-data", journal):
+        bundle = ensure_data_bundle(combined, out_dir / "vocoded", cfg.augment_kind, cfg.master_seed, cfg.k_views)
 
     trained = {}
     for name, train_cfg in cfg.systems:  # the first seed, item 0 of equal weights, trains here: so does every system
-        runs = parallel_map(functools.partial(_train_run, cfg, bundle, name, train_cfg, out_dir), cfg.seeds)
+        with _stage(f"train:{name}", journal):
+            runs = parallel_map(functools.partial(_train_run, cfg, bundle, name, train_cfg, out_dir), cfg.seeds)
         trained.update({(name, seed): run for seed, run in zip(cfg.seeds, runs)})
 
-    with _stage("eval-data"):
+    with _stage("eval-data", journal):
         # Features do not depend on the model, so they are built once, not per
         # (system, seed), and after training, so they add nothing to its peak memory.
         # The bundle already holds every trial's untrimmed features.
@@ -321,7 +412,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, base_dir: str | P
 
     results: dict[tuple[str, int, str], EerResult] = {}
     for (name, seed), (run_dir, params) in trained.items():
-        with _stage(f"score:{name}:{seed}"):
+        with _stage(f"score:{name}:{seed}", journal):
             sets = []
             for set_name, features in eval_features.items():
                 scores = score_manifest(eval_manifest, params, features, set_name)[0]
@@ -330,11 +421,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, base_dir: str | P
                 results[name, seed, set_name] = compute_eer(scores)
             results[name, seed, "pooled"] = pooled_eer(sets)
 
-    with _stage("aggregate"):
+    with _stage("aggregate", journal):
         seed_means = {(name, set_name): float(np.mean([results[name, seed, set_name].eer for seed in cfg.seeds]))
                       for name, _ in cfg.systems for set_name in (*eval_features, "pooled")}
 
-    with _stage("significance"):
+    with _stage("significance", journal):
         significance = None
         if len(cfg.systems) >= 2:
             pooled_results = {}
@@ -344,7 +435,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, base_dir: str | P
             significance = significance_matrix(pooled_results)
             significance.save(out_dir)
 
-    with _stage("report"):
+    with _stage("report", journal):
         rows = [(*key, *astuple(eer)) for key, eer in results.items()]
         write_file(out_dir / "results.csv", table_text([("system", "seed", "set", *EER_COLUMNS), *rows]))
         rows = [(*key, seed_means[key]) for key in sorted(seed_means)]
@@ -358,4 +449,5 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, base_dir: str | P
         }
         write_file(out_dir / "meta.json", json.dumps(meta, sort_keys=True, indent=1) + "\n")
         write_file(out_dir / "config_resolved.ini", cfg.raw_text)
+    write_file(out_dir / "journal.jsonl", "".join(json.dumps(entry) + "\n" for entry in journal))
     return ExperimentReport(results, seed_means, significance, out_dir)

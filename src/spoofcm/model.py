@@ -41,6 +41,9 @@ BASE_DIM = N_FILTERS + 1  # log-energy + filterbank energies
 LEAKY_SLOPE = 0.01
 LOG_FLOOR = 1e-10
 PARAM_DTYPE = np.float32  # what init_model makes; see the module docstring
+# Part of the stored base features' cache key: bump it with any change that
+# alters the bytes of extract_base_features(w).astype(PARAM_DTYPE).
+FEATURES_VERSION = 1
 
 
 def extract_base_features(w: Waveform) -> np.ndarray:

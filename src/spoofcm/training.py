@@ -19,7 +19,10 @@ not depend on the other trials scored with it (``score_manifest`` says why).
 Per-trial features (a bundle's base features and augmented views, and
 ``manifest_features``) are mapped by ``util.parallel_map``, one trial or
 view per item weighted by its WAV's bytes, and come back in input order,
-so they are byte-identical for any CPU count.
+so they are byte-identical for any CPU count. A bundle builds only the
+views it is not handed: ``run`` hands it the base features stored beside
+the vocoded set (``experiment.ensure_data_bundle``), so a rerun builds only
+the augmented views. A bundle's views are read-only.
 """
 from __future__ import annotations
 
@@ -158,24 +161,32 @@ class DataBundle:
     epoch sees the same view and reruns are deterministic. ``k_views`` is 0
     when the kind is None (no augmentation).
 
-    The views are built in one ``util.parallel_map``, weighted by WAV
-    bytes, and are byte-identical for any CPU count. View-0 keys come
-    first, in manifest order, so an unreadable trial raises the DataError
-    of the first such trial in manifest order.
+    ``views`` may hand the constructor some of these arrays, by key, as
+    ``experiment.ensure_data_bundle`` hands it the stored base features;
+    a key it holds is not built again. The other views are built in one
+    ``util.parallel_map``, weighted by WAV bytes, and are byte-identical for
+    any CPU count. View-0 keys come first, in manifest order, so an
+    unreadable trial raises the DataError of the first such trial in
+    manifest order. Every view, given or built, is made read-only.
     """
 
-    def __init__(self, manifest: TrialManifest, augment_kind: str | None, master_seed: int, k_views: int):
+    def __init__(self, manifest: TrialManifest, augment_kind: str | None, master_seed: int, k_views: int,
+                 views: Mapping[tuple[str, int], np.ndarray] | None = None):
         if k_views < 0:
             raise ConfigError(f"k_views must be >= 0, got {k_views}")
         self.manifest = manifest
         self.augment_kind = augment_kind
         self.master_seed = master_seed
         self.k_views = 0 if augment_kind is None else k_views
+        given = views or {}
         keys = [(r.trial_id, 0) for r in manifest]
         keys += [(t, k) for t in self.ids(subset="train") for k in range(1, self.k_views + 1)]
-        views = parallel_map(self._build, keys,
-                             weights=[file_size(manifest.resolve(manifest.by_id(t))) for t, _ in keys])
-        self._views = dict(zip(keys, views))
+        todo = [key for key in keys if key not in given]
+        built = dict(zip(todo, parallel_map(self._build, todo, weights=[
+            file_size(manifest.resolve(manifest.by_id(t))) for t, _ in todo])))
+        self._views = {key: given[key] if key in given else built[key] for key in keys}
+        for view in self._views.values():
+            view.setflags(write=False)  # a stray write would reach every later seed trained here
         self.pairing: dict[str, list[str]] = {r.trial_id: [] for r in manifest if r.label == "bonafide"}
         for rec in sorted(manifest, key=lambda r: r.trial_id):  # so each list is sorted
             if rec.label == "spoof" and rec.source_id in self.pairing:

@@ -95,8 +95,10 @@ def table_text(rows, sep: str = ",") -> str:
     return "".join(sep.join(map(str, row)) + "\n" for row in rows)
 
 
-def write_file(path: str | Path, data: str | bytes) -> None:
-    """Write ``data`` (text as UTF-8) to ``path``, creating its directory.
+def write_file(path: str | Path, data) -> None:
+    """Write ``data`` to ``path``, creating its directory: text as UTF-8,
+    bytes, or an iterable of bytes-like chunks (a C-contiguous array is its
+    raw bytes) one after another, so a large file needs no joined copy.
 
     The bytes go to a temporary file beside ``path`` that then replaces it,
     so a killed process leaves the old file or the new one, never a part of
@@ -108,7 +110,11 @@ def write_file(path: str | Path, data: str | bytes) -> None:
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         try:
-            tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+            if isinstance(data, (str, bytes)):
+                tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+            else:
+                with tmp.open("wb") as f:
+                    f.writelines(data)
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)

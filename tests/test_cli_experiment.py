@@ -23,10 +23,18 @@ from spoofcm.audio_io import Waveform, write_wav
 from spoofcm.cli import main
 from spoofcm.corpus import gen_desk_corpus
 from spoofcm.experiment import _INI_KEYS as LOADER_KEYS
-from spoofcm.experiment import ExperimentConfig, ensure_vocoded_set, load_config, run_experiment
+from spoofcm.experiment import (
+    FEATURES_FILE,
+    ExperimentConfig,
+    ensure_data_bundle,
+    ensure_vocoded_set,
+    load_config,
+    run_experiment,
+)
 from spoofcm.errors import ConfigError, NumericalError, SpoofcmError
 from spoofcm.manifest import TrialManifest, TrialRecord, load_manifest
-from spoofcm.training import DataBundle, TrainConfig, load_checkpoint
+from spoofcm.model import FEATURES_VERSION
+from spoofcm.training import TrainConfig, load_checkpoint
 from spoofcm.vocoders import CHANNEL_PARAMS, SYNTHESIS_VERSION, VocoderChannel
 
 from conftest import harmonic_speechlike
@@ -151,8 +159,10 @@ class TestRunExperiment:
 # sums; the summary and significance tables, the config and the vocoded set
 # kept their bytes. At synthesis version 4 (phasernd colors at a fast FFT
 # length, Griffin-Lim's one-factor phase step) the vocoded set's build_meta.json
-# and everything trained or scored on its spoofs were re-recorded. A change that
-# keeps the synthesis version and the model's arithmetic must keep every byte.
+# and everything trained or scored on its spoofs were re-recorded. build_meta.json
+# was re-recorded again when the vocoded set's record came to hold each source
+# WAV's size. A change that keeps the synthesis version and the model's
+# arithmetic must keep every byte.
 GOLDEN_ARTIFACT_SHA256 = {
     "config_resolved.ini": "11e5944d1d27020b406ee9ac56e9e419ec7a84e970af00441468ba981d60b14e",
     "eer.csv": "db669310e1b3bc83e9c43e3839056099b61156bb7270cd6408a28fc11b80df19",
@@ -170,7 +180,7 @@ GOLDEN_ARTIFACT_SHA256 = {
     "sig_p.csv": "f12f8f5f21e683a9c2e32474c1a3a0d40c0b7ed314f6b94365b01b10195b2a57",
     "sig_reject.csv": "bd1d7b6738157f20093f694a85b0e070b4481125b2c7162cf78729c77cdb05e4",
     "summary.csv": "7055cb095d53896657d1651b317b43cc48deedea0a2cce0187aeace87ed61209",
-    "vocoded/build_meta.json": "1e8a937ae035ffbe27ac867bd9df9fd8d548a3eba056e1d652eb1bea843ef35d",
+    "vocoded/build_meta.json": "6978c895faecbc363effd89b31f7e28b5dec983a77c695557e7c54c3312d6e2e",
     "vocoded/manifest.tsv": "ed4a3110efbfc7965297f2f323f6afee8943a15638459584bdc74fcec1a2137c",
 }
 
@@ -312,6 +322,24 @@ class TestVocodedCache:
         second = self._ensure(manifest_file, self.BASE)
         assert len(calls) == 2
         assert second.records == first.records == load_manifest(combined_path).records
+
+    def test_corpus_regenerated_at_another_seed_rebuilds(self, builds, tmp_path):
+        """gen-corpus at another seed into the same directory rewrites every
+        bona fide WAV but keeps manifest.tsv's bytes: the sources' sizes in the
+        record make the next call a miss, so no spoof of the old corpus is served."""
+        _, calls = builds
+        manifest_file = tmp_path / "corpus" / "manifest.tsv"
+        channels = [VocoderChannel("phasernd")]
+        gen_desk_corpus(20, 4, manifest_file.parent)
+        listed = manifest_file.read_bytes()
+        spoof = manifest_file.parent / "vocoded" / "desk0000_phasernd.wav"
+        self._ensure(manifest_file, channels)
+        old = spoof.read_bytes()
+        gen_desk_corpus(20, 9, manifest_file.parent)
+        assert manifest_file.read_bytes() == listed
+        self._ensure(manifest_file, channels)
+        assert len(calls) == 2
+        assert spoof.read_bytes() != old
 
     def test_rebuild_killed_midway_is_not_a_cache_hit(self, builds, monkeypatch):
         manifest_file, calls = builds
@@ -514,7 +542,7 @@ def test_run_bytes_do_not_depend_on_the_worker_count(tmp_path, cpus, forks, monk
         return real_augment(*args)
 
     monkeypatch.setattr(spoofcm.training, "apply_augment", apply_augment)
-    written, forked, views = {}, {}, {}
+    written, forked, views, journals = {}, {}, {}, {}
     for n in (1, 2):
         cpus(n)
         out = tmp_path / f"out{n}"
@@ -525,12 +553,20 @@ def test_run_bytes_do_not_depend_on_the_worker_count(tmp_path, cpus, forks, monk
         views[n] = len(augmented.read_text().splitlines())
         files = [*out.glob("runs/*/*"), out / "results.csv", out / "summary.csv", *out.glob("sig_*.csv")]
         written[n] = {str(p.relative_to(out)): p.read_bytes() for p in files}
+        assert [p.relative_to(out) for p in out.rglob("journal.jsonl")] == [Path("journal.jsonl")]
+        journals[n] = [json.loads(line) for line in (out / "journal.jsonl").read_text().splitlines()]
     # on two CPUs: synthesis, the bundle, training once per system, eval_trim
     assert forked == {1: 0, 2: 5}
     n_train = len(load_manifest(tmp_path / "out2" / "vocoded" / "manifest.tsv").subset("train").records)
     assert views == {1: n_train, 2: n_train}  # k_views = 1
     assert len([rel for rel in written[2] if rel.startswith("runs")]) == 2 * 2 * 4
     assert written[1] == written[2]
+    # the journal lists the stages run_experiment opens, in order, whatever the CPU count
+    scored = [f"score:{system}:{seed}" for system in ("ce_aug", "cecf_paired") for seed in (5, 6)]
+    stages = ["corpus", "synth", "train-data", "train:ce_aug", "train:cecf_paired", "eval-data", *scored,
+              "aggregate", "significance", "report"]
+    assert [entry["stage"] for entry in journals[1]] == [entry["stage"] for entry in journals[2]] == stages
+    assert all(entry["wall_s"] >= 0 and entry["cpu_s"] >= 0 for n in (1, 2) for entry in journals[n])
 
 
 def test_failing_seed_in_a_worker_keeps_its_exit_code_and_stage(tmp_path, cpus, forks, monkeypatch, capsys):
@@ -556,11 +592,47 @@ def test_failing_seed_in_a_worker_keeps_its_exit_code_and_stage(tmp_path, cpus, 
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_warm_rerun_featurizes_only_what_the_features_file_lacks(tmp_path, cpus, monkeypatch):
+    """A rerun over an unchanged vocoded set reads every trial's base features
+    from its features file and featurizes only the augmented views and the
+    trimmed eval trials; a file with bytes past its rows, another
+    FEATURES_VERSION or a resized spoof WAV is a miss. Every run's outputs
+    equal the cold run's. On one CPU, so the spy sees every call."""
+    cpus(1)
+    (tmp_path / "exp.ini").write_text(TINY_CONFIG.replace("names = coarsegl, phasernd", "names = phasernd"))
+    out = tmp_path / "out"
+    featurized = []
+    real = spoofcm.training.extract_base_features
+    monkeypatch.setattr(spoofcm.training, "extract_base_features", lambda w: featurized.append(1) or real(w))
+
+    def run():
+        featurized.clear()
+        assert main(["run", "--config", str(tmp_path / "exp.ini"), "--out", str(out)]) == 0
+        files = [*out.glob("runs/*/*"), out / "results.csv", out / "summary.csv", *out.glob("sig_*.csv")]
+        return len(featurized), {str(p.relative_to(out)): p.read_bytes() for p in files}
+
+    cold_calls, cold = run()
+    combined = load_manifest(out / "vocoded" / "manifest.tsv")
+    n_augmented, n_trimmed = len(combined.subset("train").records), len(combined.subset("eval").records)
+    assert cold_calls == len(combined) + n_augmented + n_trimmed  # k_views = 1
+    assert len(cold) == 2 * 4 + 4
+    assert run() == (n_augmented + n_trimmed, cold)
+    stored = out / "vocoded" / FEATURES_FILE
+    stored.write_bytes(stored.read_bytes() + bytes(4))  # one float more than the header's rows
+    assert run() == (cold_calls, cold)
+    monkeypatch.setattr(spoofcm.experiment, "FEATURES_VERSION", FEATURES_VERSION + 1)
+    assert run() == (cold_calls, cold)
+    assert run() == (n_augmented + n_trimmed, cold)  # the file now holds the new version
+    spoof = combined.resolve(next(r for r in combined if r.label == "spoof"))
+    spoof.write_bytes(spoof.read_bytes() + bytes(2))
+    assert run() == (cold_calls, cold)
+
+
 @pytest.fixture(scope="module")
 def built_set(tmp_path_factory):
     """A two-trial source set vocoded through two channels: the source manifest
-    file, every file of the vocoded directory as built, and that build's
-    records and base features."""
+    file, every file of the vocoded directory as built (the features file
+    included), and that build's records and base features."""
     base = tmp_path_factory.mktemp("cut")
     records = []
     for i, subset in enumerate(("train", "eval")):
@@ -570,8 +642,8 @@ def built_set(tmp_path_factory):
     channels = [VocoderChannel("coarsegl"), VocoderChannel("phasernd")]
     combined = ensure_vocoded_set(load_manifest(base / "manifest.tsv"), base / "manifest.tsv", channels,
                                   base / "vocoded")
+    bundle = ensure_data_bundle(combined, base / "vocoded", None, 0, 0)
     files = {p.name: p.read_bytes() for p in sorted((base / "vocoded").iterdir())}
-    bundle = DataBundle(combined, None, 0, 0)
     return base / "manifest.tsv", channels, files, combined.records, {t: bundle.view(t, 0) for t in bundle.ids()}
 
 
@@ -579,9 +651,10 @@ def built_set(tmp_path_factory):
 @given(data=st.data())
 def test_truncated_vocoded_set_is_rebuilt_or_refused(built_set, data):
     """A cut file of a built set gives the fresh build's trials and features, or a typed
-    error; a cut WAV is a cache miss, so it always gives the fresh build."""
+    error; a cut WAV or features file is a cache miss, so it always gives the fresh
+    build. Whatever was cut, the features file is whole again after a build."""
     manifest_file, channels, files, records, features = built_set
-    name = data.draw(st.sampled_from(["build_meta.json", "manifest.tsv", "t1_phasernd.wav"]))
+    name = data.draw(st.sampled_from(["build_meta.json", "manifest.tsv", "t1_phasernd.wav", FEATURES_FILE]))
     whole = files[name]
     line_ends = [i + 1 for i, byte in enumerate(whole) if byte == ord("\n")]  # cuts that keep whole lines
     at = data.draw(st.integers(0, len(whole)) | st.sampled_from(line_ends or [len(whole)]))
@@ -591,14 +664,15 @@ def test_truncated_vocoded_set_is_rebuilt_or_refused(built_set, data):
     (out / name).write_bytes(whole[:at])
     try:
         combined = ensure_vocoded_set(load_manifest(manifest_file), manifest_file, channels, out)
-        bundle = DataBundle(combined, None, 0, 0)
+        bundle = ensure_data_bundle(combined, out, None, 0, 0)
     except SpoofcmError:
-        if name.endswith(".wav"):
+        if name.endswith(".wav") or name == FEATURES_FILE:
             raise
         return
     assert combined.records == records
     assert bundle.ids() == list(features)
     assert all(np.array_equal(bundle.view(t, 0), features[t]) for t in features)
+    assert (out / FEATURES_FILE).read_bytes() == files[FEATURES_FILE]
 
 
 def one_trial_manifest(tmp_path) -> str:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,9 @@ from spoofcm.contrastive import CfConfig
 from spoofcm.errors import ConfigError, DataError
 from spoofcm.model import (
     BASE_DIM,
+    FEATURES_VERSION,
     LEAKY_SLOPE,
+    PARAM_DTYPE,
     LossConfig,
     ModelParams,
     _dlrelu,
@@ -50,6 +54,31 @@ class TestBaseFeatures:
     def test_too_short_rejected(self):
         with pytest.raises(DataError):
             extract_base_features(Waveform(np.zeros(100), SR))
+
+
+# SHA-256 of the stored base features, extract_base_features(w).astype(PARAM_DTYPE),
+# of harmonic_speechlike(duration=0.5, sr, seed=3), recorded at
+# GOLDEN_FEATURES_VERSION 1 (numpy 2.4.6, x86-64; the same on one BLAS thread).
+# A run stores these bytes in the vocoded set's features file, keyed by
+# model.FEATURES_VERSION, and serves them to later runs: a change to the feature
+# front's bytes re-records these digests and bumps FEATURES_VERSION with
+# GOLDEN_FEATURES_VERSION, so that no stale file is served.
+GOLDEN_FEATURES_VERSION = 1
+GOLDEN_FEATURES_SHA256 = {
+    8000: "f8f17132bb52bfc01c3cb9b28910cca180af5b896785ed61e8699dd47a07202b",
+    16000: "b2a3fc5bdb85625938bacf57cf44bbacd255a4619f77f957512b9e7eeb9359b5",
+    48000: "7a4297d5e73e8d39494ba88d344597616e0b170156260bc6f703171f638901e3",
+}
+
+
+def test_feature_goldens_are_recorded_at_the_features_version():
+    assert GOLDEN_FEATURES_VERSION == FEATURES_VERSION
+
+
+@pytest.mark.parametrize("sr", sorted(GOLDEN_FEATURES_SHA256))
+def test_base_feature_bytes_match_golden(sr):
+    feats = extract_base_features(harmonic_speechlike(duration=0.5, sr=sr, seed=3)).astype(PARAM_DTYPE)
+    assert hashlib.sha256(feats.tobytes()).hexdigest() == GOLDEN_FEATURES_SHA256[sr]
 
 
 def forward_member(base, p):

@@ -119,6 +119,24 @@ def test_a_view_the_bundle_does_not_hold_is_refused_without_augmenting(tiny_bund
     assert augment_calls == []
 
 
+def test_views_are_read_only_and_a_given_view_is_not_built_again(tiny_bundle, augment_calls, cpus, monkeypatch):
+    """A stray write into a view raises, so it cannot reach later seeds; a
+    view handed to the constructor is held as it is, and only the others
+    are built. On one CPU, so the spies see every view built."""
+    cpus(1)
+    for key in [("t00", 0), ("t00", 1)]:  # built: the base features and an augmented view
+        with pytest.raises(ValueError, match="read-only"):
+            tiny_bundle.view(*key)[0, 0] = 0.0
+    given = {(t, 0): tiny_bundle.view(t, 0).copy() for t in tiny_bundle.ids()}
+    featurized = []
+    monkeypatch.setattr(training_mod, "extract_base_features", lambda w: featurized.append(1) or extract_base_features(w))
+    bundle = DataBundle(tiny_bundle.manifest, "rawboost", master_seed=99, k_views=1, views=given)
+    assert len(featurized) == len(augment_calls) == len(bundle.ids(subset="train"))
+    assert all(bundle.view(t, 0) is given[t, 0] and not given[t, 0].flags.writeable for t in bundle.ids())
+    with pytest.raises(ValueError, match="read-only"):
+        bundle.view("t00", 1)[0, 0] = 0.0
+
+
 def _manifest_with_two_unreadable(root, monkeypatch):
     """Four train trials, heaviest first; u1 and u3 are not WAV files. Reading
     u0 waits 0.1 s and u1 0.3 s, so on two CPUs this process holds u0, the

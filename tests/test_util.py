@@ -8,6 +8,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spoofcm
@@ -114,6 +115,22 @@ def test_failed_write_keeps_the_old_file_and_leaves_no_temporary(tmp_path, monke
         write_file(path, "new contents\n")
     assert path.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+
+
+def test_chunks_are_written_in_order_and_a_failed_chunk_keeps_the_old_file(tmp_path):
+    path = tmp_path / "rows.bin"
+    rows = np.arange(6, dtype="<f4").reshape(3, 2)
+    write_file(path, [b"head\n", rows[:1], rows[1:]])
+    assert path.read_bytes() == b"head\n" + rows.tobytes()
+
+    def failing():
+        yield b"new head\n"
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        write_file(path, failing())
+    assert path.read_bytes() == b"head\n" + rows.tobytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.bin"]
 
 
 def test_write_under_a_file_is_a_data_error(tmp_path):
